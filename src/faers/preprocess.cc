@@ -1,6 +1,8 @@
 #include "faers/preprocess.h"
 
 #include <algorithm>
+#include <limits>
+#include <string_view>
 
 #include "faers/vocabulary.h"
 
@@ -92,6 +94,31 @@ maras::StatusOr<PreprocessResult> Preprocessor::Process(
 
   // Memoizes normalized-name -> canonical resolution across the quarter.
   std::unordered_map<std::string, std::string> cache;
+  // Memoizes raw mention -> item per domain, keyed by views into `dataset`,
+  // so each distinct raw string is normalized and interned once however
+  // often it is mentioned. The name cache above stays behind the memo: two
+  // raw spellings of one name still count one correction, and items are
+  // interned in first-mention order as before.
+  using Memo = std::unordered_map<std::string_view, mining::ItemId>;
+  Memo drug_memo;
+  Memo adr_memo;
+  // Item of `raw`, or kNoItem when the name cleans to nothing.
+  constexpr mining::ItemId kNoItem =
+      std::numeric_limits<mining::ItemId>::max();
+  auto memoized = [&](Memo* memo, const std::string& raw,
+                      mining::ItemDomain domain)
+      -> maras::StatusOr<mining::ItemId> {
+    if (auto it = memo->find(raw); it != memo->end()) return it->second;
+    std::string name = domain == mining::ItemDomain::kDrug
+                           ? CleanDrugName(raw, &cache, &result.stats)
+                           : text::NormalizeName(raw, options_.normalizer);
+    mining::ItemId id = kNoItem;
+    if (!name.empty()) {
+      MARAS_ASSIGN_OR_RETURN(id, result.items.Intern(name, domain));
+    }
+    memo->emplace(raw, id);
+    return id;
+  };
 
   for (const Report& report : dataset.reports) {
     if (options_.expedited_only && report.type != ReportType::kExpedited) {
@@ -107,21 +134,19 @@ maras::StatusOr<PreprocessResult> Preprocessor::Process(
     }
     mining::Itemset transaction;
     for (const std::string& raw : report.drugs) {
-      std::string name = CleanDrugName(raw, &cache, &result.stats);
-      if (name.empty()) continue;
       MARAS_ASSIGN_OR_RETURN(
           mining::ItemId id,
-          result.items.Intern(name, mining::ItemDomain::kDrug));
+          memoized(&drug_memo, raw, mining::ItemDomain::kDrug));
+      if (id == kNoItem) continue;
       transaction.push_back(id);
       ++result.stats.drug_mentions;
     }
     size_t drug_items = transaction.size();
     for (const std::string& raw : report.reactions) {
-      std::string name = text::NormalizeName(raw, options_.normalizer);
-      if (name.empty()) continue;
       MARAS_ASSIGN_OR_RETURN(
           mining::ItemId id,
-          result.items.Intern(name, mining::ItemDomain::kAdr));
+          memoized(&adr_memo, raw, mining::ItemDomain::kAdr));
+      if (id == kNoItem) continue;
       transaction.push_back(id);
       ++result.stats.adr_mentions;
     }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace maras::faers {
@@ -16,12 +17,12 @@ enum class ReportType : uint8_t {
 };
 
 std::string ReportTypeCode(ReportType type);
-bool ParseReportType(const std::string& code, ReportType* out);
+bool ParseReportType(std::string_view code, ReportType* out);
 
 // Patient sex as reported.
 enum class Sex : uint8_t { kUnknown = 0, kFemale = 1, kMale = 2 };
 std::string SexCode(Sex sex);
-bool ParseSex(const std::string& code, Sex* out);
+bool ParseSex(std::string_view code, Sex* out);
 
 // One individual safety report (one FAERS case version): the set of drugs
 // the patient took and the set of adverse reactions observed, plus the

@@ -1,6 +1,9 @@
 #include "faers/validate.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -25,6 +28,15 @@ bool LooksLikeCountryCode(const std::string& code) {
   if (code.size() != 2) return false;
   return std::isupper(static_cast<unsigned char>(code[0])) &&
          std::isupper(static_cast<unsigned char>(code[1]));
+}
+
+// Whole years of `years` for a message: truncated as an int cast would,
+// without the undefined behaviour of casting a value outside int range.
+std::string WholeYears(double years) {
+  if (std::fabs(years) < 1e9) return std::to_string(static_cast<int>(years));
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3g", years);
+  return buf;
 }
 
 }  // namespace
@@ -70,8 +82,8 @@ ValidationReport ValidateDataset(const QuarterDataset& dataset,
     }
     if (r.age > options.max_plausible_age) {
       add(FindingSeverity::kWarning, "implausible-age",
-          "age " + std::to_string(static_cast<int>(r.age)) + " exceeds " +
-              std::to_string(static_cast<int>(options.max_plausible_age)),
+          "age " + WholeYears(r.age) + " exceeds " +
+              WholeYears(options.max_plausible_age),
           pid);
     }
     if (r.drugs.size() > options.max_plausible_drugs) {

@@ -1,14 +1,30 @@
 #include "text/dictionary.h"
 
+#include <bit>
+
 #include "text/edit_distance.h"
 
 namespace maras::text {
+
+namespace {
+
+// Set of the characters of `term`, each byte folded onto one of 64 bits.
+uint64_t CharMask(std::string_view term) {
+  uint64_t mask = 0;
+  for (char c : term) {
+    mask |= uint64_t{1} << (static_cast<unsigned char>(c) & 63);
+  }
+  return mask;
+}
+
+}  // namespace
 
 void Dictionary::AddCanonical(std::string_view term) {
   std::string key(term);
   if (index_.count(key) > 0) return;
   index_[key] = canonical_.size();
   by_length_[key.size()].push_back(canonical_.size());
+  char_masks_.push_back(CharMask(key));
   canonical_.push_back(std::move(key));
 }
 
@@ -45,6 +61,10 @@ Dictionary::Match Dictionary::Resolve(std::string_view term,
 
   size_t best_distance = max_edit_distance + 1;
   const std::string* best_term = nullptr;
+  const uint64_t query_mask = CharMask(key);
+  const auto beyond_bound = [&](uint64_t missing) {
+    return static_cast<size_t>(std::popcount(missing)) > max_edit_distance;
+  };
   const size_t len = key.size();
   const size_t lo = len > max_edit_distance ? len - max_edit_distance : 0;
   const size_t hi = len + max_edit_distance;
@@ -52,6 +72,11 @@ Dictionary::Match Dictionary::Resolve(std::string_view term,
     auto it = by_length_.find(bucket);
     if (it == by_length_.end()) continue;
     for (size_t idx : it->second) {
+      const uint64_t mask = char_masks_[idx];
+      if (beyond_bound(query_mask & ~mask) ||
+          beyond_bound(mask & ~query_mask)) {
+        continue;
+      }
       const std::string& candidate = canonical_[idx];
       size_t d = BoundedDamerauLevenshtein(key, candidate, max_edit_distance);
       if (d < best_distance ||

@@ -1,6 +1,7 @@
 #ifndef MARAS_TEXT_DICTIONARY_H_
 #define MARAS_TEXT_DICTIONARY_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -15,7 +16,13 @@ namespace maras::text {
 // raw FAERS drug/ADR strings onto canonical terms. Corrects:
 //   * synonyms (brand name -> canonical generic), via an explicit alias map;
 //   * misspellings, via bounded Damerau–Levenshtein search over the
-//     vocabulary, bucketed by length so the scan stays near-linear.
+//     vocabulary. The scan only visits terms whose length is within the
+//     bound, and skips, before any distance is computed, every term whose
+//     character set (bytes folded into a 64-bit mask) differs from the
+//     query's by more than the bound. That filter is exact: each character
+//     class one string has and the other lacks costs at least one edit (a
+//     transposition keeps the characters), so only terms that could not
+//     match are skipped.
 class Dictionary {
  public:
   Dictionary() = default;
@@ -51,6 +58,7 @@ class Dictionary {
 
  private:
   std::vector<std::string> canonical_;
+  std::vector<uint64_t> char_masks_;  // CharMask of canonical_[i]
   std::unordered_map<std::string, size_t> index_;   // canonical -> position
   std::unordered_map<std::string, std::string> aliases_;
   // Length bucket -> canonical indices, to bound the fuzzy scan.

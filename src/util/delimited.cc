@@ -23,46 +23,68 @@ StatusOr<DelimitedTable> DelimitedReader::ParseString(
   return ParseString(content, nullptr);
 }
 
-StatusOr<DelimitedTable> DelimitedReader::ParseString(
-    const std::string& content, std::vector<DelimitedRowIssue>* issues) const {
-  DelimitedTable table;
+Status DelimitedReader::Parse(std::string_view content,
+                              std::vector<DelimitedRowIssue>* issues,
+                              const DelimitedVisitor& on_header,
+                              const DelimitedVisitor& on_row) const {
+  std::vector<std::string_view> fields;
+  size_t width = 0;
+  bool has_header = false;
   size_t pos = 0;
   size_t line_no = 0;
-  while (pos <= content.size()) {
+  while (pos < content.size()) {
     size_t eol = content.find('\n', pos);
-    std::string_view line;
-    if (eol == std::string::npos) {
-      if (pos == content.size()) break;
-      line = std::string_view(content).substr(pos);
-      pos = content.size() + 1;
-    } else {
-      line = std::string_view(content).substr(pos, eol - pos);
-      pos = eol + 1;
-    }
+    if (eol == std::string_view::npos) eol = content.size();
+    std::string_view line = content.substr(pos, eol - pos);
+    pos = eol + 1;
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     ++line_no;
     if (line.empty()) continue;  // skip blank lines
-    std::vector<std::string> fields = Split(line, delim_);
-    if (line_no == 1) {
-      table.header = std::move(fields);
-    } else {
-      if (fields.size() != table.header.size()) {
-        std::string reason = "row " + std::to_string(line_no) + " has " +
-                             std::to_string(fields.size()) +
-                             " fields, expected " +
-                             std::to_string(table.header.size());
-        if (issues == nullptr) return Status::Corruption(reason);
-        issues->push_back(
-            DelimitedRowIssue{line_no, std::move(reason), std::string(line)});
-        continue;
+    fields.clear();
+    for (size_t start = 0;;) {
+      size_t delim = line.find(delim_, start);
+      if (delim == std::string_view::npos) {
+        fields.push_back(line.substr(start));
+        break;
       }
-      table.rows.push_back(std::move(fields));
-      table.row_lines.push_back(line_no);
+      fields.push_back(line.substr(start, delim - start));
+      start = delim + 1;
     }
+    const DelimitedRow row{line_no, line, fields};
+    if (line_no == 1) {
+      width = fields.size();
+      has_header = true;
+      on_header(row);
+      continue;
+    }
+    if (fields.size() != width) {
+      std::string reason = "row " + std::to_string(line_no) + " has " +
+                           std::to_string(fields.size()) +
+                           " fields, expected " + std::to_string(width);
+      if (issues == nullptr) return Status::Corruption(reason);
+      issues->push_back(
+          DelimitedRowIssue{line_no, std::move(reason), std::string(line)});
+      continue;
+    }
+    on_row(row);
   }
-  if (table.header.empty()) {
-    return Status::Corruption("missing header row");
-  }
+  if (!has_header) return Status::Corruption("missing header row");
+  return Status::OK();
+}
+
+StatusOr<DelimitedTable> DelimitedReader::ParseString(
+    const std::string& content, std::vector<DelimitedRowIssue>* issues) const {
+  DelimitedTable table;
+  auto strings = [](const DelimitedRow& row) {
+    return std::vector<std::string>(row.fields.begin(), row.fields.end());
+  };
+  MARAS_RETURN_IF_ERROR(Parse(
+      content, issues,
+      [&](const DelimitedRow& row) { table.header = strings(row); },
+      [&](const DelimitedRow& row) {
+        table.rows.push_back(strings(row));
+        table.row_lines.push_back(row.line);
+      }));
   return table;
 }
 

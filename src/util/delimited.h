@@ -1,7 +1,10 @@
 #ifndef MARAS_UTIL_DELIMITED_H_
 #define MARAS_UTIL_DELIMITED_H_
 
+#include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -31,11 +34,33 @@ struct DelimitedRowIssue {
   std::string content;  // the rejected line, verbatim
 };
 
+// One row as the streaming parser sees it. Every view points into the
+// buffer being parsed or into the parser's scratch and is valid only for the
+// duration of the visitor call.
+struct DelimitedRow {
+  size_t line = 0;        // 1-based line number in the source buffer
+  std::string_view text;  // the whole line, without its '\r\n' or '\n'
+  std::span<const std::string_view> fields;
+};
+
+using DelimitedVisitor = std::function<void(const DelimitedRow&)>;
+
 class DelimitedReader {
  public:
   explicit DelimitedReader(char delim) : delim_(delim) {}
 
-  // Parses an in-memory buffer. Every row must have the same number of
+  // The parser. Streams `content` line by line without copying it: blank
+  // lines are skipped, line 1 is the header and goes to `on_header`, and
+  // every later row with as many fields as the header goes to `on_row`. A
+  // row of another width is Corruption when `issues` is null; otherwise it
+  // is recorded in `issues` and skipped. A buffer whose line 1 is empty has
+  // no header, which is Corruption once the whole buffer has been read.
+  Status Parse(std::string_view content,
+               std::vector<DelimitedRowIssue>* issues,
+               const DelimitedVisitor& on_header,
+               const DelimitedVisitor& on_row) const;
+
+  // Collects Parse() into a table. Every row must have the same number of
   // fields as the header; a short/long row yields Corruption.
   StatusOr<DelimitedTable> ParseString(const std::string& content) const;
 

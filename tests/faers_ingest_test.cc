@@ -95,6 +95,17 @@ TEST(IngestPolicyTest, StrictGarbageCaseidIsNowCorruption) {
             std::string::npos);
 }
 
+TEST(IngestPolicyTest, StrictOverflowingCaseidIsCorruption) {
+  AsciiQuarterFiles files = CleanFiles();
+  // One past UINT64_MAX.
+  Replace(&files.demo, "$10000002$", "$18446744073709551616$");
+  auto parsed = ReadAsciiQuarter(files, 2014, 1);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("DEMO14Q1.txt:3 (caseid)"),
+            std::string::npos)
+      << parsed.status().ToString();
+}
+
 TEST(IngestPolicyTest, StrictGarbageAgeIsCorruption) {
   AsciiQuarterFiles files = CleanFiles();
   Replace(&files.demo, "$41$", "$4I$");
@@ -102,6 +113,56 @@ TEST(IngestPolicyTest, StrictGarbageAgeIsCorruption) {
   ASSERT_FALSE(parsed.ok());
   EXPECT_TRUE(parsed.status().IsCorruption());
   EXPECT_NE(parsed.status().message().find("age"), std::string::npos);
+}
+
+// Ages are plain unsigned decimals. strtod would take each of these tokens,
+// and a NaN or infinite age then slips past every range check downstream.
+class NonDecimalAgeTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(NonDecimalAgeTest, RejectedAsBadNumericAge) {
+  AsciiQuarterFiles files = CleanFiles();
+  Replace(&files.demo, "$41$", std::string("$") + GetParam() + "$");
+  auto strict = ReadAsciiQuarter(files, 2014, 1);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_TRUE(strict.status().IsCorruption());
+  EXPECT_NE(strict.status().message().find("DEMO14Q1.txt:3 (age)"),
+            std::string::npos)
+      << strict.status().ToString();
+
+  IngestReport report;
+  auto parsed = ReadAsciiQuarter(files, 2014, 1, Quarantine(), &report);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->reports.size(), 3u);
+  ASSERT_EQ(report.FaultCount(), 1u);
+  ASSERT_FALSE(report.quarantined.empty());
+  const QuarantinedRow& row = report.quarantined.front();
+  EXPECT_EQ(row.fault, RowFault::kBadNumeric);
+  EXPECT_EQ(row.column, "age");
+  EXPECT_EQ(row.reason, std::string("unparseable age '") + GetParam() + "'");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tokens, NonDecimalAgeTest,
+    ::testing::Values("nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                      "0x29", "0x1p5", " 41", "41 ", "\t41", "+41", "-41",
+                      "4e1", "41.", ".5", "4.1.1"));
+
+TEST(IngestPolicyTest, PlainDecimalAgesAreAccepted) {
+  for (const char* token : {"0", "41", "041", "41.5", "0.25"}) {
+    AsciiQuarterFiles files = CleanFiles();
+    Replace(&files.demo, "$41$", std::string("$") + token + "$");
+    auto parsed = ReadAsciiQuarter(files, 2014, 1);
+    ASSERT_TRUE(parsed.ok()) << token << ": " << parsed.status().ToString();
+    EXPECT_DOUBLE_EQ(parsed->reports[1].age, std::stod(token)) << token;
+  }
+}
+
+TEST(IngestPolicyTest, AgeOverflowingDoubleIsRejected) {
+  AsciiQuarterFiles files = CleanFiles();
+  Replace(&files.demo, "$41$", "$1" + std::string(400, '0') + "$");
+  auto parsed = ReadAsciiQuarter(files, 2014, 1);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("(age)"), std::string::npos);
 }
 
 TEST(IngestPolicyTest, PermissiveSkipsBadRowAndKeepsTheRest) {

@@ -94,6 +94,29 @@ TEST(ValidateTest, ContentWarnings) {
   EXPECT_EQ(report.warning_count(), 6u);
 }
 
+TEST(ValidateTest, ImplausibleAgeMessageIsDefinedForAnyAge) {
+  // 1e13 parses as a plain decimal but is far outside int range; the
+  // message must not cast it to int.
+  for (const auto& [age, text] :
+       std::vector<std::pair<double, std::string>>{
+           {240.7, "age 240 exceeds 120"}, {1e13, "age 1e+13 exceeds 120"}}) {
+    QuarterDataset dataset;
+    dataset.quarter = 1;
+    Report r = GoodReport(1);
+    r.age = age;
+    dataset.reports = {r};
+    ValidationReport report = ValidateDataset(dataset);
+    bool found = false;
+    for (const ValidationFinding& finding : report.findings) {
+      if (finding.check == "implausible-age") {
+        EXPECT_EQ(finding.detail, text);
+        found = true;
+      }
+    }
+    EXPECT_TRUE(found) << text;
+  }
+}
+
 TEST(ValidateTest, TooManyDrugsFlagged) {
   QuarterDataset dataset;
   dataset.quarter = 1;

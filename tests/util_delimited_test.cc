@@ -93,6 +93,31 @@ TEST(DelimitedPermissiveTest, BadRowsAreCollectedNotFatal) {
   EXPECT_EQ(issues[1].line, 5u);
 }
 
+TEST(DelimitedParseTest, VisitorSeesHeaderThenRowsAsViews) {
+  DelimitedReader reader('$');
+  const std::string content = "a$b\r\n\r\n1$2\r\nbad\r\n$x";
+  std::vector<std::string> header;
+  std::vector<std::pair<size_t, std::string>> rows;
+  std::vector<DelimitedRowIssue> issues;
+  Status status = reader.Parse(
+      content, &issues,
+      [&](const DelimitedRow& row) {
+        EXPECT_EQ(row.line, 1u);
+        header.assign(row.fields.begin(), row.fields.end());
+      },
+      [&](const DelimitedRow& row) {
+        ASSERT_EQ(row.fields.size(), 2u);
+        rows.emplace_back(row.line, std::string(row.text));
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(header, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(rows, (std::vector<std::pair<size_t, std::string>>{
+                      {3, "1$2"}, {5, "$x"}}));
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].line, 4u);
+  EXPECT_EQ(issues[0].content, "bad");
+}
+
 TEST(DelimitedPermissiveTest, MissingHeaderStillFails) {
   DelimitedReader reader('$');
   std::vector<DelimitedRowIssue> issues;
