@@ -28,7 +28,252 @@ void CountItemDomains(const mining::Itemset& itemset,
   }
 }
 
+// Crash-injection point: fires after `stage` (and its checkpoint write)
+// completed. Returning false simulates a process kill at that boundary.
+maras::Status FireStageHook(const MultiQuarterOptions& checkpoints,
+                            const std::string& stage) {
+  if (checkpoints.stage_hook && !checkpoints.stage_hook(stage)) {
+    return maras::Status::Cancelled("injected crash at stage " + stage);
+  }
+  return maras::Status::OK();
+}
+
+// Publishes a computed stage: its checkpoint (when checkpointing), then the
+// crash hook.
+maras::Status PublishStage(const MultiQuarterOptions& checkpoints,
+                           const std::string& stage,
+                           const std::string& payload) {
+  if (!checkpoints.checkpoint_dir.empty()) {
+    MARAS_RETURN_IF_ERROR(
+        WriteCheckpoint(checkpoints.checkpoint_dir, stage, payload));
+  }
+  return FireStageHook(checkpoints, stage);
+}
+
+// Attempts to replay `stage` when resuming; load() reads and decodes its
+// checkpoint. NotFound is silent (nothing written yet); any other failure
+// adds a recompute note so a degraded resume is visible.
+template <typename LoadFn>
+bool TryResumeStage(const MultiQuarterOptions& checkpoints,
+                    const std::string& stage, LoadFn&& load,
+                    SurveillanceAnalysis* out) {
+  if (checkpoints.checkpoint_dir.empty() || !checkpoints.resume) return false;
+  maras::Status loaded = load();
+  if (loaded.ok()) {
+    ++out->stages_resumed;
+    return true;
+  }
+  if (!loaded.IsNotFound()) {
+    out->notes.push_back("checkpoint for stage '" + stage + "' rejected: " +
+                         loaded.ToString() + "; recomputing");
+  }
+  return false;
+}
+
+// One checkpointed stage: replays *value from its snapshot, or computes it
+// and publishes it.
+template <typename T, typename ComputeFn>
+maras::Status RunStage(const MultiQuarterOptions& checkpoints,
+                       const std::string& stage,
+                       maras::StatusOr<T> (*decode)(std::string_view),
+                       std::string (*encode)(const T&), ComputeFn&& compute,
+                       T* value, SurveillanceAnalysis* out) {
+  const bool resumed = TryResumeStage(
+      checkpoints, stage,
+      [&]() -> maras::Status {
+        MARAS_ASSIGN_OR_RETURN(
+            std::string payload,
+            ReadCheckpoint(checkpoints.checkpoint_dir, stage));
+        MARAS_ASSIGN_OR_RETURN(*value, decode(payload));
+        return maras::Status::OK();
+      },
+      out);
+  if (resumed) return maras::Status::OK();
+  MARAS_ASSIGN_OR_RETURN(*value, compute());
+  return PublishStage(checkpoints, stage, encode(*value));
+}
+
+// MCAC construction for the target rules, in rule order.
+maras::StatusOr<std::vector<Mcac>> BuildMcacs(
+    const std::vector<DrugAdrRule>& rules,
+    const mining::ItemDictionary& items,
+    const mining::TransactionDatabase& db, const AnalyzerOptions& analyzer,
+    const RunContext& ctx, const mining::ConceptLattice* lattice) {
+  mining::SubsetSupportCache cache(&db);
+  McacBuilder builder = lattice != nullptr
+                            ? McacBuilder(&items, &db, lattice, &cache)
+                            : McacBuilder(&items, &db);
+  std::vector<std::optional<maras::StatusOr<Mcac>>> built(rules.size());
+  maras::Status status = maras::TryParallelFor(
+      analyzer.mining.num_threads, rules.size(), ctx,
+      [&](size_t i) -> maras::Status {
+        built[i].emplace(builder.Build(rules[i]));
+        return maras::Status::OK();
+      });
+  if (!status.ok()) return maras::WithContext(status, "mcac-build");
+  std::vector<Mcac> mcacs;
+  for (std::optional<maras::StatusOr<Mcac>>& slot : built) {
+    MARAS_ASSIGN_OR_RETURN(Mcac mcac, std::move(*slot));
+    mcacs.push_back(std::move(mcac));
+  }
+  return mcacs;
+}
+
 }  // namespace
+
+maras::Status RunAnalysisStages(const MineStep& mine,
+                                const mining::ItemDictionary& items,
+                                const mining::TransactionDatabase& db,
+                                const AnalyzerOptions& analyzer,
+                                const MultiQuarterOptions& checkpoints,
+                                const RunContext& ctx,
+                                std::optional<RankingMethod> method,
+                                SurveillanceAnalysis* out,
+                                std::vector<Mcac>* unranked) {
+  MARAS_RETURN_IF_ERROR(ctx.Check());
+  ClosedCheckpoint closed;
+  MARAS_RETURN_IF_ERROR(RunStage(
+      checkpoints, "closed", DecodeClosedCheckpoint, EncodeClosedCheckpoint,
+      [&]() -> maras::StatusOr<ClosedCheckpoint> {
+        MARAS_ASSIGN_OR_RETURN(GovernedMineResult mined, mine());
+        return BuildClosedStage(std::move(mined), items, analyzer, ctx);
+      },
+      &closed, out));
+
+  MARAS_RETURN_IF_ERROR(ctx.Check());
+  MARAS_RETURN_IF_ERROR(RunStage(
+      checkpoints, "rules", DecodeRules, EncodeRules,
+      [&] { return BuildRulesStage(closed.closed, items, db, analyzer, ctx); },
+      &out->rules, out));
+
+  MARAS_RETURN_IF_ERROR(ctx.Check());
+  auto build_mcacs = [&]() -> maras::StatusOr<std::vector<Mcac>> {
+    if (!LatticeMcacEligible(analyzer)) {
+      return BuildMcacs(out->rules, items, db, analyzer, ctx, nullptr);
+    }
+    MARAS_ASSIGN_OR_RETURN(mining::ConceptLattice lattice,
+                           BuildLatticeStage(closed.closed, analyzer, ctx));
+    return BuildMcacs(out->rules, items, db, analyzer, ctx, &lattice);
+  };
+  out->stats = closed.stats;
+  if (method.has_value()) {
+    MARAS_RETURN_IF_ERROR(RunStage(
+        checkpoints, "ranked", DecodeRankedMcacs, EncodeRankedMcacs,
+        [&]() -> maras::StatusOr<std::vector<RankedMcac>> {
+          MARAS_ASSIGN_OR_RETURN(std::vector<Mcac> mcacs, build_mcacs());
+          return RankMcacs(mcacs, *method, analyzer.exclusiveness);
+        },
+        &out->ranked, out));
+    out->stats.mcac_count = out->ranked.size();
+  } else {
+    MARAS_ASSIGN_OR_RETURN(*unranked, build_mcacs());
+    out->stats.mcac_count = unranked->size();
+  }
+
+  out->closed = std::move(closed.closed);
+  out->min_support_used = static_cast<size_t>(closed.min_support_used);
+  out->truncated = closed.truncated;
+  out->notes.insert(out->notes.end(), closed.notes.begin(),
+                    closed.notes.end());
+  return maras::Status::OK();
+}
+
+maras::Status RunQuarterStage(const MultiQuarterOptions& options,
+                              const std::vector<std::string>& labels,
+                              const QuarterLoad& load,
+                              const MultiQuarterOptions& checkpoints,
+                              SurveillanceAnalysis* out) {
+  const maras::RunContext ungoverned;
+  const maras::RunContext& ctx =
+      options.context != nullptr ? *options.context : ungoverned;
+  const size_t n = labels.size();
+  std::vector<QuarterCheckpoint> slots(n);
+  std::vector<char> from_disk(n, 0);
+  std::vector<maras::Status> failures(n);
+  for (size_t i = 0; i < n; ++i) {
+    from_disk[i] = TryResumeStage(
+        checkpoints, "quarter-" + labels[i],
+        [&]() -> maras::Status {
+          MARAS_ASSIGN_OR_RETURN(
+              slots[i],
+              ReadQuarterCheckpoint(checkpoints.checkpoint_dir, labels[i]));
+          return maras::Status::OK();
+        },
+        out);
+  }
+  // Fan out: each quarter is processed by one pool task into its own slot;
+  // the run context is polled before each quarter is handed out.
+  maras::Status fan_out = maras::TryParallelFor(
+      options.num_threads, n, ctx, [&](size_t i) -> maras::Status {
+        if (from_disk[i]) return maras::Status::OK();
+        failures[i] =
+            FillQuarterSlot(labels[i], load(i, &slots[i].outcome), &slots[i]);
+        return maras::Status::OK();
+      });
+  if (!fan_out.ok()) {
+    return maras::WithContext(fan_out, "multi-quarter ingest");
+  }
+  MARAS_ASSIGN_OR_RETURN(
+      out->run,
+      ReduceQuarterSlots(
+          slots, failures,
+          options.ingest.policy == faers::IngestPolicy::kStrict,
+          [&](size_t i) -> maras::Status {
+            if (from_disk[i]) return maras::Status::OK();
+            return PublishStage(checkpoints, "quarter-" + labels[i],
+                                EncodeQuarterCheckpoint(slots[i]));
+          }));
+  return maras::Status::OK();
+}
+
+maras::Status FillQuarterSlot(const std::string& label,
+                              maras::StatusOr<faers::PreprocessResult> result,
+                              QuarterCheckpoint* slot) {
+  slot->outcome.label = label;
+  if (!result.ok()) {
+    slot->outcome.error = result.status().ToString();
+    return result.status();
+  }
+  slot->outcome.loaded = true;
+  slot->result = *std::move(result);
+  return maras::Status::OK();
+}
+
+maras::StatusOr<MultiQuarterRun> ReduceQuarterSlots(
+    const std::vector<QuarterCheckpoint>& slots,
+    const std::vector<maras::Status>& failures, bool strict,
+    const std::function<maras::Status(size_t i)>& publish) {
+  MultiQuarterRun run;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const QuarterOutcome& outcome = slots[i].outcome;
+    if (strict && !outcome.loaded) {
+      const maras::Status failure =
+          i < failures.size() && !failures[i].ok()
+              ? failures[i]
+              : maras::Status::Corruption(outcome.error);
+      return maras::WithContext(failure, "quarter " + outcome.label);
+    }
+    if (publish) MARAS_RETURN_IF_ERROR(publish(i));
+    if (outcome.loaded) {
+      ++run.quarters_loaded;
+    } else {
+      run.ingest.warnings.push_back("skipping quarter " + outcome.label +
+                                    ": " + outcome.error);
+    }
+    run.ingest.Merge(outcome.ingest);
+    run.outcomes.push_back(outcome);
+  }
+  if (run.quarters_loaded == 0) {
+    return maras::Status::Corruption("all " + std::to_string(slots.size()) +
+                                     " quarters failed ingestion");
+  }
+  std::vector<const faers::PreprocessResult*> loaded;
+  for (const QuarterCheckpoint& quarter : slots) {
+    if (quarter.result.has_value()) loaded.push_back(&*quarter.result);
+  }
+  MARAS_ASSIGN_OR_RETURN(run.merged, MergeQuarters(loaded));
+  return run;
+}
 
 maras::StatusOr<ClosedCheckpoint> BuildClosedStage(
     GovernedMineResult mined, const mining::ItemDictionary& items,
@@ -104,8 +349,8 @@ bool LatticeMcacEligible(const AnalyzerOptions& analyzer) {
   // Exactness gate (concept_lattice.h): every closed node below a
   // database-closed target is itself database-closed, so the descent needs
   // either an uncapped family or database-verified targets.
-  return analyzer.lattice_mcac && (analyzer.mining.max_itemset_size == 0 ||
-                                   analyzer.verify_closed_in_db);
+  return analyzer.mining.max_itemset_size == 0 ||
+         analyzer.verify_closed_in_db;
 }
 
 maras::StatusOr<mining::ConceptLattice> BuildLatticeStage(
@@ -123,23 +368,8 @@ maras::StatusOr<std::vector<RankedMcac>> BuildRankedStage(
     const mining::TransactionDatabase& db, RankingMethod method,
     const AnalyzerOptions& analyzer, const RunContext& ctx,
     const mining::ConceptLattice* lattice) {
-  mining::SubsetSupportCache cache(&db);
-  McacBuilder builder = lattice != nullptr
-                            ? McacBuilder(&items, &db, lattice, &cache)
-                            : McacBuilder(&items, &db);
-  std::vector<std::optional<maras::StatusOr<Mcac>>> built(rules.size());
-  maras::Status status = maras::TryParallelFor(
-      analyzer.mining.num_threads, rules.size(), ctx,
-      [&](size_t i) -> maras::Status {
-        built[i].emplace(builder.Build(rules[i]));
-        return maras::Status::OK();
-      });
-  if (!status.ok()) return maras::WithContext(status, "mcac-build");
-  std::vector<Mcac> mcacs;
-  for (std::optional<maras::StatusOr<Mcac>>& slot : built) {
-    MARAS_ASSIGN_OR_RETURN(Mcac mcac, std::move(*slot));
-    mcacs.push_back(std::move(mcac));
-  }
+  MARAS_ASSIGN_OR_RETURN(std::vector<Mcac> mcacs,
+                         BuildMcacs(rules, items, db, analyzer, ctx, lattice));
   return RankMcacs(mcacs, method, analyzer.exclusiveness);
 }
 

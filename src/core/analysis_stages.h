@@ -1,6 +1,9 @@
 #ifndef MARAS_CORE_ANALYSIS_STAGES_H_
 #define MARAS_CORE_ANALYSIS_STAGES_H_
 
+#include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -8,48 +11,121 @@
 namespace maras::core {
 
 // ---------------------------------------------------------------------------
-// The post-mining analysis stages of RunAnalyzed, extracted as free
-// functions so every execution mode — single-process, resumed-from-
-// checkpoint, and the multi-process shard supervisor — runs the *same*
-// code on the merged corpus. Byte-identity across modes then holds by
-// construction: once the frequent family entering BuildClosedStage is
-// equal, every downstream artifact is equal.
+// The MARAS analysis (Fig. 1.1) as one stage sequence:
 //
-// Each function is deterministic for fixed inputs at any thread count
-// (fan-outs write disjoint slots and reduce in input order) and polls
-// `ctx` cooperatively like the rest of the pipeline.
+//   mine -> closed -> rules -> lattice -> MCACs -> rank
+//
+// RunAnalysisStages is the only place the sequence is written down, and it
+// has three callers that differ only in the data they pass:
+//
+//   * MarasAnalyzer::Analyze mines with MineWithDegradation, passes no
+//     checkpoint dir, and stops before ranking: its callers rank
+//     AnalysisResult::mcacs themselves.
+//   * MultiQuarterPipeline::RunAnalyzed mines with MineWithDegradation and
+//     checkpoints, resumes and fires stage hooks per its MultiQuarterOptions.
+//   * ShardSupervisor::RunAnalyzed hands over the family merged from its mine
+//     shards, and checkpoints and fires hooks but never resumes (it passes
+//     resume = false), so a rerun recomputes closed, rules and ranked from
+//     the reused shard checkpoints.
+//
+// Checkpointed stages are "closed", "rules" and "ranked" (plus the
+// per-quarter "quarter-<label>" stage of RunQuarterStage). The mine is not
+// checkpointed: the mine step runs only when "closed" is not replayed. The
+// concept lattice is not checkpointed either: it is a pure function of the
+// closed family, rebuilt inside "ranked", and a replayed "ranked" skips it.
+// Stage names and payload codecs (core/checkpoint.h) are a contract with
+// existing checkpoint directories.
+//
+// Once the frequent family entering the closed stage is equal, every
+// downstream artifact is equal, so byte identity across the three callers
+// holds by construction. Each stage is deterministic for fixed inputs at any
+// thread count (fan-outs write disjoint slots and reduce in input order) and
+// polls `ctx` cooperatively like the rest of the pipeline.
 // ---------------------------------------------------------------------------
 
-// Stage 2 tail: turns a completed (possibly degraded) mine into the closed
-// stage snapshot — rule-space statistics over the pre-filter family, then
-// the closed-set filter. Consumes `mined` (the frequent family is only
-// needed transiently).
+// Produces the (possibly degraded) frequent family entering the closed stage.
+using MineStep = std::function<maras::StatusOr<GovernedMineResult>()>;
+
+// Runs the sequence over `items`/`db` and fills every field of `out` except
+// `run`. Checkpointing reads only checkpoint_dir, resume and stage_hook from
+// `checkpoints`; a default MultiQuarterOptions runs without it. With `method`
+// set the sequence ranks into out->ranked; with nullopt it stops after MCAC
+// construction and moves the unranked MCACs, in rule order, to *unranked.
+// Resume notes go to out->notes first, then the mine's degradation notes.
+maras::Status RunAnalysisStages(const MineStep& mine,
+                                const mining::ItemDictionary& items,
+                                const mining::TransactionDatabase& db,
+                                const AnalyzerOptions& analyzer,
+                                const MultiQuarterOptions& checkpoints,
+                                const RunContext& ctx,
+                                std::optional<RankingMethod> method,
+                                SurveillanceAnalysis* out,
+                                std::vector<Mcac>* unranked = nullptr);
+
+// Loads quarter `i` (ingest + preprocess), writing its row-level accounting
+// into `outcome`.
+using QuarterLoad = std::function<maras::StatusOr<faers::PreprocessResult>(
+    size_t i, QuarterOutcome* outcome)>;
+
+// Stage 1: one QuarterCheckpoint slot per quarter, replayed from its
+// "quarter-<label>" checkpoint when resuming and otherwise loaded on the
+// options.num_threads quarter fan-out, then ReduceQuarterSlots into
+// out->run. Each computed slot is published (checkpoint + stage hook per
+// `checkpoints`) in input order during the reduce.
+maras::Status RunQuarterStage(const MultiQuarterOptions& options,
+                              const std::vector<std::string>& labels,
+                              const QuarterLoad& load,
+                              const MultiQuarterOptions& checkpoints,
+                              SurveillanceAnalysis* out);
+
+// Fills `slot` from one quarter's load, whose accounting is already in
+// slot->outcome: the slot gets `label` and either the corpus or the error.
+// Returns the load's status.
+maras::Status FillQuarterSlot(const std::string& label,
+                              maras::StatusOr<faers::PreprocessResult> result,
+                              QuarterCheckpoint* slot);
+
+// The serial in-order reduce of a quarter fan-out. Under kStrict the first
+// unloaded quarter fails the run with its load status from `failures` (or
+// Corruption naming its recorded error when `failures` has none); otherwise
+// it adds a skip warning. Accounting merges in input order, no loaded
+// quarter at all is Corruption, and the loaded quarters are pooled with
+// MergeQuarters. `publish(i)`, when set, runs for each slot that passed the
+// strict check, before its accounting.
+maras::StatusOr<MultiQuarterRun> ReduceQuarterSlots(
+    const std::vector<QuarterCheckpoint>& slots,
+    const std::vector<maras::Status>& failures, bool strict,
+    const std::function<maras::Status(size_t i)>& publish = nullptr);
+
+// Closed stage: rule-space statistics over the pre-filter family, then the
+// closed-set filter. Consumes `mined`, so the frequent family is freed once
+// the filter finishes.
 maras::StatusOr<ClosedCheckpoint> BuildClosedStage(
     GovernedMineResult mined, const mining::ItemDictionary& items,
     const AnalyzerOptions& analyzer, const RunContext& ctx);
 
-// Stage 3: multi-drug target rule generation from the closed family.
+// Rules stage: multi-drug target rule generation from the closed family.
 maras::StatusOr<std::vector<DrugAdrRule>> BuildRulesStage(
     const mining::FrequentItemsetResult& closed,
     const mining::ItemDictionary& items,
     const mining::TransactionDatabase& db, const AnalyzerOptions& analyzer,
     const RunContext& ctx);
 
-// True when the lattice-backed MCAC path is both requested and exact for
-// these options (see AnalyzerOptions::lattice_mcac). Callers skip
-// BuildLatticeStage entirely when this is false.
+// True when the lattice-backed MCAC path is exact for these options: the
+// mine was uncapped or targets are database-verified (concept_lattice.h).
+// The sequence skips BuildLatticeStage when this is false.
 bool LatticeMcacEligible(const AnalyzerOptions& analyzer);
 
-// Stage 3.5: the concept lattice over the closed family — node arenas plus
-// covering edges, built in parallel, a pure function of `closed`.
+// Lattice step: the concept lattice over the closed family — node arenas
+// plus covering edges, built in parallel, a pure function of `closed`.
 maras::StatusOr<mining::ConceptLattice> BuildLatticeStage(
     const mining::FrequentItemsetResult& closed,
     const AnalyzerOptions& analyzer, const RunContext& ctx);
 
-// Stage 4: MCAC construction + contextual ranking for the target rules.
-// With a non-null `lattice`, subset supports resolve as memoized lattice
-// walks (shared SubsetSupportCache across the fan-out); bytes are identical
-// to the nullptr enumeration path.
+// MCAC construction for the target rules, then RankMcacs. With a non-null
+// `lattice`, subset supports resolve as memoized lattice walks (shared
+// SubsetSupportCache across the fan-out); bytes are identical to the
+// nullptr enumeration path.
 maras::StatusOr<std::vector<RankedMcac>> BuildRankedStage(
     const std::vector<DrugAdrRule>& rules,
     const mining::ItemDictionary& items,

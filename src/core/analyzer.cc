@@ -1,37 +1,19 @@
 #include "core/analyzer.h"
 
+#include <algorithm>
 #include <optional>
 
-#include <algorithm>
-
 #include "core/analysis_stages.h"
-#include "mining/closed_itemsets.h"
-#include "mining/concept_lattice.h"
 #include "mining/fpgrowth.h"
-#include "mining/rules.h"
 #include "util/run_context.h"
-#include "util/thread_pool.h"
 
 namespace maras::core {
 
-namespace {
-
-// Counts drug/ADR items of `itemset` without materializing the split.
-void CountDomains(const mining::Itemset& itemset,
-                  const mining::ItemDictionary& items, size_t* drugs,
-                  size_t* adrs) {
-  *drugs = 0;
-  *adrs = 0;
-  for (mining::ItemId id : itemset) {
-    if (items.Domain(id) == mining::ItemDomain::kDrug) {
-      ++*drugs;
-    } else {
-      ++*adrs;
-    }
-  }
+size_t EscalateSupport(size_t min_support, double factor) {
+  return std::max(min_support + 1,
+                  static_cast<size_t>(static_cast<double>(min_support) *
+                                      factor));
 }
-
-}  // namespace
 
 maras::StatusOr<GovernedMineResult> MineWithDegradation(
     const mining::TransactionDatabase& db, mining::MiningOptions options,
@@ -49,10 +31,8 @@ maras::StatusOr<GovernedMineResult> MineWithDegradation(
         attempt >= degradation.max_retries) {
       return mined.status();
     }
-    const size_t escalated = std::max(
-        options.min_support + 1,
-        static_cast<size_t>(static_cast<double>(options.min_support) *
-                            degradation.support_factor));
+    const size_t escalated =
+        EscalateSupport(options.min_support, degradation.support_factor);
     outcome.notes.push_back(
         "memory budget exhausted at min_support=" +
         std::to_string(options.min_support) + "; retrying at min_support=" +
@@ -87,98 +67,22 @@ maras::StatusOr<AnalysisResult> MarasAnalyzer::Analyze(
   if (db.empty()) {
     return maras::Status::FailedPrecondition("empty transaction database");
   }
-  AnalysisResult result;
-  const RunContext* ctx = options_.mining.context;
   const RunContext ungoverned;
-  const RunContext& governed = ctx != nullptr ? *ctx : ungoverned;
-
-  // Phase 1: frequent itemsets (FP-Growth, Section 5.2), with the opt-in
-  // degradation ladder when the run is governed by a memory budget.
-  MARAS_ASSIGN_OR_RETURN(
-      GovernedMineResult mined,
-      MineWithDegradation(db, options_.mining, options_.degradation));
-  result.truncated = mined.truncated;
-  result.degradation_notes = std::move(mined.notes);
-  const mining::FrequentItemsetResult& frequent = mined.frequent;
-
-  // Phase 2: rule-space statistics. "Total rules" is the traditional
-  // unconstrained rule count; "filtered" keeps drugs ⇒ ADRs form.
-  MARAS_ASSIGN_OR_RETURN(
-      mining::RuleSpaceCount rule_count,
-      mining::CountAllPartitionRules(frequent, options_.min_confidence,
-                                     governed));
-  result.stats.total_rules = rule_count.total_rules;
-  for (const mining::FrequentItemset& fi : frequent.itemsets()) {
-    size_t drugs = 0, adrs = 0;
-    CountDomains(fi.items, items, &drugs, &adrs);
-    if (drugs >= 1 && adrs >= 1) ++result.stats.filtered_rules;
-  }
-
-  // Phase 3: closed itemsets -> supported drug-ADR associations
-  // (Lemma 3.4.2), multi-drug targets only. Candidate selection is cheap and
-  // stays serial; the per-candidate work — database closure verification and
-  // exact context supports for up to 2^n − 2 subsets — fans out to the pool,
-  // one independent slot per candidate. The serial in-order reduce below
-  // keeps mcac order and error choice identical to a serial run.
-  MARAS_ASSIGN_OR_RETURN(
-      mining::FrequentItemsetResult closed,
-      mining::FilterClosed(frequent, options_.mining.num_threads, governed));
-  // Concept-lattice index over the closed family: subset supports inside the
-  // MCAC fan-out below become memoized downward walks instead of per-subset
-  // database intersections, when the lattice path is exact for these options
-  // (see LatticeMcacEligible). One cache is shared by every fan-out task.
-  mining::ConceptLattice lattice_storage;
-  const mining::ConceptLattice* lattice = nullptr;
-  if (LatticeMcacEligible(options_)) {
-    MARAS_ASSIGN_OR_RETURN(lattice_storage,
-                           BuildLatticeStage(closed, options_, governed));
-    lattice = &lattice_storage;
-  }
-  mining::SubsetSupportCache support_cache(&db);
-  McacBuilder builder =
-      lattice != nullptr ? McacBuilder(&items, &db, lattice, &support_cache)
-                         : McacBuilder(&items, &db);
-  std::vector<const mining::FrequentItemset*> candidates;
-  for (const mining::FrequentItemset& fi : closed.itemsets()) {
-    size_t drugs = 0, adrs = 0;
-    CountDomains(fi.items, items, &drugs, &adrs);
-    if (drugs >= 1 && adrs >= 1) ++result.stats.closed_mixed;
-    if (drugs < 2 || adrs < 1) continue;
-    if (drugs > options_.max_drugs_per_rule) continue;
-    candidates.push_back(&fi);
-  }
-  // nullopt = candidate filtered out (not closed in db / low confidence).
-  // TryParallelFor polls the run context before each candidate, so a
-  // cancellation or deadline trip stops scheduling the remaining ones.
-  std::vector<std::optional<maras::StatusOr<Mcac>>> built(candidates.size());
-  maras::Status mcac_status = maras::TryParallelFor(
-      options_.mining.num_threads, candidates.size(), governed,
-      [&](size_t i) -> maras::Status {
-        const mining::FrequentItemset& fi = *candidates[i];
-        if (options_.verify_closed_in_db &&
-            !mining::IsClosedInDatabase(db, fi.items)) {
-          return maras::Status::OK();
-        }
-        maras::StatusOr<DrugAdrRule> target = BuildRule(fi.items, items, db);
-        if (!target.ok()) {
-          built[i].emplace(target.status());
-          return maras::Status::OK();
-        }
-        if (target->confidence < options_.min_confidence) {
-          return maras::Status::OK();
-        }
-        built[i].emplace(builder.Build(*target));
-        return maras::Status::OK();
-      });
-  if (!mcac_status.ok()) {
-    return maras::WithContext(mcac_status, "mcac-build");
-  }
-  for (std::optional<maras::StatusOr<Mcac>>& slot : built) {
-    if (!slot.has_value()) continue;
-    MARAS_ASSIGN_OR_RETURN(Mcac mcac, std::move(*slot));
-    result.mcacs.push_back(std::move(mcac));
-  }
-  result.stats.mcac_count = result.mcacs.size();
+  const RunContext& ctx = options_.mining.context != nullptr
+                              ? *options_.mining.context
+                              : ungoverned;
+  // No checkpointing, and no ranking: callers rank result.mcacs.
+  SurveillanceAnalysis staged;
+  AnalysisResult result;
+  MARAS_RETURN_IF_ERROR(RunAnalysisStages(
+      [&] {
+        return MineWithDegradation(db, options_.mining, options_.degradation);
+      },
+      items, db, options_, MultiQuarterOptions{}, ctx, std::nullopt, &staged,
+      &result.mcacs));
+  result.stats = staged.stats;
+  result.truncated = staged.truncated;
+  result.degradation_notes = std::move(staged.notes);
   return result;
 }
 

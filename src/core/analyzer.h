@@ -42,15 +42,6 @@ struct AnalyzerOptions {
   // itemset family (the in-family closedness filter cannot see equal-support
   // supersets beyond the cap); costs one closure computation per candidate.
   bool verify_closed_in_db = true;
-  // Answer MCAC subset-support queries from the concept-lattice index (built
-  // once over the closed family) with a shared cross-target memo, instead of
-  // re-counting each subset from the transaction database. Output bytes are
-  // identical either way — the lattice differential oracle proves it — so
-  // this is purely a speed knob, kept as a knob so the oracle can force the
-  // enumeration path. The lattice path engages only when it is exact: the
-  // mine was uncapped (mining.max_itemset_size == 0) or verify_closed_in_db
-  // guarantees database-closed targets.
-  bool lattice_mcac = true;
   // Graceful degradation for governed runs (mining.context with a budget).
   DegradationOptions degradation;
 };
@@ -87,6 +78,9 @@ struct GovernedMineResult {
   std::vector<std::string> notes;
 };
 
+// One degradation notch: max(min_support + 1, min_support * factor).
+size_t EscalateSupport(size_t min_support, double factor);
+
 // Mines `db` under `options`, applying the degradation ladder on
 // kResourceExhausted when enabled: each retry escalates min_support one
 // notch (the failed attempt has already released its budget charges, so the
@@ -103,7 +97,8 @@ class MarasAnalyzer {
  public:
   explicit MarasAnalyzer(AnalyzerOptions options) : options_(options) {}
 
-  // Runs mining + MCAC construction on a preprocessed quarter.
+  // Runs the stage sequence (core/analysis_stages.h) on a preprocessed
+  // quarter, without checkpointing, up to unranked MCACs.
   maras::StatusOr<AnalysisResult> Analyze(
       const faers::PreprocessResult& input) const;
 

@@ -393,6 +393,19 @@ maras::StatusOr<QuarterCheckpoint> DecodeQuarterCheckpoint(
   return quarter;
 }
 
+maras::StatusOr<QuarterCheckpoint> ReadQuarterCheckpoint(
+    const std::string& dir, const std::string& label) {
+  MARAS_ASSIGN_OR_RETURN(std::string payload,
+                         ReadCheckpoint(dir, "quarter-" + label));
+  MARAS_ASSIGN_OR_RETURN(QuarterCheckpoint quarter,
+                         DecodeQuarterCheckpoint(payload));
+  if (quarter.outcome.label != label) {
+    return maras::Status::Corruption("snapshot is for quarter '" +
+                                     quarter.outcome.label + "'");
+  }
+  return quarter;
+}
+
 std::string EncodeItemsetResult(const mining::FrequentItemsetResult& result) {
   BinaryWriter w;
   w.U64(result.size());

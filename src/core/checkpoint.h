@@ -73,6 +73,10 @@ struct QuarterCheckpoint {
 std::string EncodeQuarterCheckpoint(const QuarterCheckpoint& quarter);
 maras::StatusOr<QuarterCheckpoint> DecodeQuarterCheckpoint(
     std::string_view payload);
+// Reads and decodes the "quarter-<label>" snapshot; one recorded for
+// another quarter is Corruption.
+maras::StatusOr<QuarterCheckpoint> ReadQuarterCheckpoint(
+    const std::string& dir, const std::string& label);
 
 std::string EncodeItemsetResult(const mining::FrequentItemsetResult& result);
 maras::StatusOr<mining::FrequentItemsetResult> DecodeItemsetResult(

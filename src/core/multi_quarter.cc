@@ -1,14 +1,10 @@
 #include "core/multi_quarter.h"
 
-#include <optional>
-
 #include "core/analysis_stages.h"
-#include "core/checkpoint.h"
 #include "faers/ascii_format.h"
 #include "faers/dedup.h"
 #include "mining/measures.h"
 #include "util/run_context.h"
-#include "util/thread_pool.h"
 
 namespace maras::core {
 
@@ -121,22 +117,6 @@ const char* TrendVerdictName(TrendVerdict verdict) {
   return "?";
 }
 
-namespace {
-
-// Merges the per-quarter PreprocessResults that survived ingestion. The
-// callers guarantee at least one entry.
-maras::StatusOr<faers::PreprocessResult> MergeLoaded(
-    const std::vector<faers::PreprocessResult>& loaded) {
-  std::vector<const faers::PreprocessResult*> pointers;
-  pointers.reserve(loaded.size());
-  for (const faers::PreprocessResult& quarter : loaded) {
-    pointers.push_back(&quarter);
-  }
-  return MergeQuarters(pointers);
-}
-
-}  // namespace
-
 maras::StatusOr<faers::PreprocessResult> MultiQuarterPipeline::ProcessQuarter(
     const faers::QuarterDataset& dataset, QuarterOutcome* outcome) const {
   if (options_.validate) {
@@ -154,81 +134,40 @@ maras::StatusOr<faers::PreprocessResult> MultiQuarterPipeline::ProcessQuarter(
   return preprocessor.Process(dataset, &outcome->ingest);
 }
 
-template <typename Quarter, typename LabelFn, typename LoadFn>
-static maras::StatusOr<MultiQuarterRun> RunPipeline(
-    const MultiQuarterOptions& options, const std::vector<Quarter>& quarters,
-    LabelFn&& label_of, LoadFn&& load_one) {
-  const bool strict =
-      options.ingest.policy == faers::IngestPolicy::kStrict;
-  const maras::RunContext ungoverned;
-  const maras::RunContext& ctx =
-      options.context != nullptr ? *options.context : ungoverned;
-  // Phase 1 — fan out: each quarter is processed by one pool task into its
-  // own (outcome, result) slot; nothing is shared between tasks. The run
-  // context is polled before each quarter is handed out, so a governance
-  // trip stops scheduling remaining quarters.
-  const size_t n = quarters.size();
-  std::vector<QuarterOutcome> outcomes(n);
-  std::vector<std::optional<maras::StatusOr<faers::PreprocessResult>>>
-      processed(n);
-  maras::Status fan_out = maras::TryParallelFor(
-      options.num_threads, n, ctx, [&](size_t i) -> maras::Status {
-        outcomes[i].label = label_of(quarters[i]);
-        processed[i].emplace(load_one(quarters[i], &outcomes[i]));
-        return maras::Status::OK();
-      });
-  if (!fan_out.ok()) {
-    return maras::WithContext(fan_out, "multi-quarter ingest");
+namespace {
+
+std::vector<std::string> QuarterLabels(
+    const std::vector<faers::QuarterDataset>& quarters) {
+  std::vector<std::string> labels;
+  for (const faers::QuarterDataset& quarter : quarters) {
+    labels.push_back(quarter.Label());
   }
-  // Phase 2 — reduce serially in input order, so accounting, warning order,
-  // strict-mode error choice, and the merged corpus match the serial run.
-  MultiQuarterRun run;
-  std::vector<faers::PreprocessResult> loaded;
-  for (size_t i = 0; i < n; ++i) {
-    QuarterOutcome outcome = std::move(outcomes[i]);
-    maras::StatusOr<faers::PreprocessResult>& result = *processed[i];
-    if (result.ok()) {
-      outcome.loaded = true;
-      ++run.quarters_loaded;
-      loaded.push_back(*std::move(result));
-    } else {
-      if (strict) {
-        return maras::WithContext(result.status(),
-                                  "quarter " + outcome.label);
-      }
-      outcome.error = result.status().ToString();
-      run.ingest.warnings.push_back("skipping quarter " + outcome.label +
-                                    ": " + outcome.error);
-    }
-    run.ingest.Merge(outcome.ingest);
-    run.outcomes.push_back(std::move(outcome));
-  }
-  if (loaded.empty()) {
-    return maras::Status::Corruption(
-        "all " + std::to_string(quarters.size()) +
-        " quarters failed ingestion");
-  }
-  MARAS_ASSIGN_OR_RETURN(run.merged, MergeLoaded(loaded));
-  return run;
+  return labels;
 }
+
+}  // namespace
 
 maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::RunFromDirs(
     const std::vector<QuarterSource>& sources) const {
   if (sources.empty()) {
     return maras::Status::InvalidArgument("no quarters to ingest");
   }
-  return RunPipeline(
-      options_, sources,
-      [](const QuarterSource& source) { return source.Label(); },
-      [this](const QuarterSource& source, QuarterOutcome* outcome)
+  std::vector<std::string> labels;
+  for (const QuarterSource& source : sources) labels.push_back(source.Label());
+  SurveillanceAnalysis out;
+  MARAS_RETURN_IF_ERROR(RunQuarterStage(
+      options_, labels,
+      [&](size_t i, QuarterOutcome* outcome)
           -> maras::StatusOr<faers::PreprocessResult> {
         MARAS_ASSIGN_OR_RETURN(
             faers::QuarterDataset dataset,
-            faers::ReadAsciiQuarterFromDir(source.directory, source.year,
-                                           source.quarter, options_.ingest,
-                                           &outcome->ingest));
+            faers::ReadAsciiQuarterFromDir(
+                sources[i].directory, sources[i].year, sources[i].quarter,
+                options_.ingest, &outcome->ingest));
         return ProcessQuarter(dataset, outcome);
-      });
+      },
+      MultiQuarterOptions{}, &out));
+  return std::move(out.run);
 }
 
 maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::Run(
@@ -236,52 +175,15 @@ maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::Run(
   if (quarters.empty()) {
     return maras::Status::InvalidArgument("no quarters to ingest");
   }
-  return RunPipeline(
-      options_, quarters,
-      [](const faers::QuarterDataset& dataset) { return dataset.Label(); },
-      [this](const faers::QuarterDataset& dataset, QuarterOutcome* outcome) {
-        return ProcessQuarter(dataset, outcome);
-      });
+  SurveillanceAnalysis out;
+  MARAS_RETURN_IF_ERROR(RunQuarterStage(
+      options_, QuarterLabels(quarters),
+      [&](size_t i, QuarterOutcome* outcome) {
+        return ProcessQuarter(quarters[i], outcome);
+      },
+      MultiQuarterOptions{}, &out));
+  return std::move(out.run);
 }
-
-namespace {
-
-// Crash-injection point: fires after `stage` (and its checkpoint write)
-// completed. Returning false simulates a process kill at that boundary.
-maras::Status FireStageHook(const MultiQuarterOptions& options,
-                            const std::string& stage) {
-  if (options.stage_hook && !options.stage_hook(stage)) {
-    return maras::Status::Cancelled("injected crash at stage " + stage);
-  }
-  return maras::Status::OK();
-}
-
-// Attempts to replay `stage` from a checkpoint; decode(payload) must return
-// true on success. NotFound is silent (nothing written yet); a corrupt
-// snapshot adds a recompute note so a degraded resume is visible.
-template <typename DecodeFn>
-bool TryResumeStage(const MultiQuarterOptions& options,
-                    const std::string& stage, DecodeFn&& decode,
-                    std::vector<std::string>* notes) {
-  if (options.checkpoint_dir.empty() || !options.resume) return false;
-  maras::StatusOr<std::string> payload =
-      ReadCheckpoint(options.checkpoint_dir, stage);
-  if (payload.ok()) {
-    maras::Status decoded = decode(*payload);
-    if (decoded.ok()) return true;
-    notes->push_back("checkpoint for stage '" + stage +
-                     "' rejected: " + decoded.ToString() + "; recomputing");
-    return false;
-  }
-  if (!payload.status().IsNotFound()) {
-    notes->push_back("checkpoint for stage '" + stage +
-                     "' rejected: " + payload.status().ToString() +
-                     "; recomputing");
-  }
-  return false;
-}
-
-}  // namespace
 
 maras::StatusOr<SurveillanceAnalysis> MultiQuarterPipeline::RunAnalyzed(
     const std::vector<faers::QuarterDataset>& quarters,
@@ -289,199 +191,24 @@ maras::StatusOr<SurveillanceAnalysis> MultiQuarterPipeline::RunAnalyzed(
   if (quarters.empty()) {
     return maras::Status::InvalidArgument("no quarters to ingest");
   }
-  const bool strict = options_.ingest.policy == faers::IngestPolicy::kStrict;
-  const bool checkpointing = !options_.checkpoint_dir.empty();
   const maras::RunContext ungoverned;
   const maras::RunContext& ctx =
       options_.context != nullptr ? *options_.context : ungoverned;
   SurveillanceAnalysis out;
-
-  // --- Stage 1: per-quarter ingest + preprocess, one snapshot each -------
-  const size_t n = quarters.size();
-  std::vector<QuarterCheckpoint> slots(n);
-  std::vector<char> from_disk(n, 0);
-  std::vector<maras::Status> failures(n);
-  for (size_t i = 0; i < n; ++i) {
-    const std::string label = quarters[i].Label();
-    const bool resumed = TryResumeStage(
-        options_, "quarter-" + label,
-        [&](const std::string& payload) -> maras::Status {
-          MARAS_ASSIGN_OR_RETURN(QuarterCheckpoint decoded,
-                                 DecodeQuarterCheckpoint(payload));
-          if (decoded.outcome.label != label) {
-            return maras::Status::Corruption("snapshot is for quarter '" +
-                                             decoded.outcome.label + "'");
-          }
-          slots[i] = std::move(decoded);
-          return maras::Status::OK();
-        },
-        &out.notes);
-    if (resumed) {
-      from_disk[i] = 1;
-      ++out.stages_resumed;
-    }
-  }
-  maras::Status fan_out = maras::TryParallelFor(
-      options_.num_threads, n, ctx, [&](size_t i) -> maras::Status {
-        if (from_disk[i]) return maras::Status::OK();
-        slots[i].outcome.label = quarters[i].Label();
-        maras::StatusOr<faers::PreprocessResult> result =
-            ProcessQuarter(quarters[i], &slots[i].outcome);
-        if (result.ok()) {
-          slots[i].outcome.loaded = true;
-          slots[i].result = *std::move(result);
-        } else {
-          failures[i] = result.status();
-          slots[i].outcome.error = result.status().ToString();
-        }
-        return maras::Status::OK();
-      });
-  if (!fan_out.ok()) {
-    return maras::WithContext(fan_out, "multi-quarter ingest");
-  }
-  // Serial in-order reduce: checkpoint writes, crash hooks, accounting and
-  // strict-mode error choice all follow input order, exactly like the
-  // serial run.
-  MultiQuarterRun run;
-  for (size_t i = 0; i < n; ++i) {
-    QuarterCheckpoint& quarter = slots[i];
-    const std::string stage = "quarter-" + quarter.outcome.label;
-    if (strict && !quarter.outcome.loaded) {
-      if (!failures[i].ok()) {
-        return maras::WithContext(failures[i],
-                                  "quarter " + quarter.outcome.label);
-      }
-      return maras::WithContext(
-          maras::Status::Corruption(quarter.outcome.error),
-          "quarter " + quarter.outcome.label);
-    }
-    if (!from_disk[i]) {
-      if (checkpointing) {
-        MARAS_RETURN_IF_ERROR(WriteCheckpoint(
-            options_.checkpoint_dir, stage, EncodeQuarterCheckpoint(quarter)));
-      }
-      MARAS_RETURN_IF_ERROR(FireStageHook(options_, stage));
-    }
-    if (quarter.outcome.loaded) {
-      ++run.quarters_loaded;
-    } else {
-      run.ingest.warnings.push_back("skipping quarter " +
-                                    quarter.outcome.label + ": " +
-                                    quarter.outcome.error);
-    }
-    run.ingest.Merge(quarter.outcome.ingest);
-    run.outcomes.push_back(quarter.outcome);
-  }
-  if (run.quarters_loaded == 0) {
-    return maras::Status::Corruption("all " + std::to_string(n) +
-                                     " quarters failed ingestion");
-  }
-  // The merge is cheap and purely derived from the per-quarter snapshots,
-  // so it is recomputed rather than checkpointed.
-  std::vector<const faers::PreprocessResult*> loaded;
-  for (const QuarterCheckpoint& quarter : slots) {
-    if (quarter.result.has_value()) loaded.push_back(&*quarter.result);
-  }
-  MARAS_ASSIGN_OR_RETURN(run.merged, MergeQuarters(loaded));
-  const mining::ItemDictionary& items = run.merged.items;
-  const mining::TransactionDatabase& db = run.merged.transactions;
-
-  // --- Stage 2: closed-itemset mining ("closed") -------------------------
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  ClosedCheckpoint closed_stage;
-  bool closed_resumed = TryResumeStage(
-      options_, "closed",
-      [&](const std::string& payload) -> maras::Status {
-        MARAS_ASSIGN_OR_RETURN(closed_stage, DecodeClosedCheckpoint(payload));
-        return maras::Status::OK();
+  MARAS_RETURN_IF_ERROR(RunQuarterStage(
+      options_, QuarterLabels(quarters),
+      [&](size_t i, QuarterOutcome* outcome) {
+        return ProcessQuarter(quarters[i], outcome);
       },
-      &out.notes);
-  if (closed_resumed) {
-    ++out.stages_resumed;
-  } else {
-    mining::MiningOptions mining_options = analyzer.mining;
-    mining_options.context = options_.context;
-    MARAS_ASSIGN_OR_RETURN(
-        GovernedMineResult mined,
-        MineWithDegradation(db, mining_options, analyzer.degradation));
-    MARAS_ASSIGN_OR_RETURN(
-        closed_stage, BuildClosedStage(std::move(mined), items, analyzer,
-                                       ctx));
-    if (checkpointing) {
-      MARAS_RETURN_IF_ERROR(WriteCheckpoint(
-          options_.checkpoint_dir, "closed",
-          EncodeClosedCheckpoint(closed_stage)));
-    }
-    MARAS_RETURN_IF_ERROR(FireStageHook(options_, "closed"));
-  }
-
-  // --- Stage 3: target rule generation ("rules") -------------------------
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  std::vector<DrugAdrRule> rules;
-  bool rules_resumed = TryResumeStage(
-      options_, "rules",
-      [&](const std::string& payload) -> maras::Status {
-        MARAS_ASSIGN_OR_RETURN(rules, DecodeRules(payload));
-        return maras::Status::OK();
+      options_, &out));
+  const mining::TransactionDatabase& db = out.run.merged.transactions;
+  mining::MiningOptions mining_options = analyzer.mining;
+  mining_options.context = options_.context;
+  MARAS_RETURN_IF_ERROR(RunAnalysisStages(
+      [&] {
+        return MineWithDegradation(db, mining_options, analyzer.degradation);
       },
-      &out.notes);
-  if (rules_resumed) {
-    ++out.stages_resumed;
-  } else {
-    MARAS_ASSIGN_OR_RETURN(
-        rules,
-        BuildRulesStage(closed_stage.closed, items, db, analyzer, ctx));
-    if (checkpointing) {
-      MARAS_RETURN_IF_ERROR(WriteCheckpoint(options_.checkpoint_dir, "rules",
-                                            EncodeRules(rules)));
-    }
-    MARAS_RETURN_IF_ERROR(FireStageHook(options_, "rules"));
-  }
-
-  // --- Stage 4: MCAC construction + ranking ("ranked") -------------------
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  std::vector<RankedMcac> ranked;
-  bool ranked_resumed = TryResumeStage(
-      options_, "ranked",
-      [&](const std::string& payload) -> maras::Status {
-        MARAS_ASSIGN_OR_RETURN(ranked, DecodeRankedMcacs(payload));
-        return maras::Status::OK();
-      },
-      &out.notes);
-  if (ranked_resumed) {
-    ++out.stages_resumed;
-  } else {
-    // The lattice is rebuilt (never checkpointed): it is a pure function of
-    // the closed family, cheaper to reconstruct than to persist, and a
-    // resumed "ranked" stage skips it entirely.
-    mining::ConceptLattice lattice_storage;
-    const mining::ConceptLattice* lattice = nullptr;
-    if (LatticeMcacEligible(analyzer)) {
-      MARAS_ASSIGN_OR_RETURN(
-          lattice_storage,
-          BuildLatticeStage(closed_stage.closed, analyzer, ctx));
-      lattice = &lattice_storage;
-    }
-    MARAS_ASSIGN_OR_RETURN(
-        ranked,
-        BuildRankedStage(rules, items, db, method, analyzer, ctx, lattice));
-    if (checkpointing) {
-      MARAS_RETURN_IF_ERROR(WriteCheckpoint(options_.checkpoint_dir, "ranked",
-                                            EncodeRankedMcacs(ranked)));
-    }
-    MARAS_RETURN_IF_ERROR(FireStageHook(options_, "ranked"));
-  }
-
-  out.run = std::move(run);
-  out.closed = std::move(closed_stage.closed);
-  out.rules = std::move(rules);
-  out.ranked = std::move(ranked);
-  out.stats = closed_stage.stats;
-  out.stats.mcac_count = out.ranked.size();
-  out.min_support_used = static_cast<size_t>(closed_stage.min_support_used);
-  out.truncated = closed_stage.truncated;
-  out.notes.insert(out.notes.end(), closed_stage.notes.begin(),
-                   closed_stage.notes.end());
+      out.run.merged.items, db, analyzer, options_, ctx, method, &out));
   return out;
 }
 

@@ -62,15 +62,6 @@ void MaybeChaos(const ShardWorkerChaos& chaos, const char* point) {
   }
 }
 
-// The quarantine escalation notch — same formula as the PR-3 degradation
-// ladder in MineWithDegradation, so a quarantined mine shard degrades
-// exactly one rung.
-size_t EscalateSupport(size_t min_support, double factor) {
-  return std::max(min_support + 1,
-                  static_cast<size_t>(static_cast<double>(min_support) *
-                                      factor));
-}
-
 maras::Status RunQuarterShard(const ShardWorkerConfig& config) {
   if (config.spec.index >= config.quarters->size()) {
     return maras::Status::InvalidArgument(
@@ -84,30 +75,17 @@ maras::Status RunQuarterShard(const ShardWorkerConfig& config) {
   MaybeChaos(config.chaos, "start");
   // Idempotent reuse: a valid snapshot from an earlier attempt (possibly by
   // a worker that died right after publishing) is the finished product.
-  maras::StatusOr<std::string> existing =
-      ReadCheckpoint(config.checkpoint_dir, stage);
-  if (existing.ok()) {
-    maras::StatusOr<QuarterCheckpoint> decoded =
-        DecodeQuarterCheckpoint(*existing);
-    if (decoded.ok() && decoded->outcome.label == label) {
-      WorkerSay("reused " + stage);
-      return maras::Status::OK();
-    }
+  if (ReadQuarterCheckpoint(config.checkpoint_dir, label).ok()) {
+    WorkerSay("reused " + stage);
+    return maras::Status::OK();
   }
+  // A quarter that fails ingestion is a *recorded* outcome, not a worker
+  // failure: the supervisor's reduce applies the ingest policy (strict
+  // aborts, permissive warns), mirroring the single-process run.
   QuarterCheckpoint quarter;
-  quarter.outcome.label = label;
   MultiQuarterPipeline pipeline(config.pipeline);
-  maras::StatusOr<faers::PreprocessResult> result =
-      pipeline.ProcessQuarter(dataset, &quarter.outcome);
-  if (result.ok()) {
-    quarter.outcome.loaded = true;
-    quarter.result = *std::move(result);
-  } else {
-    // A quarter that fails ingestion is a *recorded* outcome, not a worker
-    // failure: the supervisor's reduce applies the ingest policy (strict
-    // aborts, permissive warns), mirroring the single-process run.
-    quarter.outcome.error = result.status().ToString();
-  }
+  MARAS_IGNORE_STATUS(FillQuarterSlot(
+      label, pipeline.ProcessQuarter(dataset, &quarter.outcome), &quarter));
   WorkerSay("processed " + stage);
   MaybeChaos(config.chaos, "work");
   MARAS_RETURN_IF_ERROR(WriteCheckpoint(config.checkpoint_dir, stage,
@@ -137,27 +115,20 @@ maras::Status RunMineShard(const ShardWorkerConfig& config) {
     }
   }
   // Reconstruct the merged corpus from the quarter checkpoints, in input
-  // order — the decode is bit-exact and MergeQuarters is deterministic, so
-  // every mine worker (and the supervisor) sees the same database.
-  std::vector<faers::PreprocessResult> loaded;
+  // order — the decode is bit-exact and the supervisor runs the same
+  // reduce, so every mine worker (and the supervisor) sees the same
+  // database. The supervisor has already applied the ingest policy.
+  std::vector<QuarterCheckpoint> slots;
   for (const faers::QuarterDataset& dataset : *config.quarters) {
     MARAS_ASSIGN_OR_RETURN(
-        std::string payload,
-        ReadCheckpoint(config.checkpoint_dir, "quarter-" + dataset.Label()));
-    MARAS_ASSIGN_OR_RETURN(QuarterCheckpoint quarter,
-                           DecodeQuarterCheckpoint(payload));
-    if (quarter.result.has_value()) {
-      loaded.push_back(*std::move(quarter.result));
-    }
+        QuarterCheckpoint quarter,
+        ReadQuarterCheckpoint(config.checkpoint_dir, dataset.Label()));
+    slots.push_back(std::move(quarter));
   }
-  std::vector<const faers::PreprocessResult*> pointers;
-  pointers.reserve(loaded.size());
-  for (const faers::PreprocessResult& quarter : loaded) {
-    pointers.push_back(&quarter);
-  }
-  MARAS_ASSIGN_OR_RETURN(faers::PreprocessResult merged,
-                         MergeQuarters(pointers));
-  WorkerSay("merged " + std::to_string(loaded.size()) + " quarters");
+  MARAS_ASSIGN_OR_RETURN(MultiQuarterRun run,
+                         ReduceQuarterSlots(slots, {}, /*strict=*/false));
+  const faers::PreprocessResult& merged = run.merged;
+  WorkerSay("merged " + std::to_string(run.quarters_loaded) + " quarters");
   mining::MiningOptions mining_options = base;
   mining_options.shard_index = k;
   mining_options.shard_count = n;
@@ -178,16 +149,6 @@ maras::Status RunMineShard(const ShardWorkerConfig& config) {
                                         EncodeMineShardCheckpoint(shard)));
   MaybeChaos(config.chaos, "publish");
   WorkerSay("published " + stage);
-  return maras::Status::OK();
-}
-
-// Crash-injection hook shared with the single-process pipeline: fires after
-// a supervisor-side stage (and its checkpoint write) completed.
-maras::Status FireStageHook(const MultiQuarterOptions& options,
-                            const std::string& stage) {
-  if (options.stage_hook && !options.stage_hook(stage)) {
-    return maras::Status::Cancelled("injected crash at stage " + stage);
-  }
   return maras::Status::OK();
 }
 
@@ -464,28 +425,17 @@ maras::StatusOr<SurveillanceAnalysis> ShardSupervisor::RunAnalyzed(
   }
   MultiQuarterPipeline in_process(pipeline);
   auto validate_quarter = [&](const ShardSpec& spec) -> maras::Status {
-    MARAS_ASSIGN_OR_RETURN(std::string payload,
-                           ReadCheckpoint(dir, spec.Stage()));
-    MARAS_ASSIGN_OR_RETURN(QuarterCheckpoint decoded,
-                           DecodeQuarterCheckpoint(payload));
-    if (decoded.outcome.label != spec.label) {
-      return maras::Status::Corruption("snapshot is for quarter '" +
-                                       decoded.outcome.label + "'");
-    }
-    slots[spec.index] = std::move(decoded);
+    MARAS_ASSIGN_OR_RETURN(slots[spec.index],
+                           ReadQuarterCheckpoint(dir, spec.label));
     return maras::Status::OK();
   };
   auto fallback_quarter = [&](const ShardSpec& spec) -> maras::Status {
     QuarterCheckpoint quarter;
-    quarter.outcome.label = spec.label;
-    maras::StatusOr<faers::PreprocessResult> result =
-        in_process.ProcessQuarter(quarters[spec.index], &quarter.outcome);
-    if (result.ok()) {
-      quarter.outcome.loaded = true;
-      quarter.result = *std::move(result);
-    } else {
-      quarter.outcome.error = result.status().ToString();
-    }
+    // A failed load is a recorded outcome; the reduce below applies policy.
+    MARAS_IGNORE_STATUS(FillQuarterSlot(
+        spec.label,
+        in_process.ProcessQuarter(quarters[spec.index], &quarter.outcome),
+        &quarter));
     MARAS_RETURN_IF_ERROR(WriteCheckpoint(dir, spec.Stage(),
                                           EncodeQuarterCheckpoint(quarter)));
     slots[spec.index] = std::move(quarter);
@@ -493,37 +443,9 @@ maras::StatusOr<SurveillanceAnalysis> ShardSupervisor::RunAnalyzed(
   };
   MARAS_RETURN_IF_ERROR(RunPhase(quarter_specs, validate_quarter,
                                  fallback_quarter, ctx, report));
-
-  // Serial in-order reduce, mirroring the single-process RunAnalyzed.
-  MultiQuarterRun run;
-  for (size_t i = 0; i < n; ++i) {
-    const QuarterCheckpoint& quarter = slots[i];
-    if (strict && !quarter.outcome.loaded) {
-      return maras::WithContext(
-          maras::Status::Corruption(quarter.outcome.error),
-          "quarter " + quarter.outcome.label);
-    }
-    if (quarter.outcome.loaded) {
-      ++run.quarters_loaded;
-    } else {
-      run.ingest.warnings.push_back("skipping quarter " +
-                                    quarter.outcome.label + ": " +
-                                    quarter.outcome.error);
-    }
-    run.ingest.Merge(quarter.outcome.ingest);
-    run.outcomes.push_back(quarter.outcome);
-  }
-  if (run.quarters_loaded == 0) {
-    return maras::Status::Corruption("all " + std::to_string(n) +
-                                     " quarters failed ingestion");
-  }
-  std::vector<const faers::PreprocessResult*> loaded;
-  for (const QuarterCheckpoint& quarter : slots) {
-    if (quarter.result.has_value()) loaded.push_back(&*quarter.result);
-  }
-  MARAS_ASSIGN_OR_RETURN(run.merged, MergeQuarters(loaded));
-  const mining::ItemDictionary& items = run.merged.items;
-  const mining::TransactionDatabase& db = run.merged.transactions;
+  // Serial in-order reduce, shared with the single-process RunAnalyzed.
+  MARAS_ASSIGN_OR_RETURN(out.run, ReduceQuarterSlots(slots, {}, strict));
+  const mining::TransactionDatabase& db = out.run.merged.transactions;
 
   // --- Phase B: item-range mine shards ------------------------------------
   MARAS_RETURN_IF_ERROR(ctx.Check());
@@ -603,50 +525,15 @@ maras::StatusOr<SurveillanceAnalysis> ShardSupervisor::RunAnalyzed(
   }
   mined.frequent.SortCanonically();
 
-  // --- Analysis tail: shared stage functions, checkpointed like the
-  // single-process pipeline --------------------------------------------
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  ClosedCheckpoint closed_stage;
-  MARAS_ASSIGN_OR_RETURN(
-      closed_stage, BuildClosedStage(std::move(mined), items, analyzer, ctx));
-  MARAS_RETURN_IF_ERROR(
-      WriteCheckpoint(dir, "closed", EncodeClosedCheckpoint(closed_stage)));
-  MARAS_RETURN_IF_ERROR(FireStageHook(pipeline, "closed"));
-
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  std::vector<DrugAdrRule> rules;
-  MARAS_ASSIGN_OR_RETURN(
-      rules, BuildRulesStage(closed_stage.closed, items, db, analyzer, ctx));
-  MARAS_RETURN_IF_ERROR(WriteCheckpoint(dir, "rules", EncodeRules(rules)));
-  MARAS_RETURN_IF_ERROR(FireStageHook(pipeline, "rules"));
-
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  std::vector<RankedMcac> ranked;
-  mining::ConceptLattice lattice_storage;
-  const mining::ConceptLattice* lattice = nullptr;
-  if (LatticeMcacEligible(analyzer)) {
-    MARAS_ASSIGN_OR_RETURN(
-        lattice_storage,
-        BuildLatticeStage(closed_stage.closed, analyzer, ctx));
-    lattice = &lattice_storage;
-  }
-  MARAS_ASSIGN_OR_RETURN(
-      ranked,
-      BuildRankedStage(rules, items, db, method, analyzer, ctx, lattice));
-  MARAS_RETURN_IF_ERROR(
-      WriteCheckpoint(dir, "ranked", EncodeRankedMcacs(ranked)));
-  MARAS_RETURN_IF_ERROR(FireStageHook(pipeline, "ranked"));
-
-  out.run = std::move(run);
-  out.closed = std::move(closed_stage.closed);
-  out.rules = std::move(rules);
-  out.ranked = std::move(ranked);
-  out.stats = closed_stage.stats;
-  out.stats.mcac_count = out.ranked.size();
-  out.min_support_used = static_cast<size_t>(closed_stage.min_support_used);
-  out.truncated = closed_stage.truncated;
-  out.notes.insert(out.notes.end(), closed_stage.notes.begin(),
-                   closed_stage.notes.end());
+  // --- Analysis tail: the shared stage sequence on the merged family. It
+  // checkpoints and fires hooks like the single-process pipeline but never
+  // resumes: a rerun recomputes closed, rules and ranked from the reused
+  // shard checkpoints.
+  MultiQuarterOptions tail = pipeline;
+  tail.resume = false;
+  MARAS_RETURN_IF_ERROR(RunAnalysisStages(
+      [&]() -> maras::StatusOr<GovernedMineResult> { return std::move(mined); },
+      out.run.merged.items, db, analyzer, tail, ctx, method, &out));
   return out;
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/checkpoint.h"
 #include "mining/closed_itemsets.h"
 #include "test_util.h"
+#include "util/run_context.h"
 
 namespace maras::core {
 namespace {
@@ -128,6 +132,64 @@ TEST(AnalyzerTest, ExclusivenessRanksInjectedSignalAboveDecoy) {
   ASSERT_LT(triple_rank, ranked.size());
   ASSERT_LT(decoy_rank, ranked.size());
   EXPECT_LT(triple_rank, decoy_rank);
+}
+
+// Item i is in report t iff t % i == 0, so supp(S) = N / lcm(S) and raising
+// min_support genuinely shrinks the family. Items below 25 are drugs, the
+// rest ADRs, so the family holds multi-drug targets at every support.
+MiniCorpus GradedCorpus() {
+  MiniCorpus corpus;
+  for (size_t t = 1; t <= 2000; ++t) {
+    maras::test::ReportSpec spec;
+    for (size_t i = 2; i <= 40; ++i) {
+      if (t % i != 0) continue;
+      (i < 25 ? spec.drugs : spec.adrs).push_back("I" + std::to_string(i));
+    }
+    if (!spec.drugs.empty() || !spec.adrs.empty()) corpus.Add(spec);
+  }
+  return corpus;
+}
+
+std::string RankedBytes(const AnalysisResult& result) {
+  return EncodeRankedMcacs(RankMcacs(
+      result.mcacs, RankingMethod::kExclusivenessConfidence, {}));
+}
+
+TEST(AnalyzerTest, DegradedAnalyzeEqualsUngovernedAtEscalatedSupport) {
+  MiniCorpus corpus = GradedCorpus();
+  MemoryBudget budget(1 << 19);  // trips at min_support 2 and 8, not 32
+  RunContext ctx;
+  ctx.budget = &budget;
+  AnalyzerOptions governed = SmallOptions();
+  governed.mining.context = &ctx;
+  governed.degradation.enabled = true;
+  governed.degradation.max_retries = 10;
+  governed.degradation.support_factor = 4.0;
+  auto degraded = MarasAnalyzer(governed).Analyze(corpus.items, corpus.db);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  EXPECT_TRUE(degraded->truncated);
+  const std::vector<std::string>& notes = degraded->degradation_notes;
+  ASSERT_FALSE(notes.empty());
+  size_t escalated = governed.mining.min_support;
+  for (size_t i = 0; i < notes.size(); ++i) {
+    escalated = EscalateSupport(escalated, governed.degradation.support_factor);
+  }
+  EXPECT_NE(notes.back().find("retrying at min_support=" +
+                              std::to_string(escalated) + " "),
+            std::string::npos)
+      << notes.back();
+
+  AnalyzerOptions ungoverned = SmallOptions();
+  ungoverned.mining.min_support = escalated;
+  auto reference = MarasAnalyzer(ungoverned).Analyze(corpus.items, corpus.db);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_GT(reference->mcacs.size(), 0u);
+  EXPECT_FALSE(reference->truncated);
+  EXPECT_EQ(RankedBytes(*degraded), RankedBytes(*reference));
+  EXPECT_EQ(degraded->stats.total_rules, reference->stats.total_rules);
+  EXPECT_EQ(degraded->stats.filtered_rules, reference->stats.filtered_rules);
+  EXPECT_EQ(degraded->stats.closed_mixed, reference->stats.closed_mixed);
+  EXPECT_EQ(degraded->stats.mcac_count, reference->stats.mcac_count);
 }
 
 TEST(SupportingReportsTest, MapsBackToPrimaryIds) {

@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "core/analyzer.h"
 #include "core/multi_quarter.h"
+#include "core/ranking.h"
 #include "faers/corruptor.h"
 #include "faers/generator.h"
 #include "faers/preprocess.h"
@@ -492,6 +494,68 @@ TEST(CheckpointResumeSeedsTest, CrashResumeIdentityHoldsAcrossSeeds) {
                     "seed_" + std::to_string(seed));
   }
 }
+
+// ---------------------------------------------------------------------------
+// Cross-mode oracle: Analyze, RunAnalyzed and a crashed-then-resumed
+// RunAnalyzed all run the one stage sequence, so their closed family,
+// rule-space statistics and ranked MCACs must be byte-identical at any
+// thread count.
+// ---------------------------------------------------------------------------
+
+void ExpectSameStats(const RuleSpaceStats& got, const RuleSpaceStats& want) {
+  EXPECT_EQ(got.total_rules, want.total_rules);
+  EXPECT_EQ(got.filtered_rules, want.filtered_rules);
+  EXPECT_EQ(got.closed_mixed, want.closed_mixed);
+  EXPECT_EQ(got.mcac_count, want.mcac_count);
+}
+
+class StageSequenceDifferentialOracleTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(StageSequenceDifferentialOracleTest,
+       AnalyzeRunAnalyzedAndResumeAreByteIdentical) {
+  const std::vector<faers::QuarterDataset> quarters = MakeQuarters(GetParam());
+  for (size_t threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const AnalyzerOptions analyzer = HarnessAnalyzer(threads);
+    MultiQuarterOptions plain;
+    plain.num_threads = threads;
+    auto reference =
+        MultiQuarterPipeline(plain).RunAnalyzed(quarters, analyzer);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_GT(reference->ranked.size(), 0u);
+    const StageEncodings want = Encode(*reference);
+
+    auto analyzed = MarasAnalyzer(analyzer).Analyze(reference->run.merged);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    EXPECT_EQ(EncodeRankedMcacs(RankMcacs(
+                  analyzed->mcacs, RankingMethod::kExclusivenessConfidence,
+                  analyzer.exclusiveness)),
+              want.ranked);
+    ExpectSameStats(analyzed->stats, reference->stats);
+
+    const std::string dir = FreshDir("stage_sequence_" +
+                                     std::to_string(GetParam()) + "_t" +
+                                     std::to_string(threads));
+    MultiQuarterOptions crash = CheckpointedOptions(dir, threads);
+    crash.stage_hook = [](const std::string& stage) {
+      return stage != "rules";
+    };
+    auto killed = MultiQuarterPipeline(crash).RunAnalyzed(quarters, analyzer);
+    ASSERT_TRUE(killed.status().IsCancelled()) << killed.status().ToString();
+    MultiQuarterOptions retry = CheckpointedOptions(dir, threads);
+    retry.resume = true;
+    auto resumed = MultiQuarterPipeline(retry).RunAnalyzed(quarters, analyzer);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    // 3 quarters + closed + rules replayed; ranked recomputed.
+    EXPECT_EQ(resumed->stages_resumed, 5u);
+    ExpectIdentical(Encode(*resumed), want);
+    ExpectSameStats(resumed->stats, reference->stats);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StageSequenceDifferentialOracleTest,
+                         ::testing::Values(8100, 31337, 977));
 
 }  // namespace
 }  // namespace maras::core

@@ -3,9 +3,9 @@
 // subset-inclusion order, the build must be byte-identical at any thread
 // count, and the greedy downward walk must land on closure(X) — the
 // exactness invariant the lattice-backed MCAC construction relies on.
-// The differential-oracle suite then proves the end-to-end claim: the
-// analyzer's output with the lattice path on is byte-identical to plain
-// enumeration, across seeds and thread counts.
+// The differential-oracle suite then proves the end-to-end claim: ranked
+// MCACs built over the lattice are byte-identical to plain enumeration,
+// across seeds and thread counts.
 
 #include <gtest/gtest.h>
 
@@ -359,6 +359,32 @@ maras::test::MiniCorpus RandomCorpus(uint64_t seed) {
   return corpus;
 }
 
+// Encodes BuildRankedStage's output over `corpus` into *encoded, with
+// subset supports from the concept lattice or (use_lattice = false) from
+// plain enumeration.
+void RankedBytes(const maras::test::MiniCorpus& corpus,
+                 const core::AnalyzerOptions& options, bool use_lattice,
+                 std::string* encoded) {
+  const RunContext ctx;
+  auto mined = core::MineWithDegradation(corpus.db, options.mining,
+                                         options.degradation);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  auto closed = core::BuildClosedStage(*std::move(mined), corpus.items,
+                                       options, ctx);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  auto rules = core::BuildRulesStage(closed->closed, corpus.items, corpus.db,
+                                     options, ctx);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  auto lattice = core::BuildLatticeStage(closed->closed, options, ctx);
+  ASSERT_TRUE(lattice.ok()) << lattice.status().ToString();
+  auto ranked = core::BuildRankedStage(
+      *rules, corpus.items, corpus.db, core::RankingMethod::kExclusivenessLift,
+      options, ctx, use_lattice ? &*lattice : nullptr);
+  ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+  ASSERT_GT(ranked->size(), 0u);
+  *encoded = core::EncodeRankedMcacs(*ranked);
+}
+
 class LatticeMcacDifferentialOracleTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -367,24 +393,19 @@ TEST_P(LatticeMcacDifferentialOracleTest,
   maras::test::MiniCorpus corpus = RandomCorpus(GetParam());
   std::string reference;
   for (size_t threads : {1, 2, 8}) {
-    for (bool lattice_on : {false, true}) {
+    for (bool use_lattice : {false, true}) {
       core::AnalyzerOptions options;
       options.mining.min_support = 2;
       options.mining.num_threads = threads;
-      options.lattice_mcac = lattice_on;
-      ASSERT_TRUE(core::LatticeMcacEligible(options) == lattice_on);
-      core::MarasAnalyzer analyzer(options);
-      auto result = analyzer.Analyze(corpus.items, corpus.db);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ASSERT_GT(result->mcacs.size(), 0u);
-      const std::string encoded = core::EncodeRankedMcacs(core::RankMcacs(
-          result->mcacs, core::RankingMethod::kExclusivenessLift,
-          core::ExclusivenessOptions{}));
+      ASSERT_TRUE(core::LatticeMcacEligible(options));
+      std::string encoded;
+      ASSERT_NO_FATAL_FAILURE(
+          RankedBytes(corpus, options, use_lattice, &encoded));
       if (reference.empty()) {
         reference = encoded;
       } else {
         EXPECT_EQ(encoded, reference)
-            << "threads=" << threads << " lattice=" << lattice_on;
+            << "threads=" << threads << " lattice=" << use_lattice;
       }
     }
   }
@@ -399,29 +420,16 @@ TEST_P(LatticeMcacDifferentialOracleTest, CappedMineStaysEligibleViaVerify) {
   EXPECT_FALSE(core::LatticeMcacEligible(options));
   options.verify_closed_in_db = true;
   EXPECT_TRUE(core::LatticeMcacEligible(options));
-  options.lattice_mcac = false;
-  EXPECT_FALSE(core::LatticeMcacEligible(options));
 
   // And with the cap + verification, output still matches enumeration.
   maras::test::MiniCorpus corpus = RandomCorpus(GetParam() + 1);
-  std::string reference;
-  for (bool lattice_on : {false, true}) {
-    core::AnalyzerOptions run;
-    run.mining.min_support = 2;
-    run.mining.max_itemset_size = 5;
-    run.lattice_mcac = lattice_on;
-    core::MarasAnalyzer analyzer(run);
-    auto result = analyzer.Analyze(corpus.items, corpus.db);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const std::string encoded = core::EncodeRankedMcacs(core::RankMcacs(
-        result->mcacs, core::RankingMethod::kExclusivenessLift,
-        core::ExclusivenessOptions{}));
-    if (reference.empty()) {
-      reference = encoded;
-    } else {
-      EXPECT_EQ(encoded, reference) << "lattice=" << lattice_on;
-    }
-  }
+  core::AnalyzerOptions run;
+  run.mining.min_support = 2;
+  run.mining.max_itemset_size = 5;
+  std::string latticed, enumerated;
+  ASSERT_NO_FATAL_FAILURE(RankedBytes(corpus, run, true, &latticed));
+  ASSERT_NO_FATAL_FAILURE(RankedBytes(corpus, run, false, &enumerated));
+  EXPECT_EQ(latticed, enumerated);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LatticeMcacDifferentialOracleTest,
