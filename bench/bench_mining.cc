@@ -1,20 +1,18 @@
-// Micro-benchmarks for the mining substrate: Apriori vs. FP-Growth across
-// database sizes and support thresholds (the paper's Section 5.2 picks
-// FP-Growth for exactly this reason), closed-itemset filtering cost, and
-// tid-list support counting. Every run lands in BENCH_mining.json
-// (wall-clock, allocations per iteration, peak RSS) so the perf trajectory
-// is diffable across PRs; `--smoke` runs a tiny fixture and fails on any
-// result-hash disagreement between the miners (the bench-smoke ctest gate).
+// Micro-benchmarks for the mining substrate: FP-Growth across database
+// sizes and support thresholds, closed-itemset filtering cost, FP-tree
+// build, and tid-list support counting. Every run lands in
+// BENCH_mining.json (wall-clock, allocations per iteration, peak RSS) so the
+// perf trajectory is diffable across PRs; `--smoke` runs a tiny fixture and
+// fails on any result-hash disagreement between FP-Growth at 1/2/8 threads
+// and the test-only Apriori oracle (the bench-smoke ctest gate).
 
 #include <benchmark/benchmark.h>
 
 #include "bench/alloc_counter.h"
 #include "bench/bench_json.h"
-#include "mining/apriori.h"
 #include "mining/closed_itemsets.h"
-#include "mining/eclat.h"
-#include "mining/maximal_itemsets.h"
 #include "mining/fpgrowth.h"
+#include "tests/oracles/apriori.h"
 #include "util/random.h"
 
 namespace {
@@ -40,27 +38,6 @@ TransactionDatabase MakeDb(size_t transactions, size_t items,
   return db;
 }
 
-void BM_Apriori(benchmark::State& state) {
-  TransactionDatabase db =
-      MakeDb(static_cast<size_t>(state.range(0)), 400, 4.0, 7);
-  MiningOptions options{.min_support = static_cast<size_t>(state.range(1)),
-                        .max_itemset_size = 6};
-  Apriori miner(options);
-  size_t found = 0;
-  const auto alloc0 = bench::CurrentAllocCounts();
-  for (auto _ : state) {
-    auto result = miner.Mine(db);
-    benchmark::DoNotOptimize(found = result->size());
-  }
-  bench::SetAllocCounters(state, alloc0);
-  state.counters["itemsets"] = static_cast<double>(found);
-}
-BENCHMARK(BM_Apriori)
-    ->Args({1000, 5})
-    ->Args({4000, 5})
-    ->Args({4000, 20})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_FpGrowth(benchmark::State& state) {
   TransactionDatabase db =
       MakeDb(static_cast<size_t>(state.range(0)), 400, 4.0, 7);
@@ -83,28 +60,6 @@ BENCHMARK(BM_FpGrowth)
     ->Args({16000, 20})
     ->Unit(benchmark::kMillisecond);
 
-void BM_Eclat(benchmark::State& state) {
-  TransactionDatabase db =
-      MakeDb(static_cast<size_t>(state.range(0)), 400, 4.0, 7);
-  MiningOptions options{.min_support = static_cast<size_t>(state.range(1)),
-                        .max_itemset_size = 6};
-  Eclat miner(options);
-  size_t found = 0;
-  const auto alloc0 = bench::CurrentAllocCounts();
-  for (auto _ : state) {
-    auto result = miner.Mine(db);
-    benchmark::DoNotOptimize(found = result->size());
-  }
-  bench::SetAllocCounters(state, alloc0);
-  state.counters["itemsets"] = static_cast<double>(found);
-}
-BENCHMARK(BM_Eclat)
-    ->Args({1000, 5})
-    ->Args({4000, 5})
-    ->Args({4000, 20})
-    ->Args({16000, 20})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_ClosedFilter(benchmark::State& state) {
   TransactionDatabase db =
       MakeDb(static_cast<size_t>(state.range(0)), 400, 4.0, 7);
@@ -121,23 +76,6 @@ void BM_ClosedFilter(benchmark::State& state) {
   state.counters["closed"] = static_cast<double>(closed_count);
 }
 BENCHMARK(BM_ClosedFilter)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
-
-void BM_MaximalFilter(benchmark::State& state) {
-  TransactionDatabase db =
-      MakeDb(static_cast<size_t>(state.range(0)), 400, 4.0, 7);
-  MiningOptions options{.min_support = 5, .max_itemset_size = 6};
-  auto all = FpGrowth(options).Mine(db);
-  size_t maximal_count = 0;
-  const auto alloc0 = bench::CurrentAllocCounts();
-  for (auto _ : state) {
-    FrequentItemsetResult maximal = FilterMaximal(*all);
-    benchmark::DoNotOptimize(maximal_count = maximal.size());
-  }
-  bench::SetAllocCounters(state, alloc0);
-  state.counters["frequent"] = static_cast<double>(all->size());
-  state.counters["maximal"] = static_cast<double>(maximal_count);
-}
-BENCHMARK(BM_MaximalFilter)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
 
 void BM_FpTreeBuild(benchmark::State& state) {
   TransactionDatabase db =
@@ -169,9 +107,10 @@ void BM_TidListSupport(benchmark::State& state) {
 }
 BENCHMARK(BM_TidListSupport)->Arg(2)->Arg(3)->Arg(5)->Unit(benchmark::kMillisecond);
 
-// Tiny fixed fixture, every miner, every thread count: any disagreement in
-// the canonical result hash is a correctness regression in the perf-tuned
-// paths. Runs in well under a second — cheap enough for every ctest pass.
+// Tiny fixed fixture, FP-Growth at every thread count plus the Apriori
+// oracle: any disagreement in the canonical result hash is a correctness
+// regression in the perf-tuned paths. Runs in well under a second — cheap
+// enough for every ctest pass.
 bool RunSmoke() {
   TransactionDatabase db = MakeDb(600, 60, 3.0, 13);
   MiningOptions base{.min_support = 3, .max_itemset_size = 5};
@@ -190,11 +129,6 @@ bool RunSmoke() {
       return false;
     }
     cases.push_back({"fp-growth", bench::ResultHash(*mined)});
-  }
-  {
-    auto mined = Eclat(base).Mine(db);
-    if (!mined.ok()) return false;
-    cases.push_back({"eclat", bench::ResultHash(*mined)});
   }
   {
     auto mined = Apriori(base).Mine(db);

@@ -1,23 +1,20 @@
 // Fuzz harness for the mining/bitmap.h kernel layer. The input is decoded
-// into a universe, a representation policy, and two sorted tid-lists
-// (delta-coded, so every byte string decodes to a valid input); the lists
-// are then pushed through every kernel — dense<->sparse conversions,
-// AND/AND-NOT/AND3 popcounts, materializing AND, galloping intersection,
-// bitmap probe, and VerticalSlice intersection under the chosen policy —
-// and each result is checked against a scalar std::set_intersection /
-// std::set_difference oracle. Any disagreement traps: the kernels back
-// support counting for the miner and the contingency batch, where a single
-// off-by-one silently corrupts statistics rather than crashing.
+// into a universe and two sorted tid-lists (delta-coded, so every byte
+// string decodes to a valid input); the lists are then pushed through every
+// kernel — tid-list <-> bitmap conversions, the popcount, AND and AND3
+// popcounts, and the materializing AND — and each result is checked against
+// a scalar std::set_intersection oracle. Any disagreement traps: the kernels
+// back support counting for the contingency batch, the stratified tables
+// and the concept lattice, where a single off-by-one silently corrupts
+// statistics rather than crashing.
 //
 // Input layout:
-//   [0]    representation policy selector
-//   [1..2] universe (little-endian, modded into [0, 8192])
-//   [3]    split point between the two delta streams
-//   [4..]  payload: first part decodes tid-list A, rest decodes tid-list B
+//   [0..1] universe (little-endian, modded into [0, 8192])
+//   [2]    split point between the two delta streams
+//   [3..]  payload: first part decodes tid-list A, rest decodes tid-list B
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "fuzz/fuzz_target.h"
@@ -48,13 +45,6 @@ Tids OracleIntersect(const Tids& a, const Tids& b) {
   return out;
 }
 
-Tids OracleDifference(const Tids& a, const Tids& b) {
-  Tids out;
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(out));
-  return out;
-}
-
 void Require(bool ok) {
   if (!ok) __builtin_trap();
 }
@@ -62,71 +52,31 @@ void Require(bool ok) {
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  if (size < 4) return 0;
-  const maras::mining::BitmapPolicy policies[] = {
-      maras::mining::BitmapPolicy::kAuto, maras::mining::BitmapPolicy::kDense,
-      maras::mining::BitmapPolicy::kSparse};
-  const maras::mining::BitmapPolicy policy = policies[data[0] % 3];
+  if (size < 3) return 0;
   const size_t universe =
-      (static_cast<size_t>(data[1]) | (static_cast<size_t>(data[2]) << 8)) %
+      (static_cast<size_t>(data[0]) | (static_cast<size_t>(data[1]) << 8)) %
       8193;
-  const uint8_t* payload = data + 4;
-  const size_t payload_size = size - 4;
-  const size_t split =
-      payload_size * static_cast<size_t>(data[3]) / 255;
+  const uint8_t* payload = data + 3;
+  const size_t payload_size = size - 3;
+  const size_t split = payload_size * static_cast<size_t>(data[2]) / 255;
 
   const Tids a = DecodeTids(payload, split, universe);
   const Tids b = DecodeTids(payload + split, payload_size - split, universe);
   const Tids both = OracleIntersect(a, b);
-  const Tids only_a = OracleDifference(a, b);
 
-  // Dense<->sparse conversions round-trip and preserve cardinality.
+  // Tid-list <-> bitmap conversions round-trip and preserve cardinality.
   const TidBitmap abm = TidBitmap::FromTids(a, universe);
   const TidBitmap bbm = TidBitmap::FromTids(b, universe);
   Require(maras::mining::BitmapPopcount(abm) == a.size());
   Require(abm.ToTids() == a);
   for (TransactionId tid : a) Require(abm.Test(tid));
 
-  // Word-wise kernels against the merge oracles.
+  // Word-wise kernels against the merge oracle.
   Require(maras::mining::AndPopcount(abm, bbm) == both.size());
   Require(maras::mining::AndPopcount(bbm, abm) == both.size());
-  Require(maras::mining::AndNotPopcount(abm, bbm) == only_a.size());
   Require(maras::mining::And3Popcount(abm, bbm, abm) == both.size());
   TidBitmap out;
   Require(maras::mining::BitmapAnd(abm, bbm, &out) == both.size());
   Require(out.ToTids() == both);
-  Require(maras::mining::BitmapAndNot(abm, bbm, &out) == only_a.size());
-  Require(out.ToTids() == only_a);
-
-  // Sparse kernels, both argument orders (galloping walks the shorter side).
-  Require(maras::mining::GallopIntersectCount(a, b) == both.size());
-  Require(maras::mining::GallopIntersectCount(b, a) == both.size());
-  Tids gallop;
-  maras::mining::GallopIntersect(a, b, &gallop);
-  Require(gallop == both);
-  Require(maras::mining::ProbeCount(a, bbm) == both.size());
-  Tids probed;
-  maras::mining::ProbeIntersect(a, bbm, &probed);
-  Require(probed == both);
-
-  // Slice intersection under the selected policy, plus a mixed-rep pair.
-  using maras::mining::VerticalSlice;
-  const VerticalSlice sa = VerticalSlice::Make(1, a, universe, policy);
-  const VerticalSlice sb = VerticalSlice::Make(2, b, universe, policy);
-  const VerticalSlice joined =
-      maras::mining::IntersectSlices(sa, sb, universe, policy);
-  Require(joined.support == both.size());
-  if (joined.support > 0) {
-    Require((joined.dense ? joined.bitmap.ToTids() : joined.tids) == both);
-  }
-  const VerticalSlice dense_a =
-      VerticalSlice::Make(1, a, universe, maras::mining::BitmapPolicy::kDense);
-  const VerticalSlice sparse_b =
-      VerticalSlice::Make(2, b, universe,
-                          maras::mining::BitmapPolicy::kSparse);
-  Require(maras::mining::IntersectSlices(dense_a, sparse_b, universe, policy)
-              .support == both.size());
-  Require(maras::mining::IntersectSlices(sparse_b, dense_a, universe, policy)
-              .support == both.size());
   return 0;
 }

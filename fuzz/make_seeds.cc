@@ -242,14 +242,13 @@ maras::Status Generate(const std::filesystem::path& root) {
   }
 
   // --- bitmap: kernel-harness inputs ---------------------------------------
-  // Layout (see fuzz_bitmap_kernels.cc): [policy][universe lo][universe hi]
-  // [split][delta stream A | delta stream B]. Seeds pin the shapes the
-  // kernels special-case: dense runs, skewed sparse lists, and an exact
-  // one-word universe.
-  const auto bitmap_seed = [](unsigned char policy, uint16_t universe,
-                              unsigned char split, std::string deltas) {
+  // Layout (see fuzz_bitmap_kernels.cc): [universe lo][universe hi][split]
+  // [delta stream A | delta stream B]. Seeds pin the shapes the kernels
+  // special-case: dense runs, skewed sparse lists, and an exact one-word
+  // universe.
+  const auto bitmap_seed = [](uint16_t universe, unsigned char split,
+                              std::string deltas) {
     std::string out;
-    out.push_back(static_cast<char>(policy));
     out.push_back(static_cast<char>(universe & 0xFF));
     out.push_back(static_cast<char>(universe >> 8));
     out.push_back(static_cast<char>(split));
@@ -258,16 +257,16 @@ maras::Status Generate(const std::filesystem::path& root) {
   };
   // Two dense runs of consecutive tids over a 200-wide universe.
   MARAS_RETURN_IF_ERROR(WriteFile(root / "bitmap" / "dense.bin",
-                                  bitmap_seed(0, 200, 128,
+                                  bitmap_seed(200, 128,
                                               std::string(120, '\0'))));
   // Skewed: a short stride-200 list against a long stride-4 list.
   MARAS_RETURN_IF_ERROR(WriteFile(
       root / "bitmap" / "skew.bin",
-      bitmap_seed(2, 8000, 20, std::string(15, '\xC8') +
-                                   std::string(180, '\x03'))));
+      bitmap_seed(8000, 20, std::string(15, '\xC8') +
+                                std::string(180, '\x03'))));
   // Exactly one word: every tid sits in the single (full) trailing word.
   MARAS_RETURN_IF_ERROR(WriteFile(root / "bitmap" / "word64.bin",
-                                  bitmap_seed(1, 64, 100,
+                                  bitmap_seed(64, 100,
                                               std::string(80, '\0'))));
 
   // --- lattice: transaction-bitmask corpora --------------------------------

@@ -52,20 +52,6 @@ size_t AndPopcountScalar(const BitmapWord* a, const BitmapWord* b, size_t n) {
   return total;
 }
 
-size_t AndNotPopcountScalar(const BitmapWord* a, const BitmapWord* b,
-                            size_t n) {
-  size_t total = 0;
-  for (size_t base = 0; base < n; base += kBitmapBlockWords) {
-    const size_t end = std::min(n, base + kBitmapBlockWords);
-    size_t block = 0;
-    for (size_t i = base; i < end; ++i) {
-      block += static_cast<size_t>(std::popcount(a[i] & ~b[i]));
-    }
-    total += block;
-  }
-  return total;
-}
-
 size_t And3PopcountScalar(const BitmapWord* a, const BitmapWord* b,
                           const BitmapWord* c, size_t n) {
   size_t total = 0;
@@ -85,17 +71,6 @@ size_t AndStoreScalar(const BitmapWord* a, const BitmapWord* b,
   size_t total = 0;
   for (size_t i = 0; i < n; ++i) {
     const BitmapWord w = a[i] & b[i];
-    out[i] = w;
-    total += static_cast<size_t>(std::popcount(w));
-  }
-  return total;
-}
-
-size_t AndNotStoreScalar(const BitmapWord* a, const BitmapWord* b,
-                         BitmapWord* out, size_t n) {
-  size_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const BitmapWord w = a[i] & ~b[i];
     out[i] = w;
     total += static_cast<size_t>(std::popcount(w));
   }
@@ -164,26 +139,6 @@ __attribute__((target("avx2"))) size_t AndPopcountAvx2(const BitmapWord* a,
   return total;
 }
 
-__attribute__((target("avx2"))) size_t AndNotPopcountAvx2(const BitmapWord* a,
-                                                          const BitmapWord* b,
-                                                          size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // vpandn computes ¬first ∧ second, so b goes first.
-    acc = _mm256_add_epi64(acc, Popcount256(_mm256_andnot_si256(vb, va)));
-  }
-  size_t total = HorizontalSum(acc);
-  for (; i < n; ++i) {
-    total += static_cast<size_t>(std::popcount(a[i] & ~b[i]));
-  }
-  return total;
-}
-
 __attribute__((target("avx2"))) size_t And3PopcountAvx2(const BitmapWord* a,
                                                         const BitmapWord* b,
                                                         const BitmapWord* c,
@@ -231,29 +186,6 @@ __attribute__((target("avx2"))) size_t AndStoreAvx2(const BitmapWord* a,
   return total;
 }
 
-__attribute__((target("avx2"))) size_t AndNotStoreAvx2(const BitmapWord* a,
-                                                       const BitmapWord* b,
-                                                       BitmapWord* out,
-                                                       size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i w = _mm256_andnot_si256(vb, va);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), w);
-    acc = _mm256_add_epi64(acc, Popcount256(w));
-  }
-  size_t total = HorizontalSum(acc);
-  for (; i < n; ++i) {
-    const BitmapWord w = a[i] & ~b[i];
-    out[i] = w;
-    total += static_cast<size_t>(std::popcount(w));
-  }
-  return total;
-}
 #endif  // __x86_64__
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
@@ -284,19 +216,6 @@ size_t AndPopcountNeon(const BitmapWord* a, const BitmapWord* b, size_t n) {
   }
   for (; i < n; ++i) {
     total += static_cast<size_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
-}
-
-size_t AndNotPopcountNeon(const BitmapWord* a, const BitmapWord* b,
-                          size_t n) {
-  size_t total = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    total += vaddvq_u8(vcntq_u8(vbicq_u8(LoadU8(a + i), LoadU8(b + i))));
-  }
-  for (; i < n; ++i) {
-    total += static_cast<size_t>(std::popcount(a[i] & ~b[i]));
   }
   return total;
 }
@@ -332,22 +251,6 @@ size_t AndStoreNeon(const BitmapWord* a, const BitmapWord* b, BitmapWord* out,
   return total;
 }
 
-size_t AndNotStoreNeon(const BitmapWord* a, const BitmapWord* b,
-                       BitmapWord* out, size_t n) {
-  size_t total = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint8x16_t w = vbicq_u8(LoadU8(a + i), LoadU8(b + i));
-    vst1q_u8(reinterpret_cast<uint8_t*>(out + i), w);
-    total += vaddvq_u8(vcntq_u8(w));
-  }
-  for (; i < n; ++i) {
-    const BitmapWord w = a[i] & ~b[i];
-    out[i] = w;
-    total += static_cast<size_t>(std::popcount(w));
-  }
-  return total;
-}
 #endif  // __aarch64__ && __ARM_NEON
 
 // --- runtime dispatch ------------------------------------------------------
@@ -356,31 +259,25 @@ struct Kernels {
   const char* name;
   size_t (*popcount)(const BitmapWord*, size_t);
   size_t (*and_popcount)(const BitmapWord*, const BitmapWord*, size_t);
-  size_t (*andnot_popcount)(const BitmapWord*, const BitmapWord*, size_t);
   size_t (*and3_popcount)(const BitmapWord*, const BitmapWord*,
                           const BitmapWord*, size_t);
   size_t (*and_store)(const BitmapWord*, const BitmapWord*, BitmapWord*,
                       size_t);
-  size_t (*andnot_store)(const BitmapWord*, const BitmapWord*, BitmapWord*,
-                         size_t);
 };
 
-constexpr Kernels kScalarKernels = {
-    "scalar",        PopcountScalar,     AndPopcountScalar,
-    AndNotPopcountScalar, And3PopcountScalar, AndStoreScalar,
-    AndNotStoreScalar};
+constexpr Kernels kScalarKernels = {"scalar", PopcountScalar,
+                                    AndPopcountScalar, And3PopcountScalar,
+                                    AndStoreScalar};
 
 Kernels SelectKernels() {
 #if defined(__x86_64__)
   if (__builtin_cpu_supports("avx2")) {
-    return Kernels{"avx2",           PopcountAvx2,     AndPopcountAvx2,
-                   AndNotPopcountAvx2, And3PopcountAvx2, AndStoreAvx2,
-                   AndNotStoreAvx2};
+    return Kernels{"avx2", PopcountAvx2, AndPopcountAvx2, And3PopcountAvx2,
+                   AndStoreAvx2};
   }
 #elif defined(__aarch64__) && defined(__ARM_NEON)
-  return Kernels{"neon",           PopcountNeon,     AndPopcountNeon,
-                 AndNotPopcountNeon, And3PopcountNeon, AndStoreNeon,
-                 AndNotStoreNeon};
+  return Kernels{"neon", PopcountNeon, AndPopcountNeon, And3PopcountNeon,
+                 AndStoreNeon};
 #endif
   return kScalarKernels;
 }
@@ -431,21 +328,17 @@ TidBitmap TidBitmap::FromTids(const std::vector<TransactionId>& tids,
 std::vector<TransactionId> TidBitmap::ToTids() const {
   std::vector<TransactionId> out;
   out.reserve(BitmapPopcount(*this));
-  AppendTids(&out);
-  return out;
-}
-
-void TidBitmap::AppendTids(std::vector<TransactionId>* out) const {
   for (size_t w = 0; w < words_.size(); ++w) {
     BitmapWord word = words_[w];
     const size_t base = w * kBitmapWordBits;
     while (word != 0) {
       const int bit = std::countr_zero(word);
-      out->push_back(
+      out.push_back(
           static_cast<TransactionId>(base + static_cast<size_t>(bit)));
       word &= word - 1;  // clear the lowest set bit
     }
   }
+  return out;
 }
 
 // --- word-kernel entry points ----------------------------------------------
@@ -457,11 +350,6 @@ size_t BitmapPopcount(const TidBitmap& a) {
 size_t AndPopcount(const TidBitmap& a, const TidBitmap& b) {
   MARAS_CHECK(a.universe() == b.universe()) << "universe mismatch";
   return ActiveKernels().and_popcount(a.words(), b.words(), a.word_count());
-}
-
-size_t AndNotPopcount(const TidBitmap& a, const TidBitmap& b) {
-  MARAS_CHECK(a.universe() == b.universe()) << "universe mismatch";
-  return ActiveKernels().andnot_popcount(a.words(), b.words(), a.word_count());
 }
 
 size_t And3Popcount(const TidBitmap& a, const TidBitmap& b,
@@ -479,173 +367,6 @@ size_t BitmapAnd(const TidBitmap& a, const TidBitmap& b, TidBitmap* out) {
                                    a.word_count());
 }
 
-size_t BitmapAndNot(const TidBitmap& a, const TidBitmap& b, TidBitmap* out) {
-  MARAS_CHECK(a.universe() == b.universe()) << "universe mismatch";
-  out->Reset(a.universe());
-  return ActiveKernels().andnot_store(a.words(), b.words(),
-                                      out->mutable_words(), a.word_count());
-}
-
 const char* BitmapKernelBackend() { return ActiveKernels().name; }
-
-// --- sparse kernels --------------------------------------------------------
-
-namespace {
-
-// First index >= lo with v[idx] >= target, by exponential search from lo
-// followed by binary refinement over the bracketing window.
-size_t GallopFind(const std::vector<TransactionId>& v, size_t lo,
-                  TransactionId target) {
-  const size_t n = v.size();
-  size_t bound = 1;
-  while (lo + bound < n && v[lo + bound] < target) bound *= 2;
-  size_t left = lo + bound / 2;
-  size_t right = std::min(lo + bound, n);
-  while (left < right) {
-    const size_t mid = left + (right - left) / 2;
-    if (v[mid] < target) {
-      left = mid + 1;
-    } else {
-      right = mid;
-    }
-  }
-  return left;
-}
-
-// Shared walk for the counting and materializing variants. Walks the
-// shorter list element-wise and gallops through the longer one.
-template <typename Emit>
-void GallopWalk(const std::vector<TransactionId>& a,
-                const std::vector<TransactionId>& b, Emit&& emit) {
-  const std::vector<TransactionId>& small = a.size() <= b.size() ? a : b;
-  const std::vector<TransactionId>& large = a.size() <= b.size() ? b : a;
-  size_t cursor = 0;
-  for (TransactionId x : small) {
-    cursor = GallopFind(large, cursor, x);
-    if (cursor == large.size()) break;
-    if (large[cursor] == x) {
-      emit(x);
-      ++cursor;
-    }
-  }
-}
-
-}  // namespace
-
-size_t GallopIntersectCount(const std::vector<TransactionId>& a,
-                            const std::vector<TransactionId>& b) {
-  size_t count = 0;
-  GallopWalk(a, b, [&count](TransactionId) { ++count; });
-  return count;
-}
-
-void GallopIntersect(const std::vector<TransactionId>& a,
-                     const std::vector<TransactionId>& b,
-                     std::vector<TransactionId>* out) {
-  out->clear();
-  GallopWalk(a, b, [out](TransactionId x) { out->push_back(x); });
-}
-
-size_t ProbeCount(const std::vector<TransactionId>& tids, const TidBitmap& b) {
-  size_t count = 0;
-  for (TransactionId tid : tids) {
-    count += b.Test(tid) ? 1u : 0u;
-  }
-  return count;
-}
-
-void ProbeIntersect(const std::vector<TransactionId>& tids, const TidBitmap& b,
-                    std::vector<TransactionId>* out) {
-  out->clear();
-  for (TransactionId tid : tids) {
-    if (b.Test(tid)) out->push_back(tid);
-  }
-}
-
-// --- representation choice -------------------------------------------------
-
-namespace {
-
-bool ChooseDense(size_t support, size_t universe, BitmapPolicy policy) {
-  switch (policy) {
-    case BitmapPolicy::kDense:
-      return true;
-    case BitmapPolicy::kSparse:
-      return false;
-    case BitmapPolicy::kAuto:
-      return PreferDense(support, universe);
-  }
-  return false;
-}
-
-}  // namespace
-
-VerticalSlice VerticalSlice::Make(ItemId item,
-                                  const std::vector<TransactionId>& t,
-                                  size_t universe, BitmapPolicy policy) {
-  VerticalSlice slice;
-  slice.item = item;
-  slice.support = t.size();
-  slice.dense = ChooseDense(t.size(), universe, policy);
-  if (slice.dense) {
-    slice.bitmap = TidBitmap::FromTids(t, universe);
-  } else {
-    slice.tids = t;
-  }
-  return slice;
-}
-
-VerticalSlice VerticalSlice::FromIntersection(ItemId item,
-                                              std::vector<TransactionId> t,
-                                              size_t universe,
-                                              BitmapPolicy policy) {
-  VerticalSlice slice;
-  slice.item = item;
-  slice.support = t.size();
-  slice.dense = ChooseDense(t.size(), universe, policy);
-  if (slice.dense) {
-    slice.bitmap = TidBitmap::FromTids(t, universe);
-  } else {
-    slice.tids = std::move(t);
-  }
-  return slice;
-}
-
-VerticalSlice VerticalSlice::FromIntersection(ItemId item, TidBitmap bm,
-                                              size_t support,
-                                              BitmapPolicy policy) {
-  VerticalSlice slice;
-  slice.item = item;
-  slice.support = support;
-  slice.dense = ChooseDense(support, bm.universe(), policy);
-  if (slice.dense) {
-    slice.bitmap = std::move(bm);
-  } else {
-    slice.tids = bm.ToTids();
-  }
-  return slice;
-}
-
-VerticalSlice IntersectSlices(const VerticalSlice& a, const VerticalSlice& b,
-                              size_t universe, BitmapPolicy policy) {
-  if (a.dense && b.dense) {
-    TidBitmap out;
-    const size_t support = BitmapAnd(a.bitmap, b.bitmap, &out);
-    if (support == 0) return VerticalSlice{b.item, 0, false, {}, {}};
-    return VerticalSlice::FromIntersection(b.item, std::move(out), support,
-                                           policy);
-  }
-  std::vector<TransactionId> out;
-  if (!a.dense && !b.dense) {
-    GallopIntersect(a.tids, b.tids, &out);
-  } else {
-    const VerticalSlice& sparse = a.dense ? b : a;
-    const VerticalSlice& dense = a.dense ? a : b;
-    ProbeIntersect(sparse.tids, dense.bitmap, &out);
-  }
-  if (out.empty()) return VerticalSlice{b.item, 0, false, {}, {}};
-  return VerticalSlice::FromIntersection(b.item, std::move(out), universe,
-                                         policy);
-}
 
 }  // namespace maras::mining

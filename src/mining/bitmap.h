@@ -13,19 +13,15 @@ namespace maras::mining {
 // Fixed-width bitmap kernels over the vertical tid index.
 //
 // A TidBitmap represents a set of transaction ids drawn from a fixed
-// universe [0, universe) as packed 64-bit words. Support counting — the
-// inner loop of vertical mining and of every 2×2 contingency table — then
+// universe [0, universe) as packed 64-bit words. Support counting for the
+// 2×2 contingency tables (core/disproportionality ContingencyBatch), the
+// stratified tables and the concept lattice's subset-support fallback then
 // becomes word-wise AND + popcount over contiguous arrays instead of a
 // branchy merge over std::vector<Tid>. The kernels below are written as
 // plain loops the compiler can autovectorize, with an AVX2 path selected at
 // runtime on x86-64 (and a NEON path compiled in on aarch64); every backend
 // computes bit-identical counts, which mining_bitmap_kernel_test proves
 // against a scalar std::set_intersection oracle.
-//
-// Sparse items (support ≪ universe) stay cheaper as sorted tid-lists, so
-// the layer also provides galloping (exponential-search) intersection and
-// bitmap-probe kernels, plus the dense<->sparse conversions the miner's
-// density-based representation choice needs.
 // ---------------------------------------------------------------------------
 
 using BitmapWord = uint64_t;
@@ -36,19 +32,6 @@ inline constexpr size_t kBitmapWordBits = 64;
 // 4 KiB per operand, so two operands of a blocked AND+popcount fit in L1
 // alongside the accumulator state.
 inline constexpr size_t kBitmapBlockWords = 512;
-
-// Representation heuristic: a bitmap costs universe/8 bytes regardless of
-// support; a tid-list costs 4·support bytes. The bitmap additionally wins
-// on branch-free intersection, so the crossover is taken well before byte
-// parity: an item goes dense when support · kDenseSelectivityDivisor >=
-// universe (≥ 1/32 of all transactions contain it).
-inline constexpr size_t kDenseSelectivityDivisor = 32;
-
-// True when an item of `support` over `universe` transactions should use
-// the dense bitmap representation under the auto policy.
-inline bool PreferDense(size_t support, size_t universe) {
-  return support * kDenseSelectivityDivisor >= universe;
-}
 
 // Fixed-universe bitset keyed by TransactionId. Bits beyond `universe` in
 // the trailing partial word are kept zero — every kernel relies on that
@@ -71,18 +54,16 @@ class TidBitmap {
 
   size_t universe() const { return universe_; }
   size_t word_count() const { return words_.size(); }
-  bool empty_universe() const { return universe_ == 0; }
 
   const BitmapWord* words() const { return words_.data(); }
   BitmapWord* mutable_words() { return words_.data(); }
 
-  // Builds the bitmap of a sorted tid-list (the dense<-sparse conversion).
+  // Builds the bitmap of a sorted tid-list.
   static TidBitmap FromTids(const std::vector<TransactionId>& tids,
                             size_t universe);
 
-  // Decodes back to the ascending tid-list (the sparse<-dense conversion).
+  // Decodes back to the ascending tid-list.
   std::vector<TransactionId> ToTids() const;
-  void AppendTids(std::vector<TransactionId>* out) const;
 
  private:
   size_t universe_ = 0;
@@ -97,9 +78,6 @@ size_t BitmapPopcount(const TidBitmap& a);
 // |a ∧ b| without materializing the intersection. Universes must match.
 size_t AndPopcount(const TidBitmap& a, const TidBitmap& b);
 
-// |a ∧ ¬b| — the "lacks" cell of a contingency row. Universes must match.
-size_t AndNotPopcount(const TidBitmap& a, const TidBitmap& b);
-
 // |a ∧ b ∧ c| — one fused pass for stratified cell counts.
 size_t And3Popcount(const TidBitmap& a, const TidBitmap& b,
                     const TidBitmap& c);
@@ -108,72 +86,9 @@ size_t And3Popcount(const TidBitmap& a, const TidBitmap& b,
 // universe first, so any recycled bitmap may be passed.
 size_t BitmapAnd(const TidBitmap& a, const TidBitmap& b, TidBitmap* out);
 
-// out = a ∧ ¬b, materialized; returns |out|.
-size_t BitmapAndNot(const TidBitmap& a, const TidBitmap& b, TidBitmap* out);
-
 // Name of the word-kernel backend the runtime dispatch selected: "avx2",
 // "neon", or "scalar". Stable for the life of the process.
 const char* BitmapKernelBackend();
-
-// --- sparse kernels --------------------------------------------------------
-
-// |a ∩ b| over sorted tid-lists by galloping: the shorter list is walked
-// element-wise, the longer advanced by exponential search then binary
-// refinement — O(|short| · log |long|), which beats the linear merge when
-// the lengths are badly skewed (the sparse-item case).
-size_t GallopIntersectCount(const std::vector<TransactionId>& a,
-                            const std::vector<TransactionId>& b);
-
-// a ∩ b materialized into *out (cleared first; capacity kept).
-void GallopIntersect(const std::vector<TransactionId>& a,
-                     const std::vector<TransactionId>& b,
-                     std::vector<TransactionId>* out);
-
-// |tids ∩ bitmap| — probe each sparse tid against the dense side.
-size_t ProbeCount(const std::vector<TransactionId>& tids, const TidBitmap& b);
-
-// tids ∩ bitmap materialized into *out (cleared first; capacity kept).
-void ProbeIntersect(const std::vector<TransactionId>& tids, const TidBitmap& b,
-                    std::vector<TransactionId>* out);
-
-// ---------------------------------------------------------------------------
-// Per-item vertical representation with density-based choice: the bridge
-// between the TransactionDatabase's tid-lists and the kernels above.
-// ---------------------------------------------------------------------------
-
-// Which representation a VerticalSlice (and its descendants) may use.
-enum class BitmapPolicy {
-  kAuto,    // per-slice by PreferDense() — the production mode
-  kDense,   // force bitmaps everywhere (test/bench mode)
-  kSparse,  // force tid-lists everywhere (test/bench mode)
-};
-
-// One item's (or one equivalence-class member's) tid set, in whichever
-// representation the policy chose. Exactly one of bitmap/tids is active.
-struct VerticalSlice {
-  ItemId item = 0;
-  size_t support = 0;
-  bool dense = false;
-  TidBitmap bitmap;                  // active when dense
-  std::vector<TransactionId> tids;   // active when !dense
-
-  // Builds a slice from a sorted tid-list under `policy`.
-  static VerticalSlice Make(ItemId item, const std::vector<TransactionId>& t,
-                            size_t universe, BitmapPolicy policy);
-
-  // Re-encodes an already-intersected result (sorted tids) under `policy`.
-  static VerticalSlice FromIntersection(ItemId item,
-                                        std::vector<TransactionId> t,
-                                        size_t universe, BitmapPolicy policy);
-  static VerticalSlice FromIntersection(ItemId item, TidBitmap bm,
-                                        size_t support, BitmapPolicy policy);
-};
-
-// support(|a ∩ b|) plus the child slice for item `b.item`, intersecting any
-// representation pair under `policy`. Returns a slice with support 0 (and
-// no storage) when the intersection is empty.
-VerticalSlice IntersectSlices(const VerticalSlice& a, const VerticalSlice& b,
-                              size_t universe, BitmapPolicy policy);
 
 }  // namespace maras::mining
 

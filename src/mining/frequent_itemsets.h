@@ -62,19 +62,8 @@ class FrequentItemsetResult {
   FlatItemsetIndex index_;  // entry i -> itemsets_[i].items
 };
 
-// Which engine + vertical representation Eclat::Mine uses. The bitmap
-// engine (first three modes) runs on mining/bitmap.h kernels; kScalar is
-// the original std::set_intersection path, kept as the differential
-// reference the oracle tests pit the kernels against. Every mode emits the
-// exact same canonical result — mining_differential_test proves it.
-enum class EclatMode {
-  kAuto = 0,  // per-slice density choice (dense bitmap vs sparse tid-list)
-  kDense,     // force dense bitmaps everywhere
-  kSparse,    // force sparse tid-lists (galloping intersection) everywhere
-  kScalar,    // legacy scalar merge-intersection reference
-};
-
-// Mining algorithm knobs shared by Apriori and FP-Growth.
+// FP-Growth's knobs. The test-only reference miners in tests/oracles honour
+// only min_support and max_itemset_size.
 struct MiningOptions {
   // Absolute minimum support count (the paper mines with a very low support
   // threshold to keep rare drug combinations; Section 1.3).
@@ -84,14 +73,10 @@ struct MiningOptions {
   // synthetic data.
   size_t max_itemset_size = 0;
   // Worker threads for the parallelizable stages: FP-Growth's per-item
-  // conditional-tree fan-out, the closed-set filter, and bitmap-Eclat's
-  // root equivalence-class fan-out. 0 and 1 both mean serial. Results are
-  // byte-identical for every value — the determinism suite asserts it — so
-  // this is purely a speed knob. Apriori and scalar Eclat ignore it (they
-  // are the cross-check baselines, kept serial).
+  // conditional-tree fan-out and the closed-set filter. 0 and 1 both mean
+  // serial. Results are byte-identical for every value — the determinism
+  // suite asserts it — so this is purely a speed knob.
   size_t num_threads = 1;
-  // Engine/representation choice for Eclat (ignored by the other miners).
-  EclatMode eclat_mode = EclatMode::kAuto;
   // Multi-process item-range sharding of FP-Growth's top-level fan-out:
   // mine only the top-level items whose index i — in the global tree's
   // support-ascending header order — satisfies i % shard_count ==
@@ -101,16 +86,15 @@ struct MiningOptions {
   // reconstructs the unsharded mine byte for byte. The stride (rather than
   // a contiguous range) balances load — neighbors in support order have
   // similar conditional-tree sizes. shard_count == 1 (with shard_index 0)
-  // means unsharded; Apriori and Eclat reject sharding (they are the
-  // serial cross-check baselines).
+  // means unsharded.
   size_t shard_index = 0;
   size_t shard_count = 1;
   // Optional resource governance (util/run_context.h). When set, FP-Growth
   // polls it once per conditional-tree step and charges its memory budget
   // for every itemset recorded, so a runaway low-support mine stops with
   // kCancelled / kDeadlineExceeded / kResourceExhausted instead of hanging
-  // or OOMing. The Apriori/Eclat cross-check baselines ignore it. Does not
-  // affect mined output when nothing trips. nullptr = ungoverned.
+  // or OOMing. Does not affect mined output when nothing trips.
+  // nullptr = ungoverned.
   const RunContext* context = nullptr;
 };
 

@@ -18,7 +18,7 @@ using TransactionId = uint32_t;
 // subsets that may fall below the mining threshold. The vertical index is a
 // flat ItemId-indexed array of tid lists (items are dense interned ids), so
 // a TidList lookup is one bounds check and one vector index — the access
-// every bitmap-Eclat root build and batched contingency pass starts from.
+// every bitmap build and batched contingency pass starts from.
 class TransactionDatabase {
  public:
   TransactionDatabase() = default;

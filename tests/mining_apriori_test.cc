@@ -1,34 +1,12 @@
-#include "mining/apriori.h"
+#include "tests/oracles/apriori.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
-
+#include "tests/oracles/brute_force.h"
 #include "util/random.h"
 
 namespace maras::mining {
 namespace {
-
-// Brute-force frequent itemset miner over a small item universe: exact
-// ground truth for both Apriori and FP-Growth.
-std::map<Itemset, size_t> BruteForceFrequent(const TransactionDatabase& db,
-                                             size_t min_support,
-                                             ItemId max_item) {
-  std::map<Itemset, size_t> result;
-  const uint32_t n_items = max_item + 1;
-  for (uint32_t mask = 1; mask < (1u << n_items); ++mask) {
-    Itemset candidate;
-    for (uint32_t i = 0; i < n_items; ++i) {
-      if (mask & (1u << i)) candidate.push_back(i);
-    }
-    size_t support = 0;
-    for (const Itemset& t : db.transactions()) {
-      if (IsSubset(candidate, t)) ++support;
-    }
-    if (support >= min_support) result[candidate] = support;
-  }
-  return result;
-}
 
 TransactionDatabase TextbookDb() {
   // Classic example database.
@@ -72,14 +50,13 @@ TEST(AprioriTest, MatchesBruteForce) {
       }
       db.Add(std::move(txn));
     }
-    size_t min_support = 2 + rng.Uniform(4);
-    Apriori miner(MiningOptions{.min_support = min_support});
-    auto result = miner.Mine(db);
+    const MiningOptions options{.min_support = 2 + rng.Uniform(4)};
+    auto result = Apriori(options).Mine(db);
     ASSERT_TRUE(result.ok());
-    auto expected = BruteForceFrequent(db, min_support, 7);
-    EXPECT_EQ(result->size(), expected.size()) << "trial " << trial;
-    for (const auto& [items, support] : expected) {
-      EXPECT_EQ(result->SupportOf(items), support) << ToString(items);
+    const FrequentItemsetResult expected = BruteForceMine(db, options, 8);
+    ASSERT_EQ(result->size(), expected.size()) << "trial " << trial;
+    for (const FrequentItemset& fi : expected.itemsets()) {
+      EXPECT_EQ(result->SupportOf(fi.items), fi.support) << ToString(fi.items);
     }
   }
 }

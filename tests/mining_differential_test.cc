@@ -1,14 +1,11 @@
 // The parallel mining engine's trust harness, in two halves.
 //
-// Differential oracle: four independent miners — FP-Growth (prefix-tree
-// projection, serial and thread-pooled), Eclat (vertical bitmap/tid-list
-// intersection, in every representation mode), Apriori (level-wise) and an
-// exhaustive brute-force enumerator — must produce the exact same
-// frequent-itemset family on seeded random databases. Any algorithmic or
-// concurrency bug has to corrupt all four identically to slip through.
-// The bitmap Eclat additionally runs with dense-only, sparse-only, and
-// density-chosen representations at 1, 2, and 8 threads: same bytes every
-// time, so neither the kernel backend nor scheduling can leak into output.
+// Differential oracle: FP-Growth (prefix-tree projection, serial and
+// thread-pooled, whole or split into item-range shards) must produce the
+// exact same frequent-itemset family as the two test-only oracles in
+// tests/oracles — Apriori (level-wise) and an exhaustive brute-force
+// enumerator — on seeded random databases. Any algorithmic or concurrency
+// bug has to corrupt all of them identically to slip through.
 //
 // Determinism suite: on generator-built FAERS corpora, the full serialized
 // output — closed itemsets, association rules, and ranked MCACs — must be
@@ -25,11 +22,11 @@
 #include "core/ranking.h"
 #include "faers/generator.h"
 #include "faers/preprocess.h"
-#include "mining/apriori.h"
 #include "mining/closed_itemsets.h"
-#include "mining/eclat.h"
 #include "mining/fpgrowth.h"
 #include "mining/rules.h"
+#include "tests/oracles/apriori.h"
+#include "tests/oracles/brute_force.h"
 #include "util/random.h"
 
 namespace maras::mining {
@@ -47,31 +44,6 @@ TransactionDatabase RandomDb(maras::Rng* rng, int transactions, int items,
     db.Add(std::move(txn));
   }
   return db;
-}
-
-// Ground truth by exhaustion: enumerate every subset of the item universe
-// and count its support directly against the database. Exponential in
-// `items`, so only usable for small universes — which is exactly why it is
-// trustworthy as an oracle.
-FrequentItemsetResult BruteForceMine(const TransactionDatabase& db,
-                                     const MiningOptions& options,
-                                     int items) {
-  EXPECT_LE(items, 16) << "brute force is 2^items";
-  FrequentItemsetResult result;
-  for (uint32_t mask = 1; mask < (1u << items); ++mask) {
-    Itemset candidate;
-    for (int i = 0; i < items; ++i) {
-      if (mask & (1u << i)) candidate.push_back(static_cast<ItemId>(i));
-    }
-    if (options.max_itemset_size != 0 &&
-        candidate.size() > options.max_itemset_size) {
-      continue;
-    }
-    size_t support = db.Support(candidate);
-    if (support >= options.min_support) result.Add(candidate, support);
-  }
-  result.SortCanonically();
-  return result;
 }
 
 // Canonical byte serialization of a mined result. Two results are identical
@@ -137,14 +109,11 @@ TEST_P(DifferentialOracleTest, FourMinersAgreeOnRandomDatabases) {
     TransactionDatabase db = RandomDb(&rng, 60 + trial * 20, items, 6);
     MiningOptions options{.min_support = 1 + rng.Uniform(4)};
     auto fp = FpGrowth(options).Mine(db);
-    auto ec = Eclat(options).Mine(db);
     auto ap = Apriori(options).Mine(db);
     ASSERT_TRUE(fp.ok());
-    ASSERT_TRUE(ec.ok());
     ASSERT_TRUE(ap.ok());
     FrequentItemsetResult brute = BruteForceMine(db, options, items);
     ExpectIdentical(*fp, brute, "fpgrowth vs brute");
-    ExpectIdentical(*ec, brute, "eclat vs brute");
     ExpectIdentical(*ap, brute, "apriori vs brute");
 
     MiningOptions parallel = options;
@@ -155,49 +124,6 @@ TEST_P(DifferentialOracleTest, FourMinersAgreeOnRandomDatabases) {
   }
 }
 
-TEST_P(DifferentialOracleTest, BitmapEclatModesMatchBruteAtAnyThreadCount) {
-  maras::Rng rng(GetParam() * 13 + 7);
-  const EclatMode kModes[] = {EclatMode::kScalar, EclatMode::kAuto,
-                              EclatMode::kDense, EclatMode::kSparse};
-  for (int trial = 0; trial < 3; ++trial) {
-    const int items = 8 + static_cast<int>(rng.Uniform(4));  // 8..11
-    TransactionDatabase db = RandomDb(&rng, 50 + trial * 40, items, 6);
-    MiningOptions options{.min_support = 1 + rng.Uniform(3)};
-    const std::string brute_bytes =
-        Serialize(BruteForceMine(db, options, items));
-    for (EclatMode mode : kModes) {
-      for (size_t threads : {1u, 2u, 8u}) {
-        MiningOptions opt = options;
-        opt.eclat_mode = mode;
-        opt.num_threads = threads;
-        auto mined = Eclat(opt).Mine(db);
-        ASSERT_TRUE(mined.ok());
-        EXPECT_EQ(Serialize(*mined), brute_bytes)
-            << "mode " << static_cast<int>(mode) << ", " << threads
-            << " threads, trial " << trial;
-      }
-    }
-  }
-}
-
-TEST_P(DifferentialOracleTest, BitmapEclatModesAgreeUnderSizeCap) {
-  maras::Rng rng(GetParam() ^ 0xB17);
-  const int items = 10;
-  TransactionDatabase db = RandomDb(&rng, 80, items, 7);
-  MiningOptions options{.min_support = 2, .max_itemset_size = 3};
-  const std::string brute_bytes = Serialize(BruteForceMine(db, options, items));
-  for (EclatMode mode : {EclatMode::kScalar, EclatMode::kAuto,
-                         EclatMode::kDense, EclatMode::kSparse}) {
-    MiningOptions opt = options;
-    opt.eclat_mode = mode;
-    opt.num_threads = 8;
-    auto mined = Eclat(opt).Mine(db);
-    ASSERT_TRUE(mined.ok());
-    EXPECT_EQ(Serialize(*mined), brute_bytes)
-        << "mode " << static_cast<int>(mode);
-  }
-}
-
 TEST_P(DifferentialOracleTest, AgreementHoldsUnderSizeCap) {
   maras::Rng rng(GetParam() ^ 0xABCDEF);
   const int items = 10;
@@ -205,16 +131,59 @@ TEST_P(DifferentialOracleTest, AgreementHoldsUnderSizeCap) {
   MiningOptions options{.min_support = 2, .max_itemset_size = 3};
   FrequentItemsetResult brute = BruteForceMine(db, options, items);
   auto fp = FpGrowth(options).Mine(db);
-  auto ec = Eclat(options).Mine(db);
   auto ap = Apriori(options).Mine(db);
-  ASSERT_TRUE(fp.ok() && ec.ok() && ap.ok());
+  ASSERT_TRUE(fp.ok() && ap.ok());
   ExpectIdentical(*fp, brute, "fpgrowth vs brute (capped)");
-  ExpectIdentical(*ec, brute, "eclat vs brute (capped)");
   ExpectIdentical(*ap, brute, "apriori vs brute (capped)");
   options.num_threads = 8;
   auto fp8 = FpGrowth(options).Mine(db);
   ASSERT_TRUE(fp8.ok());
   ExpectIdentical(*fp8, brute, "fpgrowth(8 threads) vs brute (capped)");
+}
+
+TEST_P(DifferentialOracleTest, ItemRangeShardsReassembleToBrute) {
+  // The shard supervisor's contract at the miner level: every shard of one
+  // shard_count, absorbed and sorted canonically, is the unsharded family.
+  maras::Rng rng(GetParam() * 31 + 5);
+  for (int trial = 0; trial < 3; ++trial) {
+    const int items = 8 + static_cast<int>(rng.Uniform(4));  // 8..11
+    TransactionDatabase db = RandomDb(&rng, 60 + trial * 30, items, 6);
+    MiningOptions options{.min_support = 1 + rng.Uniform(3)};
+    const FrequentItemsetResult brute = BruteForceMine(db, options, items);
+    // At most `items` items are frequent, so the last count leaves some
+    // shards without a top-level item.
+    const size_t empty_shards = static_cast<size_t>(items) + 3;
+    for (size_t shard_count : {size_t{2}, size_t{3}, size_t{7}, empty_shards}) {
+      for (size_t threads : {1u, 4u}) {
+        FrequentItemsetResult merged;
+        for (size_t shard = 0; shard < shard_count; ++shard) {
+          MiningOptions opt = options;
+          opt.num_threads = threads;
+          opt.shard_index = shard;
+          opt.shard_count = shard_count;
+          auto part = FpGrowth(opt).Mine(db);
+          ASSERT_TRUE(part.ok()) << part.status().ToString();
+          merged.Absorb(std::move(part).value());
+        }
+        merged.SortCanonically();
+        ExpectIdentical(merged, brute,
+                        ("shards " + std::to_string(shard_count) + ", " +
+                         std::to_string(threads) + " threads")
+                            .c_str());
+      }
+    }
+  }
+  TransactionDatabase db = RandomDb(&rng, 40, 8, 5);
+  for (size_t shard_index : {3u, 4u}) {
+    MiningOptions bad{.min_support = 1};
+    bad.shard_index = shard_index;
+    bad.shard_count = 3;
+    EXPECT_TRUE(FpGrowth(bad).Mine(db).status().IsInvalidArgument())
+        << "shard_index " << shard_index;
+  }
+  MiningOptions zero{.min_support = 1};
+  zero.shard_count = 0;
+  EXPECT_TRUE(FpGrowth(zero).Mine(db).status().IsInvalidArgument());
 }
 
 TEST_P(DifferentialOracleTest, ClosedFamilyAgreesAcrossMiners) {

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "mining/apriori.h"
 #include "mining/fptree.h"
+#include "tests/oracles/apriori.h"
 #include "util/random.h"
 
 namespace maras::mining {

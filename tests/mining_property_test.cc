@@ -7,10 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include "mining/apriori.h"
 #include "mining/closed_itemsets.h"
 #include "mining/fpgrowth.h"
 #include "mining/rules.h"
+#include "tests/oracles/apriori.h"
 #include "util/random.h"
 
 namespace maras::mining {

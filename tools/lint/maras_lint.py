@@ -2,8 +2,8 @@
 """maras-lint: project-invariant checks the compiler cannot express.
 
 MARAS's correctness story rests on invariants that are documented in
-DESIGN.md but, before this tool, enforced only by review: mining hot paths
-use the flat arena tables instead of node-based hash containers, long
+DESIGN.md but, before this tool, enforced only by review: mining code
+uses the flat arena tables instead of node-based hash containers, long
 governed loops poll their RunContext, allocation stays inside the arena and
 the counting allocator, headers keep a uniform guard style, and StatusOr
 temporaries are never dereferenced unchecked. maras-lint turns each of
@@ -39,9 +39,10 @@ from dataclasses import dataclass
 
 RULES = {
     "mining-flat-containers":
-        "std::unordered_map/set in a src/mining hot-path file (use "
-        "mining/flat_table.h or a dense ItemId table; apriori/maximal stay "
-        "node-based as differential oracles by design)",
+        "std::unordered_map/set in a src/mining file other than "
+        "item_dictionary.{h,cc} (use mining/flat_table.h or a dense ItemId "
+        "table; the string-keyed, build-time item dictionary is the one "
+        "exemption)",
     "no-raw-new-delete":
         "raw new/delete expression outside bench/alloc_counter and the "
         "`static ... = new` leaky-singleton idiom",
@@ -72,27 +73,11 @@ RULES = {
         "capability model is invisible to clang -Wthread-safety",
 }
 
-# Mining files that are on the hot path and must use flat (or dense
-# ItemId-indexed) containers. Since the bitmap-kernel PR, eclat and
-# transaction_db are hot paths too: eclat runs on the bitmap/tid-list
-# kernels and transaction_db's vertical index is a flat ItemId-indexed
-# array. The remaining files in src/mining (apriori, maximal,
-# item_dictionary, profile) are reference oracles or build-time-only code
-# and keep node-based containers for clarity.
-MINING_HOT_FILES = {
-    "fpgrowth.h", "fpgrowth.cc",
-    "fptree.h", "fptree.cc",
-    "closed_itemsets.h", "closed_itemsets.cc",
-    "frequent_itemsets.h", "frequent_itemsets.cc",
-    "itemset.h", "itemset.cc",
-    "flat_table.h",
-    "measures.h", "measures.cc",
-    "rules.h", "rules.cc",
-    "bitmap.h", "bitmap.cc",
-    "concept_lattice.h", "concept_lattice.cc",
-    "eclat.h", "eclat.cc",
-    "transaction_db.h", "transaction_db.cc",
-}
+# Every file under src/mining must use flat (or dense ItemId-indexed)
+# containers — hash iteration order would leak nondeterminism into mined
+# results — except the item dictionary: it interns strings once, at build
+# time, and its string-keyed index never reaches a result ordering.
+MINING_NODE_CONTAINER_EXEMPT = {"item_dictionary.h", "item_dictionary.cc"}
 
 # Files allowed to spell raw new/delete: the counting global allocator
 # must call the real allocation primitives.
@@ -241,11 +226,12 @@ _UNORDERED_RE = re.compile(r"\bstd\s*::\s*unordered_(?:map|set)\b")
 
 def rule_mining_flat_containers(relpath, text, stripped):
     parts = relpath.replace(os.sep, "/").split("/")
-    if parts[:2] != ["src", "mining"] or parts[-1] not in MINING_HOT_FILES:
+    if parts[:2] != ["src", "mining"] or \
+            parts[-1] in MINING_NODE_CONTAINER_EXEMPT:
         return
     for m in _UNORDERED_RE.finditer(stripped):
         yield (line_of(stripped, m.start()),
-               "node-based hash container in a mining hot path; use "
+               "node-based hash container in src/mining; use "
                "mining/flat_table.h (FlatItemsetIndex/ItemsetFlatSet or a "
                "dense ItemId table)")
 
