@@ -1,13 +1,13 @@
 // MCAC-construction micro-benchmarks: the per-target subset-support fan-out
 // that dominates stage 4, measured on a dense synthetic corpus whose targets
-// overlap heavily in drug subsets (the workload the concept lattice and the
-// shared SubsetSupportCache exist for). Benchmarks cover the one-time
-// lattice build, the enumeration baseline (every subset counted from the
-// transaction database), the lattice-backed fan-out with a cold cache (one
-// cache per pass, exactly BuildRankedStage's shape), and the hot-memo upper
-// bound. `--bench_json` writes bench/baselines/BENCH_mcac.json; `--smoke` is
-// the Release-mode result-hash gate: BuildRankedStage with the lattice must
-// be byte-identical to the enumeration path at 1, 2, and 8 threads.
+// overlap heavily in drug subsets. Benchmarks cover the one-time lattice
+// build, BuildMcac (every context support a descent in the concept
+// lattice, the only production path), and the test-only enumeration oracle
+// (every subset counted from the transaction database) as the baseline.
+// `--bench_json` writes bench/baselines/BENCH_mcac.json; `--smoke` is the
+// Release-mode result-hash gate: BuildRankedStage over the lattice must be
+// byte-identical to the enumeration oracle plus RankMcacs at 1, 2 and 8
+// threads.
 
 #include <chrono>
 #include <cstdio>
@@ -29,6 +29,7 @@
 #include "mining/item_dictionary.h"
 #include "mining/itemset.h"
 #include "mining/transaction_db.h"
+#include "tests/oracles/mcac_enumeration.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/run_context.h"
@@ -39,10 +40,9 @@ using namespace maras;
 
 // Dense MCAC workload: kTargets sliding windows of kWindow drugs over a
 // kDrugs-drug alphabet, each window reported kCopies times with its ADR, so
-// adjacent targets share all subsets of their (kWindow − 1)-drug overlap —
-// the cross-target reuse the shared cache memoizes. Singleton noise reports
-// fatten every database scan the enumeration baseline pays without growing
-// the closed family beyond {drug, adr} pairs.
+// adjacent targets share all subsets of their (kWindow − 1)-drug overlap.
+// Singleton noise reports fatten every database scan the enumeration
+// baseline pays without growing the closed family beyond {drug, adr} pairs.
 constexpr size_t kDrugs = 30;
 constexpr size_t kWindow = 6;
 constexpr size_t kTargets = kDrugs - kWindow + 1;  // 25
@@ -118,15 +118,29 @@ const Fixture& SharedFixture() {
   return *fixture;
 }
 
-size_t BuildAll(const core::McacBuilder& builder,
-                const std::vector<core::DrugAdrRule>& targets) {
+// Builds every target's MCAC with `build` and returns the context size.
+template <typename BuildFn>
+size_t BuildAll(const std::vector<core::DrugAdrRule>& targets,
+                BuildFn&& build) {
   size_t context_rules = 0;
   for (const core::DrugAdrRule& target : targets) {
-    auto mcac = builder.Build(target);
+    maras::StatusOr<core::Mcac> mcac = build(target);
     MARAS_CHECK(mcac.ok()) << mcac.status().ToString();
     context_rules += mcac->ContextSize();
   }
   return context_rules;
+}
+
+size_t BuildAllLattice(const Fixture& fixture) {
+  return BuildAll(fixture.targets, [&](const core::DrugAdrRule& target) {
+    return core::BuildMcac(target, fixture.lattice, fixture.db.size());
+  });
+}
+
+size_t BuildAllEnumerated(const Fixture& fixture) {
+  return BuildAll(fixture.targets, [&](const core::DrugAdrRule& target) {
+    return core::EnumerateMcac(target, fixture.db);
+  });
 }
 
 // One-time cost of stage 3.5: nodes + covering edges over the closed family.
@@ -152,14 +166,13 @@ BENCHMARK(BM_LatticeBuild)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Enumeration baseline: every subset support is a full database scan.
+// Enumeration baseline (the test-only oracle): every subset support is a
+// database count.
 void BM_McacEnumeration(benchmark::State& state) {
   const Fixture& fixture = SharedFixture();
-  const core::McacBuilder builder(&fixture.items, &fixture.db);
   size_t context_rules = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(context_rules =
-                                 BuildAll(builder, fixture.targets));
+    benchmark::DoNotOptimize(context_rules = BuildAllEnumerated(fixture));
   }
   state.counters["context_rules"] = static_cast<double>(context_rules);
   state.counters["targets_per_sec"] = benchmark::Counter(
@@ -168,63 +181,26 @@ void BM_McacEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_McacEnumeration)->Unit(benchmark::kMillisecond);
 
-// The production shape (BuildRankedStage): one shared cache per fan-out
-// pass, subset supports resolved as memoized lattice descents.
-void BM_McacLatticeColdCache(benchmark::State& state) {
+// The production path: BuildMcac per target, every context support a
+// descent from the target's lattice node.
+void BM_McacLattice(benchmark::State& state) {
   const Fixture& fixture = SharedFixture();
   size_t context_rules = 0;
-  uint64_t hits = 0, misses = 0, fallbacks = 0;
   for (auto _ : state) {
-    mining::SubsetSupportCache cache(&fixture.db);
-    const core::McacBuilder builder(&fixture.items, &fixture.db,
-                                    &fixture.lattice, &cache);
-    benchmark::DoNotOptimize(context_rules =
-                                 BuildAll(builder, fixture.targets));
-    hits = cache.hits();
-    misses = cache.misses();
-    fallbacks = cache.fallbacks();
+    benchmark::DoNotOptimize(context_rules = BuildAllLattice(fixture));
   }
   state.counters["context_rules"] = static_cast<double>(context_rules);
-  state.counters["cache_hit_rate"] =
-      hits + misses == 0
-          ? 0.0
-          : static_cast<double>(hits) / static_cast<double>(hits + misses);
-  state.counters["cache_fallbacks"] = static_cast<double>(fallbacks);
   state.counters["targets_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations() * kTargets),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_McacLatticeColdCache)->Unit(benchmark::kMillisecond);
-
-// Hot-memo upper bound: the cache outlives iterations, so steady state is
-// all hits — what repeated targets (multi-quarter reruns) approach.
-void BM_McacLatticeHotCache(benchmark::State& state) {
-  const Fixture& fixture = SharedFixture();
-  mining::SubsetSupportCache cache(&fixture.db);
-  const core::McacBuilder builder(&fixture.items, &fixture.db,
-                                  &fixture.lattice, &cache);
-  size_t context_rules = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(context_rules =
-                                 BuildAll(builder, fixture.targets));
-  }
-  const uint64_t hits = cache.hits();
-  const uint64_t misses = cache.misses();
-  state.counters["context_rules"] = static_cast<double>(context_rules);
-  state.counters["cache_hit_rate"] =
-      hits + misses == 0
-          ? 0.0
-          : static_cast<double>(hits) / static_cast<double>(hits + misses);
-  state.counters["targets_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * kTargets),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_McacLatticeHotCache)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_McacLattice)->Unit(benchmark::kMillisecond);
 
 // Release-mode byte-identity gate (the bench-smoke ctest label): the
-// lattice-backed stage must reproduce the enumeration bytes exactly, at
-// every thread count, and cold-vs-lattice timing is printed so the speedup
-// the baseline JSON records is visible in the smoke log too.
+// lattice-backed stage must reproduce the enumeration oracle's bytes
+// exactly, at every thread count, and enumeration-vs-lattice timing is
+// printed so the speedup the baseline JSON records is visible in the smoke
+// log too.
 bool RunSmoke() {
   const Fixture& fixture = SharedFixture();
   const RunContext ctx;
@@ -233,30 +209,25 @@ bool RunSmoke() {
   core::AnalyzerOptions options;
   options.mining.min_support = 4;
   options.mining.max_itemset_size = 0;
+  const core::RankingMethod method = core::RankingMethod::kExclusivenessLift;
 
-  std::string want;
+  auto oracle = core::EnumerateMcacs(fixture.targets, fixture.db);
+  MARAS_CHECK(oracle.ok()) << oracle.status().ToString();
+  const std::string want = core::EncodeRankedMcacs(
+      core::RankMcacs(*oracle, method, options.exclusiveness));
+  std::printf("smoke: enumeration  result-hash %016llx\n",
+              static_cast<unsigned long long>(core::Fnv1a64(want)));
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     options.mining.num_threads = threads;
-    auto plain = core::BuildRankedStage(
-        fixture.targets, fixture.items, fixture.db,
-        core::RankingMethod::kExclusivenessLift, options, ctx,
-        /*lattice=*/nullptr);
-    MARAS_CHECK(plain.ok()) << plain.status().ToString();
-    auto latticed = core::BuildRankedStage(
-        fixture.targets, fixture.items, fixture.db,
-        core::RankingMethod::kExclusivenessLift, options, ctx,
-        &fixture.lattice);
+    auto latticed = core::BuildRankedStage(fixture.targets, fixture.items,
+                                           fixture.db, method, options, ctx,
+                                           &fixture.lattice);
     MARAS_CHECK(latticed.ok()) << latticed.status().ToString();
-    const std::string plain_bytes = core::EncodeRankedMcacs(*plain);
     const std::string lattice_bytes = core::EncodeRankedMcacs(*latticed);
-    std::printf("smoke: enumeration  result-hash %016llx (threads=%zu)\n",
-                static_cast<unsigned long long>(core::Fnv1a64(plain_bytes)),
-                threads);
     std::printf("smoke: lattice      result-hash %016llx (threads=%zu)\n",
                 static_cast<unsigned long long>(core::Fnv1a64(lattice_bytes)),
                 threads);
-    if (want.empty()) want = plain_bytes;
-    if (plain_bytes != want || lattice_bytes != want) {
+    if (lattice_bytes != want) {
       std::fprintf(stderr,
                    "smoke: lattice/enumeration bytes diverge at %zu threads\n",
                    threads);
@@ -265,28 +236,20 @@ bool RunSmoke() {
   }
 
   // Informational timing: single-threaded fan-out, enumeration vs lattice.
-  const auto time_pass = [&](const core::McacBuilder& builder) {
+  const auto time_pass = [&](size_t (*pass)(const Fixture&)) {
     const auto start = std::chrono::steady_clock::now();
-    const size_t rules = BuildAll(builder, fixture.targets);
+    const size_t rules = pass(fixture);
     const auto elapsed = std::chrono::steady_clock::now() - start;
     MARAS_CHECK(rules > 0);
     return std::chrono::duration<double, std::milli>(elapsed).count();
   };
-  const core::McacBuilder plain_builder(&fixture.items, &fixture.db);
-  mining::SubsetSupportCache cache(&fixture.db);
-  const core::McacBuilder lattice_builder(&fixture.items, &fixture.db,
-                                          &fixture.lattice, &cache);
-  const double enum_ms = time_pass(plain_builder);
-  const double lattice_ms = time_pass(lattice_builder);
-  const uint64_t probes = cache.hits() + cache.misses();
+  const double enum_ms = time_pass(BuildAllEnumerated);
+  const double lattice_ms = time_pass(BuildAllLattice);
   std::printf(
       "smoke: fan-out over %zu targets: enumeration %.2f ms, lattice %.2f ms "
-      "(%.1fx), cache hit rate %.2f\n",
+      "(%.1fx)\n",
       fixture.targets.size(), enum_ms, lattice_ms,
-      lattice_ms > 0 ? enum_ms / lattice_ms : 0.0,
-      probes == 0 ? 0.0
-                  : static_cast<double>(cache.hits()) /
-                        static_cast<double>(probes));
+      lattice_ms > 0 ? enum_ms / lattice_ms : 0.0);
 
   if (!ok) std::fprintf(stderr, "smoke: RESULT HASH MISMATCH\n");
   return ok;

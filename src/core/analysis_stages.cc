@@ -93,21 +93,17 @@ maras::Status RunStage(const MultiQuarterOptions& checkpoints,
   return PublishStage(checkpoints, stage, encode(*value));
 }
 
-// MCAC construction for the target rules, in rule order.
+// MCAC construction for the target rules, in rule order, every context
+// support a descent in `lattice`.
 maras::StatusOr<std::vector<Mcac>> BuildMcacs(
     const std::vector<DrugAdrRule>& rules,
-    const mining::ItemDictionary& items,
     const mining::TransactionDatabase& db, const AnalyzerOptions& analyzer,
-    const RunContext& ctx, const mining::ConceptLattice* lattice) {
-  mining::SubsetSupportCache cache(&db);
-  McacBuilder builder = lattice != nullptr
-                            ? McacBuilder(&items, &db, lattice, &cache)
-                            : McacBuilder(&items, &db);
+    const RunContext& ctx, const mining::ConceptLattice& lattice) {
   std::vector<std::optional<maras::StatusOr<Mcac>>> built(rules.size());
   maras::Status status = maras::TryParallelFor(
       analyzer.mining.num_threads, rules.size(), ctx,
       [&](size_t i) -> maras::Status {
-        built[i].emplace(builder.Build(rules[i]));
+        built[i].emplace(BuildMcac(rules[i], lattice, db.size()));
         return maras::Status::OK();
       });
   if (!status.ok()) return maras::WithContext(status, "mcac-build");
@@ -148,12 +144,9 @@ maras::Status RunAnalysisStages(const MineStep& mine,
 
   MARAS_RETURN_IF_ERROR(ctx.Check());
   auto build_mcacs = [&]() -> maras::StatusOr<std::vector<Mcac>> {
-    if (!LatticeMcacEligible(analyzer)) {
-      return BuildMcacs(out->rules, items, db, analyzer, ctx, nullptr);
-    }
     MARAS_ASSIGN_OR_RETURN(mining::ConceptLattice lattice,
                            BuildLatticeStage(closed.closed, analyzer, ctx));
-    return BuildMcacs(out->rules, items, db, analyzer, ctx, &lattice);
+    return BuildMcacs(out->rules, db, analyzer, ctx, lattice);
   };
   out->stats = closed.stats;
   if (method.has_value()) {
@@ -322,8 +315,10 @@ maras::StatusOr<std::vector<DrugAdrRule>> BuildRulesStage(
       analyzer.mining.num_threads, candidates.size(), ctx,
       [&](size_t i) -> maras::Status {
         const mining::FrequentItemset& fi = *candidates[i];
-        if (analyzer.verify_closed_in_db &&
-            !mining::IsClosedInDatabase(db, fi.items)) {
+        // Under a size cap, closed in the family need not mean closed in
+        // the database (an equal-support superset may lie past the cap),
+        // and MCAC construction needs database-closed targets.
+        if (!mining::IsClosedInDatabase(db, fi.items)) {
           return maras::Status::OK();
         }
         maras::StatusOr<DrugAdrRule> target = BuildRule(fi.items, items, db);
@@ -345,13 +340,7 @@ maras::StatusOr<std::vector<DrugAdrRule>> BuildRulesStage(
   return rules;
 }
 
-bool LatticeMcacEligible(const AnalyzerOptions& analyzer) {
-  // Exactness gate (concept_lattice.h): every closed node below a
-  // database-closed target is itself database-closed, so the descent needs
-  // either an uncapped family or database-verified targets.
-  return analyzer.mining.max_itemset_size == 0 ||
-         analyzer.verify_closed_in_db;
-}
+bool LatticeMcacEligible(const AnalyzerOptions& /*analyzer*/) { return true; }
 
 maras::StatusOr<mining::ConceptLattice> BuildLatticeStage(
     const mining::FrequentItemsetResult& closed,
@@ -364,12 +353,16 @@ maras::StatusOr<mining::ConceptLattice> BuildLatticeStage(
 
 maras::StatusOr<std::vector<RankedMcac>> BuildRankedStage(
     const std::vector<DrugAdrRule>& rules,
-    const mining::ItemDictionary& items,
+    const mining::ItemDictionary& /*items*/,
     const mining::TransactionDatabase& db, RankingMethod method,
     const AnalyzerOptions& analyzer, const RunContext& ctx,
     const mining::ConceptLattice* lattice) {
+  if (lattice == nullptr) {
+    return maras::Status::InvalidArgument(
+        "BuildRankedStage needs the concept lattice of the closed family");
+  }
   MARAS_ASSIGN_OR_RETURN(std::vector<Mcac> mcacs,
-                         BuildMcacs(rules, items, db, analyzer, ctx, lattice));
+                         BuildMcacs(rules, db, analyzer, ctx, *lattice));
   return RankMcacs(mcacs, method, analyzer.exclusiveness);
 }
 

@@ -33,6 +33,9 @@ namespace maras::core {
 // checkpointed: the mine step runs only when "closed" is not replayed. The
 // concept lattice is not checkpointed either: it is a pure function of the
 // closed family, rebuilt inside "ranked", and a replayed "ranked" skips it.
+// Every MCAC context support is a descent in that lattice from the target's
+// node (BuildMcac); the rules stage verifies each target closed in the
+// database, which makes the descent exact even for a capped mine.
 // Stage names and payload codecs (core/checkpoint.h) are a contract with
 // existing checkpoint directories.
 //
@@ -105,15 +108,17 @@ maras::StatusOr<ClosedCheckpoint> BuildClosedStage(
     const AnalyzerOptions& analyzer, const RunContext& ctx);
 
 // Rules stage: multi-drug target rule generation from the closed family.
+// Every target is verified closed in the database (IsClosedInDatabase), so
+// it is a lattice node and the descent below it is exact.
 maras::StatusOr<std::vector<DrugAdrRule>> BuildRulesStage(
     const mining::FrequentItemsetResult& closed,
     const mining::ItemDictionary& items,
     const mining::TransactionDatabase& db, const AnalyzerOptions& analyzer,
     const RunContext& ctx);
 
-// True when the lattice-backed MCAC path is exact for these options: the
-// mine was uncapped or targets are database-verified (concept_lattice.h).
-// The sequence skips BuildLatticeStage when this is false.
+// Always true: MCAC construction has one path, the lattice descent. Kept
+// only because perfbench's RunStaged calls it; the benchmark change that
+// retires RunStaged deletes it.
 bool LatticeMcacEligible(const AnalyzerOptions& analyzer);
 
 // Lattice step: the concept lattice over the closed family — node arenas
@@ -122,16 +127,16 @@ maras::StatusOr<mining::ConceptLattice> BuildLatticeStage(
     const mining::FrequentItemsetResult& closed,
     const AnalyzerOptions& analyzer, const RunContext& ctx);
 
-// MCAC construction for the target rules, then RankMcacs. With a non-null
-// `lattice`, subset supports resolve as memoized lattice walks (shared
-// SubsetSupportCache across the fan-out); bytes are identical to the
-// nullptr enumeration path.
+// MCAC construction for the target rules (BuildMcac on the rule fan-out,
+// every context support a descent in `lattice`), then RankMcacs. `lattice`
+// must be BuildLatticeStage's lattice of the closed family the rules came
+// from; nullptr is InvalidArgument. `items` is unused.
 maras::StatusOr<std::vector<RankedMcac>> BuildRankedStage(
     const std::vector<DrugAdrRule>& rules,
     const mining::ItemDictionary& items,
     const mining::TransactionDatabase& db, RankingMethod method,
     const AnalyzerOptions& analyzer, const RunContext& ctx,
-    const mining::ConceptLattice* lattice = nullptr);
+    const mining::ConceptLattice* lattice);
 
 }  // namespace maras::core
 

@@ -27,9 +27,10 @@ struct DegradationOptions {
 
 // End-to-end MARAS analysis options (mining + contextual ranking).
 struct AnalyzerOptions {
-  // mining.num_threads also drives the analyzer's own fan-out (closed-set
-  // filtering and per-candidate MCAC construction); results are
-  // byte-identical at any thread count.
+  // mining.num_threads also drives the analyzer's own fan-outs (closed-set
+  // filtering, per-candidate rule generation, the concept-lattice edge
+  // build and per-target MCAC construction); results are byte-identical at
+  // any thread count.
   mining::MiningOptions mining{.min_support = 10, .max_itemset_size = 8};
   // Minimum confidence a *target* rule must reach to form an MCAC.
   double min_confidence = 0.0;
@@ -37,11 +38,6 @@ struct AnalyzerOptions {
   // 2^n − 2; FAERS interactions of interest involve 2–4 drugs).
   size_t max_drugs_per_rule = 5;
   ExclusivenessOptions exclusiveness;
-  // Re-verify each candidate's closedness directly against the database.
-  // Required for exactness when mining.max_itemset_size truncates the
-  // itemset family (the in-family closedness filter cannot see equal-support
-  // supersets beyond the cap); costs one closure computation per candidate.
-  bool verify_closed_in_db = true;
   // Graceful degradation for governed runs (mining.context with a budget).
   DegradationOptions degradation;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "mining/measures.h"
 
@@ -27,7 +28,9 @@ maras::StatusOr<uint64_t> Mcac::ExpectedContextSize(size_t drug_count) {
   return (uint64_t{1} << drug_count) - 2;
 }
 
-maras::StatusOr<Mcac> McacBuilder::Build(const DrugAdrRule& target) const {
+maras::StatusOr<Mcac> BuildMcac(const DrugAdrRule& target,
+                                const mining::ConceptLattice& lattice,
+                                size_t num_reports) {
   MARAS_ASSIGN_OR_RETURN(const uint64_t expected_contexts,
                          Mcac::ExpectedContextSize(target.drugs.size()));
   if (target.drugs.size() > kMaxMcacAntecedentDrugs) {
@@ -37,27 +40,21 @@ maras::StatusOr<Mcac> McacBuilder::Build(const DrugAdrRule& target) const {
         std::to_string(kMaxMcacAntecedentDrugs) + " (context would hold " +
         std::to_string(expected_contexts) + " rules)");
   }
+  const mining::Itemset whole = target.CompleteItemset();
+  const uint32_t node = lattice.FindNode(whole);
+  if (node == mining::ConceptLattice::kNotFound) {
+    return maras::Status::Internal("MCAC target " + mining::ToString(whole) +
+                                   " is not a concept lattice node");
+  }
+  auto support_of = [&](const mining::Itemset& s) -> size_t {
+    return static_cast<size_t>(
+        lattice.NodeSupport(lattice.DescendToClosure(node, s)));
+  };
+
   Mcac mcac;
   mcac.target = target;
   mcac.levels.resize(target.drugs.size() - 1);
-
-  // With a lattice, every subset support — including the shared consequent —
-  // is a memoized downward walk from the target's concept. Targets the
-  // lattice does not hold (it was built from a differently filtered family)
-  // keep lattice_node == kNotFound, which routes each cache probe to the
-  // bitmap-kernel fallback: still exact, still memoized across targets.
-  const bool cached = lattice_ != nullptr && cache_ != nullptr;
-  uint32_t lattice_node = mining::ConceptLattice::kNotFound;
-  if (cached) lattice_node = lattice_->FindNode(target.CompleteItemset());
-  auto support_of = [&](const mining::Itemset& s) -> size_t {
-    if (cached) {
-      return static_cast<size_t>(cache_->Support(s, lattice_, lattice_node));
-    }
-    return db_->Support(s);
-  };
-
   const size_t consequent_support = support_of(target.adrs);
-  const size_t n = db_->size();
   mining::ForEachProperSubset(
       target.drugs, [&](const mining::Itemset& subset) {
         DrugAdrRule context;
@@ -70,7 +67,7 @@ maras::StatusOr<Mcac> McacBuilder::Build(const DrugAdrRule& target) const {
             mining::Confidence(context.support, context.antecedent_support);
         context.lift = mining::Lift(context.support,
                                     context.antecedent_support,
-                                    context.consequent_support, n);
+                                    context.consequent_support, num_reports);
         mcac.levels[subset.size() - 1].push_back(std::move(context));
       });
 

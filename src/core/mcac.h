@@ -6,16 +6,14 @@
 
 #include "core/drug_adr_rule.h"
 #include "mining/concept_lattice.h"
-#include "mining/item_dictionary.h"
-#include "mining/transaction_db.h"
 #include "util/statusor.h"
 
 namespace maras::core {
 
-// Largest antecedent the context enumeration accepts: 2^20 − 2 subsets is
-// already ~10^6 rules per cluster, far past anything the paper's 2-4 drug
-// combinations produce. Larger targets get a structured InvalidArgument
-// (never a silent cap or a crash).
+// Largest antecedent BuildMcac accepts: 2^20 − 2 subsets is already ~10^6
+// rules per cluster, far past anything the paper's 2-4 drug combinations
+// produce. Larger targets get a structured InvalidArgument (never a silent
+// cap or a crash).
 inline constexpr size_t kMaxMcacAntecedentDrugs = 20;
 
 // Multi-level Contextual Association Cluster (Section 3.5): a target
@@ -38,38 +36,18 @@ struct Mcac {
   static maras::StatusOr<uint64_t> ExpectedContextSize(size_t drug_count);
 };
 
-// Builds MCACs from target rules with exact context supports. The default
-// construction counts every subset from the transaction database
-// (contextual subsets routinely fall below the mining support threshold,
-// so their supports cannot come from the mined result). When a concept
-// lattice and a shared support cache are supplied, subset supports resolve
-// as downward lattice walks memoized across targets instead — byte-identical
-// output (the lattice differential oracle proves it), sublinear work.
-class McacBuilder {
- public:
-  McacBuilder(const mining::ItemDictionary* items,
-              const mining::TransactionDatabase* db)
-      : items_(items), db_(db) {}
-
-  // Lattice-backed variant. `lattice` must satisfy the descent exactness
-  // precondition (see concept_lattice.h) for every target passed to Build;
-  // targets absent from the lattice fall back to cached bitmap-kernel
-  // counting per subset. `cache` is shared across builders and threads.
-  McacBuilder(const mining::ItemDictionary* items,
-              const mining::TransactionDatabase* db,
-              const mining::ConceptLattice* lattice,
-              mining::SubsetSupportCache* cache)
-      : items_(items), db_(db), lattice_(lattice), cache_(cache) {}
-
-  // The target must have >= 2 drugs and <= kMaxMcacAntecedentDrugs.
-  maras::StatusOr<Mcac> Build(const DrugAdrRule& target) const;
-
- private:
-  const mining::ItemDictionary* items_;
-  const mining::TransactionDatabase* db_;
-  const mining::ConceptLattice* lattice_ = nullptr;
-  mining::SubsetSupportCache* cache_ = nullptr;
-};
+// Builds the MCAC of `target` with exact context supports. Every context
+// support is the support of a concept-lattice node below the target:
+// supp(X) = supp(closure(X)), reached by lattice.DescendToClosure from the
+// target's node. `lattice` must satisfy the descent exactness precondition
+// (concept_lattice.h), which holds for every target the rules stage emits.
+// Input checks run first: the target needs >= 2 and
+// <= kMaxMcacAntecedentDrugs drugs (InvalidArgument otherwise). A target
+// whose itemset is not a lattice node is Internal — there is no database
+// fallback. `num_reports` is the database size, for lift.
+maras::StatusOr<Mcac> BuildMcac(const DrugAdrRule& target,
+                                const mining::ConceptLattice& lattice,
+                                size_t num_reports);
 
 }  // namespace maras::core
 

@@ -1,8 +1,7 @@
 #include "mining/concept_lattice.h"
 
 #include <algorithm>
-#include <cassert>
-#include <utility>
+#include <string>
 
 #include "util/run_context.h"
 #include "util/status.h"
@@ -278,115 +277,6 @@ maras::StatusOr<ConceptLattice> ConceptLattice::Build(
                   2) *
                  sizeof(uint32_t)));
   return lattice;
-}
-
-// ---------------------------------------------------------------------------
-// SubsetSupportCache
-// ---------------------------------------------------------------------------
-
-SubsetSupportCache::SubsetSupportCache(const TransactionDatabase* db)
-    : db_(db), shards_(kShardCount), item_bitmaps_(db->item_bound()) {}
-
-const TidBitmap& SubsetSupportCache::ItemBitmap(ItemId item) {
-  MutexLock lock(&bitmap_mu_);
-  std::unique_ptr<TidBitmap>& slot = item_bitmaps_[item];
-  if (slot == nullptr) {
-    slot = std::make_unique<TidBitmap>(
-        TidBitmap::FromTids(db_->TidList(item), db_->size()));
-  }
-  return *slot;
-}
-
-uint64_t SubsetSupportCache::BitmapSupport(const Itemset& s) {
-  if (s.size() == 1) return db_->ItemSupport(s[0]);
-  if (s.size() == 2) {
-    return AndPopcount(ItemBitmap(s[0]), ItemBitmap(s[1]));
-  }
-  TidBitmap acc;
-  TidBitmap scratch;
-  BitmapAnd(ItemBitmap(s[0]), ItemBitmap(s[1]), &acc);
-  for (size_t i = 2; i + 1 < s.size(); ++i) {
-    BitmapAnd(acc, ItemBitmap(s[i]), &scratch);
-    std::swap(acc, scratch);
-  }
-  return AndPopcount(acc, ItemBitmap(s.back()));
-}
-
-uint64_t SubsetSupportCache::Support(const Itemset& s,
-                                     const ConceptLattice* lattice,
-                                     uint32_t target_node) {
-  const size_t shard_index =
-      ItemsetHash{}(s) & (kShardCount - 1);  // kShardCount is a power of two
-  Shard& shard = shards_[shard_index];
-  struct KeyAt {
-    const Shard* shard;
-    // Invoked only from Find/InsertOrAssign below, both under shard->mu;
-    // the functor signature cannot carry that proof through the unannotated
-    // FlatItemsetIndex templates, hence the analysis opt-out.
-    const Itemset& operator()(uint32_t i) const NO_THREAD_SAFETY_ANALYSIS {
-      return shard->keys[i];
-    }
-  };
-  {
-    MutexLock lock(&shard.mu);
-    const uint32_t found = shard.index.Find(s, KeyAt{&shard});
-    if (found != FlatItemsetIndex::kNotFound) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      return shard.values[found];
-    }
-  }
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  uint64_t support = 0;
-  if (lattice != nullptr && target_node != ConceptLattice::kNotFound) {
-    support =
-        lattice->NodeSupport(lattice->DescendToClosure(target_node, s));
-  } else {
-    shard.fallbacks.fetch_add(1, std::memory_order_relaxed);
-    support = BitmapSupport(s);
-  }
-  {
-    MutexLock lock(&shard.mu);
-    // Another worker may have raced the same key in; InsertOrAssign keeps
-    // the table consistent either way (supports are exact, so the values
-    // agree).
-    shard.keys.push_back(s);
-    shard.values.push_back(support);
-    shard.index.InsertOrAssign(static_cast<uint32_t>(shard.keys.size() - 1),
-                               KeyAt{&shard});
-  }
-  return support;
-}
-
-SubsetSupportCache::Stats SubsetSupportCache::stats() const {
-  Stats out;
-  out.shards.reserve(shards_.size());
-  for (const Shard& shard : shards_) {
-    ShardStats row;
-    row.hits = shard.hits.load(std::memory_order_relaxed);
-    row.misses = shard.misses.load(std::memory_order_relaxed);
-    row.fallbacks = shard.fallbacks.load(std::memory_order_relaxed);
-    out.hits += row.hits;
-    out.misses += row.misses;
-    out.fallbacks += row.fallbacks;
-    out.shards.push_back(row);
-  }
-  // The contract the stress test leans on: totals come from the same
-  // gather as the per-shard rows, so they match even under concurrent
-  // probes. Guard the derivation against a future second-read refactor.
-  uint64_t check_hits = 0;
-  uint64_t check_misses = 0;
-  uint64_t check_fallbacks = 0;
-  for (const ShardStats& row : out.shards) {
-    check_hits += row.hits;
-    check_misses += row.misses;
-    check_fallbacks += row.fallbacks;
-  }
-  assert(check_hits == out.hits && check_misses == out.misses &&
-         check_fallbacks == out.fallbacks);
-  (void)check_hits;
-  (void)check_misses;
-  (void)check_fallbacks;
-  return out;
 }
 
 }  // namespace maras::mining

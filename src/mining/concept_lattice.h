@@ -1,19 +1,12 @@
 #ifndef MARAS_MINING_CONCEPT_LATTICE_H_
 #define MARAS_MINING_CONCEPT_LATTICE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "mining/bitmap.h"
-#include "mining/flat_table.h"
 #include "mining/frequent_itemsets.h"
 #include "mining/itemset.h"
-#include "mining/transaction_db.h"
-#include "util/mutex.h"
 #include "util/statusor.h"
-#include "util/thread_annotations.h"
 
 namespace maras {
 struct RunContext;
@@ -40,13 +33,13 @@ namespace maras::mining {
 // function of the closed family — identical at any thread count.
 //
 // Exactness precondition for DescendToClosure (proved by the differential
-// oracle, relied on by McacBuilder): the walk returns closure(X)'s node
+// oracle, relied on by BuildMcac): the walk returns closure(X)'s node
 // when the start node's itemset is database-closed and every database-closed
 // subset of it above the mining threshold is present in the family. Both
-// hold when the mine was uncapped (max_itemset_size == 0) or targets are
-// verified closed in the database — the closed filter then removes any
-// capped pseudo-closed set below a verified target, because its closure
-// also fits under the cap.
+// always hold for MCAC targets: the rules stage keeps only candidates that
+// IsClosedInDatabase verifies, and below a verified target the closed
+// filter removes any capped pseudo-closed set, because its closure also
+// fits under the cap. (An uncapped mine satisfies it for every node.)
 // ---------------------------------------------------------------------------
 
 // Borrowed view over a contiguous run of one of the flat arenas.
@@ -136,109 +129,6 @@ class ConceptLattice {
   // FlatItemsetIndex idiom, hand-rolled because keys live in the pool, not
   // in caller-owned Itemset vectors).
   std::vector<IndexSlot> index_slots_;
-};
-
-// ---------------------------------------------------------------------------
-// Cross-target subset-support memo for MCAC construction. Targets overlap
-// heavily in drug subsets (and share consequents outright), so one cache is
-// shared by every McacBuilder::Build fan-out task. A probe resolves in
-// order: memo hit -> lattice descent from the target's node -> bitmap-kernel
-// intersection over lazily cached per-item TidBitmaps (the only path that
-// touches the database, taken when no closed node covers the subset — e.g.
-// when the caller could not locate the target in the lattice).
-//
-// Every path returns the exact database support, so the cache never affects
-// output bytes — only speed. Thread-safe: the memo is sharded by itemset
-// hash, each shard a mutex + flat keys/values + open-addressed index.
-//
-// Counter contract (relaxed atomics): each shard counts its own probes in
-// std::atomic<uint64_t> lanes incremented with memory_order_relaxed — the
-// counters order nothing and guard nothing, they are monotonic tallies
-// whose only consumers are stats accessors and benches. Consequences the
-// contract guarantees, and the stress test asserts:
-//   * every probe bumps exactly one of {hits, misses} on exactly one shard,
-//     and a fallback bump is always preceded by a miss bump on that shard;
-//   * totals reported by stats() are computed from one gather of the
-//     per-shard lanes, so Stats::hits/misses/fallbacks ALWAYS equal the
-//     sums over Stats::shards — even while probes are in flight (enforced
-//     by an assert in the accessor);
-//   * after the probing threads are joined (quiescence), hits + misses
-//     equals the number of Support() calls and fallbacks <= misses.
-// Mid-flight, individual lanes may lag each other (relaxed loads impose no
-// inter-lane ordering), so cross-lane comparisons are only exact at
-// quiescence.
-// ---------------------------------------------------------------------------
-class SubsetSupportCache {
- public:
-  // Per-shard (and, summed, whole-cache) probe tallies. The totals are
-  // derived from the `shards` snapshot in the same gather, never from a
-  // second read of the live counters.
-  struct ShardStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t fallbacks = 0;
-  };
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t fallbacks = 0;
-    std::vector<ShardStats> shards;
-    uint64_t probes() const { return hits + misses; }
-  };
-
-  explicit SubsetSupportCache(const TransactionDatabase* db);
-
-  SubsetSupportCache(const SubsetSupportCache&) = delete;
-  SubsetSupportCache& operator=(const SubsetSupportCache&) = delete;
-
-  // Exact support of `s` (non-empty). `lattice`/`target_node` may be
-  // nullptr/kNotFound to force the bitmap fallback; when given, `target_node`
-  // must contain `s` and satisfy the descent precondition.
-  uint64_t Support(const Itemset& s, const ConceptLattice* lattice,
-                   uint32_t target_node);
-
-  // One consistent gather of the per-shard counter lanes; totals are the
-  // sums of the returned per-shard rows by construction.
-  Stats stats() const;
-
-  uint64_t hits() const { return stats().hits; }
-  uint64_t misses() const { return stats().misses; }
-  // Misses that had no lattice node to descend from (bitmap-kernel path).
-  uint64_t fallbacks() const { return stats().fallbacks; }
-
-  static constexpr size_t kShardCount = 64;  // power of two
-
- private:
-  struct Shard {
-    // mu guards the memo proper. The counter lanes below it are
-    // deliberately outside the capability (relaxed atomics, see the
-    // counter contract above) so the stats accessors never contend with
-    // probes.
-    Mutex mu;
-    std::vector<Itemset> keys GUARDED_BY(mu);
-    std::vector<uint64_t> values GUARDED_BY(mu);
-    FlatItemsetIndex index GUARDED_BY(mu);
-
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> fallbacks{0};
-  };
-
-  // |∩ tidlists of s| via dense TidBitmap AND + popcount kernels.
-  uint64_t BitmapSupport(const Itemset& s);
-  const TidBitmap& ItemBitmap(ItemId item);
-
-  const TransactionDatabase* db_;
-  std::vector<Shard> shards_;  // fixed at kShardCount, never reallocated
-
-  // Guards lazy creation of the per-item bitmaps. The vector is sized once
-  // in the constructor and never reallocates, and a created TidBitmap is
-  // immutable from then on — so the reference ItemBitmap returns stays
-  // valid after the lock drops. Lock order: a probe may take bitmap_mu_
-  // between its two shard-mu sections but never while holding a shard mu,
-  // and no code path takes a shard mu under bitmap_mu_.
-  Mutex bitmap_mu_;
-  std::vector<std::unique_ptr<TidBitmap>> item_bitmaps_ GUARDED_BY(bitmap_mu_);
 };
 
 }  // namespace maras::mining

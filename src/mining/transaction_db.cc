@@ -28,8 +28,13 @@ size_t TransactionDatabase::Support(const Itemset& s) const {
   return ContainingTransactions(s).size();
 }
 
-std::vector<TransactionId> TransactionDatabase::ContainingTransactions(
-    const Itemset& s) const {
+// Rule generation, closure checks and snapshot publishing spend most of
+// their time in the set_intersection loop below. Its speed depends on where
+// the loop falls relative to 64-byte code boundaries, so the function is
+// pinned to one: without this, unrelated code-size changes elsewhere in a
+// binary moved rules and publish timings by 10-15%.
+__attribute__((aligned(64))) std::vector<TransactionId>
+TransactionDatabase::ContainingTransactions(const Itemset& s) const {
   std::vector<TransactionId> result;
   if (s.empty()) {
     result.resize(transactions_.size());

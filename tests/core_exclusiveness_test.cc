@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "tests/oracles/mcac_enumeration.h"
 
 namespace maras::core {
 namespace {
@@ -161,7 +162,6 @@ TEST(ExclusivenessTest, InterestingBeatsUninterestingOnRealCorpus) {
   corpus.Add({{"ZANTAC", "TUMS"}, {"OSTEOPOROSIS"}}, 10);
   corpus.Add({{"TUMS"}, {"HEADACHE"}}, 10);
 
-  McacBuilder builder(&corpus.items, &corpus.db);
   auto interesting_rule =
       BuildRule(mining::Union(corpus.Drugs({"XOLAIR", "SINGULAIR",
                                             "PREDNISONE"}),
@@ -173,8 +173,8 @@ TEST(ExclusivenessTest, InterestingBeatsUninterestingOnRealCorpus) {
       corpus.items, corpus.db);
   ASSERT_TRUE(interesting_rule.ok());
   ASSERT_TRUE(boring_rule.ok());
-  auto interesting = builder.Build(*interesting_rule);
-  auto boring = builder.Build(*boring_rule);
+  auto interesting = EnumerateMcac(*interesting_rule, corpus.db);
+  auto boring = EnumerateMcac(*boring_rule, corpus.db);
   ASSERT_TRUE(interesting.ok());
   ASSERT_TRUE(boring.ok());
 

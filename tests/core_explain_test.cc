@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "tests/oracles/mcac_enumeration.h"
 #include "util/random.h"
 
 namespace maras::core {
@@ -92,8 +93,7 @@ TEST(ExplainTest, RenderNamesStrongestRules) {
       corpus.Adrs({"ASTHMA"}));
   auto target = BuildRule(whole, corpus.items, corpus.db);
   ASSERT_TRUE(target.ok());
-  McacBuilder builder(&corpus.items, &corpus.db);
-  auto mcac = builder.Build(*target);
+  auto mcac = EnumerateMcac(*target, corpus.db);
   ASSERT_TRUE(mcac.ok());
   ExclusivenessOptions options;
   ScoreExplanation explanation = ExplainExclusiveness(*mcac, options);

@@ -4,9 +4,8 @@
 
 #include "mining/closed_itemsets.h"
 #include "mining/concept_lattice.h"
-#include "mining/fpgrowth.h"
 #include "test_util.h"
-#include "util/run_context.h"
+#include "tests/oracles/mcac_enumeration.h"
 
 namespace maras::core {
 namespace {
@@ -28,8 +27,7 @@ TEST(McacTest, Table31StructureThreeDrugs) {
   MiniCorpus corpus = AsthmaCorpus();
   DrugAdrRule target = TargetRule(
       &corpus, {"XOLAIR", "SINGULAIR", "PREDNISONE"}, {"ASTHMA"});
-  McacBuilder builder(&corpus.items, &corpus.db);
-  auto mcac = builder.Build(target);
+  auto mcac = test::LatticeMcac(corpus, target);
   ASSERT_TRUE(mcac.ok());
   // Exactly the paper's layout: 3 one-drug rules and 3 two-drug rules.
   ASSERT_EQ(mcac->levels.size(), 2u);
@@ -42,8 +40,7 @@ TEST(McacTest, ContextRulesShareConsequent) {
   MiniCorpus corpus = AsthmaCorpus();
   DrugAdrRule target = TargetRule(
       &corpus, {"XOLAIR", "SINGULAIR", "PREDNISONE"}, {"ASTHMA"});
-  McacBuilder builder(&corpus.items, &corpus.db);
-  auto mcac = builder.Build(target);
+  auto mcac = test::LatticeMcac(corpus, target);
   ASSERT_TRUE(mcac.ok());
   for (const auto& level : mcac->levels) {
     for (const auto& rule : level) {
@@ -58,8 +55,7 @@ TEST(McacTest, ContextMeasuresAreExactDatabaseCounts) {
   MiniCorpus corpus = AsthmaCorpus();
   DrugAdrRule target = TargetRule(
       &corpus, {"XOLAIR", "SINGULAIR", "PREDNISONE"}, {"ASTHMA"});
-  McacBuilder builder(&corpus.items, &corpus.db);
-  auto mcac = builder.Build(target);
+  auto mcac = test::LatticeMcac(corpus, target);
   ASSERT_TRUE(mcac.ok());
   for (const auto& level : mcac->levels) {
     for (const auto& rule : level) {
@@ -79,8 +75,7 @@ TEST(McacTest, SingleDrugContextConfidencesMatchHand) {
   MiniCorpus corpus = AsthmaCorpus();
   DrugAdrRule target = TargetRule(
       &corpus, {"XOLAIR", "SINGULAIR", "PREDNISONE"}, {"ASTHMA"});
-  McacBuilder builder(&corpus.items, &corpus.db);
-  auto mcac = builder.Build(target);
+  auto mcac = test::LatticeMcac(corpus, target);
   ASSERT_TRUE(mcac.ok());
   // XOLAIR: 12 (triple) + 20 (rash) + 3 (asthma alone) = 35 reports,
   // asthma with XOLAIR: 12 + 3 = 15.
@@ -101,8 +96,7 @@ TEST(McacTest, LevelsSortedByDescendingConfidence) {
   MiniCorpus corpus = AsthmaCorpus();
   DrugAdrRule target = TargetRule(
       &corpus, {"XOLAIR", "SINGULAIR", "PREDNISONE"}, {"ASTHMA"});
-  McacBuilder builder(&corpus.items, &corpus.db);
-  auto mcac = builder.Build(target);
+  auto mcac = test::LatticeMcac(corpus, target);
   ASSERT_TRUE(mcac.ok());
   for (const auto& level : mcac->levels) {
     for (size_t i = 1; i < level.size(); ++i) {
@@ -117,8 +111,7 @@ TEST(McacTest, TwoDrugTargetHasSingleLevel) {
   corpus.Add({{"A"}, {"Y"}}, 5);
   corpus.Add({{"B"}, {"Y"}}, 5);
   DrugAdrRule target = TargetRule(&corpus, {"A", "B"}, {"X"});
-  McacBuilder builder(&corpus.items, &corpus.db);
-  auto mcac = builder.Build(target);
+  auto mcac = test::LatticeMcac(corpus, target);
   ASSERT_TRUE(mcac.ok());
   ASSERT_EQ(mcac->levels.size(), 1u);
   EXPECT_EQ(mcac->levels[0].size(), 2u);
@@ -128,8 +121,10 @@ TEST(McacTest, SingleDrugTargetRejected) {
   MiniCorpus corpus;
   corpus.Add({{"A"}, {"X"}}, 3);
   DrugAdrRule target = TargetRule(&corpus, {"A"}, {"X"});
-  McacBuilder builder(&corpus.items, &corpus.db);
-  EXPECT_TRUE(builder.Build(target).status().IsInvalidArgument());
+  // Input checks fire before the lattice lookup, so no lattice is needed.
+  EXPECT_TRUE(BuildMcac(target, mining::ConceptLattice{}, corpus.db.size())
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(McacTest, FourDrugContextComplete) {
@@ -137,8 +132,7 @@ TEST(McacTest, FourDrugContextComplete) {
   corpus.Add({{"A", "B", "C", "D"}, {"X"}}, 4);
   corpus.Add({{"A"}, {"Y"}}, 2);
   DrugAdrRule target = TargetRule(&corpus, {"A", "B", "C", "D"}, {"X"});
-  McacBuilder builder(&corpus.items, &corpus.db);
-  auto mcac = builder.Build(target);
+  auto mcac = test::LatticeMcac(corpus, target);
   ASSERT_TRUE(mcac.ok());
   ASSERT_EQ(mcac->levels.size(), 3u);
   EXPECT_EQ(mcac->levels[0].size(), 4u);   // C(4,1)
@@ -165,15 +159,16 @@ TEST(McacTest, ExpectedContextSizeRejectsDegenerateAndOverflowing) {
 }
 
 TEST(McacTest, TargetPastAntecedentBoundIsStructuredError) {
-  // 21 drugs is one past kMaxMcacAntecedentDrugs: Build must return a
-  // structured InvalidArgument without attempting the 2^21 − 2 enumeration.
+  // 21 drugs is one past kMaxMcacAntecedentDrugs: BuildMcac must return a
+  // structured InvalidArgument before it looks the target up or walks
+  // 2^21 − 2 subsets.
   MiniCorpus corpus;
   std::vector<std::string> drugs;
   for (int i = 0; i < 21; ++i) drugs.push_back("D" + std::to_string(i));
   corpus.Add({drugs, {"X"}}, 3);
   DrugAdrRule target = TargetRule(&corpus, drugs, {"X"});
-  McacBuilder builder(&corpus.items, &corpus.db);
-  const Status status = builder.Build(target).status();
+  const Status status =
+      BuildMcac(target, mining::ConceptLattice{}, corpus.db.size()).status();
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
   EXPECT_NE(status.ToString().find("21"), std::string::npos)
       << status.ToString();
@@ -191,41 +186,54 @@ TEST(McacTest, BoundaryTwentyDrugTargetPassesTheGate) {
   EXPECT_GT(*over, 1048574u);
 }
 
-TEST(McacTest, LatticeBackedBuilderMatchesEnumeration) {
-  test::MiniCorpus corpus = AsthmaCorpus();
-  auto mined =
-      mining::FpGrowth(mining::MiningOptions{.min_support = 2}).Mine(corpus.db);
-  ASSERT_TRUE(mined.ok());
-  mining::FrequentItemsetResult closed = mining::FilterClosed(*mined);
-  const RunContext ctx;
-  auto lattice = mining::ConceptLattice::Build(closed, /*num_threads=*/2, ctx);
-  ASSERT_TRUE(lattice.ok()) << lattice.status().ToString();
-  mining::SubsetSupportCache cache(&corpus.db);
+TEST(McacTest, NonClosedTargetIsInternalNamingIt) {
+  // XOLAIR and SINGULAIR are only ever reported together with PREDNISONE,
+  // so {XOLAIR, SINGULAIR, ASTHMA} is not closed: it is no lattice node, and
+  // BuildMcac must say so instead of falling back to the database.
+  MiniCorpus corpus = AsthmaCorpus();
+  DrugAdrRule target = TargetRule(&corpus, {"XOLAIR", "SINGULAIR"}, {"ASTHMA"});
+  const Status status = test::LatticeMcac(corpus, target).status();
+  EXPECT_TRUE(status.IsInternal()) << status.ToString();
+  const std::string name = mining::ToString(target.CompleteItemset());
+  EXPECT_NE(status.ToString().find(name), std::string::npos)
+      << status.ToString();
+}
 
-  DrugAdrRule target = TargetRule(
-      &corpus, {"XOLAIR", "SINGULAIR", "PREDNISONE"}, {"ASTHMA"});
-  McacBuilder plain(&corpus.items, &corpus.db);
-  McacBuilder cached(&corpus.items, &corpus.db, &*lattice, &cache);
-  auto want = plain.Build(target);
-  auto got = cached.Build(target);
-  ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->levels.size(), want->levels.size());
-  for (size_t l = 0; l < want->levels.size(); ++l) {
-    ASSERT_EQ(got->levels[l].size(), want->levels[l].size());
-    for (size_t r = 0; r < want->levels[l].size(); ++r) {
-      const DrugAdrRule& a = got->levels[l][r];
-      const DrugAdrRule& b = want->levels[l][r];
-      EXPECT_EQ(a.drugs, b.drugs);
-      EXPECT_EQ(a.support, b.support);
-      EXPECT_EQ(a.antecedent_support, b.antecedent_support);
-      EXPECT_EQ(a.confidence, b.confidence);
-      EXPECT_EQ(a.lift, b.lift);
+TEST(McacTest, LatticeBackedBuilderMatchesEnumeration) {
+  // Every multi-drug closed target of the corpus: BuildMcac over the lattice
+  // must equal the per-subset database enumeration oracle field for field.
+  MiniCorpus corpus = AsthmaCorpus();
+  corpus.Add({{"XOLAIR", "SINGULAIR"}, {"RASH"}}, 4);
+  corpus.Add({{"ASPIRIN", "PREDNISONE", "SINGULAIR"}, {"NAUSEA"}}, 3);
+  auto closed = mining::MineClosed(
+      corpus.db, mining::MiningOptions{.min_support = 1});
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  size_t compared = 0;
+  for (const mining::FrequentItemset& fi : closed->itemsets()) {
+    auto target = BuildRule(fi.items, corpus.items, corpus.db);
+    if (!target.ok() || target->drugs.size() < 2) continue;
+    auto got = test::LatticeMcac(corpus, *target);
+    auto want = EnumerateMcac(*target, corpus.db);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ(got->levels.size(), want->levels.size());
+    for (size_t l = 0; l < want->levels.size(); ++l) {
+      ASSERT_EQ(got->levels[l].size(), want->levels[l].size());
+      for (size_t r = 0; r < want->levels[l].size(); ++r) {
+        const DrugAdrRule& a = got->levels[l][r];
+        const DrugAdrRule& b = want->levels[l][r];
+        EXPECT_EQ(a.drugs, b.drugs);
+        EXPECT_EQ(a.adrs, b.adrs);
+        EXPECT_EQ(a.support, b.support);
+        EXPECT_EQ(a.antecedent_support, b.antecedent_support);
+        EXPECT_EQ(a.consequent_support, b.consequent_support);
+        EXPECT_EQ(a.confidence, b.confidence);
+        EXPECT_EQ(a.lift, b.lift);
+      }
     }
+    ++compared;
   }
-  // A second identical build must be served from the memo.
-  ASSERT_TRUE(cached.Build(target).ok());
-  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GE(compared, 3u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "tests/oracles/mcac_enumeration.h"
 
 namespace maras::core {
 namespace {
@@ -90,7 +91,6 @@ TEST(SeverityBoostTest, ReordersEquallyExclusiveClusters) {
   corpus.Add({{"C"}, {"RASH"}}, 20);
   corpus.Add({{"D"}, {"RASH"}}, 20);
 
-  McacBuilder builder(&corpus.items, &corpus.db);
   auto mild_rule = BuildRule(
       mining::Union(corpus.Drugs({"A", "B"}), corpus.Adrs({"NAUSEA"})),
       corpus.items, corpus.db);
@@ -99,8 +99,8 @@ TEST(SeverityBoostTest, ReordersEquallyExclusiveClusters) {
       corpus.items, corpus.db);
   ASSERT_TRUE(mild_rule.ok());
   ASSERT_TRUE(fatal_rule.ok());
-  auto mild = builder.Build(*mild_rule);
-  auto fatal = builder.Build(*fatal_rule);
+  auto mild = EnumerateMcac(*mild_rule, corpus.db);
+  auto fatal = EnumerateMcac(*fatal_rule, corpus.db);
   ASSERT_TRUE(mild.ok());
   ASSERT_TRUE(fatal.ok());
 
@@ -120,12 +120,11 @@ TEST(SeverityBoostTest, ScoreIsExclusivenessTimesWeight) {
   MiniCorpus corpus;
   corpus.Add({{"A", "B"}, {"DEATH"}}, 5);
   corpus.Add({{"A"}, {"RASH"}}, 5);
-  McacBuilder builder(&corpus.items, &corpus.db);
   auto rule = BuildRule(
       mining::Union(corpus.Drugs({"A", "B"}), corpus.Adrs({"DEATH"})),
       corpus.items, corpus.db);
   ASSERT_TRUE(rule.ok());
-  auto mcac = builder.Build(*rule);
+  auto mcac = EnumerateMcac(*rule, corpus.db);
   ASSERT_TRUE(mcac.ok());
   ExclusivenessOptions options;
   EXPECT_NEAR(SeverityBoostedScore(*mcac, corpus.items, options),

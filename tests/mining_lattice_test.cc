@@ -2,16 +2,15 @@
 // covering edges must equal the brute-force Hasse diagram of the
 // subset-inclusion order, the build must be byte-identical at any thread
 // count, and the greedy downward walk must land on closure(X) — the
-// exactness invariant the lattice-backed MCAC construction relies on.
-// The differential-oracle suite then proves the end-to-end claim: ranked
-// MCACs built over the lattice are byte-identical to plain enumeration,
-// across seeds and thread counts.
+// exactness invariant MCAC construction relies on. The differential-oracle
+// suite then proves the end-to-end claim: ranked MCACs built over the
+// lattice are byte-identical to per-subset database enumeration (the
+// tests/oracles reference), across seeds, thread counts, size caps and a
+// degraded mine.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/analysis_stages.h"
@@ -22,6 +21,7 @@
 #include "mining/concept_lattice.h"
 #include "mining/fpgrowth.h"
 #include "test_util.h"
+#include "tests/oracles/mcac_enumeration.h"
 #include "util/random.h"
 #include "util/run_context.h"
 
@@ -177,6 +177,7 @@ TEST_P(ConceptLatticeTest, DescentFromClosedNodeReachesClosure) {
       }
       const uint32_t end = lattice->DescendToClosure(v, subset);
       ASSERT_NE(end, ConceptLattice::kNotFound);
+      EXPECT_TRUE(lattice->NodeContains(end, subset)) << ToString(subset);
       EXPECT_EQ(lattice->NodeSupport(end), db.Support(subset))
           << ToString(subset) << " under node " << v;
       EXPECT_EQ(NodeItemset(*lattice, end), ClosureOf(db, subset))
@@ -186,13 +187,17 @@ TEST_P(ConceptLatticeTest, DescentFromClosedNodeReachesClosure) {
 }
 
 TEST_P(ConceptLatticeTest, SubsetSupportCacheIsExactOnEveryPath) {
+  // Subset supports come only from lattice descent (there is no memo or
+  // bitmap fallback), so exactness must hold on every descent path: from
+  // each lattice node containing X, the walk must reach a node whose
+  // support is supp(X) counted directly in the database.
   maras::Rng rng(GetParam() + 23);
   TransactionDatabase db = RandomDb(&rng, 60, 8, 5);
   FrequentItemsetResult closed = MineClosedFamily(db, 2);
   const RunContext ctx;
   auto lattice = ConceptLattice::Build(closed, 2, ctx);
   ASSERT_TRUE(lattice.ok());
-  SubsetSupportCache cache(&db);
+  size_t paths = 0;
   for (uint32_t v = 0; v < lattice->node_count(); ++v) {
     const Itemset node_items = NodeItemset(*lattice, v);
     if (node_items.size() > 5) continue;
@@ -203,118 +208,17 @@ TEST_P(ConceptLatticeTest, SubsetSupportCacheIsExactOnEveryPath) {
         if (mask & (size_t{1} << i)) subset.push_back(node_items[i]);
       }
       const uint64_t want = db.Support(subset);
-      // Lattice path, memo path, and forced bitmap fallback must agree.
-      EXPECT_EQ(cache.Support(subset, &*lattice, v), want);
-      EXPECT_EQ(cache.Support(subset, &*lattice, v), want);
-      EXPECT_EQ(cache.Support(subset, nullptr, ConceptLattice::kNotFound),
-                want);
+      for (uint32_t u = 0; u < lattice->node_count(); ++u) {
+        if (!lattice->NodeContains(u, subset)) continue;
+        const uint32_t end = lattice->DescendToClosure(u, subset);
+        ASSERT_NE(end, ConceptLattice::kNotFound);
+        EXPECT_EQ(lattice->NodeSupport(end), want)
+            << ToString(subset) << " from node " << u;
+        ++paths;
+      }
     }
   }
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.misses(), 0u);
-}
-
-// Concurrent publish/probe stress for the sharded memo, aimed at the tsan
-// preset: exactness must hold under contention, and the relaxed-atomic
-// counter contract (concept_lattice.h) must deliver what it promises — the
-// structural invariant (stats() totals equal the per-shard sums, even
-// mid-flight) plus monotonicity while probing, and exact accounting at
-// quiescence.
-TEST(SubsetSupportCacheStressTest, ConcurrentProbesStayExactAndAccounted) {
-  maras::Rng rng(733);
-  TransactionDatabase db = RandomDb(&rng, 60, 8, 5);
-  FrequentItemsetResult closed = MineClosedFamily(db, 2);
-  const RunContext ctx;
-  auto lattice = ConceptLattice::Build(closed, 2, ctx);
-  ASSERT_TRUE(lattice.ok());
-
-  // Worklist of (subset, start node, expected support), oracle computed
-  // serially up front so worker threads only read it.
-  struct Probe {
-    Itemset subset;
-    uint32_t node;
-    uint64_t want;
-  };
-  std::vector<Probe> probes;
-  for (uint32_t v = 0; v < lattice->node_count(); ++v) {
-    const Itemset node_items = NodeItemset(*lattice, v);
-    if (node_items.size() > 4) continue;
-    const size_t n = node_items.size();
-    for (size_t mask = 1; mask < (size_t{1} << n); ++mask) {
-      Itemset subset;
-      for (size_t i = 0; i < n; ++i) {
-        if (mask & (size_t{1} << i)) subset.push_back(node_items[i]);
-      }
-      probes.push_back({subset, v, db.Support(subset)});
-    }
-  }
-  ASSERT_GT(probes.size(), 20u);
-
-  SubsetSupportCache cache(&db);
-  constexpr int kWorkers = 4;
-  constexpr int kRounds = 8;
-  std::atomic<bool> done{false};
-  std::atomic<uint64_t> mismatches{0};
-
-  // A stats reader races the probes: the totals==shard-sums invariant is
-  // structural (single gather) and must hold at every instant, and probes()
-  // must be monotone across successive gathers.
-  std::thread stats_reader([&] {
-    uint64_t last_probes = 0;
-    uint64_t reads = 0;
-    while (!done.load(std::memory_order_acquire) || reads < 3) {
-      const SubsetSupportCache::Stats s = cache.stats();
-      uint64_t hit_sum = 0, miss_sum = 0, fb_sum = 0;
-      for (const SubsetSupportCache::ShardStats& row : s.shards) {
-        hit_sum += row.hits;
-        miss_sum += row.misses;
-        fb_sum += row.fallbacks;
-      }
-      if (s.hits != hit_sum || s.misses != miss_sum || s.fallbacks != fb_sum ||
-          s.probes() < last_probes) {
-        mismatches.fetch_add(1);
-      }
-      last_probes = s.probes();
-      ++reads;
-    }
-  });
-
-  std::vector<std::thread> workers;
-  for (int w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&, w] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (size_t i = 0; i < probes.size(); ++i) {
-          // Stagger start offsets so threads collide on different shards.
-          const Probe& p = probes[(i + static_cast<size_t>(w) * 7) %
-                                  probes.size()];
-          // Alternate lattice path and forced bitmap fallback.
-          const uint64_t got =
-              (round % 2 == 0)
-                  ? cache.Support(p.subset, &*lattice, p.node)
-                  : cache.Support(p.subset, nullptr,
-                                  ConceptLattice::kNotFound);
-          if (got != p.want) mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  done.store(true, std::memory_order_release);
-  stats_reader.join();
-
-  EXPECT_EQ(mismatches.load(), 0u);
-
-  // Quiescence: every Support() call bumped exactly one of hits/misses, and
-  // every fallback was one of the misses.
-  const SubsetSupportCache::Stats s = cache.stats();
-  const uint64_t total_calls =
-      uint64_t{kWorkers} * uint64_t{kRounds} * probes.size();
-  EXPECT_EQ(s.probes(), total_calls);
-  EXPECT_EQ(s.hits + s.misses, total_calls);
-  EXPECT_LE(s.fallbacks, s.misses);
-  EXPECT_GT(s.hits, 0u);
-  EXPECT_GT(s.misses, 0u);
-  EXPECT_EQ(s.shards.size(), SubsetSupportCache::kShardCount);
+  EXPECT_GT(paths, 0u);
 }
 
 TEST(ConceptLatticeTest, EmptyFamilyBuildsEmptyLattice) {
@@ -359,16 +263,18 @@ maras::test::MiniCorpus RandomCorpus(uint64_t seed) {
   return corpus;
 }
 
-// Encodes BuildRankedStage's output over `corpus` into *encoded, with
-// subset supports from the concept lattice or (use_lattice = false) from
-// plain enumeration.
+// Runs mine -> closed -> rules -> lattice over `corpus` and ranks the
+// target rules' MCACs twice: BuildRankedStage over the lattice into
+// *latticed, and the enumeration oracle plus RankMcacs into *enumerated.
+// *truncated reports whether the mine degraded.
 void RankedBytes(const maras::test::MiniCorpus& corpus,
-                 const core::AnalyzerOptions& options, bool use_lattice,
-                 std::string* encoded) {
+                 const core::AnalyzerOptions& options, std::string* latticed,
+                 std::string* enumerated, bool* truncated = nullptr) {
   const RunContext ctx;
   auto mined = core::MineWithDegradation(corpus.db, options.mining,
                                          options.degradation);
   ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  if (truncated != nullptr) *truncated = mined->truncated;
   auto closed = core::BuildClosedStage(*std::move(mined), corpus.items,
                                        options, ctx);
   ASSERT_TRUE(closed.ok()) << closed.status().ToString();
@@ -377,13 +283,21 @@ void RankedBytes(const maras::test::MiniCorpus& corpus,
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
   auto lattice = core::BuildLatticeStage(closed->closed, options, ctx);
   ASSERT_TRUE(lattice.ok()) << lattice.status().ToString();
-  auto ranked = core::BuildRankedStage(
-      *rules, corpus.items, corpus.db, core::RankingMethod::kExclusivenessLift,
-      options, ctx, use_lattice ? &*lattice : nullptr);
+  const core::RankingMethod method = core::RankingMethod::kExclusivenessLift;
+  auto ranked = core::BuildRankedStage(*rules, corpus.items, corpus.db,
+                                       method, options, ctx, &*lattice);
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
   ASSERT_GT(ranked->size(), 0u);
-  *encoded = core::EncodeRankedMcacs(*ranked);
+  *latticed = core::EncodeRankedMcacs(*ranked);
+  auto oracle = core::EnumerateMcacs(*rules, corpus.db);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  *enumerated = core::EncodeRankedMcacs(
+      core::RankMcacs(*oracle, method, options.exclusiveness));
 }
+
+// Small enough that an uncapped min_support-1 mine of a RandomCorpus trips
+// it, large enough that an escalated mine fits.
+constexpr size_t kDegradingBudgetBytes = size_t{1} << 14;
 
 class LatticeMcacDifferentialOracleTest
     : public ::testing::TestWithParam<uint64_t> {};
@@ -391,45 +305,72 @@ class LatticeMcacDifferentialOracleTest
 TEST_P(LatticeMcacDifferentialOracleTest,
        LatticeAndEnumerationAreByteIdentical) {
   maras::test::MiniCorpus corpus = RandomCorpus(GetParam());
-  std::string reference;
-  for (size_t threads : {1, 2, 8}) {
-    for (bool use_lattice : {false, true}) {
+  for (size_t cap : {0, 3, 5}) {
+    std::string reference;
+    for (size_t threads : {1, 2, 8}) {
       core::AnalyzerOptions options;
       options.mining.min_support = 2;
+      options.mining.max_itemset_size = cap;
       options.mining.num_threads = threads;
-      ASSERT_TRUE(core::LatticeMcacEligible(options));
-      std::string encoded;
+      std::string latticed, enumerated;
       ASSERT_NO_FATAL_FAILURE(
-          RankedBytes(corpus, options, use_lattice, &encoded));
-      if (reference.empty()) {
-        reference = encoded;
-      } else {
-        EXPECT_EQ(encoded, reference)
-            << "threads=" << threads << " lattice=" << use_lattice;
-      }
+          RankedBytes(corpus, options, &latticed, &enumerated));
+      EXPECT_EQ(latticed, enumerated)
+          << "cap=" << cap << " threads=" << threads;
+      if (reference.empty()) reference = enumerated;
+      EXPECT_EQ(latticed, reference)
+          << "cap=" << cap << " threads=" << threads;
     }
   }
 }
 
 TEST_P(LatticeMcacDifferentialOracleTest, CappedMineStaysEligibleViaVerify) {
-  // With a size cap the lattice path is only exact when targets are
-  // database-verified; the eligibility gate must encode exactly that.
-  core::AnalyzerOptions options;
-  options.mining.max_itemset_size = 5;
-  options.verify_closed_in_db = false;
-  EXPECT_FALSE(core::LatticeMcacEligible(options));
-  options.verify_closed_in_db = true;
-  EXPECT_TRUE(core::LatticeMcacEligible(options));
-
-  // And with the cap + verification, output still matches enumeration.
+  // A size cap makes closed-in-the-family weaker than closed-in-the-database;
+  // the rules stage's verification keeps every target a database-closed
+  // lattice node, so the descent stays exact.
   maras::test::MiniCorpus corpus = RandomCorpus(GetParam() + 1);
   core::AnalyzerOptions run;
   run.mining.min_support = 2;
   run.mining.max_itemset_size = 5;
   std::string latticed, enumerated;
-  ASSERT_NO_FATAL_FAILURE(RankedBytes(corpus, run, true, &latticed));
-  ASSERT_NO_FATAL_FAILURE(RankedBytes(corpus, run, false, &enumerated));
+  ASSERT_NO_FATAL_FAILURE(RankedBytes(corpus, run, &latticed, &enumerated));
   EXPECT_EQ(latticed, enumerated);
+}
+
+TEST_P(LatticeMcacDifferentialOracleTest, DegradedMineMatchesEnumeration) {
+  // A budget that trips at the requested support: the mine escalates
+  // min_support and the lattice of the escalated family must still give
+  // the enumeration bytes.
+  maras::test::MiniCorpus corpus = RandomCorpus(GetParam() + 2);
+  for (size_t threads : {1, 8}) {
+    maras::MemoryBudget budget(kDegradingBudgetBytes);
+    RunContext governed;
+    governed.budget = &budget;
+    core::AnalyzerOptions run;
+    run.mining.min_support = 1;
+    run.mining.max_itemset_size = 0;
+    run.mining.num_threads = threads;
+    run.mining.context = &governed;
+    run.degradation.enabled = true;
+    run.degradation.max_retries = 10;
+    std::string latticed, enumerated;
+    bool truncated = false;
+    ASSERT_NO_FATAL_FAILURE(
+        RankedBytes(corpus, run, &latticed, &enumerated, &truncated));
+    EXPECT_TRUE(truncated) << "threads=" << threads;
+    EXPECT_EQ(latticed, enumerated) << "threads=" << threads;
+  }
+}
+
+TEST(BuildRankedStageTest, NullLatticeIsInvalidArgument) {
+  maras::test::MiniCorpus corpus = RandomCorpus(1001);
+  const core::AnalyzerOptions options;
+  const RunContext ctx;
+  auto ranked = core::BuildRankedStage(
+      {}, corpus.items, corpus.db, core::RankingMethod::kExclusivenessLift,
+      options, ctx, /*lattice=*/nullptr);
+  EXPECT_TRUE(ranked.status().IsInvalidArgument())
+      << ranked.status().ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LatticeMcacDifferentialOracleTest,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "tests/oracles/mcac_enumeration.h"
 
 namespace maras::study {
 namespace {
@@ -144,7 +145,6 @@ TEST(BuildQuestionsTest, FromRankedMcacs) {
   corpus.Add({{"C", "D"}, {"RASH"}}, 4);
   corpus.Add({{"C"}, {"HEADACHE"}}, 9);
 
-  core::McacBuilder builder(&corpus.items, &corpus.db);
   std::vector<core::Mcac> mcacs;
   for (const auto& drugs :
        {std::vector<std::string>{"ZANTAC", "TUMS"},
@@ -158,7 +158,7 @@ TEST(BuildQuestionsTest, FromRankedMcacs) {
     whole = mining::Union(corpus.Drugs(drugs), corpus.Adrs(adrs));
     auto rule = core::BuildRule(whole, corpus.items, corpus.db);
     ASSERT_TRUE(rule.ok());
-    auto mcac = builder.Build(*rule);
+    auto mcac = core::EnumerateMcac(*rule, corpus.db);
     ASSERT_TRUE(mcac.ok());
     mcacs.push_back(*std::move(mcac));
   }

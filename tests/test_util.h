@@ -3,15 +3,22 @@
 
 // Shared fixtures for core-layer tests: builds an item dictionary plus a
 // transaction database from readable report specs, so tests spell out drugs
-// and ADRs by name instead of raw ids.
+// and ADRs by name instead of raw ids, and builds MCACs the way the
+// pipeline does.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "core/drug_adr_rule.h"
+#include "core/mcac.h"
+#include "mining/closed_itemsets.h"
+#include "mining/concept_lattice.h"
 #include "mining/item_dictionary.h"
 #include "mining/transaction_db.h"
+#include "util/run_context.h"
+#include "util/statusor.h"
 
 namespace maras::test {
 
@@ -71,6 +78,23 @@ inline MiniCorpus AsthmaCorpus() {
   // Unrelated noise.
   corpus.Add({{"ASPIRIN"}, {"NAUSEA"}}, 15);
   return corpus;
+}
+
+// The production BuildMcac over the concept lattice of the corpus's closed
+// family, mined uncapped at min_support 1: every database-closed target is
+// a lattice node, so a closed target gets its exact MCAC and a non-closed
+// one gets Internal.
+inline maras::StatusOr<core::Mcac> LatticeMcac(
+    const MiniCorpus& corpus, const core::DrugAdrRule& target) {
+  MARAS_ASSIGN_OR_RETURN(
+      mining::FrequentItemsetResult closed,
+      mining::MineClosed(corpus.db, mining::MiningOptions{
+                                        .min_support = 1,
+                                        .max_itemset_size = 0}));
+  const RunContext ctx;
+  MARAS_ASSIGN_OR_RETURN(mining::ConceptLattice lattice,
+                         mining::ConceptLattice::Build(closed, 1, ctx));
+  return core::BuildMcac(target, lattice, corpus.db.size());
 }
 
 }  // namespace maras::test

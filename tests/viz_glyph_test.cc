@@ -6,6 +6,7 @@
 
 #include "core/mcac.h"
 #include "test_util.h"
+#include "tests/oracles/mcac_enumeration.h"
 
 namespace maras::viz {
 namespace {
@@ -114,8 +115,7 @@ TEST(GlyphSpecFromMcacTest, ExtractsConfidencesAndLabels) {
       corpus.Adrs({"ASTHMA"}));
   auto target = core::BuildRule(whole, corpus.items, corpus.db);
   ASSERT_TRUE(target.ok());
-  core::McacBuilder builder(&corpus.items, &corpus.db);
-  auto mcac = builder.Build(*target);
+  auto mcac = core::EnumerateMcac(*target, corpus.db);
   ASSERT_TRUE(mcac.ok());
   GlyphSpec spec = GlyphSpecFromMcac(*mcac, corpus.items);
   EXPECT_DOUBLE_EQ(spec.target_value, mcac->target.confidence);
