@@ -4,9 +4,15 @@
 // build, BuildMcac (every context support a descent in the concept
 // lattice, the only production path), and the test-only enumeration oracle
 // (every subset counted from the transaction database) as the baseline.
+// The rules-stage rows time BuildRulesStage over a prebuilt lattice against
+// the test-only database rules stage, on four generated 12k-report
+// quarters mined like perfbench's `year` workload, so the stage is timed
+// apart from the lattice build that perfbench's staged trace folds into
+// its rules span.
 // `--bench_json` writes bench/baselines/BENCH_mcac.json; `--smoke` is the
 // Release-mode result-hash gate: BuildRankedStage over the lattice must be
-// byte-identical to the enumeration oracle plus RankMcacs at 1, 2 and 8
+// byte-identical to the enumeration oracle plus RankMcacs, and the
+// lattice-backed rules stage to the database rules stage, at 1, 2 and 8
 // threads.
 
 #include <chrono>
@@ -23,13 +29,16 @@
 #include "core/checkpoint.h"
 #include "core/drug_adr_rule.h"
 #include "core/mcac.h"
+#include "core/multi_quarter.h"
 #include "core/ranking.h"
+#include "faers/generator.h"
 #include "mining/closed_itemsets.h"
 #include "mining/concept_lattice.h"
 #include "mining/item_dictionary.h"
 #include "mining/itemset.h"
 #include "mining/transaction_db.h"
 #include "tests/oracles/mcac_enumeration.h"
+#include "tests/oracles/rules_database.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/run_context.h"
@@ -118,6 +127,62 @@ const Fixture& SharedFixture() {
   return *fixture;
 }
 
+// Rules-stage workload: perfbench's `year` batch in memory — four quarters
+// of 12k background reports (vocabulary scaled as perfbench scales it),
+// pooled, mined at min_support 6 with itemsets capped at 7, closed and
+// turned into a lattice once.
+struct RulesFixture {
+  faers::PreprocessResult corpus;
+  core::AnalyzerOptions analyzer;
+  mining::FrequentItemsetResult closed;
+  mining::ConceptLattice lattice;
+};
+
+RulesFixture MakeRulesFixture() {
+  constexpr size_t kReports = 12000;
+  std::vector<faers::QuarterDataset> quarters;
+  for (int q = 1; q <= 4; ++q) {
+    faers::GeneratorConfig config;
+    config.seed = 7;
+    config.year = 2014;
+    config.quarter = q;
+    config.n_reports = kReports;
+    config.n_drugs = kReports / 10 + 500;
+    config.n_adrs = kReports * 36 / 1000 + 200;
+    auto dataset = faers::SyntheticGenerator(config).Generate();
+    MARAS_CHECK(dataset.ok()) << dataset.status().ToString();
+    quarters.push_back(*std::move(dataset));
+  }
+  RulesFixture fixture;
+  core::MultiQuarterOptions pipeline_options;
+  pipeline_options.num_threads = 2;
+  auto run = core::MultiQuarterPipeline(pipeline_options).Run(quarters);
+  MARAS_CHECK(run.ok()) << run.status().ToString();
+  fixture.corpus = std::move(run->merged);
+  fixture.analyzer.mining.min_support = 6;
+  fixture.analyzer.mining.max_itemset_size = 7;
+  fixture.analyzer.mining.num_threads = 2;
+  const RunContext ctx;
+  auto mined = core::MineWithDegradation(fixture.corpus.transactions,
+                                         fixture.analyzer.mining,
+                                         fixture.analyzer.degradation);
+  MARAS_CHECK(mined.ok()) << mined.status().ToString();
+  auto closed = core::BuildClosedStage(*std::move(mined), fixture.corpus.items,
+                                       fixture.analyzer, ctx);
+  MARAS_CHECK(closed.ok()) << closed.status().ToString();
+  fixture.closed = std::move(closed->closed);
+  auto lattice =
+      core::BuildLatticeStage(fixture.closed, fixture.analyzer, ctx);
+  MARAS_CHECK(lattice.ok()) << lattice.status().ToString();
+  fixture.lattice = *std::move(lattice);
+  return fixture;
+}
+
+const RulesFixture& SharedRulesFixture() {
+  static const RulesFixture* fixture = new RulesFixture(MakeRulesFixture());
+  return *fixture;
+}
+
 // Builds every target's MCAC with `build` and returns the context size.
 template <typename BuildFn>
 size_t BuildAll(const std::vector<core::DrugAdrRule>& targets,
@@ -196,6 +261,50 @@ void BM_McacLattice(benchmark::State& state) {
 }
 BENCHMARK(BM_McacLattice)->Unit(benchmark::kMillisecond);
 
+// The production rules stage with the lattice prebuilt: every measure a
+// lattice descent, the database asked only for candidates at the size cap.
+void BM_RulesStageLattice(benchmark::State& state) {
+  const RulesFixture& fixture = SharedRulesFixture();
+  const RunContext ctx;
+  core::AnalyzerOptions analyzer = fixture.analyzer;
+  analyzer.mining.num_threads = static_cast<size_t>(state.range(0));
+  size_t rules = 0;
+  for (auto _ : state) {
+    auto built = core::BuildRulesStage(
+        fixture.closed, fixture.corpus.items, fixture.corpus.transactions,
+        fixture.lattice, analyzer, ctx);
+    MARAS_CHECK(built.ok()) << built.status().ToString();
+    benchmark::DoNotOptimize(rules = built->size());
+  }
+  state.counters["threads"] = static_cast<double>(analyzer.mining.num_threads);
+  state.counters["closed"] = static_cast<double>(fixture.closed.size());
+  state.counters["rules"] = static_cast<double>(rules);
+}
+BENCHMARK(BM_RulesStageLattice)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Database baseline (the test-only oracle, serial): every candidate checked
+// with IsClosedInDatabase and measured with three database counts.
+void BM_RulesStageDatabase(benchmark::State& state) {
+  const RulesFixture& fixture = SharedRulesFixture();
+  size_t rules = 0;
+  for (auto _ : state) {
+    auto built =
+        core::DatabaseRules(fixture.closed, fixture.corpus.items,
+                            fixture.corpus.transactions, fixture.analyzer);
+    MARAS_CHECK(built.ok()) << built.status().ToString();
+    benchmark::DoNotOptimize(rules = built->size());
+  }
+  state.counters["threads"] = 1;
+  state.counters["closed"] = static_cast<double>(fixture.closed.size());
+  state.counters["rules"] = static_cast<double>(rules);
+}
+BENCHMARK(BM_RulesStageDatabase)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // Release-mode byte-identity gate (the bench-smoke ctest label): the
 // lattice-backed stage must reproduce the enumeration oracle's bytes
 // exactly, at every thread count, and enumeration-vs-lattice timing is
@@ -230,6 +339,30 @@ bool RunSmoke() {
     if (lattice_bytes != want) {
       std::fprintf(stderr,
                    "smoke: lattice/enumeration bytes diverge at %zu threads\n",
+                   threads);
+      ok = false;
+    }
+  }
+
+  // Rules stage: lattice-backed vs the database oracle, on the same family.
+  auto database_rules =
+      core::DatabaseRules(fixture.closed, fixture.items, fixture.db, options);
+  MARAS_CHECK(database_rules.ok()) << database_rules.status().ToString();
+  const std::string want_rules = core::EncodeRules(*database_rules);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    options.mining.num_threads = threads;
+    auto rules = core::BuildRulesStage(fixture.closed, fixture.items,
+                                       fixture.db, fixture.lattice, options,
+                                       ctx);
+    MARAS_CHECK(rules.ok()) << rules.status().ToString();
+    MARAS_CHECK(!rules->empty());
+    const std::string rule_bytes = core::EncodeRules(*rules);
+    std::printf("smoke: rules        result-hash %016llx (threads=%zu)\n",
+                static_cast<unsigned long long>(core::Fnv1a64(rule_bytes)),
+                threads);
+    if (rule_bytes != want_rules) {
+      std::fprintf(stderr,
+                   "smoke: lattice/database rules diverge at %zu threads\n",
                    threads);
       ok = false;
     }

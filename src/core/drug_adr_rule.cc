@@ -23,17 +23,11 @@ maras::StatusOr<DrugAdrRule> SplitByDomain(
   return rule;
 }
 
-maras::StatusOr<DrugAdrRule> BuildRule(const mining::Itemset& itemset,
-                                       const mining::ItemDictionary& items,
-                                       const mining::TransactionDatabase& db) {
-  MARAS_ASSIGN_OR_RETURN(DrugAdrRule rule, SplitByDomain(itemset, items));
-  rule.support = db.Support(itemset);
-  rule.antecedent_support = db.Support(rule.drugs);
-  rule.consequent_support = db.Support(rule.adrs);
-  rule.confidence = mining::Confidence(rule.support, rule.antecedent_support);
-  rule.lift = mining::Lift(rule.support, rule.antecedent_support,
-                           rule.consequent_support, db.size());
-  return rule;
+void SetRuleMeasures(size_t num_reports, DrugAdrRule* rule) {
+  rule->confidence =
+      mining::Confidence(rule->support, rule->antecedent_support);
+  rule->lift = mining::Lift(rule->support, rule->antecedent_support,
+                            rule->consequent_support, num_reports);
 }
 
 std::string RuleToString(const DrugAdrRule& rule,

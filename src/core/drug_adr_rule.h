@@ -1,11 +1,12 @@
 #ifndef MARAS_CORE_DRUG_ADR_RULE_H_
 #define MARAS_CORE_DRUG_ADR_RULE_H_
 
+#include <cstdint>
 #include <string>
 
+#include "mining/concept_lattice.h"
 #include "mining/item_dictionary.h"
 #include "mining/itemset.h"
-#include "mining/transaction_db.h"
 #include "util/statusor.h"
 
 namespace maras::core {
@@ -32,11 +33,20 @@ struct DrugAdrRule {
 maras::StatusOr<DrugAdrRule> SplitByDomain(
     const mining::Itemset& itemset, const mining::ItemDictionary& items);
 
-// Builds the fully-measured rule for `itemset`: splits by domain and fills
-// supports/confidence/lift from exact database counts.
-maras::StatusOr<DrugAdrRule> BuildRule(const mining::Itemset& itemset,
-                                       const mining::ItemDictionary& items,
-                                       const mining::TransactionDatabase& db);
+// supp(subset) for `subset` ⊆ the itemset of lattice node `node`: the
+// support of closure(subset), the node lattice.DescendToClosure reaches from
+// `node`. Exact under the lattice's exactness precondition
+// (concept_lattice.h), which holds below every target the rules stage emits.
+// The one support oracle of rule and MCAC construction.
+inline size_t LatticeSupport(const mining::ConceptLattice& lattice,
+                             uint32_t node, const mining::Itemset& subset) {
+  return static_cast<size_t>(
+      lattice.NodeSupport(lattice.DescendToClosure(node, subset)));
+}
+
+// Sets rule->confidence and rule->lift from its three supports;
+// `num_reports` is the database size.
+void SetRuleMeasures(size_t num_reports, DrugAdrRule* rule);
 
 // "[DRUG A] [DRUG B] => [ADR X] [ADR Y]" with names from the dictionary.
 std::string RuleToString(const DrugAdrRule& rule,

@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "mining/measures.h"
-
 namespace maras::core {
 
 size_t Mcac::ContextSize() const {
@@ -46,28 +44,20 @@ maras::StatusOr<Mcac> BuildMcac(const DrugAdrRule& target,
     return maras::Status::Internal("MCAC target " + mining::ToString(whole) +
                                    " is not a concept lattice node");
   }
-  auto support_of = [&](const mining::Itemset& s) -> size_t {
-    return static_cast<size_t>(
-        lattice.NodeSupport(lattice.DescendToClosure(node, s)));
-  };
-
   Mcac mcac;
   mcac.target = target;
   mcac.levels.resize(target.drugs.size() - 1);
-  const size_t consequent_support = support_of(target.adrs);
+  const size_t consequent_support = LatticeSupport(lattice, node, target.adrs);
   mining::ForEachProperSubset(
       target.drugs, [&](const mining::Itemset& subset) {
         DrugAdrRule context;
         context.drugs = subset;
         context.adrs = target.adrs;
-        context.antecedent_support = support_of(subset);
+        context.antecedent_support = LatticeSupport(lattice, node, subset);
         context.consequent_support = consequent_support;
-        context.support = support_of(mining::Union(subset, target.adrs));
-        context.confidence =
-            mining::Confidence(context.support, context.antecedent_support);
-        context.lift = mining::Lift(context.support,
-                                    context.antecedent_support,
-                                    context.consequent_support, num_reports);
+        context.support =
+            LatticeSupport(lattice, node, mining::Union(subset, target.adrs));
+        SetRuleMeasures(num_reports, &context);
         mcac.levels[subset.size() - 1].push_back(std::move(context));
       });
 

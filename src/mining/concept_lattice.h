@@ -33,13 +33,16 @@ namespace maras::mining {
 // function of the closed family — identical at any thread count.
 //
 // Exactness precondition for DescendToClosure (proved by the differential
-// oracle, relied on by BuildMcac): the walk returns closure(X)'s node
-// when the start node's itemset is database-closed and every database-closed
-// subset of it above the mining threshold is present in the family. Both
-// always hold for MCAC targets: the rules stage keeps only candidates that
-// IsClosedInDatabase verifies, and below a verified target the closed
-// filter removes any capped pseudo-closed set, because its closure also
-// fits under the cap. (An uncapped mine satisfies it for every node.)
+// oracles, relied on by the rules stage and BuildMcac): the walk returns
+// closure(X)'s node when the start node's itemset is database-closed and
+// every database-closed subset of it above the mining threshold is present
+// in the family. Both hold for every rule target when the family is
+// complete at one support. Below the size cap a closed node is
+// database-closed: an equal-support proper superset would also fit under
+// the cap, so it was mined and the closed filter dropped the node. At the
+// cap the rules stage keeps a candidate only if IsClosedInDatabase confirms
+// it. Every database-closed subset of a target is no larger and no rarer,
+// so it was mined and kept. (An uncapped mine satisfies it for every node.)
 // ---------------------------------------------------------------------------
 
 // Borrowed view over a contiguous run of one of the flat arenas.

@@ -6,6 +6,7 @@
 #include "mining/concept_lattice.h"
 #include "test_util.h"
 #include "tests/oracles/mcac_enumeration.h"
+#include "tests/oracles/rules_database.h"
 
 namespace maras::core {
 namespace {

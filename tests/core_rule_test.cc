@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "tests/oracles/rules_database.h"
 
 namespace maras::core {
 namespace {

@@ -4,6 +4,7 @@
 
 #include "test_util.h"
 #include "tests/oracles/mcac_enumeration.h"
+#include "tests/oracles/rules_database.h"
 
 namespace maras::core {
 namespace {

@@ -437,6 +437,20 @@ TEST(ShardChaosTest, ExhaustedRetryBudgetQuarantinesAndDegrades) {
   EXPECT_GT(got->min_support_used, TestAnalyzer().mining.min_support);
   EXPECT_TRUE(AnyNoteContains(report.notes, "quarantined"));
   EXPECT_TRUE(AnyNoteContains(got->notes, "quarantined"));
+  // The merged family is complete at the one support min_support_used, so
+  // the degraded run equals a single-process run mined at that support.
+  AnalyzerOptions escalated = TestAnalyzer();
+  escalated.mining.min_support = got->min_support_used;
+  MultiQuarterPipeline pipeline{MultiQuarterOptions{}};
+  auto want = pipeline.RunAnalyzed(SharedQuarters(), escalated);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_GT(want->ranked.size(), 0u)
+      << "the escalated run must keep MCACs or the comparison is vacuous";
+  ExpectIdentical(Encode(*got), Encode(*want));
+  EXPECT_EQ(got->stats.total_rules, want->stats.total_rules);
+  EXPECT_EQ(got->stats.filtered_rules, want->stats.filtered_rules);
+  EXPECT_EQ(got->stats.closed_mixed, want->stats.closed_mixed);
+  EXPECT_EQ(got->stats.mcac_count, want->stats.mcac_count);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 // covering edges must equal the brute-force Hasse diagram of the
 // subset-inclusion order, the build must be byte-identical at any thread
 // count, and the greedy downward walk must land on closure(X) — the
-// exactness invariant MCAC construction relies on. The differential-oracle
-// suite then proves the end-to-end claim: ranked MCACs built over the
-// lattice are byte-identical to per-subset database enumeration (the
-// tests/oracles reference), across seeds, thread counts, size caps and a
-// degraded mine.
+// exactness invariant rule and MCAC construction rely on. The
+// differential-oracle suites then prove the end-to-end claims: rules and
+// ranked MCACs built over the lattice are byte-identical to the database
+// stage and to per-subset database enumeration (the tests/oracles
+// references), across seeds, thread counts, size caps and a degraded mine.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "mining/fpgrowth.h"
 #include "test_util.h"
 #include "tests/oracles/mcac_enumeration.h"
+#include "tests/oracles/rules_database.h"
 #include "util/random.h"
 #include "util/run_context.h"
 
@@ -186,7 +187,7 @@ TEST_P(ConceptLatticeTest, DescentFromClosedNodeReachesClosure) {
   }
 }
 
-TEST_P(ConceptLatticeTest, SubsetSupportCacheIsExactOnEveryPath) {
+TEST_P(ConceptLatticeTest, DescentIsExactFromEveryContainingNode) {
   // Subset supports come only from lattice descent (there is no memo or
   // bitmap fallback), so exactness must hold on every descent path: from
   // each lattice node containing X, the walk must reach a node whose
@@ -263,7 +264,7 @@ maras::test::MiniCorpus RandomCorpus(uint64_t seed) {
   return corpus;
 }
 
-// Runs mine -> closed -> rules -> lattice over `corpus` and ranks the
+// Runs mine -> closed -> lattice -> rules over `corpus` and ranks the
 // target rules' MCACs twice: BuildRankedStage over the lattice into
 // *latticed, and the enumeration oracle plus RankMcacs into *enumerated.
 // *truncated reports whether the mine degraded.
@@ -278,11 +279,11 @@ void RankedBytes(const maras::test::MiniCorpus& corpus,
   auto closed = core::BuildClosedStage(*std::move(mined), corpus.items,
                                        options, ctx);
   ASSERT_TRUE(closed.ok()) << closed.status().ToString();
-  auto rules = core::BuildRulesStage(closed->closed, corpus.items, corpus.db,
-                                     options, ctx);
-  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
   auto lattice = core::BuildLatticeStage(closed->closed, options, ctx);
   ASSERT_TRUE(lattice.ok()) << lattice.status().ToString();
+  auto rules = core::BuildRulesStage(closed->closed, corpus.items, corpus.db,
+                                     *lattice, options, ctx);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
   const core::RankingMethod method = core::RankingMethod::kExclusivenessLift;
   auto ranked = core::BuildRankedStage(*rules, corpus.items, corpus.db,
                                        method, options, ctx, &*lattice);
@@ -325,9 +326,9 @@ TEST_P(LatticeMcacDifferentialOracleTest,
 }
 
 TEST_P(LatticeMcacDifferentialOracleTest, CappedMineStaysEligibleViaVerify) {
-  // A size cap makes closed-in-the-family weaker than closed-in-the-database;
-  // the rules stage's verification keeps every target a database-closed
-  // lattice node, so the descent stays exact.
+  // A size cap makes closed-in-the-family weaker than closed-in-the-database
+  // at the cap; the rules stage's database check there keeps every target
+  // a database-closed lattice node, so the descent stays exact.
   maras::test::MiniCorpus corpus = RandomCorpus(GetParam() + 1);
   core::AnalyzerOptions run;
   run.mining.min_support = 2;
@@ -375,6 +376,132 @@ TEST(BuildRankedStageTest, NullLatticeIsInvalidArgument) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LatticeMcacDifferentialOracleTest,
                          ::testing::Values(1001, 2002, 3003, 4004));
+
+// ---------------------------------------------------------------------------
+// Rules oracle: the lattice-backed rules stage (supports from descents, the
+// database asked only at the size cap) must encode byte-identically to the
+// database stage (tests/oracles/rules_database: every candidate verified
+// and counted in the database).
+// ---------------------------------------------------------------------------
+
+// Mines `corpus` under `options`, then encodes the rules of the closed
+// family twice: the lattice-backed BuildRulesStage into *latticed and the
+// database oracle into *database. *truncated reports whether the mine
+// degraded.
+void RulesBytes(const maras::test::MiniCorpus& corpus,
+                const core::AnalyzerOptions& options, std::string* latticed,
+                std::string* database, bool* truncated = nullptr) {
+  const RunContext ctx;
+  auto mined = core::MineWithDegradation(corpus.db, options.mining,
+                                         options.degradation);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  if (truncated != nullptr) *truncated = mined->truncated;
+  auto closed = core::BuildClosedStage(*std::move(mined), corpus.items,
+                                       options, ctx);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  auto lattice = core::BuildLatticeStage(closed->closed, options, ctx);
+  ASSERT_TRUE(lattice.ok()) << lattice.status().ToString();
+  auto rules = core::BuildRulesStage(closed->closed, corpus.items, corpus.db,
+                                     *lattice, options, ctx);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  ASSERT_GT(rules->size(), 0u);
+  *latticed = core::EncodeRules(*rules);
+  auto oracle =
+      core::DatabaseRules(closed->closed, corpus.items, corpus.db, options);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  *database = core::EncodeRules(*oracle);
+}
+
+class RulesFromLatticeDifferentialOracleTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RulesFromLatticeDifferentialOracleTest,
+       LatticeAndDatabaseRulesAreByteIdentical) {
+  maras::test::MiniCorpus corpus = RandomCorpus(GetParam());
+  for (size_t cap : {0, 3, 5}) {
+    std::string reference;
+    for (size_t threads : {1, 2, 8}) {
+      core::AnalyzerOptions options;
+      options.mining.min_support = 2;
+      options.mining.max_itemset_size = cap;
+      options.mining.num_threads = threads;
+      std::string latticed, database;
+      ASSERT_NO_FATAL_FAILURE(
+          RulesBytes(corpus, options, &latticed, &database));
+      EXPECT_EQ(latticed, database) << "cap=" << cap << " threads=" << threads;
+      if (reference.empty()) reference = database;
+      EXPECT_EQ(latticed, reference)
+          << "cap=" << cap << " threads=" << threads;
+    }
+  }
+}
+
+TEST_P(RulesFromLatticeDifferentialOracleTest,
+       DegradedMineMatchesDatabaseRules) {
+  // The budget trips at the requested support, so the mine escalates
+  // min_support: the family is complete at the escalated support, and the
+  // lattice rules of it must still give the database bytes.
+  maras::test::MiniCorpus corpus = RandomCorpus(GetParam() + 2);
+  for (size_t cap : {0, 3}) {
+    for (size_t threads : {1, 8}) {
+      maras::MemoryBudget budget(kDegradingBudgetBytes);
+      RunContext governed;
+      governed.budget = &budget;
+      core::AnalyzerOptions run;
+      run.mining.min_support = 1;
+      run.mining.max_itemset_size = cap;
+      run.mining.num_threads = threads;
+      run.mining.context = &governed;
+      run.degradation.enabled = true;
+      run.degradation.max_retries = 10;
+      std::string latticed, database;
+      bool truncated = false;
+      ASSERT_NO_FATAL_FAILURE(
+          RulesBytes(corpus, run, &latticed, &database, &truncated));
+      EXPECT_TRUE(truncated) << "cap=" << cap << " threads=" << threads;
+      EXPECT_EQ(latticed, database) << "cap=" << cap << " threads=" << threads;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RulesFromLatticeDifferentialOracleTest,
+                         ::testing::Values(1001, 2002, 3003, 4004, 5005));
+
+TEST(BuildRulesStageTest, PseudoClosedCandidateAtTheCapIsDropped) {
+  // {A, B, X} only ever occurs with C, so it is not closed in the database;
+  // under a cap of 3 its closure {A, B, C, X} is not mined, which leaves
+  // {A, B, X} closed in the family. Only the at-cap database check can
+  // drop it, and {A, B, C, X} is too large to be a candidate: no rules.
+  maras::test::MiniCorpus corpus;
+  corpus.Add({{"A", "B", "C"}, {"X"}}, 5);
+  core::AnalyzerOptions options;
+  options.mining.min_support = 2;
+  options.mining.max_itemset_size = 3;
+  const RunContext ctx;
+  auto closed = MineClosed(corpus.db, options.mining);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  const Itemset pseudo =
+      Union(corpus.Drugs({"A", "B"}), corpus.Adrs({"X"}));
+  ASSERT_TRUE(closed->ContainsItemset(pseudo));
+  auto lattice = core::BuildLatticeStage(*closed, options, ctx);
+  ASSERT_TRUE(lattice.ok()) << lattice.status().ToString();
+  auto rules = core::BuildRulesStage(*closed, corpus.items, corpus.db,
+                                     *lattice, options, ctx);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  EXPECT_TRUE(rules->empty()) << core::EncodeRules(*rules).size();
+}
+
+TEST(BuildRulesStageTest, LatticeOfAnotherFamilyIsInvalidArgument) {
+  maras::test::MiniCorpus corpus = RandomCorpus(1001);
+  const core::AnalyzerOptions options;
+  const RunContext ctx;
+  auto closed = MineClosed(corpus.db, options.mining);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  ASSERT_GT(closed->size(), 0u);
+  auto rules = core::BuildRulesStage(*closed, corpus.items, corpus.db,
+                                     ConceptLattice{}, options, ctx);
+  EXPECT_TRUE(rules.status().IsInvalidArgument()) << rules.status().ToString();
+}
 
 }  // namespace
 }  // namespace maras::mining

@@ -7,6 +7,7 @@
 #include "core/mcac.h"
 #include "test_util.h"
 #include "tests/oracles/mcac_enumeration.h"
+#include "tests/oracles/rules_database.h"
 
 namespace maras::viz {
 namespace {
