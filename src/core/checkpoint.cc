@@ -12,6 +12,14 @@ namespace {
 // "MRCK" read as a little-endian u32.
 constexpr uint32_t kCheckpointMagic = 0x4b43524d;
 
+// Trailing tag of a mine-shard payload: which shard stride produced the
+// slice. 2 indexes the stride over every item with support >= 1 (see
+// MiningOptions::shard_index); untagged payloads indexed it over the items
+// frequent at the shard's min_support, which partitions the items
+// differently, so they fail to decode and the shard is mined again. The tag
+// comes last so an untagged payload is always short by it.
+constexpr uint8_t kMineShardStride = 2;
+
 maras::Status Corrupt(const std::string& path, const std::string& stage,
                       const std::string& why) {
   return maras::WithContext(maras::Status::Corruption(why),
@@ -474,6 +482,7 @@ std::string EncodeMineShardCheckpoint(const MineShardCheckpoint& shard) {
   w.U64(shard.min_support);
   w.U64(shard.max_itemset_size);
   w.Str(EncodeItemsetResult(shard.frequent));
+  w.U8(kMineShardStride);
   return std::move(w.Take());
 }
 
@@ -493,6 +502,13 @@ maras::StatusOr<MineShardCheckpoint> DecodeMineShardCheckpoint(
   std::string nested;
   MARAS_RETURN_IF_ERROR(r.Str(&nested));
   MARAS_ASSIGN_OR_RETURN(shard.frequent, DecodeItemsetResult(nested));
+  uint8_t stride = 0;
+  MARAS_RETURN_IF_ERROR(r.U8(&stride));
+  if (stride != kMineShardStride) {
+    return maras::Status::Corruption("mine shard stride " +
+                                     std::to_string(stride) + " is not " +
+                                     std::to_string(kMineShardStride));
+  }
   MARAS_RETURN_IF_ERROR(RequireExhausted(r));
   return shard;
 }

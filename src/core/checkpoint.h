@@ -103,7 +103,9 @@ maras::StatusOr<ClosedCheckpoint> DecodeClosedCheckpoint(
 // partial family it produced. The supervisor rejects a decoded shard whose
 // parameters disagree with the plan (a stale file from an earlier run with
 // different settings must not be merged), so the parameters travel inside
-// the checksummed payload rather than only in the file name.
+// the checksummed payload rather than only in the file name. The payload
+// also ends in a tag naming the shard stride that cut the slice; a payload
+// of another stride does not decode.
 struct MineShardCheckpoint {
   uint64_t shard_index = 0;
   uint64_t shard_count = 1;

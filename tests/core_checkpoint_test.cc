@@ -224,6 +224,29 @@ TEST(CheckpointCodecTest, ClosedCheckpointRoundTrip) {
   EXPECT_EQ(EncodeClosedCheckpoint(*decoded), encoded);
 }
 
+TEST(CheckpointCodecTest, MineShardCheckpointRejectsAnotherStride) {
+  MineShardCheckpoint shard;
+  shard.shard_index = 1;
+  shard.shard_count = 3;
+  shard.min_support = 4;
+  shard.max_itemset_size = 5;
+  shard.frequent.Add({2, 6}, 9);
+  const std::string encoded = EncodeMineShardCheckpoint(shard);
+  auto decoded = DecodeMineShardCheckpoint(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->shard_index, 1u);
+  EXPECT_EQ(decoded->shard_count, 3u);
+  EXPECT_EQ(EncodeMineShardCheckpoint(*decoded), encoded);
+  // A payload without the stride tag (the layout written before the stride
+  // was indexed over every item) and one with another tag are both stale:
+  // their slice partitions the items differently.
+  const std::string untagged = encoded.substr(0, encoded.size() - 1);
+  EXPECT_TRUE(DecodeMineShardCheckpoint(untagged).status().IsCorruption());
+  std::string retagged = encoded;
+  retagged.back() = static_cast<char>(retagged.back() + 1);
+  EXPECT_TRUE(DecodeMineShardCheckpoint(retagged).status().IsCorruption());
+}
+
 TEST(CheckpointCodecTest, PreprocessResultRoundTripsGeneratedQuarter) {
   faers::GeneratorConfig config;
   config.year = 2052;
@@ -479,6 +502,39 @@ TEST_F(CheckpointResumeTest, BitFlippedSnapshotIsRejectedAndRecomputed) {
   }
   EXPECT_TRUE(noted) << "no note names the rejected snapshot";
   ExpectIdentical(Encode(*resumed), *reference_);
+}
+
+TEST_F(CheckpointResumeTest, ClosedFamilyPastTheCapIsRecomputedWithLaterStages) {
+  std::string dir = FreshDir("cap_resume");
+  auto uncapped = MultiQuarterPipeline(CheckpointedOptions(dir, 1))
+                      .RunAnalyzed(*quarters_, HarnessAnalyzer(1));
+  ASSERT_TRUE(uncapped.ok()) << uncapped.status().ToString();
+  AnalyzerOptions capped = HarnessAnalyzer(1);
+  capped.mining.max_itemset_size = 3;
+  bool past_cap = false;
+  for (const mining::FrequentItemset& fi : uncapped->closed.itemsets()) {
+    past_cap = past_cap || fi.items.size() > 3;
+  }
+  ASSERT_TRUE(past_cap) << "the uncapped family must hold an itemset past "
+                           "the cap or the rejection is vacuous";
+  auto want = MultiQuarterPipeline(MultiQuarterOptions{})
+                  .RunAnalyzed(*quarters_, capped);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  // Resuming under the cap must not replay the uncapped closed family, nor
+  // the rules and ranking derived from it.
+  MultiQuarterOptions retry = CheckpointedOptions(dir, 1);
+  retry.resume = true;
+  auto resumed = MultiQuarterPipeline(retry).RunAnalyzed(*quarters_, capped);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  bool noted = false;
+  for (const std::string& note : resumed->notes) {
+    noted = noted || (note.find("rejected") != std::string::npos &&
+                      note.find("max_itemset_size") != std::string::npos);
+  }
+  EXPECT_TRUE(noted) << "no note names the rejected closed family";
+  EXPECT_EQ(resumed->stages_resumed, 3u);  // the three quarters only
+  ExpectIdentical(Encode(*resumed), Encode(*want));
 }
 
 // A second corpus seed: the identity guarantee is a property of the
