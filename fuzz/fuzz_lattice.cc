@@ -1,19 +1,23 @@
 // Differential fuzz harness for the concept lattice. The input decodes
 // into a small transaction database (every byte string is a valid corpus:
 // one byte = one transaction's item bitmask over a <=7-item universe), the
-// closed family is mined uncapped, and the lattice built from it is checked
-// against brute-force oracles: node set == closed family with exact
-// supports, covering edges == the Hasse diagram of strict inclusion,
-// Subsets/Supersets mutually transposed, build byte-identical at 1 and 2
-// threads, and — the property MCAC construction rests on — DescendToClosure
-// from any closed node returns a node that contains the queried subset and
-// whose support equals the subset's database support. Any disagreement
-// traps: a wrong lattice walk silently mis-measures contextual rules rather
-// than crashing.
+// closed family is mined twice — uncapped and with a small size cap — and
+// the lattice built from each is checked against brute-force oracles: node
+// set == closed family with exact supports, covering edges == the Hasse
+// diagram of strict inclusion, Subsets/Supersets mutually transposed, build
+// byte-identical at 1 and 2 threads. The capped family keeps pseudo-closed
+// sets at the cap and need not be closed under intersection; the covers
+// must be exact anyway. On the uncapped family only (where its
+// precondition holds), the property MCAC construction rests on:
+// DescendToClosure from any closed node returns a node that contains the
+// queried subset and whose support equals the subset's database support.
+// Any disagreement traps: a wrong lattice walk silently mis-measures
+// contextual rules rather than crashing.
 //
 // Input layout:
 //   [0]    universe size selector (2..7 items)
-//   [1]    min_support selector (1..3)
+//   [1]    min_support selector (1..3, from [1] % 3) and size cap of the
+//          second mine (2..4, from [1] / 3 % 3)
 //   [2..]  one transaction per byte (bitmask over the universe; zero-mask
 //          bytes yield empty transactions and are skipped), capped at 64
 
@@ -54,36 +58,18 @@ bool IsProperSubset(const Itemset& a, const Itemset& b) {
   return a.size() < b.size() && maras::mining::IsSubset(a, b);
 }
 
-}  // namespace
-
-extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  if (size < 3) return 0;
-  const size_t universe = 2 + data[0] % 6;  // 2..7
-  const size_t min_support = 1 + data[1] % 3;
-
-  maras::mining::TransactionDatabase db;
-  const size_t n_txn = std::min<size_t>(size - 2, 64);
-  for (size_t t = 0; t < n_txn; ++t) {
-    Itemset txn = MaskToItemset(data[2 + t], universe);
-    if (!txn.empty()) db.Add(std::move(txn));
-  }
-  if (db.size() == 0) return 0;
-
-  // Uncapped mine, so the descent exactness precondition holds for every
-  // closed node (concept_lattice.h).
-  maras::mining::MiningOptions options{.min_support = min_support,
-                                       .max_itemset_size = 0,
-                                       .num_threads = 1};
-  auto closed = maras::mining::MineClosed(db, options);
-  Require(closed.ok());
-
+// Checks the lattice of `closed` (mined from `db`) against the brute-force
+// oracles; the descent only when `exact_descent` (an uncapped mine).
+void CheckLattice(const maras::mining::TransactionDatabase& db,
+                  const maras::mining::FrequentItemsetResult& closed,
+                  bool exact_descent) {
   const maras::RunContext ctx;
-  auto built = ConceptLattice::Build(*closed, /*num_threads=*/1, ctx);
+  auto built = ConceptLattice::Build(closed, /*num_threads=*/1, ctx);
   Require(built.ok());
   const ConceptLattice& lattice = *built;
 
   // Nodes mirror the closed family, in canonical order, supports exact.
-  const auto& family = closed->itemsets();
+  const auto& family = closed.itemsets();
   Require(lattice.node_count() == family.size());
   for (uint32_t n = 0; n < lattice.node_count(); ++n) {
     Require(SpanToItemset(lattice.NodeItems(n)) == family[n].items);
@@ -119,7 +105,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   Require(lattice.edge_count() == edges);
 
   // Build is a pure function of the family: 2-thread build is identical.
-  auto built2 = ConceptLattice::Build(*closed, /*num_threads=*/2, ctx);
+  auto built2 = ConceptLattice::Build(closed, /*num_threads=*/2, ctx);
   Require(built2.ok());
   Require(built2->node_count() == lattice.node_count());
   Require(built2->edge_count() == lattice.edge_count());
@@ -131,6 +117,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     Require(a.size() == b.size());
     for (size_t i = 0; i < a.size(); ++i) Require(a[i] == b[i]);
   }
+  if (!exact_descent) return;
 
   // Descent exactness: from every closed node, every non-empty subset of
   // its itemset resolves to the database support.
@@ -149,6 +136,34 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       Require(lattice.NodeSupport(end) == want);
       Require(lattice.NodeContains(end, subset));
     }
+  }
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  if (size < 3) return 0;
+  const size_t universe = 2 + data[0] % 6;  // 2..7
+  const size_t min_support = 1 + data[1] % 3;
+  const size_t cap = 2 + data[1] / 3 % 3;  // 2..4
+
+  maras::mining::TransactionDatabase db;
+  const size_t n_txn = std::min<size_t>(size - 2, 64);
+  for (size_t t = 0; t < n_txn; ++t) {
+    Itemset txn = MaskToItemset(data[2 + t], universe);
+    if (!txn.empty()) db.Add(std::move(txn));
+  }
+  if (db.size() == 0) return 0;
+
+  // Uncapped mine, so the descent exactness precondition holds for every
+  // closed node (concept_lattice.h); then the capped mine, covers only.
+  for (size_t max_itemset_size : {size_t{0}, cap}) {
+    maras::mining::MiningOptions options{.min_support = min_support,
+                                         .max_itemset_size = max_itemset_size,
+                                         .num_threads = 1};
+    auto closed = maras::mining::MineClosed(db, options);
+    Require(closed.ok());
+    CheckLattice(db, *closed, /*exact_descent=*/max_itemset_size == 0);
   }
   return 0;
 }

@@ -270,11 +270,13 @@ maras::Status Generate(const std::filesystem::path& root) {
                                               std::string(80, '\0'))));
 
   // --- lattice: transaction-bitmask corpora --------------------------------
-  // Layout (see fuzz_lattice.cc): [universe selector][min_support selector]
-  // [one transaction bitmask per byte]. Seeds pin the lattice shapes whose
-  // covering edges differ structurally: a layered chain (each mask a strict
-  // superset of the previous), an antichain of disjoint pairs, and a dense
-  // overlapping mix where closures collapse many subsets per node.
+  // Layout (see fuzz_lattice.cc): [universe selector][min_support and cap
+  // selector][one transaction bitmask per byte]. Seeds pin the lattice
+  // shapes whose covering edges differ structurally: a layered chain (each
+  // mask a strict superset of the previous), an antichain of disjoint pairs,
+  // a dense overlapping mix where closures collapse many subsets per node,
+  // and a block of four items whose pairs and triples are pseudo-closed
+  // under the second mine's cap of 3 (selector 4: min_support 2, cap 3).
   const auto lattice_seed = [](unsigned char uni, unsigned char sup,
                                std::string masks) {
     std::string out;
@@ -296,6 +298,10 @@ maras::Status Generate(const std::filesystem::path& root) {
       lattice_seed(3, 0, std::string(6, '\x1F') + std::string(5, '\x17') +
                              std::string(4, '\x0E') + std::string(3, '\x19') +
                              std::string(7, '\x1C'))));
+  MARAS_RETURN_IF_ERROR(WriteFile(
+      root / "lattice" / "capped.bin",
+      lattice_seed(5, 4, std::string(2, '\x0F') + std::string(3, '\x31') +
+                             std::string(2, '\x46') + std::string(2, '\x78'))));
   return maras::Status::OK();
 }
 

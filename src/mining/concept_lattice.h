@@ -67,7 +67,10 @@ class ConceptLattice {
   // Builds nodes and covering edges from the (canonically sorted) closed
   // family. The per-node edge fan-out runs on `num_threads` workers and
   // polls `ctx` at a bounded interval; output is byte-identical at any
-  // thread count. Fails on families past 32-bit node indexing.
+  // thread count. The edges are exact for any family of distinct itemsets,
+  // including size-capped families that are not closed under intersection;
+  // an empty itemset is never a cover. Fails on families past 32-bit node
+  // indexing.
   static maras::StatusOr<ConceptLattice> Build(
       const FrequentItemsetResult& closed, size_t num_threads,
       const RunContext& ctx);
