@@ -2,7 +2,8 @@
 // SignalSnapshot through the QueryEngine — top-k, name→postings lookups,
 // drill-down to report ids, full signal materialization — plus the cost of
 // opening (and therefore fully re-validating) a snapshot file, which is
-// what every SnapshotStore::Refresh pays per candidate generation.
+// what every SnapshotStore::Refresh pays per candidate generation, and the
+// cost of encoding the image.
 // `--bench_json` writes the perf trajectory (bench/baselines/
 // BENCH_query.json); `--smoke` is the Release-mode result-hash gate: the
 // snapshot's materialized answers must be byte-identical to the in-memory
@@ -40,6 +41,7 @@ using namespace maras;
 struct Fixture {
   faers::PreprocessResult pre;
   std::vector<core::RankedMcac> ranked;
+  core::RuleSpaceStats stats;
   std::string image;
   std::shared_ptr<const serve::SignalSnapshot> snapshot;
   std::unique_ptr<serve::QueryEngine> engine;
@@ -70,12 +72,13 @@ Fixture MakeFixture(size_t reports) {
   fixture.ranked = core::RankMcacs(analysis->mcacs,
                                    core::RankingMethod::kExclusivenessLift,
                                    core::ExclusivenessOptions{});
+  fixture.stats = analysis->stats;
   fixture.pre = *std::move(pre);
 
   serve::SnapshotInputs inputs;
   inputs.items = &fixture.pre.items;
   inputs.signals = &fixture.ranked;
-  inputs.stats = analysis->stats;
+  inputs.stats = fixture.stats;
   inputs.db = &fixture.pre.transactions;
   inputs.primary_ids = &fixture.pre.primary_ids;
   auto image = serve::EncodeSignalSnapshot(inputs);
@@ -175,6 +178,35 @@ void BM_ValidateImage(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateImage)->Unit(benchmark::kMicrosecond);
 
+// The writer's side of the same image: encoding plus the postings and
+// covering-edge derivation (serve/snapshot_index.h). Report ids are
+// precomputed, as on the re-encode path, so SupportingReports stays out of
+// the row.
+void BM_EncodeSnapshot(benchmark::State& state) {
+  const Fixture& fixture = SharedFixture();
+  std::vector<std::vector<uint64_t>> report_ids;
+  for (const core::RankedMcac& entry : fixture.ranked) {
+    report_ids.push_back(core::SupportingReports(
+        fixture.pre.transactions, fixture.pre.primary_ids,
+        entry.mcac.target));
+  }
+  serve::SnapshotInputs inputs;
+  inputs.items = &fixture.pre.items;
+  inputs.signals = &fixture.ranked;
+  inputs.stats = fixture.stats;
+  inputs.report_ids = &report_ids;
+  auto first = serve::EncodeSignalSnapshot(inputs);
+  MARAS_CHECK(first.ok() && *first == fixture.image)
+      << "re-encoding the fixture must reproduce its image";
+  for (auto _ : state) {
+    auto image = serve::EncodeSignalSnapshot(inputs);
+    MARAS_CHECK(image.ok());
+    benchmark::DoNotOptimize(image);
+  }
+  state.counters["bytes"] = static_cast<double>(fixture.image.size());
+}
+BENCHMARK(BM_EncodeSnapshot)->Unit(benchmark::kMicrosecond);
+
 void BM_OpenFile(benchmark::State& state) {
   const Fixture& fixture = SharedFixture();
   const std::string path =
@@ -224,7 +256,6 @@ bool RunSmoke() {
   inputs.signals = &reconstructed->signals;
   inputs.stats = reconstructed->stats;
   inputs.report_ids = &reconstructed->report_ids;
-  inputs.include_lattice = reconstructed->include_lattice;
   auto reencoded = serve::EncodeSignalSnapshot(inputs);
   MARAS_CHECK(reencoded.ok()) << reencoded.status().ToString();
   std::printf("smoke: image        result-hash %016llx (%zu bytes)\n",

@@ -37,9 +37,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     std::vector<uint64_t> reports;
     MARAS_CHECK(snapshot->ReportIds(s, &reports).ok());
     std::vector<uint32_t> neighbors;
-    const bool want_nav = snapshot->has_lattice_nav();
-    MARAS_CHECK(snapshot->Generalizations(s, &neighbors).ok() == want_nav);
-    MARAS_CHECK(snapshot->Specializations(s, &neighbors).ok() == want_nav);
+    MARAS_CHECK(snapshot->Generalizations(s, &neighbors).ok());
+    MARAS_CHECK(snapshot->Specializations(s, &neighbors).ok());
   }
 
   // Canonical form: decode -> re-encode is the identity on the image.
@@ -50,7 +49,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   inputs.signals = &reconstructed->signals;
   inputs.stats = reconstructed->stats;
   inputs.report_ids = &reconstructed->report_ids;
-  inputs.include_lattice = reconstructed->include_lattice;
   auto reencoded = serve::EncodeSignalSnapshot(inputs);
   MARAS_CHECK(reencoded.ok()) << reencoded.status().ToString();
   MARAS_CHECK(*reencoded == bytes)

@@ -13,11 +13,11 @@ namespace maras::mining {
 // Fixed-width bitmap kernels over the vertical tid index.
 //
 // A TidBitmap represents a set of transaction ids drawn from a fixed
-// universe [0, universe) as packed 64-bit words. Support counting for the
-// 2×2 contingency tables (core/disproportionality ContingencyBatch), the
-// stratified tables and the concept lattice's subset-support fallback then
-// becomes word-wise AND + popcount over contiguous arrays instead of a
-// branchy merge over std::vector<Tid>. The kernels below are written as
+// universe [0, universe) as packed 64-bit words. Its two users are the 2×2
+// contingency tables (core/disproportionality ContingencyBatch) and the
+// stratified tables (core/stratified): their support counting becomes
+// word-wise AND + popcount over contiguous arrays instead of a branchy
+// merge over std::vector<Tid>. The kernels below are written as
 // plain loops the compiler can autovectorize, with an AVX2 path selected at
 // runtime on x86-64 (and a NEON path compiled in on aarch64); every backend
 // computes bit-identical counts, which mining_bitmap_kernel_test proves

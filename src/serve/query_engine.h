@@ -50,13 +50,10 @@ class QueryEngine {
       uint32_t signal) const;
 
   // Lattice drill-down: signals one covering step up (fewer drugs, same
-  // ADRs) or down from `signal`, in ascending index order. NotFound when
-  // the snapshot was written without lattice navigation.
+  // ADRs) or down from `signal`, in ascending index order. Every snapshot
+  // carries this navigation for every signal.
   maras::StatusOr<std::vector<uint32_t>> Generalize(uint32_t signal) const;
   maras::StatusOr<std::vector<uint32_t>> Specialize(uint32_t signal) const;
-
-  // True when the pinned snapshot carries lattice navigation.
-  bool HasLatticeNav() const { return snapshot_->has_lattice_nav(); }
 
   // Full analyzer-side reconstruction of one signal.
   maras::StatusOr<core::RankedMcac> Materialize(uint32_t signal) const;

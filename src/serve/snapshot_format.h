@@ -49,8 +49,9 @@ namespace maras::serve {
 
 // "MSNP" read as a little-endian u32.
 inline constexpr uint32_t kSnapshotMagic = 0x504e534d;
-// v2 added the optional lattice-navigation sections (generalize/specialize
-// covering edges between stored signals) and their two meta counts.
+// v2 added the lattice-navigation sections (generalize/specialize covering
+// edges between stored signals) and their two meta counts. Every v2 image
+// carries navigation for every signal; one without it is corrupt.
 inline constexpr uint32_t kSnapshotVersion = 2;
 
 enum class SectionId : uint32_t {
@@ -73,10 +74,6 @@ inline constexpr uint32_t kSectionCount = 13;
 
 // The one canonical section order; the writer emits it and the reader
 // rejects any other (a reordered table is a forged file, not a variant).
-// The lattice sections are "optional" by content, not by presence: a
-// snapshot written without lattice navigation carries them empty (and a
-// zero kMetaLatticeNavCount), so the tiling and checksum discipline is
-// uniform across every snapshot.
 inline constexpr SectionId kSectionOrder[kSectionCount] = {
     SectionId::kMeta,         SectionId::kStrings,
     SectionId::kItems,        SectionId::kRules,
@@ -96,10 +93,8 @@ inline constexpr size_t kFileHeaderBytes = 24;
 inline constexpr size_t kSectionEntryBytes = 24;
 
 // kMeta payload: eight u32 counts, the four u64 RuleSpaceStats fields, then
-// the two u32 lattice counts appended by v2. kMetaLatticeNavCount is the
-// presence flag for the lattice sections: it equals the signal count when
-// navigation was written and 0 when it was not (with zero signals the two
-// encodings coincide, so the ambiguity is harmless).
+// the two u32 lattice counts appended by v2. kMetaLatticeNavCount always
+// equals the signal count.
 inline constexpr size_t kMetaBytes = 8 * 4 + 4 * 8 + 2 * 4;
 inline constexpr size_t kMetaSignalCount = 0;
 inline constexpr size_t kMetaItemCount = 4;
@@ -166,6 +161,7 @@ inline constexpr size_t kPostingCount = 4;
 // of s's (one covering step up the concept lattice); "specializations" are
 // the inverse relation. Each list is sorted ascending, and the pool is
 // packed canonically: per signal, gen list then spec list, in signal order.
+// Postings and these lists are derived by serve/snapshot_index.h.
 inline constexpr size_t kLatticeNavRecordBytes = 16;
 inline constexpr size_t kLatticeNavGenOffset = 0;
 inline constexpr size_t kLatticeNavGenCount = 4;

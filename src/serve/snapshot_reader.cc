@@ -1,12 +1,13 @@
 #include "serve/snapshot_reader.h"
 
-#include <algorithm>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
+#include "serve/snapshot_index.h"
 #include "util/status.h"
 
 namespace maras::serve {
@@ -126,17 +127,55 @@ maras::Status ReadLatticeNavRec(const BoundedView& nav, uint32_t index,
   return maras::Status::OK();
 }
 
-// True iff `a` is a proper subset of `b`; both strictly increasing.
-bool IsProperSubset(const std::vector<uint32_t>& a,
-                    const std::vector<uint32_t>& b) {
-  if (a.size() >= b.size()) return false;
-  size_t j = 0;
-  for (uint32_t id : a) {
-    while (j < b.size() && b[j] < id) ++j;
-    if (j == b.size() || b[j] != id) return false;
-    ++j;
+// Appends the `count` ids at element `off` of the item-id pool to `out`.
+// It reserves exactly what it appends, so a caller appending many times
+// reserves the total first.
+maras::Status AppendItemIds(const BoundedView& pool, uint32_t off,
+                            uint32_t count, std::vector<uint32_t>* out) {
+  out->reserve(out->size() + count);
+  for (uint32_t j = 0; j < count; ++j) {
+    uint32_t id = 0;
+    MARAS_RETURN_IF_ERROR(
+        pool.U32At((uint64_t{off} + j) * kItemIdPoolElemBytes, &id));
+    out->push_back(id);
   }
-  return true;
+  return maras::Status::OK();
+}
+
+// Checks one stored posting or lattice list against its derivation from
+// the targets: it must start where the previous list of its pool ended and
+// hold exactly `want`. `what` + `owner` name the list in errors.
+maras::Status CheckDerivedList(const BoundedView& pool, uint32_t off,
+                               uint32_t count,
+                               const std::vector<uint32_t>& want,
+                               const char* what, uint32_t owner,
+                               uint64_t* cursor) {
+  static_assert(kPostingPoolElemBytes == kLatticeEdgePoolElemBytes);
+  const auto where = [&] { return what + std::to_string(owner); };
+  if (off != *cursor) {
+    return maras::Status::Corruption(
+        where() + ": offset " + std::to_string(off) +
+        " breaks canonical packing (expected " + std::to_string(*cursor) +
+        ")");
+  }
+  if (count != want.size()) {
+    return maras::Status::Corruption(
+        where() + ": " + std::to_string(count) +
+        " entries, derivation from targets yields " +
+        std::to_string(want.size()));
+  }
+  for (uint32_t j = 0; j < count; ++j) {
+    uint32_t entry = 0;
+    MARAS_RETURN_IF_ERROR(
+        pool.U32At((uint64_t{off} + j) * kPostingPoolElemBytes, &entry));
+    if (entry != want[j]) {
+      return maras::Status::Corruption(
+          where() + " entry " + std::to_string(j) +
+          " disagrees with derivation from targets");
+    }
+  }
+  *cursor += count;
+  return maras::Status::OK();
 }
 
 }  // namespace
@@ -270,16 +309,12 @@ maras::Status SignalSnapshot::Init(BoundedView file) {
   MARAS_RETURN_IF_ERROR(meta.U32At(kMetaLatticeNavCount, &counts_.lattice_nav));
   MARAS_RETURN_IF_ERROR(
       meta.U32At(kMetaLatticeEdgeCount, &counts_.lattice_edges));
-  // The lattice is all-or-nothing: navigation covers every signal or none.
-  if (counts_.lattice_nav != 0 && counts_.lattice_nav != counts_.signals) {
+  // Every writer emits lattice navigation for every signal.
+  if (counts_.lattice_nav != counts_.signals) {
     return maras::Status::Corruption(
         "lattice nav count " + std::to_string(counts_.lattice_nav) +
-        " covers neither all " + std::to_string(counts_.signals) +
-        " signals nor none");
-  }
-  if (counts_.lattice_nav == 0 && counts_.lattice_edges != 0) {
-    return maras::Status::Corruption(
-        "lattice edge pool without lattice navigation");
+        " does not cover all " + std::to_string(counts_.signals) +
+        " signals");
   }
 
   const auto check_geometry = [this](SectionId id, uint64_t count,
@@ -331,8 +366,7 @@ maras::Status SignalSnapshot::Init(BoundedView file) {
   MARAS_RETURN_IF_ERROR(ValidateItems());
   MARAS_RETURN_IF_ERROR(ValidateRules());
   MARAS_RETURN_IF_ERROR(ValidateSignals());
-  MARAS_RETURN_IF_ERROR(ValidatePostings());
-  MARAS_RETURN_IF_ERROR(ValidateLattice());
+  MARAS_RETURN_IF_ERROR(ValidateIndex());
   return maras::Status::OK();
 }
 
@@ -527,201 +561,84 @@ maras::Status SignalSnapshot::ValidateSignals() const {
   return maras::Status::OK();
 }
 
-maras::Status SignalSnapshot::ValidatePostings() const {
+maras::Status SignalSnapshot::ValidateIndex() const {
   const BoundedView& signals = sections_[SectionIndex(SectionId::kSignals)];
   const BoundedView& rules = sections_[SectionIndex(SectionId::kRules)];
   const BoundedView& id_pool = sections_[SectionIndex(SectionId::kItemIdPool)];
-  const BoundedView& pool = sections_[SectionIndex(SectionId::kPostingPool)];
 
-  // Postings carry no information of their own — they are an index derived
-  // from the signal targets. Re-derive and demand an exact match, so a
-  // forged posting can never route a query to the wrong signal.
-  std::vector<std::vector<uint32_t>> expected[2];
-  expected[0].resize(counts_.items);
-  expected[1].resize(counts_.items);
+  // Postings and lattice lists carry no information of their own: they are
+  // derived from the signal targets (serve/snapshot_index.h). Re-derive
+  // them and demand an exact match, so a forged entry can never route a
+  // query or a drill-down to the wrong signal.
+  // Each target's ids are read once. They are a part of the item-id pool,
+  // so reserving the pool's size keeps `ids` from reallocating and the
+  // spans into it stay valid.
+  std::vector<uint32_t> ids;
+  ids.reserve(counts_.item_ids);
+  std::vector<TargetIds> targets(counts_.signals);
   for (uint32_t s = 0; s < counts_.signals; ++s) {
     uint32_t target_rule = 0;
     MARAS_RETURN_IF_ERROR(signals.U32At(
         size_t{s} * kSignalRecordBytes + kSignalTargetRule, &target_rule));
     RuleRec rec;
     MARAS_RETURN_IF_ERROR(ReadRuleRec(rules, target_rule, &rec));
-    for (uint32_t j = 0; j < rec.drugs_count; ++j) {
-      uint32_t id = 0;
-      MARAS_RETURN_IF_ERROR(id_pool.U32At(
-          (uint64_t{rec.drugs_off} + j) * kItemIdPoolElemBytes, &id));
-      expected[0][id].push_back(s);
-    }
-    for (uint32_t j = 0; j < rec.adrs_count; ++j) {
-      uint32_t id = 0;
-      MARAS_RETURN_IF_ERROR(id_pool.U32At(
-          (uint64_t{rec.adrs_off} + j) * kItemIdPoolElemBytes, &id));
-      expected[1][id].push_back(s);
-    }
+    const size_t begin = ids.size();
+    MARAS_RETURN_IF_ERROR(
+        AppendItemIds(id_pool, rec.drugs_off, rec.drugs_count, &ids));
+    MARAS_RETURN_IF_ERROR(
+        AppendItemIds(id_pool, rec.adrs_off, rec.adrs_count, &ids));
+    const std::span<const uint32_t> read(ids);
+    targets[s] = {read.subspan(begin, rec.drugs_count),
+                  read.subspan(begin + rec.drugs_count, rec.adrs_count)};
   }
+  const SnapshotIndex index = DeriveSnapshotIndex(targets, counts_.items);
 
-  uint64_t pool_cursor = 0;
-  for (int side = 0; side < 2; ++side) {
-    const BoundedView& section =
-        sections_[SectionIndex(side == 0 ? SectionId::kDrugPostings
-                                         : SectionId::kAdrPostings)];
-    const char* side_name = side == 0 ? "drug" : "ADR";
+  const BoundedView& posting_pool =
+      sections_[SectionIndex(SectionId::kPostingPool)];
+  uint64_t cursor = 0;
+  const auto check_postings =
+      [&](SectionId id, const std::vector<std::vector<uint32_t>>& want,
+          const char* what) -> maras::Status {
     for (uint32_t i = 0; i < counts_.items; ++i) {
-      const std::string where =
-          std::string(side_name) + " postings of item " + std::to_string(i);
       PostingRec rec;
-      MARAS_RETURN_IF_ERROR(ReadPostingRec(section, i, &rec));
-      if (rec.offset != pool_cursor) {
-        return maras::Status::Corruption(
-            where + ": offset " + std::to_string(rec.offset) +
-            " breaks canonical posting packing");
-      }
-      const std::vector<uint32_t>& want = expected[side][i];
-      if (rec.count != want.size()) {
-        return maras::Status::Corruption(
-            where + ": " + std::to_string(rec.count) +
-            " entries, derivation from targets yields " +
-            std::to_string(want.size()));
-      }
-      for (uint32_t j = 0; j < rec.count; ++j) {
-        uint32_t signal = 0;
-        MARAS_RETURN_IF_ERROR(pool.U32At(
-            (uint64_t{rec.offset} + j) * kPostingPoolElemBytes, &signal));
-        if (signal != want[j]) {
-          return maras::Status::Corruption(
-              where + " entry " + std::to_string(j) +
-              " disagrees with derivation from targets");
-        }
-      }
-      pool_cursor += rec.count;
+      MARAS_RETURN_IF_ERROR(ReadPostingRec(sections_[SectionIndex(id)], i,
+                                           &rec));
+      MARAS_RETURN_IF_ERROR(CheckDerivedList(posting_pool, rec.offset,
+                                             rec.count, want[i], what, i,
+                                             &cursor));
     }
-  }
-  if (pool_cursor != counts_.postings) {
-    return maras::Status::Corruption(
-        "posting pool holds " + std::to_string(counts_.postings) +
-        " entries but lists cover " + std::to_string(pool_cursor));
-  }
-  return maras::Status::OK();
-}
-
-maras::Status SignalSnapshot::ValidateLattice() const {
-  if (counts_.lattice_nav == 0) return maras::Status::OK();
-  const BoundedView& signals = sections_[SectionIndex(SectionId::kSignals)];
-  const BoundedView& rules = sections_[SectionIndex(SectionId::kRules)];
-  const BoundedView& id_pool = sections_[SectionIndex(SectionId::kItemIdPool)];
-  const BoundedView& nav = sections_[SectionIndex(SectionId::kLatticeNav)];
-  const BoundedView& pool =
-      sections_[SectionIndex(SectionId::kLatticeEdgePool)];
-
-  // Like postings, the lattice lists carry no information of their own —
-  // they are the covering relation of the signal targets. Re-derive it and
-  // demand an exact match, so forged edges can never steer a drill-down to
-  // an unrelated signal.
-  std::vector<std::vector<uint32_t>> drugs(counts_.signals);
-  std::vector<std::vector<uint32_t>> adrs(counts_.signals);
-  for (uint32_t s = 0; s < counts_.signals; ++s) {
-    uint32_t target_rule = 0;
-    MARAS_RETURN_IF_ERROR(signals.U32At(
-        size_t{s} * kSignalRecordBytes + kSignalTargetRule, &target_rule));
-    RuleRec rec;
-    MARAS_RETURN_IF_ERROR(ReadRuleRec(rules, target_rule, &rec));
-    drugs[s].reserve(rec.drugs_count);
-    for (uint32_t j = 0; j < rec.drugs_count; ++j) {
-      uint32_t id = 0;
-      MARAS_RETURN_IF_ERROR(id_pool.U32At(
-          (uint64_t{rec.drugs_off} + j) * kItemIdPoolElemBytes, &id));
-      drugs[s].push_back(id);
-    }
-    adrs[s].reserve(rec.adrs_count);
-    for (uint32_t j = 0; j < rec.adrs_count; ++j) {
-      uint32_t id = 0;
-      MARAS_RETURN_IF_ERROR(id_pool.U32At(
-          (uint64_t{rec.adrs_off} + j) * kItemIdPoolElemBytes, &id));
-      adrs[s].push_back(id);
-    }
-  }
-  std::vector<uint32_t> order(counts_.signals);
-  for (uint32_t i = 0; i < counts_.signals; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (adrs[a] != adrs[b]) return adrs[a] < adrs[b];
-    return a < b;
-  });
-  std::vector<std::vector<uint32_t>> gen(counts_.signals);
-  size_t group_begin = 0;
-  while (group_begin < order.size()) {
-    size_t group_end = group_begin + 1;
-    while (group_end < order.size() &&
-           adrs[order[group_end]] == adrs[order[group_begin]]) {
-      ++group_end;
-    }
-    for (size_t i = group_begin; i < group_end; ++i) {
-      const uint32_t s = order[i];
-      std::vector<uint32_t> below;
-      for (size_t j = group_begin; j < group_end; ++j) {
-        const uint32_t t = order[j];
-        if (t != s && IsProperSubset(drugs[t], drugs[s])) below.push_back(t);
-      }
-      for (uint32_t t : below) {
-        bool maximal = true;
-        for (uint32_t u : below) {
-          if (u != t && IsProperSubset(drugs[t], drugs[u])) {
-            maximal = false;
-            break;
-          }
-        }
-        if (maximal) gen[s].push_back(t);
-      }
-      std::sort(gen[s].begin(), gen[s].end());
-    }
-    group_begin = group_end;
-  }
-  std::vector<std::vector<uint32_t>> spec(counts_.signals);
-  for (uint32_t s = 0; s < counts_.signals; ++s) {
-    for (uint32_t t : gen[s]) spec[t].push_back(s);
-  }
-
-  uint64_t edge_cursor = 0;
-  const auto check_list = [&](uint32_t s, uint32_t off, uint32_t count,
-                              const std::vector<uint32_t>& want,
-                              const char* kind) -> maras::Status {
-    const std::string where = "lattice " + std::string(kind) +
-                              " of signal " + std::to_string(s);
-    if (off != edge_cursor) {
-      return maras::Status::Corruption(
-          where + ": offset " + std::to_string(off) +
-          " breaks canonical edge packing (expected " +
-          std::to_string(edge_cursor) + ")");
-    }
-    if (count != want.size()) {
-      return maras::Status::Corruption(
-          where + ": " + std::to_string(count) +
-          " entries, derivation from targets yields " +
-          std::to_string(want.size()));
-    }
-    for (uint32_t j = 0; j < count; ++j) {
-      uint32_t entry = 0;
-      MARAS_RETURN_IF_ERROR(pool.U32At(
-          (uint64_t{off} + j) * kLatticeEdgePoolElemBytes, &entry));
-      if (entry != want[j]) {
-        return maras::Status::Corruption(
-            where + " entry " + std::to_string(j) +
-            " disagrees with derivation from targets");
-      }
-    }
-    edge_cursor += count;
     return maras::Status::OK();
   };
+  MARAS_RETURN_IF_ERROR(check_postings(SectionId::kDrugPostings,
+                                       index.drug_postings,
+                                       "drug postings of item "));
+  MARAS_RETURN_IF_ERROR(check_postings(SectionId::kAdrPostings,
+                                       index.adr_postings,
+                                       "ADR postings of item "));
+  if (cursor != counts_.postings) {
+    return maras::Status::Corruption(
+        "posting pool holds " + std::to_string(counts_.postings) +
+        " entries but lists cover " + std::to_string(cursor));
+  }
+
+  const BoundedView& nav = sections_[SectionIndex(SectionId::kLatticeNav)];
+  const BoundedView& edge_pool =
+      sections_[SectionIndex(SectionId::kLatticeEdgePool)];
+  cursor = 0;
   for (uint32_t s = 0; s < counts_.signals; ++s) {
     LatticeNavRec rec;
     MARAS_RETURN_IF_ERROR(ReadLatticeNavRec(nav, s, &rec));
-    MARAS_RETURN_IF_ERROR(
-        check_list(s, rec.gen_off, rec.gen_count, gen[s], "generalizations"));
-    MARAS_RETURN_IF_ERROR(check_list(s, rec.spec_off, rec.spec_count, spec[s],
-                                     "specializations"));
+    MARAS_RETURN_IF_ERROR(CheckDerivedList(
+        edge_pool, rec.gen_off, rec.gen_count, index.generalizations[s],
+        "lattice generalizations of signal ", s, &cursor));
+    MARAS_RETURN_IF_ERROR(CheckDerivedList(
+        edge_pool, rec.spec_off, rec.spec_count, index.specializations[s],
+        "lattice specializations of signal ", s, &cursor));
   }
-  if (edge_cursor != counts_.lattice_edges) {
+  if (cursor != counts_.lattice_edges) {
     return maras::Status::Corruption(
         "lattice edge pool holds " + std::to_string(counts_.lattice_edges) +
-        " entries but lists cover " + std::to_string(edge_cursor));
+        " entries but lists cover " + std::to_string(cursor));
   }
   return maras::Status::OK();
 }
@@ -765,21 +682,11 @@ maras::Status SignalSnapshot::Rule(uint32_t index,
       ReadRuleRec(sections_[SectionIndex(SectionId::kRules)], index, &rec));
   const BoundedView& pool = sections_[SectionIndex(SectionId::kItemIdPool)];
   out->drugs.clear();
-  out->drugs.reserve(rec.drugs_count);
-  for (uint32_t j = 0; j < rec.drugs_count; ++j) {
-    uint32_t id = 0;
-    MARAS_RETURN_IF_ERROR(pool.U32At(
-        (uint64_t{rec.drugs_off} + j) * kItemIdPoolElemBytes, &id));
-    out->drugs.push_back(id);
-  }
+  MARAS_RETURN_IF_ERROR(
+      AppendItemIds(pool, rec.drugs_off, rec.drugs_count, &out->drugs));
   out->adrs.clear();
-  out->adrs.reserve(rec.adrs_count);
-  for (uint32_t j = 0; j < rec.adrs_count; ++j) {
-    uint32_t id = 0;
-    MARAS_RETURN_IF_ERROR(pool.U32At(
-        (uint64_t{rec.adrs_off} + j) * kItemIdPoolElemBytes, &id));
-    out->adrs.push_back(id);
-  }
+  MARAS_RETURN_IF_ERROR(
+      AppendItemIds(pool, rec.adrs_off, rec.adrs_count, &out->adrs));
   out->support = rec.support;
   out->antecedent_support = rec.antecedent_support;
   out->consequent_support = rec.consequent_support;
@@ -829,9 +736,6 @@ maras::Status SignalSnapshot::Postings(mining::ItemDomain side, uint32_t item,
 maras::Status SignalSnapshot::LatticeList(uint32_t signal, bool spec,
                                           std::vector<uint32_t>* out) const {
   MARAS_RETURN_IF_ERROR(CheckIndex(signal, counts_.signals, "signal"));
-  if (counts_.lattice_nav == 0) {
-    return maras::Status::NotFound("snapshot carries no lattice navigation");
-  }
   LatticeNavRec rec;
   MARAS_RETURN_IF_ERROR(ReadLatticeNavRec(
       sections_[SectionIndex(SectionId::kLatticeNav)], signal, &rec));
@@ -884,10 +788,6 @@ maras::StatusOr<ReconstructedInputs> ReconstructInputs(
     const SignalSnapshot& snapshot) {
   ReconstructedInputs out;
   out.stats = snapshot.stats();
-  // With zero signals the lattice-present and lattice-absent encodings
-  // coincide, so defaulting to "present" keeps the round-trip exact.
-  out.include_lattice =
-      snapshot.counts().signals == 0 || snapshot.has_lattice_nav();
   for (uint32_t i = 0; i < snapshot.counts().items; ++i) {
     std::string_view name;
     MARAS_RETURN_IF_ERROR(snapshot.ItemName(i, &name));

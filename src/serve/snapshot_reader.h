@@ -16,9 +16,8 @@
 
 namespace maras::serve {
 
-// The u32 counts of the kMeta section. `lattice_nav` doubles as the
-// lattice-presence flag: equal to `signals` when the writer emitted
-// navigation, 0 when it did not.
+// The u32 counts of the kMeta section. Lattice navigation covers every
+// signal, so `lattice_nav` always equals `signals`.
 struct SnapshotCounts {
   uint32_t signals = 0;
   uint32_t items = 0;
@@ -54,11 +53,11 @@ struct LevelRecord {
 // Every byte of the backing file is treated as hostile until Open/From*
 // has finished: framing (magic, version, section table, per-section FNV-1a
 // checksums), geometry (counts × record sizes == section sizes) and
-// semantics (cumulative pool offsets, index ranges, item domains, canonical
-// posting derivation) are all verified eagerly, through BoundedView only,
-// before the factory returns. A truncated, torn, bit-flipped or forged
-// image yields a structured Corruption status — never a crash, never a
-// partially usable object.
+// semantics (cumulative pool offsets, index ranges, item domains, and the
+// postings and lattice lists re-derived from the targets) are all verified
+// eagerly, through BoundedView only, before the factory returns. A
+// truncated, torn, bit-flipped or forged image yields a structured
+// Corruption status — never a crash, never a partially usable object.
 //
 // After validation the accessors below still bounds-check (hostile *query*
 // indices return InvalidArgument), but can no longer fail on the bytes
@@ -94,13 +93,8 @@ class SignalSnapshot {
   maras::Status Postings(mining::ItemDomain side, uint32_t item,
                          std::vector<uint32_t>* out) const;
 
-  // True when the snapshot carries lattice navigation (writer-side
-  // include_lattice and at least one signal).
-  bool has_lattice_nav() const { return counts_.lattice_nav != 0; }
-
   // Ascending signal indices one covering step up (same ADRs, maximal
   // proper-subset drug set) or down the concept lattice from `signal`.
-  // NotFound when the snapshot has no lattice navigation.
   maras::Status Generalizations(uint32_t signal,
                                 std::vector<uint32_t>* out) const;
   maras::Status Specializations(uint32_t signal,
@@ -119,8 +113,8 @@ class SignalSnapshot {
   maras::Status ValidateItems() const;
   maras::Status ValidateRules() const;
   maras::Status ValidateSignals() const;
-  maras::Status ValidatePostings() const;
-  maras::Status ValidateLattice() const;
+  // Postings and lattice navigation, against their derivation.
+  maras::Status ValidateIndex() const;
 
   // Shared body of Generalizations/Specializations; `spec` picks the list.
   maras::Status LatticeList(uint32_t signal, bool spec,
@@ -143,7 +137,6 @@ struct ReconstructedInputs {
   std::vector<core::RankedMcac> signals;
   core::RuleSpaceStats stats;
   std::vector<std::vector<uint64_t>> report_ids;
-  bool include_lattice = true;
 };
 
 // Rebuilds everything the writer was given, from the snapshot alone.

@@ -1,12 +1,12 @@
 #include "serve/snapshot_writer.h"
 
-#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "serve/snapshot_format.h"
+#include "serve/snapshot_index.h"
 #include "util/binary_io.h"
 #include "util/delimited.h"
 #include "util/status.h"
@@ -82,73 +82,6 @@ void EncodeRuleRecord(const core::DrugAdrRule& rule, BinaryWriter* rules,
   rules->U64(rule.consequent_support);
   rules->F64(rule.confidence);
   rules->F64(rule.lift);
-}
-
-// True iff `a` is a proper subset of `b`; both strictly increasing.
-bool IsProperSubset(const mining::Itemset& a, const mining::Itemset& b) {
-  if (a.size() >= b.size()) return false;
-  size_t j = 0;
-  for (mining::ItemId id : a) {
-    while (j < b.size() && b[j] < id) ++j;
-    if (j == b.size() || b[j] != id) return false;
-    ++j;
-  }
-  return true;
-}
-
-// Derives the per-signal generalization lists (one covering step up the
-// concept lattice restricted to the stored signals): t generalizes s iff
-// both target the same ADR set, t's drug set is a proper subset of s's, and
-// no third same-ADR signal sits strictly between them. Pure function of the
-// signal targets — the reader re-derives it to validate the stored lists.
-std::vector<std::vector<uint32_t>> DeriveGeneralizations(
-    const std::vector<core::RankedMcac>& signals) {
-  // Group by ADR set so the quadratic cover scan only sees same-consequent
-  // candidates.
-  std::vector<uint32_t> order(signals.size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const mining::Itemset& la = signals[a].mcac.target.adrs;
-    const mining::Itemset& lb = signals[b].mcac.target.adrs;
-    if (la != lb) return la < lb;
-    return a < b;
-  });
-  std::vector<std::vector<uint32_t>> gen(signals.size());
-  size_t group_begin = 0;
-  while (group_begin < order.size()) {
-    size_t group_end = group_begin + 1;
-    while (group_end < order.size() &&
-           signals[order[group_end]].mcac.target.adrs ==
-               signals[order[group_begin]].mcac.target.adrs) {
-      ++group_end;
-    }
-    for (size_t i = group_begin; i < group_end; ++i) {
-      const uint32_t s = order[i];
-      const mining::Itemset& drugs_s = signals[s].mcac.target.drugs;
-      std::vector<uint32_t> below;
-      for (size_t j = group_begin; j < group_end; ++j) {
-        const uint32_t t = order[j];
-        if (t == s) continue;
-        if (IsProperSubset(signals[t].mcac.target.drugs, drugs_s)) {
-          below.push_back(t);
-        }
-      }
-      for (uint32_t t : below) {
-        bool maximal = true;
-        for (uint32_t u : below) {
-          if (u != t && IsProperSubset(signals[t].mcac.target.drugs,
-                                       signals[u].mcac.target.drugs)) {
-            maximal = false;
-            break;
-          }
-        }
-        if (maximal) gen[s].push_back(t);
-      }
-      std::sort(gen[s].begin(), gen[s].end());
-    }
-    group_begin = group_end;
-  }
-  return gen;
 }
 
 void EncodePostingSide(const std::vector<std::vector<uint32_t>>& lists,
@@ -265,62 +198,39 @@ maras::StatusOr<std::string> EncodeSignalSnapshot(
     MARAS_RETURN_IF_ERROR(FitsU32(report_cursor, "report-id pool size"));
   }
 
-  // --- kDrugPostings / kAdrPostings / kPostingPool ------------------------
-  // Postings are pure derivation from the signal targets: signal s appears
-  // in the list of every drug in its target antecedent and every ADR in its
-  // target consequent. Signals iterate in rank order, so each list is
-  // strictly increasing — the canonical form the reader re-derives.
-  std::vector<std::vector<uint32_t>> drug_lists(items.size());
-  std::vector<std::vector<uint32_t>> adr_lists(items.size());
+  // --- Postings and kLatticeNav / kLatticeEdgePool -----------------------
+  // Derived from the signal targets alone (serve/snapshot_index.h), the
+  // derivation the reader repeats to validate them. Edge-pool packing is
+  // canonical: per signal, gen list then spec list, in signal order.
+  std::vector<TargetIds> targets(signals.size());
   for (size_t s = 0; s < signals.size(); ++s) {
-    const core::DrugAdrRule& target = signals[s].mcac.target;
-    for (mining::ItemId id : target.drugs) {
-      drug_lists[id].push_back(static_cast<uint32_t>(s));
-    }
-    for (mining::ItemId id : target.adrs) {
-      adr_lists[id].push_back(static_cast<uint32_t>(s));
-    }
+    targets[s] = {signals[s].mcac.target.drugs, signals[s].mcac.target.adrs};
   }
+  const SnapshotIndex index = DeriveSnapshotIndex(targets, items.size());
   BinaryWriter drug_postings_w;
   BinaryWriter adr_postings_w;
   BinaryWriter posting_pool_w;
   uint64_t posting_cursor = 0;
-  EncodePostingSide(drug_lists, &drug_postings_w, &posting_pool_w,
+  EncodePostingSide(index.drug_postings, &drug_postings_w, &posting_pool_w,
                     &posting_cursor);
-  EncodePostingSide(adr_lists, &adr_postings_w, &posting_pool_w,
+  EncodePostingSide(index.adr_postings, &adr_postings_w, &posting_pool_w,
                     &posting_cursor);
   MARAS_RETURN_IF_ERROR(FitsU32(posting_cursor, "posting pool size"));
 
-  // --- kLatticeNav / kLatticeEdgePool -------------------------------------
-  // Pure derivation from the signal targets (like postings): generalization
-  // lists by cover computation, specialization lists by inversion. Pool
-  // packing is canonical — per signal, gen list then spec list, in signal
-  // order — so the reader can re-derive and compare byte-for-byte.
   BinaryWriter lattice_nav_w;
   BinaryWriter lattice_pool_w;
-  uint64_t lattice_nav_count = 0;
   uint64_t lattice_edge_cursor = 0;
-  if (inputs.include_lattice) {
-    const std::vector<std::vector<uint32_t>> gen =
-        DeriveGeneralizations(signals);
-    std::vector<std::vector<uint32_t>> spec(signals.size());
-    for (uint32_t s = 0; s < gen.size(); ++s) {
-      for (uint32_t t : gen[s]) spec[t].push_back(s);
-    }
-    for (size_t s = 0; s < signals.size(); ++s) {
+  for (size_t s = 0; s < signals.size(); ++s) {
+    for (const std::vector<uint32_t>* list :
+         {&index.generalizations[s], &index.specializations[s]}) {
       lattice_nav_w.U32(static_cast<uint32_t>(lattice_edge_cursor));
-      lattice_nav_w.U32(static_cast<uint32_t>(gen[s].size()));
-      for (uint32_t t : gen[s]) lattice_pool_w.U32(t);
-      lattice_edge_cursor += gen[s].size();
-      lattice_nav_w.U32(static_cast<uint32_t>(lattice_edge_cursor));
-      lattice_nav_w.U32(static_cast<uint32_t>(spec[s].size()));
-      for (uint32_t t : spec[s]) lattice_pool_w.U32(t);
-      lattice_edge_cursor += spec[s].size();
+      lattice_nav_w.U32(static_cast<uint32_t>(list->size()));
+      for (uint32_t t : *list) lattice_pool_w.U32(t);
+      lattice_edge_cursor += list->size();
     }
-    lattice_nav_count = signals.size();
-    MARAS_RETURN_IF_ERROR(
-        FitsU32(lattice_edge_cursor, "lattice edge pool size"));
   }
+  MARAS_RETURN_IF_ERROR(
+      FitsU32(lattice_edge_cursor, "lattice edge pool size"));
 
   // --- kMeta --------------------------------------------------------------
   BinaryWriter meta_w;
@@ -336,7 +246,7 @@ maras::StatusOr<std::string> EncodeSignalSnapshot(
   meta_w.U64(inputs.stats.filtered_rules);
   meta_w.U64(inputs.stats.closed_mixed);
   meta_w.U64(inputs.stats.mcac_count);
-  meta_w.U32(static_cast<uint32_t>(lattice_nav_count));
+  meta_w.U32(static_cast<uint32_t>(signals.size()));
   meta_w.U32(static_cast<uint32_t>(lattice_edge_cursor));
 
   // --- Assemble: header, table, payloads in kSectionOrder -----------------

@@ -29,16 +29,12 @@ struct SnapshotInputs {
   const std::vector<uint64_t>* primary_ids = nullptr;
 
   const std::vector<std::vector<uint64_t>>* report_ids = nullptr;
-
-  // When true (the default) the writer derives the lattice-navigation
-  // sections — per-signal generalize/specialize covering edges — from the
-  // signal targets. When false those sections are emitted empty and the
-  // meta lattice counts are zero; readers report has_lattice_nav() = false.
-  bool include_lattice = true;
 };
 
 // Encodes the one canonical snapshot image for `inputs` (see
-// snapshot_format.h). Inputs that cannot be represented — item ids outside
+// snapshot_format.h). The postings and the lattice navigation of every
+// signal are derived from the signal targets (serve/snapshot_index.h) and
+// always written. Inputs that cannot be represented — item ids outside
 // the dictionary, domain-inconsistent rules, or anything overflowing the
 // 32-bit arena — are InvalidArgument: the writer refuses to emit any file
 // the reader would reject.

@@ -172,7 +172,6 @@ TEST(QueryEngineLatticeTest, GeneralizeAndSpecializeWalkTheCoveringChain) {
   auto engine = QueryEngine::Create(
       std::make_shared<const SignalSnapshot>(std::move(*snapshot)));
   ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE(engine->HasLatticeNav());
 
   // Find the triple and pair signals by drug-set width.
   uint32_t triple = UINT32_MAX, pair = UINT32_MAX;
@@ -197,22 +196,6 @@ TEST(QueryEngineLatticeTest, GeneralizeAndSpecializeWalkTheCoveringChain) {
   auto bottom = engine->Specialize(triple);
   ASSERT_TRUE(bottom.ok());
   EXPECT_TRUE(bottom->empty());
-}
-
-TEST(QueryEngineLatticeTest, LatticeFreeSnapshotReportsNotFound) {
-  const ServeFixture fixture = maras::test::MakeLayeredServeFixture();
-  SnapshotInputs inputs = InputsOf(fixture);
-  inputs.include_lattice = false;
-  auto bytes = EncodeSignalSnapshot(inputs);
-  ASSERT_TRUE(bytes.ok());
-  auto snapshot = SignalSnapshot::FromBytes(std::move(*bytes));
-  ASSERT_TRUE(snapshot.ok());
-  auto engine = QueryEngine::Create(
-      std::make_shared<const SignalSnapshot>(std::move(*snapshot)));
-  ASSERT_TRUE(engine.ok());
-  EXPECT_FALSE(engine->HasLatticeNav());
-  EXPECT_TRUE(engine->Generalize(0).status().IsNotFound());
-  EXPECT_TRUE(engine->Specialize(0).status().IsNotFound());
 }
 
 }  // namespace

@@ -86,7 +86,6 @@ TEST(SnapshotRoundTripTest, DecodeReEncodeIsByteIdentical) {
   inputs.signals = &rebuilt->signals;
   inputs.stats = rebuilt->stats;
   inputs.report_ids = &rebuilt->report_ids;
-  inputs.include_lattice = rebuilt->include_lattice;
   auto re_encoded = EncodeSignalSnapshot(inputs);
   ASSERT_TRUE(re_encoded.ok()) << re_encoded.status().ToString();
   EXPECT_EQ(*re_encoded, bytes);
@@ -280,7 +279,6 @@ TEST(SnapshotLatticeTest, NavigationMatchesBruteForceCoveringRelation) {
   const ServeFixture fixture = maras::test::MakeLayeredServeFixture();
   auto snapshot = SignalSnapshot::FromBytes(EncodeOrDie(fixture));
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ASSERT_TRUE(snapshot->has_lattice_nav());
   EXPECT_EQ(snapshot->counts().lattice_nav, snapshot->counts().signals);
   const std::vector<std::vector<uint32_t>> gen =
       BruteForceGeneralizations(fixture.ranked);
@@ -299,38 +297,6 @@ TEST(SnapshotLatticeTest, NavigationMatchesBruteForceCoveringRelation) {
     ASSERT_TRUE(snapshot->Specializations(s, &got).ok());
     EXPECT_EQ(got, spec[s]) << "specializations of signal " << s;
   }
-}
-
-TEST(SnapshotLatticeTest, WriterWithoutLatticeRoundTripsAndReportsAbsence) {
-  const ServeFixture fixture = maras::test::MakeLayeredServeFixture();
-  SnapshotInputs inputs = InputsOf(fixture);
-  inputs.include_lattice = false;
-  auto bytes = EncodeSignalSnapshot(inputs);
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-  auto snapshot = SignalSnapshot::FromBytes(*bytes);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  EXPECT_FALSE(snapshot->has_lattice_nav());
-  EXPECT_EQ(snapshot->counts().lattice_nav, 0u);
-  EXPECT_EQ(snapshot->counts().lattice_edges, 0u);
-  std::vector<uint32_t> out;
-  EXPECT_TRUE(snapshot->Generalizations(0, &out).IsNotFound());
-  EXPECT_TRUE(snapshot->Specializations(0, &out).IsNotFound());
-  // The flag survives reconstruction, so decode -> re-encode stays the
-  // identity on lattice-free images too.
-  auto rebuilt = ReconstructInputs(*snapshot);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_FALSE(rebuilt->include_lattice);
-  SnapshotInputs re_inputs;
-  re_inputs.items = &rebuilt->items;
-  re_inputs.signals = &rebuilt->signals;
-  re_inputs.stats = rebuilt->stats;
-  re_inputs.report_ids = &rebuilt->report_ids;
-  re_inputs.include_lattice = rebuilt->include_lattice;
-  auto re_encoded = EncodeSignalSnapshot(re_inputs);
-  ASSERT_TRUE(re_encoded.ok());
-  EXPECT_EQ(*re_encoded, *bytes);
-  // And the two encodings of the same inputs differ only by the lattice.
-  EXPECT_NE(*bytes, EncodeOrDie(fixture));
 }
 
 class SnapshotLatticeForgeryTest : public ::testing::Test {
@@ -392,6 +358,27 @@ TEST_F(SnapshotLatticeForgeryTest, PartialNavCoverage) {
   ASSERT_GT(signals, 1u);
   bytes_[meta + kMetaLatticeNavCount] = static_cast<char>(signals - 1);
   ExpectForgedRejected("partial lattice nav coverage");
+}
+
+TEST_F(SnapshotLatticeForgeryTest, LatticeStrippedImageIsCorruption) {
+  // The image of a writer that skipped lattice navigation: both meta
+  // lattice counts zeroed and the nav and edge-pool sections emptied. Every
+  // snapshot must navigate every signal, so this is forged, not a variant.
+  const size_t meta = SectionOffset(SectionId::kMeta);
+  ASSERT_GT(maras::test::GetU32Le(bytes_, meta + kMetaSignalCount), 0u);
+  maras::test::PutU32Le(&bytes_, meta + kMetaLatticeNavCount, 0);
+  maras::test::PutU32Le(&bytes_, meta + kMetaLatticeEdgeCount, 0);
+  // The two lattice sections end the image: cut them off and point both
+  // table entries, now empty, at the new end.
+  const size_t end = SectionOffset(SectionId::kLatticeNav);
+  bytes_.resize(end);
+  for (SectionId id : {SectionId::kLatticeNav, SectionId::kLatticeEdgePool}) {
+    const size_t entry = kFileHeaderBytes +
+                         (static_cast<size_t>(id) - 1) * kSectionEntryBytes;
+    maras::test::PutU32Le(&bytes_, entry + 4, static_cast<uint32_t>(end));
+    maras::test::PutU32Le(&bytes_, entry + 8, 0);
+  }
+  ExpectForgedRejected("lattice-stripped image");
 }
 
 TEST(SnapshotAccessorTest, HostileQueryIndicesAreInvalidArgument) {

@@ -95,6 +95,10 @@ inline serve::SnapshotInputs InputsOf(const ServeFixture& fixture) {
   return inputs;
 }
 
+inline void PutU32Le(std::string* bytes, size_t pos, uint32_t v) {
+  std::memcpy(bytes->data() + pos, &v, sizeof(v));
+}
+
 inline void PutU64Le(std::string* bytes, size_t pos, uint64_t v) {
   std::memcpy(bytes->data() + pos, &v, sizeof(v));
 }

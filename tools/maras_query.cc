@@ -178,18 +178,16 @@ int CmdDrillDown(const std::string& store_dir, uint32_t rank) {
     std::printf(" %llu", static_cast<unsigned long long>(id));
   }
   std::printf("\n");
-  if (engine->HasLatticeNav()) {
-    auto up = engine->Generalize(rank);
-    if (!up.ok()) return Fail(up.status());
-    std::printf("  generalizations (%zu signals, one covering step up):\n",
-                up->size());
-    for (uint32_t index : *up) PrintSignal(*engine, index);
-    auto down = engine->Specialize(rank);
-    if (!down.ok()) return Fail(down.status());
-    std::printf("  specializations (%zu signals, one covering step down):\n",
-                down->size());
-    for (uint32_t index : *down) PrintSignal(*engine, index);
-  }
+  auto up = engine->Generalize(rank);
+  if (!up.ok()) return Fail(up.status());
+  std::printf("  generalizations (%zu signals, one covering step up):\n",
+              up->size());
+  for (uint32_t index : *up) PrintSignal(*engine, index);
+  auto down = engine->Specialize(rank);
+  if (!down.ok()) return Fail(down.status());
+  std::printf("  specializations (%zu signals, one covering step down):\n",
+              down->size());
+  for (uint32_t index : *down) PrintSignal(*engine, index);
   return 0;
 }
 
@@ -202,10 +200,9 @@ int CmdValidate(const std::string& path) {
   }
   const serve::SnapshotCounts& counts = snapshot->counts();
   std::printf("OK %s\n  signals=%u items=%u rules=%u levels=%u "
-              "report-ids=%u lattice-edges=%u%s\n",
+              "report-ids=%u lattice-edges=%u\n",
               path.c_str(), counts.signals, counts.items, counts.rules,
-              counts.levels, counts.report_ids, counts.lattice_edges,
-              snapshot->has_lattice_nav() ? "" : " (no lattice nav)");
+              counts.levels, counts.report_ids, counts.lattice_edges);
   return 0;
 }
 
