@@ -180,8 +180,8 @@ BENCHMARK(BM_ValidateImage)->Unit(benchmark::kMicrosecond);
 
 // The writer's side of the same image: encoding plus the postings and
 // covering-edge derivation (serve/snapshot_index.h). Report ids are
-// precomputed, as on the re-encode path, so SupportingReports stays out of
-// the row.
+// precomputed, as on the re-encode path, so the drill-down stays out of
+// the row; BM_EncodeSnapshotFromDb below includes it.
 void BM_EncodeSnapshot(benchmark::State& state) {
   const Fixture& fixture = SharedFixture();
   std::vector<std::vector<uint64_t>> report_ids;
@@ -206,6 +206,25 @@ void BM_EncodeSnapshot(benchmark::State& state) {
   state.counters["bytes"] = static_cast<double>(fixture.image.size());
 }
 BENCHMARK(BM_EncodeSnapshot)->Unit(benchmark::kMicrosecond);
+
+// The publish path: report ids derived from db + primary_ids inside the
+// encode (core::SupportingReportLists), as a pipeline's publish does.
+void BM_EncodeSnapshotFromDb(benchmark::State& state) {
+  const Fixture& fixture = SharedFixture();
+  serve::SnapshotInputs inputs;
+  inputs.items = &fixture.pre.items;
+  inputs.signals = &fixture.ranked;
+  inputs.stats = fixture.stats;
+  inputs.db = &fixture.pre.transactions;
+  inputs.primary_ids = &fixture.pre.primary_ids;
+  for (auto _ : state) {
+    auto image = serve::EncodeSignalSnapshot(inputs);
+    MARAS_CHECK(image.ok());
+    benchmark::DoNotOptimize(image);
+  }
+  state.counters["bytes"] = static_cast<double>(fixture.image.size());
+}
+BENCHMARK(BM_EncodeSnapshotFromDb)->Unit(benchmark::kMicrosecond);
 
 void BM_OpenFile(benchmark::State& state) {
   const Fixture& fixture = SharedFixture();

@@ -2,11 +2,12 @@
 // into a universe and two sorted tid-lists (delta-coded, so every byte
 // string decodes to a valid input); the lists are then pushed through every
 // kernel — tid-list <-> bitmap conversions, the popcount, AND and AND3
-// popcounts, and the materializing AND — and each result is checked against
-// a scalar std::set_intersection oracle. Any disagreement traps: the kernels
-// back support counting for the contingency batch, the stratified tables
-// and the concept lattice, where a single off-by-one silently corrupts
-// statistics rather than crashing.
+// popcounts, and the materializing and in-place ANDs — and each result is
+// checked against a scalar std::set_intersection oracle. Any disagreement
+// traps: the kernels back support counting for the contingency batch, the
+// stratified tables and the concept lattice, and a snapshot's supporting
+// report ids, where a single off-by-one silently corrupts statistics rather
+// than crashing.
 //
 // Input layout:
 //   [0..1] universe (little-endian, modded into [0, 8192])
@@ -78,5 +79,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   TidBitmap out;
   Require(maras::mining::BitmapAnd(abm, bbm, &out) == both.size());
   Require(out.ToTids() == both);
+  TidBitmap acc = abm;
+  Require(maras::mining::BitmapAndInto(&acc, bbm) == both.size());
+  Require(acc.ToTids() == both);
   return 0;
 }

@@ -2,6 +2,7 @@
 #define MARAS_CORE_ANALYZER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/drug_adr_rule.h"
@@ -117,11 +118,23 @@ class MarasAnalyzer {
 };
 
 // Primary ids of the reports supporting `rule` — the paper's drill-down from
-// a pattern back to the raw reports (Section 4.1). `primary_ids[i]` must be
-// the id of transaction i (as produced by the preprocessor).
+// a pattern back to the raw reports (Section 4.1), i.e. the extent of the
+// rule's concept. `primary_ids[i]` must be the id of transaction i (as
+// produced by the preprocessor); a transaction past its end is dropped.
+// One SupportingReportLists call with one rule.
 std::vector<uint64_t> SupportingReports(
     const mining::TransactionDatabase& db,
     const std::vector<uint64_t>& primary_ids, const DrugAdrRule& rule);
+
+// SupportingReports for every rule at once: lists[r] is the list of
+// rules[r], in tid order. Per block of 8,192 transactions it builds one
+// tid bitmap per distinct item the rules use (1 KiB each), ANDs each
+// rule's item bitmaps into one scratch bitmap and decodes its set bits, so
+// a publish costs a few word passes per signal instead of a tid-list merge.
+std::vector<std::vector<uint64_t>> SupportingReportLists(
+    const mining::TransactionDatabase& db,
+    const std::vector<uint64_t>& primary_ids,
+    std::span<const DrugAdrRule* const> rules);
 
 }  // namespace maras::core
 

@@ -328,16 +328,7 @@ TidBitmap TidBitmap::FromTids(const std::vector<TransactionId>& tids,
 std::vector<TransactionId> TidBitmap::ToTids() const {
   std::vector<TransactionId> out;
   out.reserve(BitmapPopcount(*this));
-  for (size_t w = 0; w < words_.size(); ++w) {
-    BitmapWord word = words_[w];
-    const size_t base = w * kBitmapWordBits;
-    while (word != 0) {
-      const int bit = std::countr_zero(word);
-      out.push_back(
-          static_cast<TransactionId>(base + static_cast<size_t>(bit)));
-      word &= word - 1;  // clear the lowest set bit
-    }
-  }
+  ForEachTid([&out](TransactionId tid) { out.push_back(tid); });
   return out;
 }
 
@@ -365,6 +356,14 @@ size_t BitmapAnd(const TidBitmap& a, const TidBitmap& b, TidBitmap* out) {
   out->Reset(a.universe());
   return ActiveKernels().and_store(a.words(), b.words(), out->mutable_words(),
                                    a.word_count());
+}
+
+size_t BitmapAndInto(TidBitmap* acc, const TidBitmap& b) {
+  MARAS_CHECK(acc->universe() == b.universe()) << "universe mismatch";
+  // The store kernels read a[i] and b[i] before writing out[i], so `out`
+  // may alias `a`.
+  return ActiveKernels().and_store(acc->words(), b.words(),
+                                   acc->mutable_words(), b.word_count());
 }
 
 const char* BitmapKernelBackend() { return ActiveKernels().name; }

@@ -1,6 +1,7 @@
 #ifndef MARAS_MINING_BITMAP_H_
 #define MARAS_MINING_BITMAP_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -13,15 +14,17 @@ namespace maras::mining {
 // Fixed-width bitmap kernels over the vertical tid index.
 //
 // A TidBitmap represents a set of transaction ids drawn from a fixed
-// universe [0, universe) as packed 64-bit words. Its two users are the 2×2
-// contingency tables (core/disproportionality ContingencyBatch) and the
-// stratified tables (core/stratified): their support counting becomes
-// word-wise AND + popcount over contiguous arrays instead of a branchy
-// merge over std::vector<Tid>. The kernels below are written as
-// plain loops the compiler can autovectorize, with an AVX2 path selected at
-// runtime on x86-64 (and a NEON path compiled in on aarch64); every backend
-// computes bit-identical counts, which mining_bitmap_kernel_test proves
-// against a scalar std::set_intersection oracle.
+// universe [0, universe) as packed 64-bit words. Its users are the 2×2
+// contingency tables (core/disproportionality ContingencyBatch), the
+// stratified tables (core/stratified) and the supporting-report lists of a
+// snapshot publish (core::SupportingReportLists): their support counting
+// and tid-set intersection become word-wise AND (+ popcount) over
+// contiguous arrays instead of a branchy merge over std::vector<Tid>. The
+// kernels below are written as plain loops the compiler can autovectorize,
+// with an AVX2 path selected at runtime on x86-64 (and a NEON path
+// compiled in on aarch64); every backend computes bit-identical counts,
+// which mining_bitmap_kernel_test proves against a scalar
+// std::set_intersection oracle.
 // ---------------------------------------------------------------------------
 
 using BitmapWord = uint64_t;
@@ -65,6 +68,20 @@ class TidBitmap {
   // Decodes back to the ascending tid-list.
   std::vector<TransactionId> ToTids() const;
 
+  // Calls fn(tid) for every set bit, in increasing tid order.
+  template <typename Fn>
+  void ForEachTid(Fn&& fn) const {
+    for (size_t w = 0; w < words_.size(); ++w) {
+      BitmapWord word = words_[w];
+      const size_t base = w * kBitmapWordBits;
+      while (word != 0) {
+        fn(static_cast<TransactionId>(
+            base + static_cast<size_t>(std::countr_zero(word))));
+        word &= word - 1;  // clear the lowest set bit
+      }
+    }
+  }
+
  private:
   size_t universe_ = 0;
   std::vector<BitmapWord> words_;
@@ -85,6 +102,9 @@ size_t And3Popcount(const TidBitmap& a, const TidBitmap& b,
 // out = a ∧ b, materialized; returns |out|. `out` is Reset to the common
 // universe first, so any recycled bitmap may be passed.
 size_t BitmapAnd(const TidBitmap& a, const TidBitmap& b, TidBitmap* out);
+
+// acc = acc ∧ b, in place; returns |acc|. Universes must match.
+size_t BitmapAndInto(TidBitmap* acc, const TidBitmap& b);
 
 // Name of the word-kernel backend the runtime dispatch selected: "avx2",
 // "neon", or "scalar". Stable for the life of the process.

@@ -28,8 +28,9 @@ size_t TransactionDatabase::Support(const Itemset& s) const {
   return ContainingTransactions(s).size();
 }
 
-// Rule generation, closure checks and snapshot publishing spend most of
-// their time in the set_intersection loop below. Its speed depends on where
+// Rule generation and closure checks spend most of their time in the
+// set_intersection loop below (snapshot publishing intersects tid bitmaps
+// instead: core::SupportingReportLists). Its speed depends on where
 // the loop falls relative to 64-byte code boundaries, so the function is
 // pinned to one: without this, unrelated code-size changes elsewhere in a
 // binary moved rules and publish timings by 10-15%.

@@ -124,6 +124,18 @@ maras::StatusOr<std::string> EncodeSignalSnapshot(
   MARAS_RETURN_IF_ERROR(FitsU32(items.size(), "item count"));
   MARAS_RETURN_IF_ERROR(FitsU32(signals.size(), "signal count"));
 
+  std::vector<std::vector<uint64_t>> computed;
+  if (have_db) {
+    std::vector<const core::DrugAdrRule*> targets(signals.size());
+    for (size_t s = 0; s < signals.size(); ++s) {
+      targets[s] = &signals[s].mcac.target;
+    }
+    computed =
+        core::SupportingReportLists(*inputs.db, *inputs.primary_ids, targets);
+  }
+  const std::vector<std::vector<uint64_t>>& report_ids =
+      have_db ? computed : *inputs.report_ids;
+
   // --- kStrings + kItems --------------------------------------------------
   std::string strings;
   BinaryWriter items_w;
@@ -173,30 +185,25 @@ maras::StatusOr<std::string> EncodeSignalSnapshot(
     }
     level_cursor += mcac.levels.size();
 
-    std::vector<uint64_t> computed;
-    const std::vector<uint64_t>* reports;
-    if (have_precomputed) {
-      reports = &(*inputs.report_ids)[s];
-    } else {
-      computed =
-          core::SupportingReports(*inputs.db, *inputs.primary_ids, mcac.target);
-      reports = &computed;
-    }
+    const std::vector<uint64_t>& reports = report_ids[s];
     signals_w.U32(static_cast<uint32_t>(target_rule));
     signals_w.U32(static_cast<uint32_t>(first_level));
     signals_w.U32(static_cast<uint32_t>(mcac.levels.size()));
     signals_w.U32(static_cast<uint32_t>(report_cursor));
-    signals_w.U32(static_cast<uint32_t>(reports->size()));
+    signals_w.U32(static_cast<uint32_t>(reports.size()));
     signals_w.U32(0);
     signals_w.F64(signals[s].score);
-    for (uint64_t id : *reports) report_pool_w.U64(id);
-    report_cursor += reports->size();
+    for (uint64_t id : reports) report_pool_w.U64(id);
+    report_cursor += reports.size();
 
     MARAS_RETURN_IF_ERROR(FitsU32(rule_cursor, "rule count"));
     MARAS_RETURN_IF_ERROR(FitsU32(level_cursor, "level count"));
     MARAS_RETURN_IF_ERROR(FitsU32(id_cursor, "item-id pool size"));
     MARAS_RETURN_IF_ERROR(FitsU32(report_cursor, "report-id pool size"));
   }
+  // Every id is in report_pool_w now: free the derived lists before the
+  // index and the image are built, the encode's largest allocations.
+  computed = {};
 
   // --- Postings and kLatticeNav / kLatticeEdgePool -----------------------
   // Derived from the signal targets alone (serve/snapshot_index.h), the

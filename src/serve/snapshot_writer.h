@@ -16,8 +16,9 @@ namespace maras::serve {
 // Everything a snapshot captures from one analysis run. `items` and
 // `signals` are required; supporting report ids come from exactly one of
 // two sources:
-//   - `db` + `primary_ids`: computed per target via SupportingReports (the
-//     normal build-from-analyzer path), or
+//   - `db` + `primary_ids`: derived for every target in one
+//     core::SupportingReportLists pass (the normal build-from-analyzer
+//     path), or
 //   - `report_ids`: one precomputed list per signal (the re-encode path —
 //     a reader can reconstruct its own inputs without the database).
 struct SnapshotInputs {

@@ -1,5 +1,6 @@
 // Kernel-level differential tests for mining/bitmap.h. Every kernel —
-// popcount, AND + popcount, AND3 + popcount, materializing AND, and the
+// popcount, AND + popcount, AND3 + popcount, materializing and in-place
+// AND, and the
 // tid-list <-> bitmap conversions — is checked against a scalar oracle
 // (std::set_intersection / a plain bit loop) over multi-seed random tid
 // universes at several densities, plus the edge shapes the word-packed
@@ -173,6 +174,10 @@ TEST_P(BitmapKernelPropertyTest, AndKernelsMatchSetIntersection) {
         EXPECT_EQ(BitmapAnd(abm, bbm, &out), expected.size());
         EXPECT_EQ(out.ToTids(), expected);
         ExpectTrailingBitsZero(out);
+        TidBitmap acc = abm;
+        EXPECT_EQ(BitmapAndInto(&acc, bbm), expected.size());
+        EXPECT_EQ(acc.ToTids(), expected);
+        ExpectTrailingBitsZero(acc);
       }
     }
   }
@@ -210,6 +215,8 @@ TEST_P(BitmapKernelPropertyTest, LongBitmapsCrossTheCacheBlockBoundary) {
     TidBitmap out;
     EXPECT_EQ(BitmapAnd(abm, bbm, &out), expected.size()) << universe;
     EXPECT_EQ(out.ToTids(), expected) << universe;
+    EXPECT_EQ(BitmapAndInto(&abm, bbm), expected.size()) << universe;
+    EXPECT_EQ(abm.ToTids(), expected) << universe;
   }
 }
 

@@ -1,7 +1,7 @@
 // QueryEngine tests: every answer must be byte-identical to querying the
 // in-memory analyzer output directly — top-k is the ranked prefix, postings
 // equal a brute-force scan over the ranked targets, and drill-down returns
-// exactly SupportingReports.
+// exactly the reports whose transactions contain the signal's target.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@ namespace {
 
 using ::maras::test::InputsOf;
 using ::maras::test::MakeServeFixture;
+using ::maras::test::ReferenceSupportingReports;
 using ::maras::test::ServeFixture;
 
 class QueryEngineTest : public ::testing::Test {
@@ -133,9 +134,9 @@ TEST_F(QueryEngineTest, DrillDownMatchesSupportingReports) {
     auto got = engine_->SupportingReportIds(s);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got,
-              core::SupportingReports(fixture_.corpus.db,
-                                      fixture_.primary_ids,
-                                      fixture_.ranked[s].mcac.target))
+              ReferenceSupportingReports(fixture_.corpus.db,
+                                         fixture_.primary_ids,
+                                         fixture_.ranked[s].mcac.target))
         << "signal " << s;
   }
 }

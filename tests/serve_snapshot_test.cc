@@ -20,7 +20,9 @@ namespace maras::serve {
 namespace {
 
 using ::maras::test::InputsOf;
+using ::maras::test::MakeLayeredServeFixture;
 using ::maras::test::MakeServeFixture;
+using ::maras::test::ReferenceSupportingReports;
 using ::maras::test::RestampChecksums;
 using ::maras::test::ServeFixture;
 
@@ -66,11 +68,33 @@ TEST(SnapshotRoundTripTest, ReportIdsMatchSupportingReports) {
   for (uint32_t s = 0; s < snapshot->counts().signals; ++s) {
     std::vector<uint64_t> got;
     ASSERT_TRUE(snapshot->ReportIds(s, &got).ok());
-    const std::vector<uint64_t> want = core::SupportingReports(
+    const std::vector<uint64_t> want = ReferenceSupportingReports(
         fixture.corpus.db, fixture.primary_ids,
         fixture.ranked[s].mcac.target);
     EXPECT_EQ(got, want) << "signal " << s;
     EXPECT_FALSE(got.empty()) << "signal " << s;
+  }
+}
+
+TEST(SnapshotRoundTripTest, DbPathEqualsPrecomputedReferenceLists) {
+  // The writer derives every signal's reports from db + primary_ids in one
+  // batched pass; handing it the reference lists instead must encode the
+  // same bytes.
+  for (const ServeFixture& fixture :
+       {MakeServeFixture(), MakeServeFixture(/*extended=*/true),
+        MakeLayeredServeFixture()}) {
+    std::vector<std::vector<uint64_t>> report_ids;
+    for (const core::RankedMcac& entry : fixture.ranked) {
+      report_ids.push_back(ReferenceSupportingReports(
+          fixture.corpus.db, fixture.primary_ids, entry.mcac.target));
+    }
+    SnapshotInputs precomputed = InputsOf(fixture);
+    precomputed.db = nullptr;
+    precomputed.primary_ids = nullptr;
+    precomputed.report_ids = &report_ids;
+    auto bytes = EncodeSignalSnapshot(precomputed);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_EQ(*bytes, EncodeOrDie(fixture));
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,21 @@ inline maras::StatusOr<core::Mcac> LatticeMcac(
   MARAS_ASSIGN_OR_RETURN(mining::ConceptLattice lattice,
                          mining::ConceptLattice::Build(closed, 1, ctx));
   return core::BuildMcac(target, lattice, corpus.db.size());
+}
+
+// The paper's drill-down computed the plain way, independent of the
+// bitmap path core::SupportingReports takes: the database's tid-list
+// intersection for the rule's itemset, mapped through `primary_ids` (a tid
+// past its end is dropped). Tests compare the library's lists to this.
+inline std::vector<uint64_t> ReferenceSupportingReports(
+    const mining::TransactionDatabase& db,
+    const std::vector<uint64_t>& primary_ids, const core::DrugAdrRule& rule) {
+  std::vector<uint64_t> reports;
+  for (mining::TransactionId tid :
+       db.ContainingTransactions(rule.CompleteItemset())) {
+    if (tid < primary_ids.size()) reports.push_back(primary_ids[tid]);
+  }
+  return reports;
 }
 
 }  // namespace maras::test
