@@ -211,7 +211,7 @@ bool RunSmoke() {
 
 int main(int argc, char** argv) {
   maras::bench::BenchMainOptions options =
-      maras::bench::ParseBenchArgs(argc, argv, "BENCH_checkpoint.json");
+      maras::bench::ParseBenchArgs(argc, argv);
   if (options.smoke) return RunSmoke() ? 0 : 1;
   return maras::bench::RunBenchmarksToJson(std::move(options),
                                            "bench_checkpoint");

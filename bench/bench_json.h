@@ -112,17 +112,16 @@ inline uint64_t ResultHash(const mining::FrequentItemsetResult& result) {
 }
 
 // Shared argv plumbing: strips --smoke / --bench_json=PATH before
-// google-benchmark sees them. MARAS_BENCH_JSON overrides the default path.
+// google-benchmark sees them. The JSON path comes from --bench_json=PATH,
+// else MARAS_BENCH_JSON; with neither, no file is written.
 struct BenchMainOptions {
   bool smoke = false;
-  std::string json_path;
+  std::string json_path;    // empty: write no JSON
   std::vector<char*> argv;  // remaining args, argv[0] first
 };
 
-inline BenchMainOptions ParseBenchArgs(int argc, char** argv,
-                                       const std::string& default_json) {
+inline BenchMainOptions ParseBenchArgs(int argc, char** argv) {
   BenchMainOptions options;
-  options.json_path = default_json;
   if (const char* env = std::getenv("MARAS_BENCH_JSON")) {
     options.json_path = env;
   }
@@ -140,8 +139,8 @@ inline BenchMainOptions ParseBenchArgs(int argc, char** argv,
   return options;
 }
 
-// Runs google-benchmark and writes the JSON trajectory file. Returns the
-// process exit code.
+// Runs google-benchmark and writes the JSON trajectory file when a path
+// was given. Returns the process exit code.
 inline int RunBenchmarksToJson(BenchMainOptions options,
                                const std::string& bench_name) {
   int argc = static_cast<int>(options.argv.size());
@@ -152,6 +151,11 @@ inline int RunBenchmarksToJson(BenchMainOptions options,
   JsonCollector collector;
   benchmark::RunSpecifiedBenchmarks(&collector);
   benchmark::Shutdown();
+  if (options.json_path.empty()) {
+    std::printf("no JSON written (pass --bench_json=PATH or set "
+                "MARAS_BENCH_JSON)\n");
+    return 0;
+  }
   if (!WriteBenchJson(options.json_path, bench_name, collector.runs())) {
     std::fprintf(stderr, "failed to write %s\n", options.json_path.c_str());
     return 1;

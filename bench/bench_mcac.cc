@@ -19,6 +19,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,9 +32,7 @@
 #include "core/checkpoint.h"
 #include "core/drug_adr_rule.h"
 #include "core/mcac.h"
-#include "core/multi_quarter.h"
 #include "core/ranking.h"
-#include "faers/generator.h"
 #include "mining/closed_itemsets.h"
 #include "mining/concept_lattice.h"
 #include "mining/item_dictionary.h"
@@ -129,10 +128,9 @@ const Fixture& SharedFixture() {
   return *fixture;
 }
 
-// Rules-stage workload: perfbench's `year` batch in memory — four quarters
-// of 12k background reports (vocabulary scaled as perfbench scales it),
-// pooled, mined at min_support 6 with itemsets capped at 7, closed and
-// turned into a lattice once.
+// Rules-stage workload: perfbench's `year` batch in memory
+// (bench::YearCorpus), mined at min_support 6 with itemsets capped at 7,
+// closed and turned into a lattice once.
 struct RulesFixture {
   faers::PreprocessResult corpus;
   core::AnalyzerOptions analyzer;
@@ -141,26 +139,8 @@ struct RulesFixture {
 };
 
 RulesFixture MakeRulesFixture() {
-  constexpr size_t kReports = 12000;
-  std::vector<faers::QuarterDataset> quarters;
-  for (int q = 1; q <= 4; ++q) {
-    faers::GeneratorConfig config;
-    config.seed = 7;
-    config.year = 2014;
-    config.quarter = q;
-    config.n_reports = kReports;
-    config.n_drugs = kReports / 10 + 500;
-    config.n_adrs = kReports * 36 / 1000 + 200;
-    auto dataset = faers::SyntheticGenerator(config).Generate();
-    MARAS_CHECK(dataset.ok()) << dataset.status().ToString();
-    quarters.push_back(*std::move(dataset));
-  }
   RulesFixture fixture;
-  core::MultiQuarterOptions pipeline_options;
-  pipeline_options.num_threads = 2;
-  auto run = core::MultiQuarterPipeline(pipeline_options).Run(quarters);
-  MARAS_CHECK(run.ok()) << run.status().ToString();
-  fixture.corpus = std::move(run->merged);
+  fixture.corpus = bench::YearCorpus();
   fixture.analyzer.mining.min_support = 6;
   fixture.analyzer.mining.max_itemset_size = 7;
   fixture.analyzer.mining.num_threads = 2;
@@ -332,10 +312,10 @@ BENCHMARK(BM_RulesStageDatabase)->Unit(benchmark::kMillisecond)->UseRealTime();
 // edge ids), so a hash match means byte-identical CSR arenas.
 uint64_t EdgeArenaHash(const mining::ConceptLattice& lattice) {
   std::string bytes;
-  const auto append = [&bytes](mining::LatticeSpan<uint32_t> edges) {
+  const auto append = [&bytes](std::span<const uint32_t> edges) {
     const uint32_t count = static_cast<uint32_t>(edges.size());
     bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
-    bytes.append(reinterpret_cast<const char*>(edges.ptr),
+    bytes.append(reinterpret_cast<const char*>(edges.data()),
                  edges.size() * sizeof(uint32_t));
   };
   for (uint32_t v = 0; v < lattice.node_count(); ++v) {
@@ -457,7 +437,7 @@ bool RunSmoke() {
 
 int main(int argc, char** argv) {
   maras::bench::BenchMainOptions options =
-      maras::bench::ParseBenchArgs(argc, argv, "BENCH_mcac.json");
+      maras::bench::ParseBenchArgs(argc, argv);
   if (options.smoke) return RunSmoke() ? 0 : 1;
   return maras::bench::RunBenchmarksToJson(std::move(options), "bench_mcac");
 }

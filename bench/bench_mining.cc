@@ -1,8 +1,8 @@
 // Micro-benchmarks for the mining substrate: FP-Growth across database
 // sizes and support thresholds, closed-itemset filtering cost, FP-tree
-// build, and tid-list support counting. Every run lands in
-// BENCH_mining.json (wall-clock, allocations per iteration, peak RSS) so the
-// perf trajectory is diffable across PRs; `--smoke` runs a tiny fixture and
+// build, and tid-list support counting. `--bench_json=PATH` writes the runs
+// (wall-clock, allocations per iteration, peak RSS; baseline
+// bench/baselines/BENCH_mining.json) so the perf trajectory is diffable; `--smoke` runs a tiny fixture and
 // fails on any result-hash disagreement between FP-Growth at 1/2/8 threads
 // and the test-only Apriori oracle (the bench-smoke ctest gate).
 
@@ -158,7 +158,7 @@ bool RunSmoke() {
 
 int main(int argc, char** argv) {
   maras::bench::BenchMainOptions options =
-      maras::bench::ParseBenchArgs(argc, argv, "BENCH_mining.json");
+      maras::bench::ParseBenchArgs(argc, argv);
   if (options.smoke) return RunSmoke() ? 0 : 1;
   return maras::bench::RunBenchmarksToJson(std::move(options),
                                            "bench_mining");

@@ -5,8 +5,9 @@
 // measurements double as the regression baseline; every parallel
 // configuration produces byte-identical output (asserted by
 // mining_differential_test and by `--smoke`), so these runs compare cost
-// only. Results land in BENCH_parallel_mining.json (wall-clock, allocations
-// per iteration, thread counts, peak RSS) for cross-PR diffing.
+// only. `--bench_json=PATH` writes the results (wall-clock, allocations per
+// iteration, thread counts, peak RSS; baseline
+// bench/baselines/BENCH_parallel_mining.json) for diffing.
 
 #include <benchmark/benchmark.h>
 
@@ -209,8 +210,8 @@ bool RunSmoke() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  maras::bench::BenchMainOptions options = maras::bench::ParseBenchArgs(
-      argc, argv, "BENCH_parallel_mining.json");
+  maras::bench::BenchMainOptions options =
+      maras::bench::ParseBenchArgs(argc, argv);
   if (options.smoke) return RunSmoke() ? 0 : 1;
   return maras::bench::RunBenchmarksToJson(std::move(options),
                                            "bench_parallel_mining");

@@ -3,7 +3,8 @@
 // drill-down to report ids, full signal materialization — plus the cost of
 // opening (and therefore fully re-validating) a snapshot file, which is
 // what every SnapshotStore::Refresh pays per candidate generation, and the
-// cost of encoding the image.
+// cost of encoding the image, and the snapshot index derivation on
+// perfbench's `year` targets next to the quadratic scan it replaced.
 // `--bench_json` writes the perf trajectory (bench/baselines/
 // BENCH_query.json); `--smoke` is the Release-mode result-hash gate: the
 // snapshot's materialized answers must be byte-identical to the in-memory
@@ -27,8 +28,10 @@
 #include "faers/generator.h"
 #include "faers/preprocess.h"
 #include "serve/query_engine.h"
+#include "serve/snapshot_index.h"
 #include "serve/snapshot_reader.h"
 #include "serve/snapshot_writer.h"
+#include "tests/oracles/snapshot_covers.h"
 #include "util/delimited.h"
 #include "util/logging.h"
 
@@ -226,6 +229,69 @@ void BM_EncodeSnapshotFromDb(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeSnapshotFromDb)->Unit(benchmark::kMicrosecond);
 
+// perfbench's `year` signals: the ranked MCACs of bench::YearCorpus
+// (≈ 5.4k signals), as a `year` publish hands them to the index.
+struct YearSignals {
+  size_t items = 0;
+  std::vector<core::RankedMcac> ranked;
+
+  std::vector<serve::TargetIds> Targets() const {
+    std::vector<serve::TargetIds> targets;
+    for (const core::RankedMcac& entry : ranked) {
+      targets.push_back({entry.mcac.target.drugs, entry.mcac.target.adrs});
+    }
+    return targets;
+  }
+};
+
+YearSignals MakeYearSignals() {
+  const faers::PreprocessResult corpus = bench::YearCorpus();
+  core::AnalyzerOptions options;
+  options.mining.min_support = 6;
+  options.mining.max_itemset_size = 7;
+  options.mining.num_threads = 2;
+  auto analysis = core::MarasAnalyzer(options).Analyze(corpus);
+  MARAS_CHECK(analysis.ok()) << analysis.status().ToString();
+  return YearSignals{corpus.items.size(),
+                     core::RankMcacs(analysis->mcacs,
+                                     core::RankingMethod::kExclusivenessLift,
+                                     options.exclusiveness)};
+}
+
+const YearSignals& SharedYearSignals() {
+  static const YearSignals* year = new YearSignals(MakeYearSignals());
+  return *year;
+}
+
+// The postings and navigation lists of a `year` publish: what the writer
+// derives once and the reader's validation derives again.
+void BM_DeriveSnapshotIndex(benchmark::State& state) {
+  const YearSignals& year = SharedYearSignals();
+  const std::vector<serve::TargetIds> targets = year.Targets();
+  size_t edges = 0;
+  for (auto _ : state) {
+    serve::SnapshotIndex index =
+        serve::DeriveSnapshotIndex(targets, year.items);
+    edges = 0;
+    for (const auto& gen : index.generalizations) edges += gen.size();
+    benchmark::DoNotOptimize(index);
+  }
+  state.counters["targets"] = static_cast<double>(targets.size());
+  state.counters["edges"] = static_cast<double>(edges);
+}
+BENCHMARK(BM_DeriveSnapshotIndex)->Unit(benchmark::kMillisecond);
+
+// The same targets' navigation lists by the quadratic same-ADR scan
+// (the test-only reference, tests/oracles/snapshot_covers.h).
+void BM_DeriveSnapshotCoversScan(benchmark::State& state) {
+  const std::vector<serve::TargetIds> targets = SharedYearSignals().Targets();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::SameAdrCoversByScan(targets));
+  }
+  state.counters["targets"] = static_cast<double>(targets.size());
+}
+BENCHMARK(BM_DeriveSnapshotCoversScan)->Unit(benchmark::kMillisecond);
+
 void BM_OpenFile(benchmark::State& state) {
   const Fixture& fixture = SharedFixture();
   const std::string path =
@@ -320,7 +386,7 @@ bool RunSmoke() {
 
 int main(int argc, char** argv) {
   maras::bench::BenchMainOptions options =
-      maras::bench::ParseBenchArgs(argc, argv, "BENCH_query.json");
+      maras::bench::ParseBenchArgs(argc, argv);
   if (options.smoke) return RunSmoke() ? 0 : 1;
   return maras::bench::RunBenchmarksToJson(std::move(options),
                                            "bench_query");

@@ -3,8 +3,8 @@
 //   * default: google-benchmark micro-benchmarks of the batched SoA
 //     contingency path (MakeContingencyTables / EvaluateDisproportionality
 //     Batch) against the one-rule scalar loop, and of the bitmap-kernel
-//     stratum tables against the scalar merge reference — written to
-//     BENCH_stratified.json (wall-clock, allocs/iteration, peak RSS) for
+//     stratum tables against the scalar merge reference — written by
+//     `--bench_json=PATH` (wall-clock, allocs/iteration, peak RSS) for
 //     the committed baseline in bench/baselines/.
 //   * --shape: the original harness — for every mined cluster, contrast
 //     the crude reporting odds ratio with the sex/age Mantel–Haenszel
@@ -314,7 +314,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--shape") == 0) return RunShape();
   }
   maras::bench::BenchMainOptions options =
-      maras::bench::ParseBenchArgs(argc, argv, "BENCH_stratified.json");
+      maras::bench::ParseBenchArgs(argc, argv);
   if (options.smoke) return RunSmoke() ? 0 : 1;
   return maras::bench::RunBenchmarksToJson(std::move(options),
                                            "bench_stratified");

@@ -8,12 +8,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
 
 #include "core/analyzer.h"
+#include "core/multi_quarter.h"
 #include "faers/generator.h"
 #include "faers/preprocess.h"
 #include "util/logging.h"
@@ -77,6 +80,32 @@ inline PreparedQuarter PrepareQuarter(int quarter, double scale) {
   MARAS_CHECK(pre.ok()) << pre.status().ToString();
   return PreparedQuarter{*std::move(dataset), generator.ground_truth(),
                          *std::move(pre)};
+}
+
+// perfbench's `year` batch in memory: four quarters of 12k background
+// reports (seed 7, vocabulary scaled as perfbench scales it), pooled
+// through the multi-quarter pipeline on 2 threads. Its analysis mines at
+// min_support 6 with itemsets capped at 7.
+inline faers::PreprocessResult YearCorpus() {
+  constexpr size_t kReports = 12000;
+  std::vector<faers::QuarterDataset> quarters;
+  for (int q = 1; q <= 4; ++q) {
+    faers::GeneratorConfig config;
+    config.seed = 7;
+    config.year = 2014;
+    config.quarter = q;
+    config.n_reports = kReports;
+    config.n_drugs = kReports / 10 + 500;
+    config.n_adrs = kReports * 36 / 1000 + 200;
+    auto dataset = faers::SyntheticGenerator(config).Generate();
+    MARAS_CHECK(dataset.ok()) << dataset.status().ToString();
+    quarters.push_back(std::move(dataset).value());
+  }
+  core::MultiQuarterOptions pipeline_options;
+  pipeline_options.num_threads = 2;
+  auto run = core::MultiQuarterPipeline(pipeline_options).Run(quarters);
+  MARAS_CHECK(run.ok()) << run.status().ToString();
+  return std::move(run->merged);
 }
 
 inline core::AnalyzerOptions DefaultAnalyzerOptions(double scale) {

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fuzz/fuzz_target.h"
@@ -50,7 +51,7 @@ Itemset MaskToItemset(uint8_t mask, size_t universe) {
   return items;
 }
 
-Itemset SpanToItemset(maras::mining::LatticeSpan<maras::mining::ItemId> span) {
+Itemset SpanToItemset(std::span<const maras::mining::ItemId> span) {
   return Itemset(span.begin(), span.end());
 }
 

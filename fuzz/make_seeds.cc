@@ -6,11 +6,13 @@
 // between accept and reject, where parser bugs live.
 //
 // Usage: make_seeds <output-dir>
-//        (creates <output-dir>/{ascii,checkpoint,json,bitmap,snapshot})
+//        (creates <output-dir>/{ascii,checkpoint,json,bitmap,snapshot,
+//        lattice,cover_join})
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/analyzer.h"
 #include "core/checkpoint.h"
@@ -44,7 +46,7 @@ maras::Status Generate(const std::filesystem::path& root) {
   namespace fs = std::filesystem;
   std::error_code ec;
   for (const char* sub : {"ascii", "checkpoint", "json", "bitmap",
-                          "snapshot", "lattice"}) {
+                          "snapshot", "lattice", "cover_join"}) {
     fs::create_directories(root / sub, ec);
     if (ec) {
       return maras::Status::IOError("cannot create " +
@@ -302,6 +304,35 @@ maras::Status Generate(const std::filesystem::path& root) {
       root / "lattice" / "capped.bin",
       lattice_seed(5, 4, std::string(2, '\x0F') + std::string(3, '\x31') +
                              std::string(2, '\x46') + std::string(2, '\x78'))));
+
+  // --- cover_join: set families ------------------------------------------
+  // Layout (see fuzz_cover_join.cc): [universe selector][one 16-bit set
+  // mask per two bytes]. Seeds: a chain of prefixes with the empty set, an
+  // antichain of pairs, a hub item in every set but one, and every subset
+  // of a 5-item universe (many covers per set).
+  const auto cover_seed = [](unsigned char uni,
+                             const std::vector<uint16_t>& masks) {
+    std::string out(1, static_cast<char>(uni));
+    for (uint16_t m : masks) {
+      out.push_back(static_cast<char>(m & 0xFF));
+      out.push_back(static_cast<char>(m >> 8));
+    }
+    return out;
+  };
+  MARAS_RETURN_IF_ERROR(WriteFile(
+      root / "cover_join" / "chain.bin",
+      cover_seed(10, {0x3FF, 0x0FF, 0x03F, 0x00F, 0x003, 0x001, 0x000})));
+  MARAS_RETURN_IF_ERROR(WriteFile(
+      root / "cover_join" / "antichain.bin",
+      cover_seed(8, {0x03, 0x0C, 0x30, 0xC0, 0x05, 0x0A, 0x50, 0xA0})));
+  MARAS_RETURN_IF_ERROR(WriteFile(
+      root / "cover_join" / "hub.bin",
+      cover_seed(7, {0x40, 0x01, 0x03, 0x05, 0x07, 0x09, 0x0F, 0x11, 0x1F,
+                     0x21, 0x3F})));
+  std::vector<uint16_t> powerset;
+  for (uint16_t m = 0; m < 32; ++m) powerset.push_back(m);
+  MARAS_RETURN_IF_ERROR(WriteFile(root / "cover_join" / "powerset.bin",
+                                  cover_seed(3, powerset)));
   return maras::Status::OK();
 }
 

@@ -2,6 +2,7 @@
 #define MARAS_MINING_CONCEPT_LATTICE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mining/frequent_itemsets.h"
@@ -45,32 +46,19 @@ namespace maras::mining {
 // so it was mined and kept. (An uncapped mine satisfies it for every node.)
 // ---------------------------------------------------------------------------
 
-// Borrowed view over a contiguous run of one of the flat arenas.
-template <typename T>
-struct LatticeSpan {
-  const T* ptr = nullptr;
-  size_t count = 0;
-
-  const T* begin() const { return ptr; }
-  const T* end() const { return ptr + count; }
-  size_t size() const { return count; }
-  bool empty() const { return count == 0; }
-  T operator[](size_t i) const { return ptr[i]; }
-};
-
 class ConceptLattice {
  public:
   static constexpr uint32_t kNotFound = 0xFFFFFFFFu;
 
   ConceptLattice() = default;
 
-  // Builds nodes and covering edges from the (canonically sorted) closed
-  // family. The per-node edge fan-out runs on `num_threads` workers and
-  // polls `ctx` at a bounded interval; output is byte-identical at any
-  // thread count. The edges are exact for any family of distinct itemsets,
-  // including size-capped families that are not closed under intersection;
-  // an empty itemset is never a cover. Fails on families past 32-bit node
-  // indexing.
+  // Builds nodes from the (canonically sorted) closed family and their
+  // covering edges with the cover join (mining/cover_join.h), whose
+  // per-node fan-out runs on `num_threads` workers and polls `ctx` at a
+  // bounded interval; output is byte-identical at any thread count. The
+  // edges are exact for any family of distinct itemsets, including
+  // size-capped families that are not closed under intersection; an empty
+  // itemset is never a cover. Fails on families past 32-bit node indexing.
   static maras::StatusOr<ConceptLattice> Build(
       const FrequentItemsetResult& closed, size_t num_threads,
       const RunContext& ctx);
@@ -80,7 +68,7 @@ class ConceptLattice {
   size_t edge_count() const { return subsets_.size(); }
 
   // The node's itemset, ascending ItemIds inside the shared pool.
-  LatticeSpan<ItemId> NodeItems(uint32_t node) const {
+  std::span<const ItemId> NodeItems(uint32_t node) const {
     return {item_pool_.data() + node_item_begin_[node],
             node_item_begin_[node + 1] - node_item_begin_[node]};
   }
@@ -89,11 +77,11 @@ class ConceptLattice {
   // Covering edges, node ids ascending. Subsets = maximal closed proper
   // subsets (the "generalize" direction); Supersets = minimal closed proper
   // supersets ("specialize").
-  LatticeSpan<uint32_t> Subsets(uint32_t node) const {
+  std::span<const uint32_t> Subsets(uint32_t node) const {
     return {subsets_.data() + subset_begin_[node],
             subset_begin_[node + 1] - subset_begin_[node]};
   }
-  LatticeSpan<uint32_t> Supersets(uint32_t node) const {
+  std::span<const uint32_t> Supersets(uint32_t node) const {
     return {supersets_.data() + superset_begin_[node],
             superset_begin_[node + 1] - superset_begin_[node]};
   }

@@ -1,23 +1,13 @@
 #include "serve/snapshot_index.h"
 
 #include <algorithm>
+#include <iterator>
+
+#include "mining/cover_join.h"
+#include "util/logging.h"
+#include "util/run_context.h"
 
 namespace maras::serve {
-namespace {
-
-// True iff `a` is a proper subset of `b`; both strictly increasing.
-bool IsProperSubset(std::span<const uint32_t> a, std::span<const uint32_t> b) {
-  if (a.size() >= b.size()) return false;
-  size_t j = 0;
-  for (uint32_t id : a) {
-    while (j < b.size() && b[j] < id) ++j;
-    if (j == b.size() || b[j] != id) return false;
-    ++j;
-  }
-  return true;
-}
-
-}  // namespace
 
 SnapshotIndex DeriveSnapshotIndex(std::span<const TargetIds> targets,
                                   size_t item_count) {
@@ -32,42 +22,36 @@ SnapshotIndex DeriveSnapshotIndex(std::span<const TargetIds> targets,
     for (uint32_t id : targets[s].adrs) index.adr_postings[id].push_back(s);
   }
 
-  // t generalizes s iff both target the same ADR set, t's drug set is a
-  // proper subset of s's, and no third same-ADR signal sits strictly
-  // between them. Grouping by ADR set keeps the quadratic cover scan to
-  // same-consequent candidates.
-  std::vector<uint32_t> order(n);
-  for (uint32_t i = 0; i < n; ++i) order[i] = i;
-  std::ranges::stable_sort(order, [&](uint32_t a, uint32_t b) {
-    return std::ranges::lexicographical_compare(targets[a].adrs,
-                                                targets[b].adrs);
-  });
-  index.generalizations.resize(n);
-  std::vector<uint32_t> below;
-  for (size_t begin = 0, end = 0; begin < n; begin = end) {
-    end = begin + 1;
-    while (end < n && std::ranges::equal(targets[order[end]].adrs,
-                                         targets[order[begin]].adrs)) {
-      ++end;
-    }
-    for (size_t i = begin; i < end; ++i) {
-      const std::span<const uint32_t> drugs_s = targets[order[i]].drugs;
-      below.clear();
-      for (size_t j = begin; j < end; ++j) {
-        if (IsProperSubset(targets[order[j]].drugs, drugs_s)) {
-          below.push_back(order[j]);
-        }
-      }
-      std::vector<uint32_t>& gen = index.generalizations[order[i]];
-      for (uint32_t t : below) {
-        if (std::ranges::none_of(below, [&](uint32_t u) {
-              return IsProperSubset(targets[t].drugs, targets[u].drugs);
-            })) {
-          gen.push_back(t);
-        }
-      }
-      std::ranges::sort(gen);
-    }
+  // t generalizes s iff both target the same ADR set and t's drug set is
+  // a maximal proper subset of s's among those targets. These are the
+  // covers of the family of target unions (drugs ∪ ADRs) whose two ends
+  // carry equal ADR sets, so one containment join finds them:
+  // - Items are typed drug or ADR, so a union splits back into its target;
+  //   the targets are distinct, so the unions are, as the join requires.
+  // - If t ⊊ u ⊊ s and t, s have the same ADR set, u has that ADR set too:
+  //   no union lies strictly between t and s unless a same-ADR target
+  //   does. So the filtered union covers are exactly the same-ADR drug-set
+  //   covers.
+  std::vector<uint32_t> pool;
+  std::vector<size_t> begin{0};
+  for (const TargetIds& target : targets) {
+    std::ranges::merge(target.drugs, target.adrs, std::back_inserter(pool));
+    begin.push_back(pool.size());
+  }
+  std::vector<std::span<const uint32_t>> unions(n);
+  for (uint32_t s = 0; s < n; ++s) {
+    unions[s] = std::span<const uint32_t>(pool).subspan(
+        begin[s], begin[s + 1] - begin[s]);
+  }
+  // Serial and ungoverned: the default context never trips.
+  auto covers = mining::CoveringSubsets(
+      unions, static_cast<mining::ItemId>(item_count), 1, RunContext{});
+  MARAS_CHECK(covers.ok()) << covers.status().ToString();
+  index.generalizations = std::move(covers).value();
+  for (uint32_t s = 0; s < n; ++s) {
+    std::erase_if(index.generalizations[s], [&](uint32_t t) {
+      return !std::ranges::equal(targets[t].adrs, targets[s].adrs);
+    });
   }
   index.specializations.resize(n);
   for (uint32_t s = 0; s < n; ++s) {

@@ -32,7 +32,10 @@ struct SnapshotIndex {
 };
 
 // Derives the index of `targets` (rank order). Every id must be below
-// `item_count`; both callers validate that before deriving.
+// `item_count`, no id may be a drug in one target and an ADR in another,
+// no target may be empty, and the targets must be pairwise distinct (the
+// cover join's precondition, mining/cover_join.h). The writer's targets
+// are distinct rules; the reader validates all of it before deriving.
 SnapshotIndex DeriveSnapshotIndex(std::span<const TargetIds> targets,
                                   size_t item_count);
 

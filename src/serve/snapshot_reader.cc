@@ -1,5 +1,6 @@
 #include "serve/snapshot_reader.h"
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -576,6 +577,7 @@ maras::Status SignalSnapshot::ValidateIndex() const {
   std::vector<uint32_t> ids;
   ids.reserve(counts_.item_ids);
   std::vector<TargetIds> targets(counts_.signals);
+  std::vector<std::span<const uint32_t>> whole(counts_.signals);
   for (uint32_t s = 0; s < counts_.signals; ++s) {
     uint32_t target_rule = 0;
     MARAS_RETURN_IF_ERROR(signals.U32At(
@@ -590,6 +592,14 @@ maras::Status SignalSnapshot::ValidateIndex() const {
     const std::span<const uint32_t> read(ids);
     targets[s] = {read.subspan(begin, rec.drugs_count),
                   read.subspan(begin + rec.drugs_count, rec.adrs_count)};
+    whole[s] = read.subspan(begin);
+  }
+  // Every signal has its own target rule, so two equal targets are forged;
+  // the derivation's cover join also needs them distinct. Items are typed,
+  // so a target's ids, drugs then ADRs, determine the target.
+  std::ranges::sort(whole, std::ranges::lexicographical_compare);
+  if (std::ranges::adjacent_find(whole, std::ranges::equal) != whole.end()) {
+    return maras::Status::Corruption("two signals share one target");
   }
   const SnapshotIndex index = DeriveSnapshotIndex(targets, counts_.items);
 

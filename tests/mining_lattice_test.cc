@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,7 @@ FrequentItemsetResult MineClosedFamily(const TransactionDatabase& db,
 }
 
 Itemset NodeItemset(const ConceptLattice& lattice, uint32_t node) {
-  LatticeSpan<ItemId> items = lattice.NodeItems(node);
+  std::span<const ItemId> items = lattice.NodeItems(node);
   return Itemset(items.begin(), items.end());
 }
 
@@ -103,7 +104,7 @@ void ExpectCoversMatchBruteForce(const FrequentItemsetResult& family) {
     size_t total_edges = 0;
     std::vector<std::vector<uint32_t>> transpose(lattice->node_count());
     for (uint32_t v = 0; v < lattice->node_count(); ++v) {
-      LatticeSpan<uint32_t> got = lattice->Subsets(v);
+      std::span<const uint32_t> got = lattice->Subsets(v);
       EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), want[v])
           << "covers of node " << v << " at " << threads << " threads";
       total_edges += want[v].size();
@@ -111,7 +112,7 @@ void ExpectCoversMatchBruteForce(const FrequentItemsetResult& family) {
     }
     EXPECT_EQ(lattice->edge_count(), total_edges) << threads << " threads";
     for (uint32_t u = 0; u < lattice->node_count(); ++u) {
-      LatticeSpan<uint32_t> got = lattice->Supersets(u);
+      std::span<const uint32_t> got = lattice->Supersets(u);
       EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), transpose[u])
           << "covering supersets of node " << u << " at " << threads
           << " threads";
@@ -224,8 +225,8 @@ TEST_P(ConceptLatticeTest, BuildIsIdenticalAtAnyThreadCount) {
     ASSERT_EQ(other->node_count(), reference->node_count());
     ASSERT_EQ(other->edge_count(), reference->edge_count());
     for (uint32_t v = 0; v < reference->node_count(); ++v) {
-      LatticeSpan<uint32_t> a = reference->Subsets(v);
-      LatticeSpan<uint32_t> b = other->Subsets(v);
+      std::span<const uint32_t> a = reference->Subsets(v);
+      std::span<const uint32_t> b = other->Subsets(v);
       EXPECT_EQ(std::vector<uint32_t>(a.begin(), a.end()),
                 std::vector<uint32_t>(b.begin(), b.end()))
           << "node " << v << " at " << threads << " threads";

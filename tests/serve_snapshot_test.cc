@@ -405,6 +405,20 @@ TEST_F(SnapshotLatticeForgeryTest, LatticeStrippedImageIsCorruption) {
   ExpectForgedRejected("lattice-stripped image");
 }
 
+TEST_F(SnapshotLatticeForgeryTest, DuplicateTargetIsCorruption) {
+  // A self-consistent image with one signal twice: the writer derives (and
+  // the forger encodes) every list from the duplicated targets. Each signal
+  // has its own target rule, so two equal targets are forged.
+  ASSERT_FALSE(fixture_.ranked.empty());
+  fixture_.ranked.push_back(fixture_.ranked.back());
+  bytes_ = EncodeOrDie(fixture_);
+  ExpectForgedRejected("duplicate signal target");
+  auto snapshot = SignalSnapshot::FromView(bytes_);
+  EXPECT_NE(snapshot.status().ToString().find("share one target"),
+            std::string::npos)
+      << snapshot.status().ToString();
+}
+
 TEST(SnapshotAccessorTest, HostileQueryIndicesAreInvalidArgument) {
   const ServeFixture fixture = MakeServeFixture();
   auto snapshot = SignalSnapshot::FromBytes(
