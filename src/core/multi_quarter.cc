@@ -2,7 +2,6 @@
 
 #include "core/analysis_stages.h"
 #include "faers/ascii_format.h"
-#include "faers/dedup.h"
 #include "mining/measures.h"
 #include "util/run_context.h"
 
@@ -119,18 +118,11 @@ const char* TrendVerdictName(TrendVerdict verdict) {
 
 maras::StatusOr<faers::PreprocessResult> MultiQuarterPipeline::ProcessQuarter(
     const faers::QuarterDataset& dataset, QuarterOutcome* outcome) const {
-  if (options_.validate) {
-    faers::ValidationReport validation =
-        faers::ValidateDataset(dataset, options_.validation);
-    MARAS_RETURN_IF_ERROR(faers::EnforceValidation(
-        validation, options_.ingest, &outcome->ingest));
-  }
+  faers::ValidationReport validation =
+      faers::ValidateDataset(dataset, options_.validation);
+  MARAS_RETURN_IF_ERROR(faers::EnforceValidation(
+      validation, options_.ingest, &outcome->ingest));
   faers::Preprocessor preprocessor(options_.preprocess);
-  if (options_.remove_duplicates) {
-    faers::QuarterDataset deduped = faers::RemoveDuplicateCases(
-        dataset, options_.ingest, &outcome->ingest);
-    return preprocessor.Process(deduped, &outcome->ingest);
-  }
   return preprocessor.Process(dataset, &outcome->ingest);
 }
 

@@ -66,8 +66,8 @@ TrendVerdict ClassifyTrend(const std::vector<QuarterlySignalTrend>& trend,
 // quarterly extracts of varying quality; under a permissive policy one
 // unreadable quarter must degrade the run (with a recorded warning), not
 // abort it. The pipeline reads each quarter under the configured
-// IngestPolicy, validates it, optionally removes near-duplicate cases,
-// preprocesses it, and pools the survivors with MergeQuarters.
+// IngestPolicy, validates it, preprocesses it, and pools the survivors
+// with MergeQuarters.
 // ---------------------------------------------------------------------------
 
 // One quarterly extract on disk, in FAERS ASCII naming (DEMO14Q1.txt ...).
@@ -84,13 +84,11 @@ struct QuarterSource {
 struct MultiQuarterOptions {
   faers::IngestOptions ingest;
   faers::PreprocessOptions preprocess;
+  // Every quarter is gated on ValidateDataset + EnforceValidation under
+  // these options and the ingest policy.
   faers::ValidationOptions validation;
-  // Gate each quarter on ValidateDataset + EnforceValidation.
-  bool validate = true;
-  // Remove near-duplicate cases (faers/dedup) before preprocessing.
-  bool remove_duplicates = false;
   // Worker threads for quarter-level fan-out: each quarter's ingest +
-  // validate + dedup + preprocess runs as one pool task writing its own
+  // validate + preprocess runs as one pool task writing its own
   // outcome slot, and the surviving quarters are merged serially in input
   // order afterwards. Recovery semantics, per-quarter quarantine accounting,
   // warning order, and the merged corpus are identical to the serial run
@@ -186,7 +184,7 @@ class MultiQuarterPipeline {
 
   const MultiQuarterOptions& options() const { return options_; }
 
-  // Validation + dedup + preprocess for one readable quarter. Public so a
+  // Validation + preprocess for one readable quarter. Public so a
   // shard worker process (core/shard_supervisor.h) can run exactly this
   // code on its assigned quarter — byte-identity across execution modes
   // depends on both paths sharing one implementation.

@@ -10,16 +10,14 @@ namespace maras::faers {
 
 Preprocessor::Preprocessor(PreprocessOptions options)
     : options_(std::move(options)) {
-  if (options_.use_curated_vocabulary) {
-    for (const std::string& name : CuratedDrugNames()) {
-      drug_dictionary_.AddCanonical(name);
-    }
-    for (const DrugAlias& alias : CuratedDrugAliases()) {
-      // Aliases are pre-normalized uppercase; failure means alias ==
-      // canonical which the curated table never contains.
-      MARAS_IGNORE_STATUS(drug_dictionary_.AddAlias(alias.alias,
-                                                    alias.canonical));
-    }
+  for (const std::string& name : CuratedDrugNames()) {
+    drug_dictionary_.AddCanonical(name);
+  }
+  for (const DrugAlias& alias : CuratedDrugAliases()) {
+    // Aliases are pre-normalized uppercase; failure means alias ==
+    // canonical which the curated table never contains.
+    MARAS_IGNORE_STATUS(drug_dictionary_.AddAlias(alias.alias,
+                                                  alias.canonical));
   }
 }
 
@@ -79,16 +77,14 @@ maras::StatusOr<PreprocessResult> Preprocessor::Process(
   // Pass 1: select report versions. For each case id, remember the highest
   // version among reports passing the EXP filter.
   std::unordered_map<uint64_t, uint32_t> latest_version;
-  if (options_.keep_latest_case_version) {
-    for (const Report& report : dataset.reports) {
-      if (options_.expedited_only && report.type != ReportType::kExpedited) {
-        continue;
-      }
-      auto [it, inserted] =
-          latest_version.emplace(report.case_id, report.case_version);
-      if (!inserted && report.case_version > it->second) {
-        it->second = report.case_version;
-      }
+  for (const Report& report : dataset.reports) {
+    if (options_.expedited_only && report.type != ReportType::kExpedited) {
+      continue;
+    }
+    auto [it, inserted] =
+        latest_version.emplace(report.case_id, report.case_version);
+    if (!inserted && report.case_version > it->second) {
+      it->second = report.case_version;
     }
   }
 
@@ -125,12 +121,10 @@ maras::StatusOr<PreprocessResult> Preprocessor::Process(
       ++result.stats.dropped_not_expedited;
       continue;
     }
-    if (options_.keep_latest_case_version) {
-      auto it = latest_version.find(report.case_id);
-      if (it != latest_version.end() && report.case_version < it->second) {
-        ++result.stats.dropped_stale_version;
-        continue;
-      }
+    if (auto it = latest_version.find(report.case_id);
+        it != latest_version.end() && report.case_version < it->second) {
+      ++result.stats.dropped_stale_version;
+      continue;
     }
     mining::Itemset transaction;
     for (const std::string& raw : report.drugs) {

@@ -17,21 +17,18 @@
 namespace maras::faers {
 
 // The paper's first mining step (Section 5.2): extract drugs and ADRs from
-// FAERS reports, merge them per case, clean names (deduplication and
-// misspelling correction), and hand the result to the miner.
+// FAERS reports, keep only the latest version of each resubmitted case,
+// clean names (deduplication and misspelling correction), and hand the
+// result to the miner.
 struct PreprocessOptions {
   // Keep only expedited (EXP) reports — the serious-event subset the paper
   // selects in Section 5.1.
   bool expedited_only = true;
-  // When a case was resubmitted, keep only its highest version.
-  bool keep_latest_case_version = true;
   text::NormalizerOptions normalizer;
-  // Maximum edit distance for dictionary-based misspelling correction;
-  // 0 disables fuzzy matching.
+  // Maximum edit distance for dictionary-based misspelling correction
+  // against the curated drug vocabulary and brand->generic aliases; 0
+  // disables fuzzy matching.
   size_t max_edit_distance = 1;
-  // Seed the spelling dictionary with the curated drug vocabulary and
-  // brand->generic aliases.
-  bool use_curated_vocabulary = true;
 };
 
 struct PreprocessStats {

@@ -282,6 +282,39 @@ TEST_F(MultiQuarterPipelineTest, QuarantineRunAccountsForInjectedFaults) {
   EXPECT_FALSE(run->ingest.quarantined.empty());
 }
 
+TEST_F(MultiQuarterPipelineTest,
+       ValidationErrorFailsStrictAndIsAWarningUnderQuarantine) {
+  std::vector<faers::QuarterDataset> quarters;
+  quarters.push_back(GenerateRaw(2041, 1, 101));
+  quarters.push_back(GenerateRaw(2041, 2, 202));
+  // A repeated primary id parses fine but is an error-grade finding.
+  faers::Report repeated = quarters[1].reports.front();
+  quarters[1].reports.push_back(repeated);
+  const std::string primary_id = std::to_string(repeated.primary_id());
+
+  auto strict = MultiQuarterPipeline{MultiQuarterOptions{}}.Run(quarters);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_NE(strict.status().message().find("quarter 2041Q2"),
+            std::string::npos)
+      << strict.status().ToString();
+  EXPECT_NE(strict.status().message().find("duplicate-primaryid"),
+            std::string::npos)
+      << strict.status().ToString();
+
+  MultiQuarterPipeline quarantine{Lenient(faers::IngestPolicy::kQuarantine)};
+  auto run = quarantine.Run(quarters);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->quarters_loaded, 2u);
+  size_t validation_warnings = 0;
+  for (const std::string& warning : run->ingest.warnings) {
+    if (warning.find("validation [duplicate-primaryid]") != std::string::npos &&
+        warning.find(primary_id) != std::string::npos) {
+      ++validation_warnings;
+    }
+  }
+  EXPECT_EQ(validation_warnings, 1u);
+}
+
 TEST(ClassifyTrendTest, NamesComplete) {
   EXPECT_STREQ(TrendVerdictName(TrendVerdict::kEmerging), "emerging");
   EXPECT_STREQ(TrendVerdictName(TrendVerdict::kStable), "stable");

@@ -1,7 +1,7 @@
 // Recovery-policy behavior of the resilient FAERS reader: strict fails
 // fast, permissive skips within an error budget, quarantine captures
-// per-row diagnostics — plus the policy gates threaded through validation,
-// dedup and preprocessing.
+// per-row diagnostics — plus the policy gates threaded through validation
+// and preprocessing.
 
 #include "faers/ingest.h"
 
@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "faers/ascii_format.h"
-#include "faers/dedup.h"
 #include "faers/preprocess.h"
 #include "faers/validate.h"
 #include "util/delimited.h"
@@ -358,26 +357,6 @@ TEST(IngestThreadingTest, PreprocessorRecordsDropAccounting) {
   EXPECT_NE(report.warnings[0].find("non-expedited"), std::string::npos);
   EXPECT_NE(report.warnings[1].find("no drugs or no reactions"),
             std::string::npos);
-}
-
-TEST(IngestThreadingTest, DedupRecordsRemovalsUnderQuarantine) {
-  QuarterDataset dataset = SampleDataset();
-  // Distinguish the base reports so only the injected twin clusters.
-  for (size_t i = 0; i < dataset.reports.size(); ++i) {
-    dataset.reports[i].drugs.push_back("MARKER" + std::to_string(i));
-  }
-  Report twin = dataset.reports[0];
-  twin.case_id = 77000001;  // different case, same clinical fingerprint
-  dataset.reports.push_back(twin);
-  IngestReport report;
-  DedupStats stats;
-  QuarterDataset kept =
-      RemoveDuplicateCases(dataset, Quarantine(), &report, &stats);
-  EXPECT_EQ(kept.reports.size(), dataset.reports.size() - 1);
-  EXPECT_EQ(stats.redundant_reports, 1u);
-  ASSERT_EQ(report.warnings.size(), 2u);
-  EXPECT_NE(report.warnings[0].find("duplicate"), std::string::npos);
-  EXPECT_NE(report.warnings[1].find("7700000"), std::string::npos);
 }
 
 TEST(IngestReportTest, MergeAndSummary) {

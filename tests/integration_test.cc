@@ -13,7 +13,6 @@
 #include "faers/ascii_format.h"
 #include "faers/drug_classes.h"
 #include "faers/generator.h"
-#include "faers/openfda.h"
 #include "faers/preprocess.h"
 #include "faers/validate.h"
 #include "study/user_study.h"
@@ -198,16 +197,6 @@ TEST_F(PipelineTest, GeneratedDatasetValidatesClean) {
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.warning_count(), 0u);
   EXPECT_EQ(report.reports_checked, dataset_->reports.size());
-}
-
-TEST_F(PipelineTest, OpenFdaFormatRoundTripsGeneratedData) {
-  auto json_text = faers::WriteOpenFdaEvents(*dataset_);
-  ASSERT_TRUE(json_text.ok());
-  faers::OpenFdaReadStats stats;
-  auto parsed = faers::ReadOpenFdaEvents(*json_text, 2014, 1, &stats);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->reports.size(), dataset_->reports.size());
-  EXPECT_EQ(stats.skipped_incomplete, 0u);
 }
 
 TEST_F(PipelineTest, DemographicsAlignAndStratificationRuns) {

@@ -148,6 +148,24 @@ TEST(StatusOrTest, MoveOnlyValue) {
   EXPECT_EQ(*owned, 7);
 }
 
+// Counts the copies made along its history, so a test can tell a move out
+// of a StatusOr from a copy.
+struct CopyCounter {
+  CopyCounter() = default;
+  CopyCounter(const CopyCounter& other) : copies(other.copies + 1) {}
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) = default;
+  CopyCounter& operator=(CopyCounter&&) noexcept = default;
+  int copies = 0;
+};
+
+TEST(StatusOrTest, DereferencingAnRvalueMovesTheValueOut) {
+  StatusOr<CopyCounter> v = CopyCounter{};
+  ASSERT_TRUE(v.ok());
+  CopyCounter taken = *std::move(v);
+  EXPECT_EQ(taken.copies, 0);
+}
+
 TEST(StatusOrTest, AssignOrReturnMacro) {
   auto inner = [](bool fail) -> StatusOr<int> {
     if (fail) return Status::OutOfRange("nope");

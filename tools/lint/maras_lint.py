@@ -15,7 +15,11 @@ Usage:
 
 With no explicit paths the tracked source roots (src/, tests/, bench/,
 examples/, fuzz/, tools/) are scanned; tools/lint/testdata is always
-excluded because its fixtures deliberately violate the rules.
+excluded because its fixtures deliberately violate the rules. Only such a
+whole-tree scan runs `reachability`, which follows includes from the
+shipped programs (tools/, examples/, bench/, perfbench/) and fails on any
+src/ header they never reach; its exceptions live in
+REACHABILITY_ALLOWLIST, not in suppression comments.
 
 Suppression: a violating line (or the line directly above it) may carry
     // maras-lint: disable=<rule>[,<rule>...]
@@ -71,6 +75,10 @@ RULES = {
         "mutex member that no thread-safety annotation ever names "
         "(GUARDED_BY/REQUIRES/ACQUIRE/EXCLUDES...) — a lock outside the "
         "capability model is invisible to clang -Wthread-safety",
+    "reachability":
+        "src/ header that no tool, example, bench or perfbench file "
+        "reaches through includes (code only tests or fuzzers use is "
+        "test code, or dead); whole-tree scans only",
 }
 
 # Every file under src/mining must use flat (or dense ItemId-indexed)
@@ -103,6 +111,13 @@ MUTEX_WRAPPER_ALLOWED = {
     "src/util/mutex.h",
     "src/util/thread_annotations.h",
 }
+
+# The programs the project ships. A src/ header is live only if one of
+# these reaches it; tests/ and fuzz/ check code, they do not keep it alive.
+REACHABILITY_ROOTS = ("tools", "examples", "bench", "perfbench")
+
+# src/ headers kept although no root reaches them: path -> reason.
+REACHABILITY_ALLOWLIST: dict[str, str] = {}
 
 SCAN_ROOTS = ("src", "tests", "bench", "examples", "fuzz", "tools")
 EXCLUDE_PARTS = ("tools/lint/testdata",)
@@ -521,6 +536,63 @@ def rule_mutex_annotations(relpath, text, stripped):
                    "either dead or hiding unguarded state")
 
 
+_QUOTED_INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.M)
+
+
+def _source_files_under(root, top):
+    """Root-relative paths of the source files under root/top."""
+    rels = (os.path.relpath(path, root).replace(os.sep, "/")
+            for path in collect_files(root, [top]))
+    return [rel for rel in rels
+            if not any(part in rel for part in EXCLUDE_PARTS)]
+
+
+def _src_includes(root, rel):
+    """The src/ files that `rel` includes. Quoted includes name a path
+    relative to src/, the library's include root."""
+    with open(os.path.join(root, rel), encoding="utf-8",
+              errors="replace") as fh:
+        text = fh.read()
+    for include in _QUOTED_INCLUDE_RE.findall(text):
+        target = "src/" + include
+        if os.path.isfile(os.path.join(root, target)):
+            yield target
+
+
+def unreached_src_headers(root, allowlist=REACHABILITY_ALLOWLIST):
+    """src/ headers that no REACHABILITY_ROOTS file reaches, minus
+    `allowlist`.
+
+    A header is reached when a root file includes it, or when a reached
+    src/ file does; a reached header also reaches its paired .cc, so what
+    the implementation includes is live too.
+    """
+    frontier = [rel for top in REACHABILITY_ROOTS
+                for rel in _source_files_under(root, top)]
+    reached = set()
+    while frontier:
+        for header in _src_includes(root, frontier.pop()):
+            if header in reached:
+                continue
+            reached.add(header)
+            frontier.append(header)
+            paired = os.path.splitext(header)[0] + ".cc"
+            if os.path.isfile(os.path.join(root, paired)):
+                frontier.append(paired)
+    return [rel for rel in _source_files_under(root, "src")
+            if rel.endswith(".h") and rel not in reached
+            and rel not in allowlist]
+
+
+def rule_reachability(root):
+    for header in unreached_src_headers(root):
+        yield Violation(
+            header, 1, "reachability",
+            "no tool, example, bench or perfbench file reaches this header, "
+            "directly or through reached src/ files; delete it, move it to "
+            "tests/ if only tests use it, or allowlist it with a reason")
+
+
 RULE_FUNCS = {
     "mining-flat-containers": rule_mining_flat_containers,
     "no-raw-new-delete": rule_no_raw_new_delete,
@@ -533,7 +605,12 @@ RULE_FUNCS = {
     "mutex-annotations": rule_mutex_annotations,
 }
 
-assert set(RULE_FUNCS) == set(RULES)
+# Rules over the include graph of the whole tree rather than one file.
+TREE_RULE_FUNCS = {
+    "reachability": rule_reachability,
+}
+
+assert set(RULE_FUNCS) | set(TREE_RULE_FUNCS) == set(RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +659,8 @@ def lint_file(root, path, active_rules):
     suppress = suppressed_rules(text.splitlines())
     out = []
     for rule in active_rules:
+        if rule not in RULE_FUNCS:
+            continue
         for line, detail in RULE_FUNCS[rule](relpath, text, stripped) or ():
             idx = line - 1
             if 0 <= idx < len(suppress) and rule in suppress[idx]:
@@ -619,6 +698,10 @@ def main(argv):
     violations = []
     for path in collect_files(root, args.paths):
         violations.extend(lint_file(root, path, active))
+    if not args.paths:
+        for rule in active:
+            if rule in TREE_RULE_FUNCS:
+                violations.extend(TREE_RULE_FUNCS[rule](root))
 
     for v in violations:
         print(v.render())

@@ -98,6 +98,31 @@ class RuleFixtureTest(unittest.TestCase):
         self.assert_fires("mutex-annotations", extra_expected=3)
         self.assert_quiet("mutex-annotations")
 
+    def test_reachability(self):
+        root = os.path.join(TESTDATA, "reachability", "bad")
+        proc = run_lint(root, rules=["reachability"])
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        fired = {line.split(":")[0] for line in proc.stdout.splitlines()
+                 if "[reachability]" in line}
+        self.assertEqual(fired, {
+            "src/lib/test_only.h",      # included only from tests/
+            "src/lib/fuzz_only.h",      # included only from fuzz/
+            "src/lib/orphan.h",         # included from nowhere
+            "src/lib/orphan_detail.h",  # only the unreached orphan.cc
+        }, proc.stdout)
+        # examples/ reaches api.h, and api.cc reaches detail.h.
+        self.assert_quiet("reachability")
+
+    def test_reachability_allowlist(self):
+        root = os.path.join(TESTDATA, "reachability", "allowlisted")
+        proc = run_lint(root, rules=["reachability"])
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("src/lib/kept.h:1: [reachability]", proc.stdout)
+        self.assertEqual(
+            maras_lint.unreached_src_headers(
+                root, allowlist={"src/lib/kept.h": "fixture"}),
+            [])
+
     def test_good_fixtures_clean_under_all_rules(self):
         # Cross-rule quiet check: a good fixture for one rule must not trip
         # another rule by accident.
