@@ -44,9 +44,9 @@ int main() {
     Stopwatch timer;
     bench::PreparedQuarter quarter = bench::PrepareQuarter(row.quarter, scale);
     // Raw distinct verbatim drug strings (what the paper's "Drugs" counts,
-    // before cleaning) and cleaned vocabulary sizes.
-    std::set<std::string> raw_drugs;
-    std::set<std::string> raw_adrs;
+    // before cleaning; one arena id each) and cleaned vocabulary sizes.
+    std::set<faers::NameId> raw_drugs;
+    std::set<faers::NameId> raw_adrs;
     for (const auto& report : quarter.dataset.reports) {
       raw_drugs.insert(report.drugs.begin(), report.drugs.end());
       raw_adrs.insert(report.reactions.begin(), report.reactions.end());

@@ -15,14 +15,16 @@ using namespace maras;
 
 namespace {
 
-faers::Report MakeReport(uint64_t case_id, std::vector<std::string> drugs,
-                         std::vector<std::string> reactions) {
+// Adds one report; its raw names go into the quarter's name arena.
+void AddReport(faers::QuarterDataset* quarter, uint64_t case_id,
+               const std::vector<std::string>& drugs,
+               const std::vector<std::string>& reactions) {
   faers::Report report;
   report.case_id = case_id;
   report.type = faers::ReportType::kExpedited;
-  report.drugs = std::move(drugs);
-  report.reactions = std::move(reactions);
-  return report;
+  report.drugs = quarter->names.InternAll(drugs);
+  report.reactions = quarter->names.InternAll(reactions);
+  quarter->reports.push_back(std::move(report));
 }
 
 }  // namespace
@@ -37,20 +39,18 @@ int main() {
   quarter.quarter = 1;
   uint64_t id = 1;
   for (int i = 0; i < 6; ++i) {
-    quarter.reports.push_back(
-        MakeReport(id++, {"ASPIRIN 100MG", "WARFRIN"}, {"HAEMORRHAGE"}));
+    AddReport(&quarter, id++, {"ASPIRIN 100MG", "WARFRIN"}, {"HAEMORRHAGE"});
   }
   for (int i = 0; i < 10; ++i) {
-    quarter.reports.push_back(MakeReport(id++, {"ASPIRIN"}, {"NAUSEA"}));
-    quarter.reports.push_back(MakeReport(id++, {"COUMADIN"}, {"DIZZINESS"}));
+    AddReport(&quarter, id++, {"ASPIRIN"}, {"NAUSEA"});
+    AddReport(&quarter, id++, {"COUMADIN"}, {"DIZZINESS"});
   }
   // A decoy: two antacids taken together are reported with osteoporosis,
   // but so is each antacid alone — not an interaction.
   for (int i = 0; i < 6; ++i) {
-    quarter.reports.push_back(
-        MakeReport(id++, {"ZANTAC", "TUMS"}, {"OSTEOPOROSIS"}));
-    quarter.reports.push_back(MakeReport(id++, {"ZANTAC"}, {"OSTEOPOROSIS"}));
-    quarter.reports.push_back(MakeReport(id++, {"TUMS"}, {"OSTEOPOROSIS"}));
+    AddReport(&quarter, id++, {"ZANTAC", "TUMS"}, {"OSTEOPOROSIS"});
+    AddReport(&quarter, id++, {"ZANTAC"}, {"OSTEOPOROSIS"});
+    AddReport(&quarter, id++, {"TUMS"}, {"OSTEOPOROSIS"});
   }
 
   // 2. Preprocess: clean names, merge each case into one transaction.

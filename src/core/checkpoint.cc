@@ -315,6 +315,7 @@ maras::StatusOr<faers::PreprocessResult> DecodePreprocessResult(
   }
   uint64_t transactions = 0;
   MARAS_RETURN_IF_ERROR(r.U64(&transactions));
+  std::vector<mining::Itemset> decoded;
   for (uint64_t t = 0; t < transactions; ++t) {
     mining::Itemset itemset;
     MARAS_RETURN_IF_ERROR(DecodeItemset(&r, &itemset));
@@ -328,10 +329,11 @@ maras::StatusOr<faers::PreprocessResult> DecodePreprocessResult(
                                          " outside dictionary");
       }
     }
-    // Stored transactions are sorted and deduplicated, so Add reproduces
-    // them byte-identically.
-    result.transactions.Add(std::move(itemset));
+    decoded.push_back(std::move(itemset));
   }
+  // Stored transactions are sorted and deduplicated, so Build reproduces
+  // them byte-identically.
+  result.transactions = mining::TransactionDatabase::Build(std::move(decoded));
   uint64_t ids = 0;
   MARAS_RETURN_IF_ERROR(r.Count(&ids, sizeof(uint64_t)));
   result.primary_ids.reserve(static_cast<size_t>(ids));

@@ -13,6 +13,12 @@ maras::StatusOr<faers::PreprocessResult> MergeQuarters(
     return maras::Status::InvalidArgument("no quarters to merge");
   }
   faers::PreprocessResult merged;
+  size_t total = 0;
+  for (const faers::PreprocessResult* quarter : quarters) {
+    total += quarter->transactions.size();
+  }
+  std::vector<mining::Itemset> transactions;
+  transactions.reserve(total);
   for (const faers::PreprocessResult* quarter : quarters) {
     // Old-id -> new-id mapping for this quarter's vocabulary.
     std::vector<mining::ItemId> remap(quarter->items.size());
@@ -24,15 +30,14 @@ maras::StatusOr<faers::PreprocessResult> MergeQuarters(
                               quarter->items.Domain(id)));
     }
     for (size_t t = 0; t < quarter->transactions.size(); ++t) {
+      const mining::Itemset& source = quarter->transactions.transaction(
+          static_cast<mining::TransactionId>(t));
       mining::Itemset transaction;
-      transaction.reserve(quarter->transactions.transaction(
-                                  static_cast<mining::TransactionId>(t))
-                              .size());
-      for (mining::ItemId old_id : quarter->transactions.transaction(
-               static_cast<mining::TransactionId>(t))) {
+      transaction.reserve(source.size());
+      for (mining::ItemId old_id : source) {
         transaction.push_back(remap[old_id]);
       }
-      merged.transactions.Add(std::move(transaction));
+      transactions.push_back(std::move(transaction));
       merged.primary_ids.push_back(quarter->primary_ids[t]);
       merged.demographics.push_back(t < quarter->demographics.size()
                                         ? quarter->demographics[t]
@@ -51,6 +56,8 @@ maras::StatusOr<faers::PreprocessResult> MergeQuarters(
     merged.stats.fuzzy_corrections += quarter->stats.fuzzy_corrections;
     merged.stats.alias_resolutions += quarter->stats.alias_resolutions;
   }
+  merged.transactions =
+      mining::TransactionDatabase::Build(std::move(transactions));
   merged.stats.distinct_drugs =
       merged.items.CountInDomain(mining::ItemDomain::kDrug);
   merged.stats.distinct_adrs =

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -177,15 +178,16 @@ maras::StatusOr<AsciiQuarterFiles> WriteAsciiQuarter(
                          ReportTypeCode(r.type), FormatAge(r.age),
                          SexCode(r.sex), r.country});
     int seq = 1;
-    for (const std::string& name : r.drugs) {
+    for (NameId name : r.drugs) {
       // role_cod: PS (primary suspect) for the first drug, SS thereafter —
       // matching FAERS conventions; MARAS treats all roles equally.
       drug.rows.push_back({primary, caseid, std::to_string(seq),
-                           seq == 1 ? "PS" : "SS", name});
+                           seq == 1 ? "PS" : "SS",
+                           std::string(dataset.Name(name))});
       ++seq;
     }
-    for (const std::string& pt : r.reactions) {
-      reac.rows.push_back({primary, caseid, pt});
+    for (NameId pt : r.reactions) {
+      reac.rows.push_back({primary, caseid, std::string(dataset.Name(pt))});
     }
   }
 
@@ -342,11 +344,25 @@ maras::StatusOr<QuarterDataset> ReadAsciiQuarter(
   }
 
   // DRUG and REAC rows join against the DEMO index identically; only the
-  // payload column differs.
+  // payload column differs. A joined row's payload is interned into the
+  // quarter's name arena and queued as a (report, name) mention; rows that
+  // never join (orphans, collateral) leave the arena untouched. A mention's
+  // report index and name id are 32-bit, so a quarter with 2^32 reports or
+  // past NameArena::kMaxBytes of distinct names fails the read instead of
+  // wrapping.
+  if (dataset.reports.size() > UINT32_MAX) {
+    return maras::WithContext(
+        maras::Status::ResourceExhausted("more than 2^32 DEMO reports"),
+        demo.file);
+  }
+  struct Mention {
+    uint32_t report;
+    NameId name;
+  };
   auto ingest_child_table =
       [&](TableIngest* table, const std::string& content,
           const char* required_column, const char* kind,
-          std::vector<std::string> Report::*payload) -> maras::Status {
+          std::vector<NameId> Report::*payload) -> maras::Status {
     int c_primary = -1, c_payload = -1;
     auto on_header = [&](const maras::DelimitedRow& header) {
       c_primary = ColumnIndex(header, "primaryid");
@@ -358,9 +374,13 @@ maras::StatusOr<QuarterDataset> ReadAsciiQuarter(
             table->file);
       }
     };
+    std::vector<Mention> mentions;
+    mentions.reserve(static_cast<size_t>(
+        std::count(content.begin(), content.end(), '\n')));
+    maras::Status arena_full;
     auto on_row = [&](const maras::DelimitedRow& row) {
       // Rows of a quarter whose DEMO table is unusable are never joined.
-      if (!demo.columns.ok()) return;
+      if (!demo.columns.ok() || !arena_full.ok()) return;
       const std::string_view primary_field =
           row.fields[static_cast<size_t>(c_primary)];
       uint64_t primary = 0;
@@ -370,7 +390,7 @@ maras::StatusOr<QuarterDataset> ReadAsciiQuarter(
                           "'");
         return;
       }
-      auto it = by_primary.find(primary);
+      const auto it = by_primary.find(primary);
       if (it == by_primary.end()) {
         bool collateral = rejected_primary.count(primary) > 0;
         table->Reject(
@@ -380,10 +400,30 @@ maras::StatusOr<QuarterDataset> ReadAsciiQuarter(
                 std::string(primary_field));
         return;
       }
-      (dataset.reports[it->second].*payload)
-          .emplace_back(row.fields[static_cast<size_t>(c_payload)]);
+      NameId name = 0;
+      if (!dataset.names.TryIntern(row.fields[static_cast<size_t>(c_payload)],
+                                   &name)) {
+        arena_full = maras::WithContext(
+            maras::Status::ResourceExhausted(
+                "distinct DRUG/REAC names exceed the name arena's " +
+                std::to_string(NameArena::kMaxBytes) + " bytes"),
+            table->file);
+        return;
+      }
+      mentions.push_back(Mention{static_cast<uint32_t>(it->second), name});
     };
-    return parse(table, content, on_header, on_row);
+    MARAS_RETURN_IF_ERROR(parse(table, content, on_header, on_row));
+    MARAS_RETURN_IF_ERROR(arena_full);
+    // Each report's ids at their exact size, in row order.
+    std::vector<uint32_t> counts(dataset.reports.size(), 0);
+    for (const Mention& m : mentions) ++counts[m.report];
+    for (size_t i = 0; i < counts.size(); ++i) {
+      (dataset.reports[i].*payload).reserve(counts[i]);
+    }
+    for (const Mention& m : mentions) {
+      (dataset.reports[m.report].*payload).push_back(m.name);
+    }
+    return maras::Status::OK();
   };
   MARAS_RETURN_IF_ERROR(ingest_child_table(&drug, files.drug, "drugname",
                                            "DRUG", &Report::drugs));

@@ -157,15 +157,19 @@ maras::StatusOr<PreprocessResult> AggregateToClasses(
                            output.items.Intern(new_name, domain));
   }
 
-  for (size_t t = 0; t < input.transactions.size(); ++t) {
+  std::vector<mining::Itemset> transactions;
+  transactions.reserve(input.transactions.size());
+  for (const mining::Itemset& source : input.transactions.transactions()) {
     mining::Itemset transaction;
-    for (mining::ItemId old_id : input.transactions.transaction(
-             static_cast<mining::TransactionId>(t))) {
+    transaction.reserve(source.size());
+    for (mining::ItemId old_id : source) {
       transaction.push_back(remap[old_id]);
     }
-    // Add() sorts and collapses duplicate class mentions.
-    output.transactions.Add(std::move(transaction));
+    transactions.push_back(std::move(transaction));
   }
+  // Build sorts and collapses duplicate class mentions.
+  output.transactions =
+      mining::TransactionDatabase::Build(std::move(transactions));
   output.stats.distinct_drugs =
       output.items.CountInDomain(mining::ItemDomain::kDrug);
   output.stats.distinct_adrs =

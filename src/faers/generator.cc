@@ -127,20 +127,23 @@ std::string SyntheticGenerator::DirtyDrugName(const std::string& canonical,
   return name;
 }
 
-void SyntheticGenerator::FillBackgroundDrugs(
-    size_t count, const maras::ZipfTable& zipf, maras::Rng* rng,
-    std::vector<std::string>* drugs) const {
+void SyntheticGenerator::FillBackground(
+    const std::vector<std::string>& vocabulary, size_t count,
+    const maras::ZipfTable& zipf, maras::Rng* rng,
+    std::vector<std::string>* out) {
   std::unordered_set<size_t> chosen;
-  for (size_t i = 0; i < count && chosen.size() < drugs_.size(); ++i) {
+  for (size_t i = 0; i < count && chosen.size() < vocabulary.size(); ++i) {
     size_t rank = zipf.Sample(rng);
     if (!chosen.insert(rank).second) continue;
-    drugs->push_back(drugs_[rank]);
+    out->push_back(vocabulary[rank]);
   }
 }
 
 void SyntheticGenerator::FinishReport(const std::vector<std::string>& drugs,
+                                      std::vector<std::string>* reactions,
                                       const maras::ZipfTable& adr_zipf,
-                                      maras::Rng* rng, Report* report) const {
+                                      maras::Rng* rng, NameArena* names,
+                                      Report* report) const {
   // Single-drug effects: each effect drug present in the report attaches
   // its ADRs with the configured probability, regardless of what else the
   // patient took — this is what makes combinations of two effect drugs
@@ -149,36 +152,23 @@ void SyntheticGenerator::FinishReport(const std::vector<std::string>& drugs,
     bool present = false;
     for (const std::string& drug : drugs) present |= drug == effect.drug;
     if (present && rng->Bernoulli(effect.attach_prob)) {
-      for (const std::string& adr : effect.adrs) {
-        report->reactions.push_back(adr);
-      }
+      for (const std::string& adr : effect.adrs) reactions->push_back(adr);
     }
   }
-  if (report->reactions.empty()) {
-    FillBackgroundAdrs(1, adr_zipf, rng, report);
+  if (reactions->empty()) {
+    FillBackground(adrs_, 1, adr_zipf, rng, reactions);
   }
   // De-duplicate reactions while preserving first-mention order.
-  std::unordered_set<std::string> seen;
-  std::vector<std::string> unique_reactions;
-  for (std::string& adr : report->reactions) {
-    if (seen.insert(adr).second) unique_reactions.push_back(std::move(adr));
+  for (const std::string& adr : *reactions) {
+    const NameId id = names->Intern(adr);
+    if (std::find(report->reactions.begin(), report->reactions.end(), id) ==
+        report->reactions.end()) {
+      report->reactions.push_back(id);
+    }
   }
-  report->reactions = std::move(unique_reactions);
   // Render verbatim (dirty) drug strings last, from canonical names.
   for (const std::string& drug : drugs) {
-    report->drugs.push_back(DirtyDrugName(drug, rng));
-  }
-}
-
-void SyntheticGenerator::FillBackgroundAdrs(size_t count,
-                                            const maras::ZipfTable& zipf,
-                                            maras::Rng* rng,
-                                            Report* report) const {
-  std::unordered_set<size_t> chosen;
-  for (size_t i = 0; i < count && chosen.size() < adrs_.size(); ++i) {
-    size_t rank = zipf.Sample(rng);
-    if (!chosen.insert(rank).second) continue;
-    report->reactions.push_back(adrs_[rank]);
+    report->drugs.push_back(names->Intern(DirtyDrugName(drug, rng)));
   }
 }
 
@@ -220,16 +210,20 @@ maras::StatusOr<QuarterDataset> SyntheticGenerator::Generate() const {
   // (single-drug supports) without faking interactions. Single-drug-effect
   // ADRs attach inside FinishReport.
   std::vector<std::string> drugs;
+  std::vector<std::string> reactions;
   for (size_t i = 0; i < config_.n_reports; ++i) {
     Report report = new_report(&rng);
     drugs.clear();
-    FillBackgroundDrugs(1 + static_cast<size_t>(rng.Poisson(
-                                config_.mean_extra_drugs_per_report)),
-                        drug_zipf, &rng, &drugs);
-    FillBackgroundAdrs(static_cast<size_t>(rng.Poisson(
-                           config_.mean_extra_adrs_per_report)),
-                       adr_zipf, &rng, &report);
-    FinishReport(drugs, adr_zipf, &rng, &report);
+    reactions.clear();
+    FillBackground(drugs_,
+                   1 + static_cast<size_t>(
+                           rng.Poisson(config_.mean_extra_drugs_per_report)),
+                   drug_zipf, &rng, &drugs);
+    FillBackground(
+        adrs_,
+        static_cast<size_t>(rng.Poisson(config_.mean_extra_adrs_per_report)),
+        adr_zipf, &rng, &reactions);
+    FinishReport(drugs, &reactions, adr_zipf, &rng, &dataset.names, &report);
     dataset.reports.push_back(std::move(report));
   }
 
@@ -238,6 +232,7 @@ maras::StatusOr<QuarterDataset> SyntheticGenerator::Generate() const {
     for (size_t i = 0; i < signal.reports; ++i) {
       Report report = new_report(&rng);
       drugs.clear();
+      reactions.clear();
       if (rng.Bernoulli(signal.single_drug_leak) && signal.drugs.size() > 1) {
         // Leakage report: a single drug of the combo with the same ADRs.
         drugs.push_back(signal.drugs[rng.Uniform(signal.drugs.size())]);
@@ -245,20 +240,19 @@ maras::StatusOr<QuarterDataset> SyntheticGenerator::Generate() const {
         drugs = signal.drugs;
       }
       if (rng.Bernoulli(signal.adr_penetrance)) {
-        for (const std::string& adr : signal.adrs) {
-          report.reactions.push_back(adr);
-        }
+        reactions = signal.adrs;
       } else {
         // The interaction did not manifest: background reactions only.
-        FillBackgroundAdrs(1, adr_zipf, &rng, &report);
+        FillBackground(adrs_, 1, adr_zipf, &rng, &reactions);
       }
-      FillBackgroundDrugs(static_cast<size_t>(rng.Poisson(
-                              signal.extra_drugs_mean)),
-                          drug_zipf, &rng, &drugs);
-      FillBackgroundAdrs(static_cast<size_t>(rng.Poisson(
-                             signal.extra_adrs_mean)),
-                         adr_zipf, &rng, &report);
-      FinishReport(drugs, adr_zipf, &rng, &report);
+      FillBackground(drugs_,
+                     static_cast<size_t>(rng.Poisson(signal.extra_drugs_mean)),
+                     drug_zipf, &rng, &drugs);
+      FillBackground(adrs_,
+                     static_cast<size_t>(rng.Poisson(signal.extra_adrs_mean)),
+                     adr_zipf, &rng, &reactions);
+      FinishReport(drugs, &reactions, adr_zipf, &rng, &dataset.names,
+                   &report);
       dataset.reports.push_back(std::move(report));
     }
   }
@@ -274,7 +268,11 @@ maras::StatusOr<QuarterDataset> SyntheticGenerator::Generate() const {
     if (!resubmitted.insert(original.case_id).second) continue;
     Report revised = original;
     revised.case_version = original.case_version + 1;
-    FillBackgroundAdrs(1, adr_zipf, &rng, &revised);
+    reactions.clear();
+    FillBackground(adrs_, 1, adr_zipf, &rng, &reactions);
+    for (const std::string& adr : reactions) {
+      revised.reactions.push_back(dataset.names.Intern(adr));
+    }
     dataset.reports.push_back(std::move(revised));
   }
 

@@ -109,18 +109,19 @@ class SyntheticGenerator {
   std::string DirtyDrugName(const std::string& canonical, maras::Rng* rng) const;
   std::string Misspell(const std::string& name, maras::Rng* rng) const;
 
-  // Appends `count` distinct canonical background names drawn from `zipf`.
-  void FillBackgroundDrugs(size_t count, const maras::ZipfTable& zipf,
-                           maras::Rng* rng,
-                           std::vector<std::string>* drugs) const;
-  void FillBackgroundAdrs(size_t count, const maras::ZipfTable& zipf,
-                          maras::Rng* rng, Report* report) const;
+  // Appends `count` distinct canonical background names of `vocabulary`,
+  // drawn from `zipf`.
+  static void FillBackground(const std::vector<std::string>& vocabulary,
+                             size_t count, const maras::ZipfTable& zipf,
+                             maras::Rng* rng, std::vector<std::string>* out);
 
   // Attaches single-drug-effect ADRs for every effect drug present in
-  // `drugs`, then renders the final (dirty) report content.
+  // `drugs`, then renders the final (dirty) report content into `report`,
+  // interning its names into `names`.
   void FinishReport(const std::vector<std::string>& drugs,
+                    std::vector<std::string>* reactions,
                     const maras::ZipfTable& adr_zipf, maras::Rng* rng,
-                    Report* report) const;
+                    NameArena* names, Report* report) const;
 
   GeneratorConfig config_;
   GroundTruth ground_truth_;

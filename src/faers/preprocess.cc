@@ -22,7 +22,7 @@ Preprocessor::Preprocessor(PreprocessOptions options)
 }
 
 std::string Preprocessor::CleanDrugName(
-    const std::string& raw,
+    std::string_view raw,
     std::unordered_map<std::string, std::string>* cache,
     PreprocessStats* stats) const {
   std::string normalized = text::NormalizeName(raw, options_.normalizer);
@@ -90,32 +90,43 @@ maras::StatusOr<PreprocessResult> Preprocessor::Process(
 
   // Memoizes normalized-name -> canonical resolution across the quarter.
   std::unordered_map<std::string, std::string> cache;
-  // Memoizes raw mention -> item per domain, keyed by views into `dataset`,
-  // so each distinct raw string is normalized and interned once however
-  // often it is mentioned. The name cache above stays behind the memo: two
-  // raw spellings of one name still count one correction, and items are
-  // interned in first-mention order as before.
-  using Memo = std::unordered_map<std::string_view, mining::ItemId>;
-  Memo drug_memo;
-  Memo adr_memo;
-  // Item of `raw`, or kNoItem when the name cleans to nothing.
-  constexpr mining::ItemId kNoItem =
+  // Item of each raw name per domain, indexed by its id in `dataset.names`,
+  // so each distinct raw name is cleaned and interned once however often it
+  // is mentioned. The name cache above stays behind this memo: two raw
+  // spellings of one name still count one correction. A name is resolved at
+  // its first mention in a report that passes the type and version filters,
+  // so items follow that order and a name seen only in non-expedited or
+  // stale reports never becomes an item.
+  constexpr mining::ItemId kUnresolved =
       std::numeric_limits<mining::ItemId>::max();
-  auto memoized = [&](Memo* memo, const std::string& raw,
-                      mining::ItemDomain domain)
-      -> maras::StatusOr<mining::ItemId> {
-    if (auto it = memo->find(raw); it != memo->end()) return it->second;
-    std::string name = domain == mining::ItemDomain::kDrug
-                           ? CleanDrugName(raw, &cache, &result.stats)
-                           : text::NormalizeName(raw, options_.normalizer);
-    mining::ItemId id = kNoItem;
-    if (!name.empty()) {
-      MARAS_ASSIGN_OR_RETURN(id, result.items.Intern(name, domain));
+  constexpr mining::ItemId kNoItem = kUnresolved - 1;  // cleans to nothing
+  std::vector<mining::ItemId> drug_items(dataset.names.size(), kUnresolved);
+  std::vector<mining::ItemId> adr_items(dataset.names.size(), kUnresolved);
+  // Appends the items of `raw_ids` to `transaction`.
+  auto resolve = [&](const std::vector<NameId>& raw_ids,
+                     std::vector<mining::ItemId>* items,
+                     mining::ItemDomain domain,
+                     mining::Itemset* transaction) -> maras::Status {
+    for (NameId raw : raw_ids) {
+      mining::ItemId& item = (*items)[raw];
+      if (item == kUnresolved) {
+        const std::string_view text = dataset.Name(raw);
+        const std::string name =
+            domain == mining::ItemDomain::kDrug
+                ? CleanDrugName(text, &cache, &result.stats)
+                : text::NormalizeName(text, options_.normalizer);
+        item = kNoItem;
+        if (!name.empty()) {
+          MARAS_ASSIGN_OR_RETURN(item, result.items.Intern(name, domain));
+        }
+      }
+      if (item != kNoItem) transaction->push_back(item);
     }
-    memo->emplace(raw, id);
-    return id;
+    return maras::Status::OK();
   };
 
+  std::vector<mining::Itemset> transactions;
+  transactions.reserve(dataset.reports.size());
   for (const Report& report : dataset.reports) {
     if (options_.expedited_only && report.type != ReportType::kExpedited) {
       ++result.stats.dropped_not_expedited;
@@ -127,32 +138,25 @@ maras::StatusOr<PreprocessResult> Preprocessor::Process(
       continue;
     }
     mining::Itemset transaction;
-    for (const std::string& raw : report.drugs) {
-      MARAS_ASSIGN_OR_RETURN(
-          mining::ItemId id,
-          memoized(&drug_memo, raw, mining::ItemDomain::kDrug));
-      if (id == kNoItem) continue;
-      transaction.push_back(id);
-      ++result.stats.drug_mentions;
-    }
-    size_t drug_items = transaction.size();
-    for (const std::string& raw : report.reactions) {
-      MARAS_ASSIGN_OR_RETURN(
-          mining::ItemId id,
-          memoized(&adr_memo, raw, mining::ItemDomain::kAdr));
-      if (id == kNoItem) continue;
-      transaction.push_back(id);
-      ++result.stats.adr_mentions;
-    }
-    if (drug_items == 0 || transaction.size() == drug_items) {
+    transaction.reserve(report.drugs.size() + report.reactions.size());
+    MARAS_RETURN_IF_ERROR(resolve(report.drugs, &drug_items,
+                                  mining::ItemDomain::kDrug, &transaction));
+    const size_t drug_count = transaction.size();
+    MARAS_RETURN_IF_ERROR(resolve(report.reactions, &adr_items,
+                                  mining::ItemDomain::kAdr, &transaction));
+    result.stats.drug_mentions += drug_count;
+    result.stats.adr_mentions += transaction.size() - drug_count;
+    if (drug_count == 0 || transaction.size() == drug_count) {
       ++result.stats.dropped_empty;
       continue;
     }
-    result.transactions.Add(std::move(transaction));
+    transactions.push_back(std::move(transaction));
     result.primary_ids.push_back(report.primary_id());
     result.demographics.push_back(CaseDemographics{report.sex, report.age});
     ++result.stats.reports_kept;
   }
+  result.transactions =
+      mining::TransactionDatabase::Build(std::move(transactions));
 
   result.stats.distinct_drugs =
       result.items.CountInDomain(mining::ItemDomain::kDrug);

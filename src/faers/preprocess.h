@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -83,7 +84,7 @@ class Preprocessor {
 
  private:
   // Normalizes then resolves one drug name; updates stats.
-  std::string CleanDrugName(const std::string& raw,
+  std::string CleanDrugName(std::string_view raw,
                             std::unordered_map<std::string, std::string>* cache,
                             PreprocessStats* stats) const;
 

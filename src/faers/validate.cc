@@ -90,15 +90,15 @@ ValidationReport ValidateDataset(const QuarterDataset& dataset,
       add(FindingSeverity::kWarning, "too-many-drugs",
           std::to_string(r.drugs.size()) + " drug entries", pid);
     }
-    for (const std::string& name : r.drugs) {
-      if (name.empty()) {
+    for (NameId name : r.drugs) {
+      if (dataset.Name(name).empty()) {
         add(FindingSeverity::kWarning, "empty-drug-name",
             "blank medicinal product string", pid);
         break;
       }
     }
-    for (const std::string& pt : r.reactions) {
-      if (pt.empty()) {
+    for (NameId pt : r.reactions) {
+      if (dataset.Name(pt).empty()) {
         add(FindingSeverity::kWarning, "empty-reaction",
             "blank reaction preferred term", pid);
         break;

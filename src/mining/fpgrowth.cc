@@ -10,6 +10,60 @@
 
 namespace maras::mining {
 
+namespace {
+
+// Charges the memory budget for the conditional-tree arenas as a function of
+// the input alone: the largest tree built at each depth, sized by its node
+// and table counts — what one scratch needs, and what a serial mine charges.
+// What each leased scratch grew to depends on how many tasks overlapped and
+// on vector capacities left by earlier trees; charging that would let a
+// budget-degraded mine escalate to a different support from run to run.
+// With one figure for every thread count, it escalates to the same support
+// at any of them.
+//
+// So the budget bounds a serial mine's arenas, not a parallel one's: the
+// other workers' scratches go uncharged, at most workers - 1 more of the
+// same plus vector growth slack. Measured on perfbench's `year` family
+// (DESIGN.md, "Budget accounting for recycled arenas"), the resident arenas
+// were 1.04x the arena charge at 1 thread, 1.9x at 2 and 5.4x at 8: 1.0 MB
+// uncharged beside 2.5 MB of recorded itemsets. Charging workers x the
+// marks would bound them, but it sends an 8-thread mine of the test corpora
+// to a support twice what 1 and 2 threads stop at, where no rules remain.
+class ArenaLedger {
+ public:
+  explicit ArenaLedger(const RunContext* ctx) : ctx_(ctx) {}
+
+  // Raises the high-water mark of `depth` to `bytes`, charging the rise.
+  // `*known` is the caller's cached mark for `depth`, a lower bound of the
+  // shared one, so a tree no larger than it skips the lock.
+  maras::Status Raise(size_t depth, size_t bytes, size_t* known) {
+    if (bytes <= *known) return maras::Status::OK();
+    MutexLock lock(&mu_);
+    if (high_water_.size() <= depth) high_water_.resize(depth + 1, 0);
+    size_t& mark = high_water_[depth];
+    if (bytes > mark) {
+      MARAS_RETURN_IF_ERROR(ctx_->Charge(bytes - mark));
+      charged_ += bytes - mark;
+      mark = bytes;
+    }
+    *known = mark;
+    return maras::Status::OK();
+  }
+
+  size_t charged() {
+    MutexLock lock(&mu_);
+    return charged_;
+  }
+
+ private:
+  const RunContext* ctx_;
+  Mutex mu_;
+  std::vector<size_t> high_water_ GUARDED_BY(mu_);  // per depth
+  size_t charged_ GUARDED_BY(mu_) = 0;
+};
+
+}  // namespace
+
 // Per-task scratch for the allocation-free recursion. frames[d] holds the
 // recycled arena the conditional tree at depth d is built into, plus the
 // item-order buffer for mining it; cond_counts/touched/path serve whichever
@@ -20,7 +74,7 @@ struct FpGrowth::MineScratch {
   struct Frame {
     FpTree tree;
     std::vector<ItemId> items;
-    size_t charged_bytes = 0;  // arena footprint already charged
+    size_t known_high_water = 0;  // ArenaLedger mark last seen here
   };
 
   std::vector<std::unique_ptr<Frame>> frames;
@@ -29,9 +83,10 @@ struct FpGrowth::MineScratch {
   std::vector<ItemId> path;           // one filtered prefix path
   Itemset suffix;                     // sorted current pattern
   std::vector<ItemId> top_items;      // depth-0 item order
-  size_t arena_charged = 0;           // total arena bytes charged to budget
+  ArenaLedger* ledger = nullptr;      // null when ungoverned
 
-  explicit MineScratch(const FpTree& global_tree) {
+  MineScratch(const FpTree& global_tree, ArenaLedger* ledger_in)
+      : ledger(ledger_in) {
     cond_counts.assign(global_tree.item_table_size(), 0);
     suffix.reserve(32);
     path.reserve(64);
@@ -53,8 +108,8 @@ namespace {
 // top-level items performs a bounded number of arena allocations total.
 class ScratchPool {
  public:
-  explicit ScratchPool(const FpTree& global_tree)
-      : global_tree_(global_tree) {}
+  ScratchPool(const FpTree& global_tree, ArenaLedger* ledger)
+      : global_tree_(global_tree), ledger_(ledger) {}
 
   std::unique_ptr<FpGrowth::MineScratch> Acquire() {
     {
@@ -65,7 +120,7 @@ class ScratchPool {
         return scratch;
       }
     }
-    return std::make_unique<FpGrowth::MineScratch>(global_tree_);
+    return std::make_unique<FpGrowth::MineScratch>(global_tree_, ledger_);
   }
 
   void Recycle(std::unique_ptr<FpGrowth::MineScratch> scratch) {
@@ -73,17 +128,9 @@ class ScratchPool {
     free_.push_back(std::move(scratch));
   }
 
-  // Sum of arena bytes the pool's scratches charged. Call after the fan-out
-  // has drained (every lease returned), before the arenas are freed.
-  size_t TotalArenaCharged() {
-    MutexLock lock(&mu_);
-    size_t total = 0;
-    for (const auto& scratch : free_) total += scratch->arena_charged;
-    return total;
-  }
-
  private:
   const FpTree& global_tree_;
+  ArenaLedger* ledger_;
   // mu_ guards the free list only; a leased scratch is owned exclusively
   // by its task (the lease pointer never aliases) until Recycle hands it
   // back under the lock.
@@ -162,17 +209,18 @@ maras::StatusOr<FrequentItemsetResult> FpGrowth::Mine(
     items = std::move(mine_items);
   }
   const size_t workers = EffectiveThreads(options_.num_threads, items.size());
+  ArenaLedger ledger(ctx);
+  ArenaLedger* governed = ctx != nullptr ? &ledger : nullptr;
   size_t charged = 0;
   if (workers <= 1) {
     // Loop the (possibly shard-filtered) top-level items directly; each
     // MineItem call recurses through MineTree for its conditional trees.
-    MineScratch scratch(tree);
+    MineScratch scratch(tree, governed);
     status = maras::Status::OK();
     for (ItemId item : items) {
       status = MineItem(tree, item, /*depth=*/0, &scratch, &result, &charged);
       if (!status.ok()) break;
     }
-    arena_charged += scratch.arena_charged;
   } else {
     // Fan out one task per top-level item. Tasks only read the shared tree
     // and write their own shard (result + charge accounting); the canonical
@@ -180,7 +228,7 @@ maras::StatusOr<FrequentItemsetResult> FpGrowth::Mine(
     const RunContext ungoverned;
     std::vector<FrequentItemsetResult> shards(items.size());
     std::vector<size_t> shard_charged(items.size(), 0);
-    ScratchPool pool(tree);
+    ScratchPool pool(tree, governed);
     status = TryParallelFor(
         workers, items.size(), ctx != nullptr ? *ctx : ungoverned,
         [this, &tree, &items, &shards, &shard_charged, &pool](size_t i) {
@@ -189,13 +237,13 @@ maras::StatusOr<FrequentItemsetResult> FpGrowth::Mine(
                           &shards[i], &shard_charged[i]);
         });
     for (size_t c : shard_charged) charged += c;
-    arena_charged += pool.TotalArenaCharged();
     if (status.ok()) {
       for (FrequentItemsetResult& shard : shards) {
         result.Absorb(std::move(shard));
       }
     }
   }
+  arena_charged += ledger.charged();
   if (ctx != nullptr && ctx->budget != nullptr) {
     ctx->budget->Release(arena_charged);
   }
@@ -317,16 +365,12 @@ maras::Status FpGrowth::MineItem(const FpTree& tree, ItemId item,
     }
     scratch->touched.clear();
 
-    // Charge arena growth: recycled capacity is charged once, at its
-    // high-water mark, and released by Mine when the scratch dies.
-    if (options_.context != nullptr) {
-      const size_t footprint = frame.tree.MemoryFootprint();
-      if (footprint > frame.charged_bytes) {
-        status = options_.context->Charge(footprint - frame.charged_bytes);
-        if (!status.ok()) break;
-        scratch->arena_charged += footprint - frame.charged_bytes;
-        frame.charged_bytes = footprint;
-      }
+    // Charge arena growth through the ledger; Mine releases it when the
+    // scratches die.
+    if (scratch->ledger != nullptr) {
+      status = scratch->ledger->Raise(depth, conditional.UsedBytes(),
+                                      &frame.known_high_water);
+      if (!status.ok()) break;
     }
 
     status = MineTree(conditional, depth + 1, scratch, result, charged);

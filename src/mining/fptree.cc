@@ -206,6 +206,13 @@ size_t FpTree::MemoryFootprint() const {
          touched_items_.capacity() * sizeof(ItemId);
 }
 
+size_t FpTree::UsedBytes() const {
+  return item_.size() * (sizeof(ItemId) + sizeof(uint32_t) +
+                         4 * sizeof(NodeIndex)) +
+         header_first_.size() * (2 * sizeof(NodeIndex) + sizeof(uint32_t)) +
+         touched_items_.size() * sizeof(ItemId);
+}
+
 std::vector<FpTree::PrefixPath> FpTree::ConditionalPatternBase(
     ItemId item) const {
   std::vector<PrefixPath> base;

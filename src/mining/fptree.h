@@ -96,6 +96,9 @@ class FpTree {
   // Resident bytes of the arena and the dense tables (vector capacities).
   // What the memory budget is charged for a live tree.
   size_t MemoryFootprint() const;
+  // Bytes the arena and tables need for this tree alone (sizes, not
+  // capacities), so the figure does not depend on what an arena held before.
+  size_t UsedBytes() const;
 
   // Conditional pattern base of `item`: for every node of `item`, the prefix
   // path to the root with the node's count. Allocating convenience used by

@@ -6,23 +6,23 @@ namespace maras::mining {
 
 maras::StatusOr<ItemId> ItemDictionary::Intern(std::string_view name,
                                                ItemDomain domain) {
-  std::string key(name);
-  if (auto it = index_.find(key); it != index_.end()) {
+  if (auto it = index_.find(name); it != index_.end()) {
     if (domains_[it->second] != domain) {
       return maras::Status::InvalidArgument(
-          "item '" + key + "' already registered in a different domain");
+          "item '" + std::string(name) +
+          "' already registered in a different domain");
     }
     return it->second;
   }
   ItemId id = static_cast<ItemId>(names_.size());
-  index_[key] = id;
-  names_.push_back(std::move(key));
+  index_.emplace(name, id);
+  names_.emplace_back(name);
   domains_.push_back(domain);
   return id;
 }
 
 maras::StatusOr<ItemId> ItemDictionary::Lookup(std::string_view name) const {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it == index_.end()) {
     return maras::Status::NotFound("unknown item: " + std::string(name));
   }
@@ -30,7 +30,7 @@ maras::StatusOr<ItemId> ItemDictionary::Lookup(std::string_view name) const {
 }
 
 bool ItemDictionary::Contains(std::string_view name) const {
-  return index_.count(std::string(name)) > 0;
+  return index_.find(name) != index_.end();
 }
 
 const std::string& ItemDictionary::Name(ItemId id) const {

@@ -4,11 +4,11 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "mining/itemset.h"
 #include "util/statusor.h"
+#include "util/string_util.h"
 
 namespace maras::mining {
 
@@ -49,7 +49,7 @@ class ItemDictionary {
  private:
   std::vector<std::string> names_;
   std::vector<ItemDomain> domains_;
-  std::unordered_map<std::string, ItemId> index_;
+  maras::StringMap<ItemId> index_;
 };
 
 }  // namespace maras::mining

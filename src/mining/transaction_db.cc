@@ -6,6 +6,33 @@ namespace maras::mining {
 
 const std::vector<TransactionId> TransactionDatabase::kEmptyTidList = {};
 
+TransactionDatabase TransactionDatabase::Build(
+    std::vector<Itemset> transactions) {
+  TransactionDatabase db;
+  std::vector<TransactionId> counts;
+  for (Itemset& t : transactions) {
+    t = MakeItemset(std::move(t));
+    if (!t.empty() && static_cast<size_t>(t.back()) >= counts.size()) {
+      counts.resize(static_cast<size_t>(t.back()) + 1, 0);
+    }
+    for (ItemId item : t) ++counts[item];
+    db.total_item_occurrences_ += t.size();
+  }
+  db.tidlists_.resize(counts.size());
+  for (size_t item = 0; item < counts.size(); ++item) {
+    if (counts[item] == 0) continue;
+    db.tidlists_[item].reserve(counts[item]);
+    ++db.distinct_items_;
+  }
+  for (size_t tid = 0; tid < transactions.size(); ++tid) {
+    for (ItemId item : transactions[tid]) {
+      db.tidlists_[item].push_back(static_cast<TransactionId>(tid));
+    }
+  }
+  db.transactions_ = std::move(transactions);
+  return db;
+}
+
 TransactionId TransactionDatabase::Add(Itemset transaction) {
   Itemset t = MakeItemset(std::move(transaction));
   TransactionId tid = static_cast<TransactionId>(transactions_.size());

@@ -23,6 +23,12 @@ class TransactionDatabase {
  public:
   TransactionDatabase() = default;
 
+  // Builds a database of `transactions` (each deduplicated and sorted
+  // internally), with tid i for transactions[i]. Counts every item's
+  // occurrences first, so each tid list is allocated once at its exact
+  // size; equal to Add-ing the transactions in order.
+  static TransactionDatabase Build(std::vector<Itemset> transactions);
+
   // Adds a transaction (deduplicated and sorted internally). Returns its id.
   TransactionId Add(Itemset transaction);
 

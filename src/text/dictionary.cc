@@ -20,12 +20,11 @@ uint64_t CharMask(std::string_view term) {
 }  // namespace
 
 void Dictionary::AddCanonical(std::string_view term) {
-  std::string key(term);
-  if (index_.count(key) > 0) return;
-  index_[key] = canonical_.size();
-  by_length_[key.size()].push_back(canonical_.size());
-  char_masks_.push_back(CharMask(key));
-  canonical_.push_back(std::move(key));
+  if (index_.find(term) != index_.end()) return;
+  index_.emplace(term, canonical_.size());
+  by_length_[term.size()].push_back(canonical_.size());
+  char_masks_.push_back(CharMask(term));
+  canonical_.emplace_back(term);
 }
 
 maras::Status Dictionary::AddAlias(std::string_view alias,
@@ -35,24 +34,27 @@ maras::Status Dictionary::AddAlias(std::string_view alias,
                                           std::string(alias));
   }
   AddCanonical(canonical);
-  aliases_[std::string(alias)] = std::string(canonical);
+  if (auto it = aliases_.find(alias); it != aliases_.end()) {
+    it->second = canonical;
+  } else {
+    aliases_.emplace(alias, canonical);
+  }
   return maras::Status::OK();
 }
 
 bool Dictionary::Contains(std::string_view term) const {
-  return index_.count(std::string(term)) > 0;
+  return index_.find(term) != index_.end();
 }
 
 Dictionary::Match Dictionary::Resolve(std::string_view term,
                                       size_t max_edit_distance) const {
   Match match;
-  std::string key(term);
-  if (auto it = index_.find(key); it != index_.end()) {
+  if (auto it = index_.find(term); it != index_.end()) {
     match.canonical = canonical_[it->second];
     match.kind = MatchKind::kExact;
     return match;
   }
-  if (auto it = aliases_.find(key); it != aliases_.end()) {
+  if (auto it = aliases_.find(term); it != aliases_.end()) {
     match.canonical = it->second;
     match.kind = MatchKind::kAlias;
     return match;
@@ -61,11 +63,11 @@ Dictionary::Match Dictionary::Resolve(std::string_view term,
 
   size_t best_distance = max_edit_distance + 1;
   const std::string* best_term = nullptr;
-  const uint64_t query_mask = CharMask(key);
+  const uint64_t query_mask = CharMask(term);
   const auto beyond_bound = [&](uint64_t missing) {
     return static_cast<size_t>(std::popcount(missing)) > max_edit_distance;
   };
-  const size_t len = key.size();
+  const size_t len = term.size();
   const size_t lo = len > max_edit_distance ? len - max_edit_distance : 0;
   const size_t hi = len + max_edit_distance;
   for (size_t bucket = lo; bucket <= hi; ++bucket) {
@@ -78,7 +80,8 @@ Dictionary::Match Dictionary::Resolve(std::string_view term,
         continue;
       }
       const std::string& candidate = canonical_[idx];
-      size_t d = BoundedDamerauLevenshtein(key, candidate, max_edit_distance);
+      size_t d =
+          BoundedDamerauLevenshtein(term, candidate, max_edit_distance);
       if (d < best_distance ||
           (d == best_distance && best_term != nullptr &&
            candidate < *best_term)) {

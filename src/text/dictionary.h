@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace maras::text {
 
@@ -59,8 +60,8 @@ class Dictionary {
  private:
   std::vector<std::string> canonical_;
   std::vector<uint64_t> char_masks_;  // CharMask of canonical_[i]
-  std::unordered_map<std::string, size_t> index_;   // canonical -> position
-  std::unordered_map<std::string, std::string> aliases_;
+  maras::StringMap<size_t> index_;  // canonical -> position
+  maras::StringMap<std::string> aliases_;
   // Length bucket -> canonical indices, to bound the fuzzy scan.
   std::unordered_map<size_t, std::vector<size_t>> by_length_;
 };

@@ -1,11 +1,12 @@
 #include "util/delimited.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "util/string_util.h"
 
@@ -119,12 +120,35 @@ Status DelimitedWriter::WriteFile(const std::string& path,
 }
 
 StatusOr<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  return buffer.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open for read: " + path);
+  // Sized once from fstat and read in place. Whatever lies past that size
+  // (a file that grew, or one that reports no size, such as a pipe) is
+  // read through a small buffer until end of file.
+  struct stat info {};
+  std::string content;
+  if (::fstat(fd, &info) == 0 && info.st_size > 0) {
+    content.resize(static_cast<size_t>(info.st_size));
+  }
+  size_t filled = 0;
+  char overflow[4096];
+  for (;;) {
+    const bool in_place = filled < content.size();
+    const ssize_t got =
+        in_place ? ::read(fd, content.data() + filled, content.size() - filled)
+                 : ::read(fd, overflow, sizeof(overflow));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return Status::IOError("read failed: " + path);
+    }
+    if (got == 0) break;
+    if (!in_place) content.append(overflow, static_cast<size_t>(got));
+    filled += static_cast<size_t>(got);
+  }
+  ::close(fd);
+  content.resize(filled);
+  return content;
 }
 
 Status WriteStringToFile(const std::string& path,

@@ -1,8 +1,11 @@
 #ifndef MARAS_UTIL_STRING_UTIL_H_
 #define MARAS_UTIL_STRING_UTIL_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace maras {
@@ -34,6 +37,18 @@ std::string FormatDouble(double value, int digits);
 
 // Formats an integer with thousands separators, e.g. 126755 -> "126,755".
 std::string FormatWithCommas(long long value);
+
+// A std::string-keyed hash map that a std::string_view probe can search
+// without building a temporary key (heterogeneous lookup).
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+template <typename Value>
+using StringMap =
+    std::unordered_map<std::string, Value, StringViewHash, std::equal_to<>>;
 
 }  // namespace maras
 

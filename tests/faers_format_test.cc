@@ -20,8 +20,8 @@ QuarterDataset SampleDataset() {
   r1.sex = Sex::kFemale;
   r1.age = 63;
   r1.country = "US";
-  r1.drugs = {"ASPIRIN", "WARFARIN"};
-  r1.reactions = {"HAEMORRHAGE"};
+  r1.drugs = dataset.names.InternAll({"ASPIRIN", "WARFARIN"});
+  r1.reactions = dataset.names.InternAll({"HAEMORRHAGE"});
   Report r2;
   r2.case_id = 10000002;
   r2.case_version = 2;
@@ -29,8 +29,8 @@ QuarterDataset SampleDataset() {
   r2.sex = Sex::kMale;
   r2.age = -1;  // unreported
   r2.country = "GB";
-  r2.drugs = {"NEXIUM"};
-  r2.reactions = {"OSTEOPOROSIS", "NAUSEA"};
+  r2.drugs = dataset.names.InternAll({"NEXIUM"});
+  r2.reactions = dataset.names.InternAll({"OSTEOPOROSIS", "NAUSEA"});
   dataset.reports = {r1, r2};
   return dataset;
 }
@@ -49,8 +49,10 @@ TEST(AsciiFormatTest, RoundTrip) {
   EXPECT_EQ(r1.sex, Sex::kFemale);
   EXPECT_DOUBLE_EQ(r1.age, 63.0);
   EXPECT_EQ(r1.country, "US");
-  EXPECT_EQ(r1.drugs, (std::vector<std::string>{"ASPIRIN", "WARFARIN"}));
-  EXPECT_EQ(r1.reactions, (std::vector<std::string>{"HAEMORRHAGE"}));
+  EXPECT_EQ(parsed->Names(r1.drugs),
+            (std::vector<std::string>{"ASPIRIN", "WARFARIN"}));
+  EXPECT_EQ(parsed->Names(r1.reactions),
+            (std::vector<std::string>{"HAEMORRHAGE"}));
   const Report& r2 = parsed->reports[1];
   EXPECT_EQ(r2.case_version, 2u);
   EXPECT_LT(r2.age, 0.0);

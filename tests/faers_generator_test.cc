@@ -27,8 +27,10 @@ TEST(GeneratorTest, DeterministicForSameConfig) {
   ASSERT_EQ(d1->reports.size(), d2->reports.size());
   for (size_t i = 0; i < d1->reports.size(); ++i) {
     EXPECT_EQ(d1->reports[i].case_id, d2->reports[i].case_id);
-    EXPECT_EQ(d1->reports[i].drugs, d2->reports[i].drugs);
-    EXPECT_EQ(d1->reports[i].reactions, d2->reports[i].reactions);
+    EXPECT_EQ(d1->Names(d1->reports[i].drugs),
+              d2->Names(d2->reports[i].drugs));
+    EXPECT_EQ(d1->Names(d1->reports[i].reactions),
+              d2->Names(d2->reports[i].reactions));
   }
 }
 
@@ -44,7 +46,8 @@ TEST(GeneratorTest, DifferentQuartersDiffer) {
   bool any_difference = false;
   size_t n = std::min(d1->reports.size(), d2->reports.size());
   for (size_t i = 0; i < n && !any_difference; ++i) {
-    any_difference = d1->reports[i].drugs != d2->reports[i].drugs;
+    any_difference = d1->Names(d1->reports[i].drugs) !=
+                     d2->Names(d2->reports[i].drugs);
   }
   EXPECT_TRUE(any_difference);
 }
@@ -81,11 +84,11 @@ TEST(GeneratorTest, InjectsSignalReports) {
   size_t both = 0;
   for (const Report& r : dataset->reports) {
     bool has_a = false, has_w = false, has_h = false;
-    for (const auto& d : r.drugs) {
-      has_a |= d == "ASPIRIN";
-      has_w |= d == "WARFARIN";
+    for (NameId d : r.drugs) {
+      has_a |= dataset->Name(d) == "ASPIRIN";
+      has_w |= dataset->Name(d) == "WARFARIN";
     }
-    for (const auto& a : r.reactions) has_h |= a == "HAEMORRHAGE";
+    for (NameId a : r.reactions) has_h |= dataset->Name(a) == "HAEMORRHAGE";
     if (has_a && has_w && has_h) ++both;
   }
   EXPECT_GE(both, 40u);  // at least the injected ones (version dups may add)
@@ -132,9 +135,9 @@ TEST(GeneratorTest, DirtyNamesAppearAtConfiguredRates) {
   for (const DrugAlias& alias : CuratedDrugAliases()) clean.insert(alias.alias);
   size_t dirty = 0, total = 0;
   for (const Report& r : dataset->reports) {
-    for (const auto& d : r.drugs) {
+    for (NameId d : r.drugs) {
       ++total;
-      if (clean.count(d) == 0) ++dirty;
+      if (clean.count(std::string(dataset->Name(d))) == 0) ++dirty;
     }
   }
   // ~30% misspelled + ~30% decorated (overlapping) -> expect a large share.

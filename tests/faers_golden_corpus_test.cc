@@ -57,9 +57,9 @@ void CanonDataset(const QuarterDataset& dataset, Canon* c) {
         .Add(static_cast<uint64_t>(r.sex))
         .Add(r.age)
         .Add(r.country);
-    for (const std::string& drug : r.drugs) c->Add(drug);
+    for (NameId drug : r.drugs) c->Add(dataset.Name(drug));
     c->Add("|");
-    for (const std::string& pt : r.reactions) c->Add(pt);
+    for (NameId pt : r.reactions) c->Add(dataset.Name(pt));
     c->End();
   }
 }

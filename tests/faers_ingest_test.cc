@@ -29,8 +29,8 @@ QuarterDataset SampleDataset() {
     r.sex = i % 2 == 0 ? Sex::kFemale : Sex::kMale;
     r.age = 40 + static_cast<double>(i);
     r.country = "US";
-    r.drugs = {"ASPIRIN", "WARFARIN"};
-    r.reactions = {"HAEMORRHAGE", "NAUSEA"};
+    r.drugs = dataset.names.InternAll({"ASPIRIN", "WARFARIN"});
+    r.reactions = dataset.names.InternAll({"HAEMORRHAGE", "NAUSEA"});
     dataset.reports.push_back(std::move(r));
   }
   return dataset;
@@ -73,8 +73,10 @@ TEST(IngestPolicyTest, StrictIsDefaultAndMatchesLegacyReader) {
   ASSERT_TRUE(strict.ok());
   ASSERT_EQ(strict->reports.size(), legacy->reports.size());
   for (size_t i = 0; i < strict->reports.size(); ++i) {
-    EXPECT_EQ(strict->reports[i].drugs, legacy->reports[i].drugs);
-    EXPECT_EQ(strict->reports[i].reactions, legacy->reports[i].reactions);
+    EXPECT_EQ(strict->Names(strict->reports[i].drugs),
+              legacy->Names(legacy->reports[i].drugs));
+    EXPECT_EQ(strict->Names(strict->reports[i].reactions),
+              legacy->Names(legacy->reports[i].reactions));
   }
   EXPECT_EQ(report.rows_seen, 4u + 8u + 8u);
   EXPECT_EQ(report.rows_rejected, 0u);
@@ -220,7 +222,7 @@ TEST(IngestPolicyTest, MalformedRowIsSkippedPermissively) {
 TEST(IngestPolicyTest, DuplicatePrimaryIdKeepsFirstOccurrence) {
   QuarterDataset dataset = SampleDataset();
   Report dup = dataset.reports[0];
-  dup.drugs = {"PHANTOM"};
+  dup.drugs = {dataset.names.Intern("PHANTOM")};
   dataset.reports.push_back(dup);
   auto files = WriteAsciiQuarter(dataset);
   ASSERT_TRUE(files.ok());
@@ -385,6 +387,143 @@ TEST(IngestReportTest, PolicyAndFaultNames) {
   EXPECT_STREQ(IngestPolicyName(IngestPolicy::kQuarantine), "quarantine");
   EXPECT_STREQ(RowFaultName(RowFault::kMalformedRow), "malformed-row");
   EXPECT_STREQ(RowFaultName(RowFault::kCollateral), "collateral");
+}
+
+
+// ---------------------------------------------------------------------------
+// The name arena: raw DRUG/REAC payloads become ids as their rows join.
+// ---------------------------------------------------------------------------
+
+const char kDemoHeader[] =
+    "primaryid$caseid$caseversion$rept_cod$age$sex$occr_country\n";
+const char kDrugHeader[] = "primaryid$caseid$drug_seq$role_cod$drugname\n";
+const char kReacHeader[] = "primaryid$caseid$pt\n";
+
+TEST(NameArenaIngestTest, ChildRowsInAnyOrderLandInTheirReportInRowOrder) {
+  AsciiQuarterFiles files;
+  files.demo = std::string(kDemoHeader) +
+               "101$1$1$EXP$40$F$US\n"
+               "201$2$1$EXP$41$M$US\n"
+               "301$3$1$EXP$42$F$US\n";
+  // Out of primaryid order and interleaved across reports.
+  files.drug = std::string(kDrugHeader) +
+               "301$3$1$PS$C1\n"
+               "101$1$1$PS$A1\n"
+               "301$3$2$SS$C2\n"
+               "201$2$1$PS$B1\n"
+               "101$1$2$SS$A2\n"
+               "301$3$3$SS$C3\n";
+  files.reac = std::string(kReacHeader) +
+               "201$2$R1\n"
+               "101$1$R2\n"
+               "201$2$R3\n"
+               "301$3$R4\n"
+               "201$2$R5\n";
+  auto parsed = ReadAsciiQuarter(files, 2014, 1);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->reports.size(), 3u);
+  const auto names = [&](const std::vector<NameId>& ids) {
+    return parsed->Names(ids);
+  };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(names(parsed->reports[0].drugs), (Names{"A1", "A2"}));
+  EXPECT_EQ(names(parsed->reports[1].drugs), (Names{"B1"}));
+  EXPECT_EQ(names(parsed->reports[2].drugs), (Names{"C1", "C2", "C3"}));
+  EXPECT_EQ(names(parsed->reports[0].reactions), (Names{"R2"}));
+  EXPECT_EQ(names(parsed->reports[1].reactions), (Names{"R1", "R3", "R5"}));
+  EXPECT_EQ(names(parsed->reports[2].reactions), (Names{"R4"}));
+}
+
+TEST(NameArenaIngestTest, RepeatedNamesShareOneDenseIdInFirstJoinedOrder) {
+  AsciiQuarterFiles files;
+  files.demo = std::string(kDemoHeader) +
+               "101$1$1$EXP$40$F$US\n"
+               "201$2$1$EXP$41$M$US\n";
+  files.drug = std::string(kDrugHeader) +
+               "201$2$1$PS$WARFARIN\n"
+               "101$1$1$PS$ASPIRIN\n"
+               "101$1$2$SS$WARFARIN\n"
+               "201$2$2$SS$ASPIRIN\n";
+  // NAUSEA repeats; ASPIRIN, already a drug name, is reused as a term.
+  files.reac = std::string(kReacHeader) +
+               "101$1$NAUSEA\n"
+               "201$2$NAUSEA\n"
+               "201$2$ASPIRIN\n";
+  auto parsed = ReadAsciiQuarter(files, 2014, 1);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->names.size(), 3u);
+  EXPECT_EQ(parsed->Name(0), "WARFARIN");
+  EXPECT_EQ(parsed->Name(1), "ASPIRIN");
+  EXPECT_EQ(parsed->Name(2), "NAUSEA");
+  EXPECT_EQ(parsed->reports[0].drugs, (std::vector<NameId>{1, 0}));
+  EXPECT_EQ(parsed->reports[1].drugs, (std::vector<NameId>{0, 1}));
+  EXPECT_EQ(parsed->reports[0].reactions, (std::vector<NameId>{2}));
+  EXPECT_EQ(parsed->reports[1].reactions, (std::vector<NameId>{2, 1}));
+}
+
+TEST(NameArenaIngestTest, OrphanAndCollateralRowsNeverEnterTheArena) {
+  AsciiQuarterFiles files;
+  files.demo = std::string(kDemoHeader) +
+               "101$1$1$EXP$40$F$US\n"
+               "201$x$1$EXP$41$M$US\n";  // rejected: its children are collateral
+  files.drug = std::string(kDrugHeader) +
+               "101$1$1$PS$ASPIRIN\n"
+               "201$2$1$PS$COLLATERAL DRUG\n"
+               "999$9$1$PS$ORPHAN DRUG\n";
+  files.reac = std::string(kReacHeader) +
+               "201$2$COLLATERAL TERM\n"
+               "101$1$NAUSEA\n"
+               "999$9$ORPHAN TERM\n";
+  IngestOptions options = Quarantine();
+  options.max_bad_row_fraction = 1.0;
+  IngestReport report;
+  auto parsed = ReadAsciiQuarter(files, 2014, 1, options, &report);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(report.CountFault(RowFault::kCollateral), 2u);
+  EXPECT_EQ(report.CountFault(RowFault::kOrphanRow), 2u);
+  ASSERT_EQ(parsed->names.size(), 2u);
+  EXPECT_EQ(parsed->Name(0), "ASPIRIN");
+  EXPECT_EQ(parsed->Name(1), "NAUSEA");
+}
+
+TEST(NameArenaTest, InternsAcrossRehashesAndKeepsEveryId) {
+  NameArena arena;
+  EXPECT_EQ(arena.size(), 0u);
+  std::vector<std::string> names;
+  for (int i = 0; i < 1000; ++i) names.push_back("NAME" + std::to_string(i));
+  names.push_back("");  // the empty name is a name like any other
+  const std::vector<NameId> ids = arena.InternAll(names);
+  ASSERT_EQ(arena.size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(ids[i], static_cast<NameId>(i));
+    EXPECT_EQ(arena.Name(ids[i]), names[i]);
+    EXPECT_EQ(arena.Intern(names[i]), ids[i]);
+  }
+  EXPECT_EQ(arena.size(), names.size());
+  // A copy is self-contained.
+  NameArena copy = arena;
+  arena = NameArena();
+  EXPECT_EQ(copy.Name(500), "NAME500");
+  EXPECT_EQ(copy.Intern("NAME999"), 999u);
+}
+
+TEST(NameArenaTest, TryInternRefusesANewNamePastTheCap) {
+  NameArena arena(8);
+  NameId id = 99;
+  ASSERT_TRUE(arena.TryIntern("ABCDE", &id));
+  EXPECT_EQ(id, 0u);
+  // A new name that would take the arena to 9 bytes adds nothing.
+  EXPECT_FALSE(arena.TryIntern("WXYZ", &id));
+  EXPECT_EQ(arena.size(), 1u);
+  // A known name needs no room; a new one that fills the cap exactly fits.
+  ASSERT_TRUE(arena.TryIntern("ABCDE", &id));
+  EXPECT_EQ(id, 0u);
+  ASSERT_TRUE(arena.TryIntern("XYZ", &id));
+  EXPECT_EQ(id, 1u);
+  EXPECT_FALSE(arena.TryIntern("Q", &id));
+  ASSERT_TRUE(arena.TryIntern("", &id));  // the empty name always fits
+  EXPECT_EQ(id, 2u);
+  EXPECT_EQ(arena.Name(1), "XYZ");
 }
 
 }  // namespace

@@ -7,24 +7,25 @@
 namespace maras::faers {
 namespace {
 
-Report MakeReport(uint64_t case_id, std::vector<std::string> drugs,
-                  std::vector<std::string> reactions,
+Report MakeReport(QuarterDataset* dataset, uint64_t case_id,
+                  const std::vector<std::string>& drugs,
+                  const std::vector<std::string>& reactions,
                   ReportType type = ReportType::kExpedited,
                   uint32_t version = 1) {
   Report r;
   r.case_id = case_id;
   r.case_version = version;
   r.type = type;
-  r.drugs = std::move(drugs);
-  r.reactions = std::move(reactions);
+  r.drugs = dataset->names.InternAll(drugs);
+  r.reactions = dataset->names.InternAll(reactions);
   return r;
 }
 
 TEST(PreprocessTest, BuildsTransactionsWithDomains) {
   QuarterDataset dataset;
   dataset.reports = {
-      MakeReport(1, {"ASPIRIN", "WARFARIN"}, {"HAEMORRHAGE"}),
-      MakeReport(2, {"ASPIRIN"}, {"NAUSEA"}),
+      MakeReport(&dataset, 1, {"ASPIRIN", "WARFARIN"}, {"HAEMORRHAGE"}),
+      MakeReport(&dataset, 2, {"ASPIRIN"}, {"NAUSEA"}),
   };
   Preprocessor pre(PreprocessOptions{});
   auto result = pre.Process(dataset);
@@ -43,8 +44,8 @@ TEST(PreprocessTest, BuildsTransactionsWithDomains) {
 TEST(PreprocessTest, ExpeditedFilterDropsPeriodic) {
   QuarterDataset dataset;
   dataset.reports = {
-      MakeReport(1, {"ASPIRIN"}, {"NAUSEA"}, ReportType::kExpedited),
-      MakeReport(2, {"NEXIUM"}, {"HEADACHE"}, ReportType::kPeriodic),
+      MakeReport(&dataset, 1, {"ASPIRIN"}, {"NAUSEA"}, ReportType::kExpedited),
+      MakeReport(&dataset, 2, {"NEXIUM"}, {"HEADACHE"}, ReportType::kPeriodic),
   };
   Preprocessor pre(PreprocessOptions{});
   auto result = pre.Process(dataset);
@@ -57,7 +58,7 @@ TEST(PreprocessTest, ExpeditedFilterDropsPeriodic) {
 TEST(PreprocessTest, ExpeditedFilterCanBeDisabled) {
   QuarterDataset dataset;
   dataset.reports = {
-      MakeReport(1, {"ASPIRIN"}, {"NAUSEA"}, ReportType::kPeriodic),
+      MakeReport(&dataset, 1, {"ASPIRIN"}, {"NAUSEA"}, ReportType::kPeriodic),
   };
   PreprocessOptions options;
   options.expedited_only = false;
@@ -69,10 +70,10 @@ TEST(PreprocessTest, ExpeditedFilterCanBeDisabled) {
 TEST(PreprocessTest, KeepsOnlyLatestCaseVersion) {
   QuarterDataset dataset;
   dataset.reports = {
-      MakeReport(7, {"ASPIRIN"}, {"NAUSEA"}, ReportType::kExpedited, 1),
-      MakeReport(7, {"ASPIRIN"}, {"NAUSEA", "RASH"}, ReportType::kExpedited,
+      MakeReport(&dataset, 7, {"ASPIRIN"}, {"NAUSEA"}, ReportType::kExpedited, 1),
+      MakeReport(&dataset, 7, {"ASPIRIN"}, {"NAUSEA", "RASH"}, ReportType::kExpedited,
                  2),
-      MakeReport(8, {"NEXIUM"}, {"HEADACHE"}, ReportType::kExpedited, 1),
+      MakeReport(&dataset, 8, {"NEXIUM"}, {"HEADACHE"}, ReportType::kExpedited, 1),
   };
   Preprocessor pre(PreprocessOptions{});
   auto result = pre.Process(dataset);
@@ -87,7 +88,7 @@ TEST(PreprocessTest, KeepsOnlyLatestCaseVersion) {
 TEST(PreprocessTest, CorrectsMisspellingsAndAliases) {
   QuarterDataset dataset;
   dataset.reports = {
-      MakeReport(1, {"WARFRIN", "COUMADIN"}, {"HAEMORRHAGE"}),
+      MakeReport(&dataset, 1, {"WARFRIN", "COUMADIN"}, {"HAEMORRHAGE"}),
   };
   Preprocessor pre(PreprocessOptions{});
   auto result = pre.Process(dataset);
@@ -103,7 +104,7 @@ TEST(PreprocessTest, CorrectsMisspellingsAndAliases) {
 TEST(PreprocessTest, NormalizesDoseDecorations) {
   QuarterDataset dataset;
   dataset.reports = {
-      MakeReport(1, {"ASPIRIN 100MG TABLET", "aspirin"}, {"NAUSEA"}),
+      MakeReport(&dataset, 1, {"ASPIRIN 100MG TABLET", "aspirin"}, {"NAUSEA"}),
   };
   Preprocessor pre(PreprocessOptions{});
   auto result = pre.Process(dataset);
@@ -115,7 +116,7 @@ TEST(PreprocessTest, NormalizesDoseDecorations) {
 TEST(PreprocessTest, UnknownNamesKeptAsNewVocabulary) {
   QuarterDataset dataset;
   dataset.reports = {
-      MakeReport(1, {"DRUG01234"}, {"REACTION00042"}),
+      MakeReport(&dataset, 1, {"DRUG01234"}, {"REACTION00042"}),
   };
   Preprocessor pre(PreprocessOptions{});
   auto result = pre.Process(dataset);
@@ -127,9 +128,9 @@ TEST(PreprocessTest, UnknownNamesKeptAsNewVocabulary) {
 TEST(PreprocessTest, DropsReportsWithoutDrugsOrReactions) {
   QuarterDataset dataset;
   dataset.reports = {
-      MakeReport(1, {}, {"NAUSEA"}),
-      MakeReport(2, {"ASPIRIN"}, {}),
-      MakeReport(3, {"ASPIRIN"}, {"NAUSEA"}),
+      MakeReport(&dataset, 1, {}, {"NAUSEA"}),
+      MakeReport(&dataset, 2, {"ASPIRIN"}, {}),
+      MakeReport(&dataset, 3, {"ASPIRIN"}, {"NAUSEA"}),
   };
   Preprocessor pre(PreprocessOptions{});
   auto result = pre.Process(dataset);
@@ -141,8 +142,8 @@ TEST(PreprocessTest, DropsReportsWithoutDrugsOrReactions) {
 TEST(PreprocessTest, PrimaryIdsAlignWithTransactions) {
   QuarterDataset dataset;
   dataset.reports = {
-      MakeReport(11, {"ASPIRIN"}, {"NAUSEA"}),
-      MakeReport(12, {"NEXIUM"}, {"HEADACHE"}),
+      MakeReport(&dataset, 11, {"ASPIRIN"}, {"NAUSEA"}),
+      MakeReport(&dataset, 12, {"NEXIUM"}, {"HEADACHE"}),
   };
   Preprocessor pre(PreprocessOptions{});
   auto result = pre.Process(dataset);
@@ -154,7 +155,7 @@ TEST(PreprocessTest, PrimaryIdsAlignWithTransactions) {
 
 TEST(PreprocessTest, FuzzyCorrectionDisabledKeepsMisspelling) {
   QuarterDataset dataset;
-  dataset.reports = {MakeReport(1, {"WARFRIN"}, {"NAUSEA"})};
+  dataset.reports = {MakeReport(&dataset, 1, {"WARFRIN"}, {"NAUSEA"})};
   PreprocessOptions options;
   options.max_edit_distance = 0;
   auto result = Preprocessor(options).Process(dataset);
@@ -191,6 +192,36 @@ TEST(PreprocessTest, EndToEndWithGenerator) {
     EXPECT_TRUE(has_drug);
     EXPECT_TRUE(has_adr);
   }
+}
+
+
+TEST(PreprocessTest, ItemsFollowFirstMentionInReportsThatPassTheFilters) {
+  QuarterDataset dataset;
+  dataset.reports = {
+      // Names seen only in a periodic or a stale report become no item.
+      MakeReport(&dataset, 1, {"DRUG07001"}, {"REACTION07001"},
+                 ReportType::kPeriodic),
+      MakeReport(&dataset, 7, {"DRUG07002"}, {"NAUSEA"},
+                 ReportType::kExpedited, 1),
+      MakeReport(&dataset, 7, {"WARFARIN"}, {"HAEMORRHAGE"},
+                 ReportType::kExpedited, 2),
+      MakeReport(&dataset, 8, {"ASPIRIN", "WARFARIN"}, {"NAUSEA"}),
+  };
+  auto result = Preprocessor(PreprocessOptions{}).Process(dataset);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->items.Contains("DRUG07001"));
+  EXPECT_FALSE(result->items.Contains("REACTION07001"));
+  EXPECT_FALSE(result->items.Contains("DRUG07002"));
+  ASSERT_EQ(result->items.size(), 4u);
+  EXPECT_EQ(result->items.Name(0), "WARFARIN");
+  EXPECT_EQ(result->items.Name(1), "HAEMORRHAGE");
+  EXPECT_EQ(result->items.Name(2), "ASPIRIN");
+  EXPECT_EQ(result->items.Name(3), "NAUSEA");
+  EXPECT_EQ(result->stats.dropped_not_expedited, 1u);
+  EXPECT_EQ(result->stats.dropped_stale_version, 1u);
+  ASSERT_EQ(result->transactions.size(), 2u);
+  EXPECT_EQ(result->transactions.transaction(1),
+            (mining::Itemset{0, 2, 3}));
 }
 
 }  // namespace

@@ -7,14 +7,14 @@
 namespace maras::faers {
 namespace {
 
-Report GoodReport(uint64_t case_id) {
+Report GoodReport(QuarterDataset* dataset, uint64_t case_id) {
   Report r;
   r.case_id = case_id;
   r.case_version = 1;
   r.age = 50;
   r.country = "US";
-  r.drugs = {"ASPIRIN"};
-  r.reactions = {"NAUSEA"};
+  r.drugs = {dataset->names.Intern("ASPIRIN")};
+  r.reactions = {dataset->names.Intern("NAUSEA")};
   return r;
 }
 
@@ -28,7 +28,7 @@ bool HasFinding(const ValidationReport& report, const std::string& check) {
 TEST(ValidateTest, CleanDatasetPasses) {
   QuarterDataset dataset;
   dataset.quarter = 1;
-  dataset.reports = {GoodReport(1), GoodReport(2)};
+  dataset.reports = {GoodReport(&dataset, 1), GoodReport(&dataset, 2)};
   ValidationReport report = ValidateDataset(dataset);
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.findings.size(), 0u);
@@ -38,7 +38,7 @@ TEST(ValidateTest, CleanDatasetPasses) {
 TEST(ValidateTest, DuplicatePrimaryIdIsError) {
   QuarterDataset dataset;
   dataset.quarter = 1;
-  dataset.reports = {GoodReport(1), GoodReport(1)};
+  dataset.reports = {GoodReport(&dataset, 1), GoodReport(&dataset, 1)};
   ValidationReport report = ValidateDataset(dataset);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(HasFinding(report, "duplicate-primaryid"));
@@ -47,8 +47,8 @@ TEST(ValidateTest, DuplicatePrimaryIdIsError) {
 TEST(ValidateTest, VersionedResubmissionIsFine) {
   QuarterDataset dataset;
   dataset.quarter = 1;
-  Report v1 = GoodReport(1);
-  Report v2 = GoodReport(1);
+  Report v1 = GoodReport(&dataset, 1);
+  Report v2 = GoodReport(&dataset, 1);
   v2.case_version = 2;
   dataset.reports = {v1, v2};
   EXPECT_TRUE(ValidateDataset(dataset).ok());
@@ -57,7 +57,7 @@ TEST(ValidateTest, VersionedResubmissionIsFine) {
 TEST(ValidateTest, StructuralErrors) {
   QuarterDataset dataset;
   dataset.quarter = 5;  // bad quarter
-  Report r = GoodReport(0);  // missing case id
+  Report r = GoodReport(&dataset, 0);  // missing case id
   r.case_version = 0;        // bad version
   dataset.reports = {r};
   ValidationReport report = ValidateDataset(dataset);
@@ -70,17 +70,17 @@ TEST(ValidateTest, StructuralErrors) {
 TEST(ValidateTest, ContentWarnings) {
   QuarterDataset dataset;
   dataset.quarter = 2;
-  Report no_drugs = GoodReport(1);
+  Report no_drugs = GoodReport(&dataset, 1);
   no_drugs.drugs.clear();
-  Report no_reactions = GoodReport(2);
+  Report no_reactions = GoodReport(&dataset, 2);
   no_reactions.reactions.clear();
-  Report ancient = GoodReport(3);
+  Report ancient = GoodReport(&dataset, 3);
   ancient.age = 240;  // data-entry artifact
-  Report bad_country = GoodReport(4);
+  Report bad_country = GoodReport(&dataset, 4);
   bad_country.country = "usa";
-  Report blank_names = GoodReport(5);
-  blank_names.drugs = {""};
-  blank_names.reactions = {""};
+  Report blank_names = GoodReport(&dataset, 5);
+  blank_names.drugs = {dataset.names.Intern("")};
+  blank_names.reactions = blank_names.drugs;
   dataset.reports = {no_drugs, no_reactions, ancient, bad_country,
                      blank_names};
   ValidationReport report = ValidateDataset(dataset);
@@ -102,7 +102,7 @@ TEST(ValidateTest, ImplausibleAgeMessageIsDefinedForAnyAge) {
            {240.7, "age 240 exceeds 120"}, {1e13, "age 1e+13 exceeds 120"}}) {
     QuarterDataset dataset;
     dataset.quarter = 1;
-    Report r = GoodReport(1);
+    Report r = GoodReport(&dataset, 1);
     r.age = age;
     dataset.reports = {r};
     ValidationReport report = ValidateDataset(dataset);
@@ -120,8 +120,8 @@ TEST(ValidateTest, ImplausibleAgeMessageIsDefinedForAnyAge) {
 TEST(ValidateTest, TooManyDrugsFlagged) {
   QuarterDataset dataset;
   dataset.quarter = 1;
-  Report r = GoodReport(1);
-  r.drugs.assign(100, "ASPIRIN");
+  Report r = GoodReport(&dataset, 1);
+  r.drugs.assign(100, dataset.names.Intern("ASPIRIN"));
   dataset.reports = {r};
   ValidationOptions options;
   options.max_plausible_drugs = 60;
@@ -132,7 +132,7 @@ TEST(ValidateTest, TooManyDrugsFlagged) {
 TEST(ValidateTest, CountryCheckCanBeDisabled) {
   QuarterDataset dataset;
   dataset.quarter = 1;
-  Report r = GoodReport(1);
+  Report r = GoodReport(&dataset, 1);
   r.country = "xx";
   dataset.reports = {r};
   ValidationOptions options;
@@ -143,9 +143,9 @@ TEST(ValidateTest, CountryCheckCanBeDisabled) {
 TEST(ValidateTest, ConflictingVersionIsError) {
   QuarterDataset dataset;
   dataset.quarter = 1;
-  Report a = GoodReport(7);
+  Report a = GoodReport(&dataset, 7);
   a.case_version = 2;
-  Report b = GoodReport(7);
+  Report b = GoodReport(&dataset, 7);
   b.case_version = 2;
   dataset.reports = {a, b};
   ValidationReport report = ValidateDataset(dataset);

@@ -112,8 +112,10 @@ TEST_F(PipelineTest, AsciiFormatRoundTripsGeneratedData) {
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->reports.size(), dataset_->reports.size());
   for (size_t i = 0; i < parsed->reports.size(); i += 97) {
-    EXPECT_EQ(parsed->reports[i].drugs, dataset_->reports[i].drugs);
-    EXPECT_EQ(parsed->reports[i].reactions, dataset_->reports[i].reactions);
+    EXPECT_EQ(parsed->Names(parsed->reports[i].drugs),
+              dataset_->Names(dataset_->reports[i].drugs));
+    EXPECT_EQ(parsed->Names(parsed->reports[i].reactions),
+              dataset_->Names(dataset_->reports[i].reactions));
   }
 }
 

@@ -617,6 +617,37 @@ TEST_P(RulesFromLatticeDifferentialOracleTest,
   }
 }
 
+TEST_P(RulesFromLatticeDifferentialOracleTest,
+       DegradedMineEscalatesAlikeAtEveryThreadCount) {
+  // The mine charges its conditional-tree arenas by the largest tree per
+  // depth, not by what each concurrently leased scratch grew to, so where
+  // the budget trips depends on the input alone. Repeats give overlapping
+  // tasks room to differ.
+  maras::test::MiniCorpus corpus = RandomCorpus(GetParam() + 2);
+  for (size_t cap : {0, 3}) {
+    size_t serial_support = 0;
+    for (size_t threads : {1, 2, 8, 8, 8, 8}) {
+      maras::MemoryBudget budget(kDegradingBudgetBytes);
+      RunContext governed;
+      governed.budget = &budget;
+      MiningOptions mining;
+      mining.min_support = 1;
+      mining.max_itemset_size = cap;
+      mining.num_threads = threads;
+      mining.context = &governed;
+      core::DegradationOptions degradation;
+      degradation.enabled = true;
+      degradation.max_retries = 10;
+      auto mined = core::MineWithDegradation(corpus.db, mining, degradation);
+      ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+      ASSERT_TRUE(mined->truncated);
+      if (serial_support == 0) serial_support = mined->min_support_used;
+      EXPECT_EQ(mined->min_support_used, serial_support)
+          << "cap=" << cap << " threads=" << threads;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RulesFromLatticeDifferentialOracleTest,
                          ::testing::Values(1001, 2002, 3003, 4004, 5005));
 

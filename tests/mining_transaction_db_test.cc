@@ -95,5 +95,31 @@ TEST(TransactionDbTest, SupportMatchesBruteForceOnRandomData) {
   }
 }
 
+
+TEST(TransactionDbTest, BuildEqualsAddingInOrder) {
+  maras::Rng rng(43);
+  std::vector<Itemset> transactions;
+  for (int t = 0; t < 300; ++t) {
+    Itemset txn;  // unsorted, with repeats; some transactions empty
+    for (size_t i = rng.Uniform(7); i > 0; --i) {
+      txn.push_back(static_cast<ItemId>(rng.Uniform(40)));
+    }
+    transactions.push_back(std::move(txn));
+  }
+  TransactionDatabase added;
+  for (const Itemset& t : transactions) added.Add(t);
+  const TransactionDatabase built =
+      TransactionDatabase::Build(std::move(transactions));
+  EXPECT_EQ(built.transactions(), added.transactions());
+  EXPECT_EQ(built.item_bound(), added.item_bound());
+  EXPECT_EQ(built.item_count(), added.item_count());
+  EXPECT_EQ(built.total_item_occurrences(), added.total_item_occurrences());
+  for (ItemId item = 0; item < 45; ++item) {
+    EXPECT_EQ(built.TidList(item), added.TidList(item)) << item;
+  }
+  EXPECT_TRUE(TransactionDatabase::Build({}).empty());
+  EXPECT_EQ(TransactionDatabase::Build({}).item_bound(), 0u);
+}
+
 }  // namespace
 }  // namespace maras::mining

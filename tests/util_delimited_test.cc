@@ -141,8 +141,34 @@ TEST(FileIoTest, WriteAndReadBack) {
 }
 
 TEST(FileIoTest, MissingFileIsIOError) {
-  EXPECT_TRUE(
-      ReadFileToString("/nonexistent/dir/file.txt").status().IsIOError());
+  auto missing = ReadFileToString("/nonexistent/dir/file.txt");
+  EXPECT_TRUE(missing.status().IsIOError());
+  EXPECT_NE(missing.status().message().find(
+                "cannot open for read: /nonexistent/dir/file.txt"),
+            std::string::npos)
+      << missing.status().ToString();
+}
+
+TEST(FileIoTest, ReadsLargeAndEmptyFilesWhole) {
+  std::string path = ::testing::TempDir() + "/maras_delim_large.txt";
+  std::string large;
+  for (int i = 0; i < 20000; ++i) large += "row$" + std::to_string(i) + "\n";
+  ASSERT_TRUE(WriteStringToFile(path, large).ok());
+  auto content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(*content, large);
+  ASSERT_TRUE(WriteStringToFile(path, "").ok());
+  content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(*content, "");
+  std::remove(path.c_str());
+}
+
+TEST(FileIoTest, DirectoryIsReadFailure) {
+  auto dir = ReadFileToString(::testing::TempDir());
+  EXPECT_TRUE(dir.status().IsIOError());
+  EXPECT_NE(dir.status().message().find("read failed: "), std::string::npos)
+      << dir.status().ToString();
 }
 
 TEST(FileIoTest, ReadWriteFileTable) {
