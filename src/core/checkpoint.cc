@@ -336,6 +336,12 @@ maras::StatusOr<faers::PreprocessResult> DecodePreprocessResult(
   result.transactions = mining::TransactionDatabase::Build(std::move(decoded));
   uint64_t ids = 0;
   MARAS_RETURN_IF_ERROR(r.Count(&ids, sizeof(uint64_t)));
+  // MergeQuarters reads one primary id per transaction.
+  if (ids < transactions) {
+    return maras::Status::Corruption(
+        std::to_string(ids) + " primary ids for " +
+        std::to_string(transactions) + " transactions");
+  }
   result.primary_ids.reserve(static_cast<size_t>(ids));
   for (uint64_t i = 0; i < ids; ++i) {
     uint64_t id = 0;

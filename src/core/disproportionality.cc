@@ -213,38 +213,27 @@ ContingencyBatch MakeContingencyTables(const mining::TransactionDatabase& db,
 
   // One rule's lane: the margins come from the materialized drug/adr
   // bitmaps, the joint cell from one AND+popcount pass — never a merge.
-  const auto lane = [&](size_t i, mining::TidBitmap* drugs_storage,
-                        mining::TidBitmap* adrs_storage,
-                        mining::TidBitmap* scratch) {
+  // Each worker slot owns one scratch set; lane i writes only entry i of
+  // the batch, so the lanes are scheduling-free.
+  struct LaneScratch {
+    mining::TidBitmap drugs, adrs, scratch;
+  };
+  std::vector<LaneScratch> scratches(
+      maras::EffectiveThreads(num_threads, rules.size()));
+  maras::ParallelFor(num_threads, rules.size(), [&](size_t slot, size_t i) {
+    LaneScratch& lane = scratches[slot];
     size_t with_drugs = 0;
     size_t with_adrs = 0;
-    const mining::TidBitmap* drugs_bm =
-        cache.Intersect(rules[i].drugs, drugs_storage, scratch, &with_drugs);
-    const mining::TidBitmap* adrs_bm =
-        cache.Intersect(rules[i].adrs, adrs_storage, scratch, &with_adrs);
+    const mining::TidBitmap* drugs_bm = cache.Intersect(
+        rules[i].drugs, &lane.drugs, &lane.scratch, &with_drugs);
+    const mining::TidBitmap* adrs_bm = cache.Intersect(
+        rules[i].adrs, &lane.adrs, &lane.scratch, &with_adrs);
     const size_t a = mining::AndPopcount(*drugs_bm, *adrs_bm);
     batch.a[i] = a;
     batch.b[i] = with_drugs - a;
     batch.c[i] = with_adrs - a;
     batch.d[i] = n - with_drugs - (with_adrs - a);
-  };
-
-  const size_t threads = maras::EffectiveThreads(num_threads, rules.size());
-  if (threads <= 1) {
-    mining::TidBitmap drugs_storage, adrs_storage, scratch;
-    for (size_t i = 0; i < rules.size(); ++i) {
-      lane(i, &drugs_storage, &adrs_storage, &scratch);
-    }
-  } else {
-    // Static round-robin over `threads` tasks so each task owns a scratch
-    // set; lane i writes only slot i, so the lanes are scheduling-free.
-    maras::ParallelFor(threads, threads, [&](size_t t) {
-      mining::TidBitmap drugs_storage, adrs_storage, scratch;
-      for (size_t i = t; i < rules.size(); i += threads) {
-        lane(i, &drugs_storage, &adrs_storage, &scratch);
-      }
-    });
-  }
+  });
   return batch;
 }
 

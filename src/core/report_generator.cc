@@ -7,6 +7,9 @@ namespace maras::core {
 
 namespace {
 
+// Length cap of the severe-and-undocumented alert list.
+constexpr size_t kMaxAlerts = 5;
+
 std::string Ratio(double v) {
   return v >= kDisproportionalityCap ? "inf" : FormatDouble(v, 1);
 }
@@ -69,7 +72,7 @@ maras::StatusOr<std::string> GenerateMarkdownReport(
 
   md += "\n## Severe, previously undocumented signals\n\n";
   size_t alerts = 0;
-  for (size_t i = 0; i < ranked.size() && alerts < options.max_alerts; ++i) {
+  for (size_t i = 0; i < ranked.size() && alerts < kMaxAlerts; ++i) {
     const DrugAdrRule& target = ranked[i].mcac.target;
     if (static_cast<int>(MaxSeverity(target, current.items)) <
         static_cast<int>(options.alert_severity)) {

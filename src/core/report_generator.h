@@ -39,7 +39,6 @@ struct ReportInputs {
 
 struct ReportOptions {
   size_t top_signals = 10;
-  size_t max_alerts = 5;
   // Alerts require at least this severity AND no knowledge-base entry.
   Severity alert_severity = Severity::kSevere;
 };

@@ -23,6 +23,9 @@ size_t ValidationReport::warning_count() const {
 
 namespace {
 
+// Reports older than this are flagged as a likely data-entry artifact.
+constexpr double kMaxPlausibleAge = 120.0;
+
 bool LooksLikeCountryCode(const std::string& code) {
   if (code.empty()) return true;  // unreported is fine
   if (code.size() != 2) return false;
@@ -80,10 +83,10 @@ ValidationReport ValidateDataset(const QuarterDataset& dataset,
       add(FindingSeverity::kWarning, "no-reactions",
           "report lists no adverse reactions", pid);
     }
-    if (r.age > options.max_plausible_age) {
+    if (r.age > kMaxPlausibleAge) {
       add(FindingSeverity::kWarning, "implausible-age",
           "age " + WholeYears(r.age) + " exceeds " +
-              WholeYears(options.max_plausible_age),
+              WholeYears(kMaxPlausibleAge),
           pid);
     }
     if (r.drugs.size() > options.max_plausible_drugs) {

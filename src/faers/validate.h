@@ -35,7 +35,6 @@ struct ValidationReport {
 };
 
 struct ValidationOptions {
-  double max_plausible_age = 120.0;
   // Reports with more drugs than this are flagged (data-entry artifacts;
   // FAERS has reports listing an entire formulary).
   size_t max_plausible_drugs = 60;

@@ -30,50 +30,17 @@ void MarkCoveredSubsets(const FrequentItemsetResult& all,
 
 }  // namespace
 
-FrequentItemsetResult FilterClosed(const FrequentItemsetResult& all,
-                                   size_t num_threads) {
-  // Mark every itemset that has an equal-support immediate superset in the
-  // result by walking each itemset's immediate subsets.
-  const std::vector<FrequentItemset>& itemsets = all.itemsets();
-  const size_t workers = EffectiveThreads(num_threads, itemsets.size());
-  ItemsetFlatSet not_closed;
-  if (workers <= 1) {
-    std::vector<Itemset> marks;
-    for (const FrequentItemset& fi : itemsets) {
-      MarkCoveredSubsets(all, fi, &marks);
-    }
-    for (Itemset& s : marks) not_closed.Insert(std::move(s));
-  } else {
-    // Shard w scans itemsets w, w+workers, ...; marks are unioned serially
-    // afterwards (union is order-independent, so scheduling cannot leak
-    // into the result).
-    std::vector<std::vector<Itemset>> shard_marks(workers);
-    ParallelFor(workers, workers, [&](size_t w) {
-      for (size_t i = w; i < itemsets.size(); i += workers) {
-        MarkCoveredSubsets(all, itemsets[i], &shard_marks[w]);
-      }
-    });
-    for (std::vector<Itemset>& shard : shard_marks) {
-      for (Itemset& s : shard) not_closed.Insert(std::move(s));
-    }
-  }
-  FrequentItemsetResult closed;
-  for (const FrequentItemset& fi : all.itemsets()) {
-    if (!not_closed.Contains(fi.items)) {
-      closed.Add(fi.items, fi.support);
-    }
-  }
-  closed.SortCanonically();
-  return closed;
-}
-
 maras::StatusOr<FrequentItemsetResult> FilterClosed(
     const FrequentItemsetResult& all, size_t num_threads,
     const RunContext& ctx) {
+  // Mark every itemset that has an equal-support immediate superset in the
+  // result by walking each itemset's immediate subsets. Shard w scans
+  // itemsets w, w+shards, ... (one shard per worker, serial = one shard),
+  // with a governance poll every 256 scanned itemsets; marks are unioned
+  // serially afterwards (union is order-independent, so scheduling cannot
+  // leak into the result).
   const std::vector<FrequentItemset>& itemsets = all.itemsets();
   const size_t workers = EffectiveThreads(num_threads, itemsets.size());
-  // Same strided sharding as the ungoverned filter (one shard per worker,
-  // serial = one shard), with a governance poll every 256 scanned itemsets.
   const size_t shards = workers <= 1 ? 1 : workers;
   std::vector<std::vector<Itemset>> shard_marks(shards);
   maras::Status status = TryParallelFor(
@@ -101,6 +68,12 @@ maras::StatusOr<FrequentItemsetResult> FilterClosed(
   return closed;
 }
 
+FrequentItemsetResult FilterClosed(const FrequentItemsetResult& all,
+                                   size_t num_threads) {
+  // Ungoverned, so the filter cannot fail.
+  return *FilterClosed(all, num_threads, RunContext());
+}
+
 Itemset ClosureOf(const TransactionDatabase& db, const Itemset& s) {
   std::vector<TransactionId> tids = db.ContainingTransactions(s);
   if (tids.empty()) return {};
@@ -120,10 +93,10 @@ maras::StatusOr<FrequentItemsetResult> MineClosed(
     const TransactionDatabase& db, const MiningOptions& options) {
   FpGrowth miner(options);
   MARAS_ASSIGN_OR_RETURN(FrequentItemsetResult all, miner.Mine(db));
-  if (options.context != nullptr) {
-    return FilterClosed(all, options.num_threads, *options.context);
-  }
-  return FilterClosed(all, options.num_threads);
+  const RunContext ungoverned;
+  return FilterClosed(all, options.num_threads,
+                      options.context != nullptr ? *options.context
+                                                 : ungoverned);
 }
 
 }  // namespace maras::mining

@@ -17,7 +17,7 @@ namespace maras::mining {
 // exactly the closed family. This is exact (no sampling, no heuristics) and
 // runs in O(Σ |S|) hash probes over the mined result.
 //
-// With num_threads > 1 the marking scan is sharded across a thread pool
+// With num_threads > 1 the marking scan is sharded across workers
 // (strided over the canonical itemset order; shards only read `all` and
 // collect marks privately) and the per-shard mark sets are unioned serially.
 // Set union is order-independent and the surviving family is re-sorted
@@ -25,10 +25,10 @@ namespace maras::mining {
 FrequentItemsetResult FilterClosed(const FrequentItemsetResult& all,
                                    size_t num_threads = 1);
 
-// Governed variant: polls `ctx` (cancellation / deadline / budget) at a
-// bounded interval inside each marking shard and stops scheduling remaining
-// shards on a trip, returning the context's status wrapped "closed-filter".
-// Output is byte-identical to the ungoverned filter when nothing trips.
+// Governed form, which the ungoverned one calls with an empty RunContext:
+// polls `ctx` (cancellation / deadline / budget) at a bounded interval
+// inside each marking shard and stops scheduling remaining shards on a
+// trip, returning the context's status wrapped "closed-filter".
 maras::StatusOr<FrequentItemsetResult> FilterClosed(
     const FrequentItemsetResult& all, size_t num_threads,
     const RunContext& ctx);

@@ -15,9 +15,10 @@ namespace {
 // Charges the memory budget for the conditional-tree arenas as a function of
 // the input alone: the largest tree built at each depth, sized by its node
 // and table counts — what one scratch needs, and what a serial mine charges.
-// What each leased scratch grew to depends on how many tasks overlapped and
-// on vector capacities left by earlier trees; charging that would let a
-// budget-degraded mine escalate to a different support from run to run.
+// What each worker's scratch grew to depends on which items the schedule
+// gave it and on vector capacities left by earlier trees; charging that
+// would let a budget-degraded mine escalate to a different support from
+// run to run.
 // With one figure for every thread count, it escalates to the same support
 // at any of them.
 //
@@ -64,7 +65,7 @@ class ArenaLedger {
 
 }  // namespace
 
-// Per-task scratch for the allocation-free recursion. frames[d] holds the
+// Per-worker scratch for the allocation-free recursion. frames[d] holds the
 // recycled arena the conditional tree at depth d is built into, plus the
 // item-order buffer for mining it; cond_counts/touched/path serve whichever
 // BuildConditional is currently running (construction at depth d finishes
@@ -101,55 +102,6 @@ struct FpGrowth::MineScratch {
 };
 
 namespace {
-
-// Hands out MineScratch instances to parallel mining tasks. At most one
-// scratch exists per concurrently running task (≤ worker count), and a
-// recycled scratch keeps its grown arenas, so the fan-out over hundreds of
-// top-level items performs a bounded number of arena allocations total.
-class ScratchPool {
- public:
-  ScratchPool(const FpTree& global_tree, ArenaLedger* ledger)
-      : global_tree_(global_tree), ledger_(ledger) {}
-
-  std::unique_ptr<FpGrowth::MineScratch> Acquire() {
-    {
-      MutexLock lock(&mu_);
-      if (!free_.empty()) {
-        auto scratch = std::move(free_.back());
-        free_.pop_back();
-        return scratch;
-      }
-    }
-    return std::make_unique<FpGrowth::MineScratch>(global_tree_, ledger_);
-  }
-
-  void Recycle(std::unique_ptr<FpGrowth::MineScratch> scratch) {
-    MutexLock lock(&mu_);
-    free_.push_back(std::move(scratch));
-  }
-
- private:
-  const FpTree& global_tree_;
-  ArenaLedger* ledger_;
-  // mu_ guards the free list only; a leased scratch is owned exclusively
-  // by its task (the lease pointer never aliases) until Recycle hands it
-  // back under the lock.
-  Mutex mu_;
-  std::vector<std::unique_ptr<FpGrowth::MineScratch>> free_ GUARDED_BY(mu_);
-};
-
-// RAII lease so a task returns its scratch on every exit path.
-class ScratchLease {
- public:
-  explicit ScratchLease(ScratchPool* pool)
-      : pool_(pool), scratch_(pool->Acquire()) {}
-  ~ScratchLease() { pool_->Recycle(std::move(scratch_)); }
-  FpGrowth::MineScratch* get() { return scratch_.get(); }
-
- private:
-  ScratchPool* pool_;
-  std::unique_ptr<FpGrowth::MineScratch> scratch_;
-};
 
 // Approximate resident bytes of one recorded itemset: the struct, its item
 // payload, and the support-table slot. The budget bounds blow-up by order
@@ -222,18 +174,21 @@ maras::StatusOr<FrequentItemsetResult> FpGrowth::Mine(
       if (!status.ok()) break;
     }
   } else {
-    // Fan out one task per top-level item. Tasks only read the shared tree
-    // and write their own shard (result + charge accounting); the canonical
-    // sort below erases any trace of the schedule.
+    // Fan out one loop index per top-level item. Each index only reads the
+    // shared tree and writes its own shard (result + charge accounting);
+    // the canonical sort below erases any trace of the schedule. Each
+    // worker slot owns one scratch, whose grown arenas serve every item
+    // that worker mines.
     const RunContext ungoverned;
     std::vector<FrequentItemsetResult> shards(items.size());
     std::vector<size_t> shard_charged(items.size(), 0);
-    ScratchPool pool(tree, governed);
+    std::vector<MineScratch> scratches;
+    scratches.reserve(workers);
+    for (size_t w = 0; w < workers; ++w) scratches.emplace_back(tree, governed);
     status = TryParallelFor(
         workers, items.size(), ctx != nullptr ? *ctx : ungoverned,
-        [this, &tree, &items, &shards, &shard_charged, &pool](size_t i) {
-          ScratchLease lease(&pool);
-          return MineItem(tree, items[i], /*depth=*/0, lease.get(),
+        [&](size_t slot, size_t i) {
+          return MineItem(tree, items[i], /*depth=*/0, &scratches[slot],
                           &shards[i], &shard_charged[i]);
         });
     for (size_t c : shard_charged) charged += c;

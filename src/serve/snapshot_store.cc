@@ -129,7 +129,7 @@ maras::StatusOr<SnapshotStore::Resolved> SnapshotStore::Resolve() {
     AddDiagnostic("generation " + std::to_string(generation) +
                   " rejected: " + snapshot.status().ToString());
     // A dangling CURRENT (file vanished) has nothing to quarantine.
-    if (options_.quarantine && !snapshot.status().IsNotFound()) {
+    if (!snapshot.status().IsNotFound()) {
       Quarantine(name);
     }
   }

@@ -31,7 +31,7 @@ namespace maras::serve {
 //
 // Resolution (Acquire/Refresh) tries the CURRENT target first, then every
 // generation newest-first. A candidate that fails validation is diagnosed,
-// optionally quarantined (renamed to <file>.quarantined so it can never be
+// quarantined (renamed to <file>.quarantined so it can never be
 // retried but stays available for forensics), and the scan falls through
 // to the previous generation: readers keep serving the last good snapshot
 // as long as any good generation exists.
@@ -43,9 +43,6 @@ class SnapshotStore {
  public:
   struct Options {
     std::string dir;
-    // Rename invalid generation files out of the candidate set. Disable to
-    // keep fault-injection fixtures in place across repeated opens.
-    bool quarantine = true;
     // Deterministic fault injection: called at each named publish stage
     // ("publish.pre-snapshot-write", "publish.post-snapshot-write",
     // "publish.pre-current-write", "publish.post-current-write"). Returning

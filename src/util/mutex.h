@@ -1,7 +1,6 @@
 #ifndef MARAS_UTIL_MUTEX_H_
 #define MARAS_UTIL_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
 
@@ -37,11 +36,6 @@ class CAPABILITY("mutex") Mutex {
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
   bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  // BasicLockable surface so CondVar (std::condition_variable_any) can
-  // unlock/relock around a wait. Annotated identically to Lock/Unlock.
-  void lock() ACQUIRE() { mu_.lock(); }
-  void unlock() RELEASE() { mu_.unlock(); }
 
  private:
   std::mutex mu_;
@@ -112,30 +106,6 @@ class SCOPED_CAPABILITY ReaderMutexLock {
 
  private:
   SharedMutex* const mu_;
-};
-
-// Condition variable paired with maras::Mutex. Built on
-// std::condition_variable_any, which works with any BasicLockable — the
-// annotated lock()/unlock() aliases on Mutex exist exactly for this. Wait
-// must be called with the mutex held (REQUIRES makes that a compile-time
-// obligation under clang); the predicate-less overload returns with it held
-// again but, as with any condition variable, possibly spuriously woken —
-// callers loop on their condition.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  // Atomically releases *mu, blocks until notified (or spurious wakeup),
-  // reacquires *mu before returning.
-  void Wait(Mutex* mu) REQUIRES(mu) { cv_.wait(*mu); }
-
-  void NotifyOne() noexcept { cv_.notify_one(); }
-  void NotifyAll() noexcept { cv_.notify_all(); }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 }  // namespace maras

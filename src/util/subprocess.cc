@@ -156,16 +156,11 @@ void ChildProcess::MoveFrom(ChildProcess&& other) noexcept {
 
 StatusOr<ChildProcess> ChildProcess::Spawn(
     const std::vector<std::string>& argv) {
-  return Spawn(argv, Options());
-}
-
-StatusOr<ChildProcess> ChildProcess::Spawn(
-    const std::vector<std::string>& argv, const Options& options) {
   if (argv.empty()) {
     return Status::InvalidArgument("empty argv");
   }
   int pipe_fds[2] = {-1, -1};
-  if (options.capture_stdout && pipe(pipe_fds) == -1) {
+  if (pipe(pipe_fds) == -1) {
     return ErrnoStatus("pipe", errno);
   }
 
@@ -191,12 +186,10 @@ StatusOr<ChildProcess> ChildProcess::Spawn(
       dup2(devnull, STDIN_FILENO);
       if (devnull > STDERR_FILENO) close(devnull);
     }
-    if (options.capture_stdout) {
-      close(pipe_fds[0]);
-      dup2(pipe_fds[1], STDOUT_FILENO);
-      if (options.merge_stderr) dup2(pipe_fds[1], STDERR_FILENO);
-      if (pipe_fds[1] > STDERR_FILENO) close(pipe_fds[1]);
-    }
+    close(pipe_fds[0]);
+    dup2(pipe_fds[1], STDOUT_FILENO);
+    dup2(pipe_fds[1], STDERR_FILENO);
+    if (pipe_fds[1] > STDERR_FILENO) close(pipe_fds[1]);
     // maras-lint: disable=no-raw-subprocess — sanctioned wrapper interior.
     execvp(cargv[0], cargv.data());
     _exit(127);  // exec failed; 127 matches the shell convention
@@ -205,11 +198,9 @@ StatusOr<ChildProcess> ChildProcess::Spawn(
   // Parent.
   ChildProcess child;
   child.pid_ = pid;
-  if (options.capture_stdout) {
-    CloseQuietly(pipe_fds[1]);
-    SetNonBlockingCloexec(pipe_fds[0]);
-    child.stdout_fd_ = pipe_fds[0];
-  }
+  CloseQuietly(pipe_fds[1]);
+  SetNonBlockingCloexec(pipe_fds[0]);
+  child.stdout_fd_ = pipe_fds[0];
   return child;
 }
 

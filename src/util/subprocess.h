@@ -90,17 +90,6 @@ struct ExitStatus {
 
 class ChildProcess {
  public:
-  struct Options {
-    // Capture the child's stdout through a pipe (read it via stdout_fd()).
-    // The pipe's parent end is O_NONBLOCK | O_CLOEXEC: the supervisor
-    // multiplexes many workers with poll() and must never block on one.
-    bool capture_stdout = true;
-    // Redirect the child's stderr into the same pipe (2>&1), keeping a
-    // worker's diagnostics attached to its transcript instead of
-    // interleaving on the supervisor's terminal.
-    bool merge_stderr = true;
-  };
-
   ChildProcess() = default;
   ~ChildProcess();  // kills (SIGKILL) and reaps a still-running child
 
@@ -110,15 +99,16 @@ class ChildProcess {
   ChildProcess& operator=(ChildProcess&& other) noexcept;
 
   // fork + execvp. argv[0] is the executable (PATH-searched). The child's
-  // stdin is /dev/null. Exec failure surfaces as exit code 127. The
-  // overload pair stands in for a default argument: an NSDMI aggregate
-  // cannot be a default argument inside its own enclosing class.
+  // stdin is /dev/null. Exec failure surfaces as exit code 127. The child's
+  // stdout is captured through a pipe (read it via stdout_fd()), whose
+  // parent end is O_NONBLOCK | O_CLOEXEC: the supervisor multiplexes many
+  // workers with poll() and must never block on one. Its stderr goes into
+  // the same pipe (2>&1), keeping a worker's diagnostics attached to its
+  // transcript instead of interleaving on the supervisor's terminal.
   static StatusOr<ChildProcess> Spawn(const std::vector<std::string>& argv);
-  static StatusOr<ChildProcess> Spawn(const std::vector<std::string>& argv,
-                                      const Options& options);
 
   pid_t pid() const { return pid_; }
-  // Parent end of the stdout pipe; -1 when not captured or already closed.
+  // Parent end of the stdout pipe; -1 once closed.
   int stdout_fd() const { return stdout_fd_; }
   // True until the child has been reaped.
   bool running() const { return pid_ > 0 && !reaped_; }

@@ -270,6 +270,28 @@ TEST(CheckpointCodecTest, PreprocessResultRoundTripsGeneratedQuarter) {
   EXPECT_EQ(EncodePreprocessResult(*decoded), encoded);
 }
 
+TEST(CheckpointCodecTest, FewerPrimaryIdsThanTransactionsIsCorruption) {
+  faers::GeneratorConfig config;
+  config.year = 2052;
+  config.quarter = 4;
+  config.n_reports = 200;
+  config.seed = 4242;
+  auto dataset = faers::SyntheticGenerator(config).Generate();
+  ASSERT_TRUE(dataset.ok());
+  faers::Preprocessor preprocessor{faers::PreprocessOptions{}};
+  auto pre = preprocessor.Process(*dataset);
+  ASSERT_TRUE(pre.ok());
+  ASSERT_GT(pre->primary_ids.size(), 0u);
+  // MergeQuarters reads primary_ids[t] for every transaction t, so a short
+  // id list must not decode.
+  pre->primary_ids.pop_back();
+  auto decoded = DecodePreprocessResult(EncodePreprocessResult(*pre));
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+  EXPECT_NE(decoded.status().ToString().find("primary ids"),
+            std::string::npos)
+      << decoded.status().ToString();
+}
+
 TEST(CheckpointCodecTest, QuarterCheckpointRoundTripsSkippedQuarter) {
   QuarterCheckpoint quarter;
   quarter.outcome.label = "2052Q9";
@@ -502,6 +524,42 @@ TEST_F(CheckpointResumeTest, BitFlippedSnapshotIsRejectedAndRecomputed) {
   }
   EXPECT_TRUE(noted) << "no note names the rejected snapshot";
   ExpectIdentical(Encode(*resumed), *reference_);
+}
+
+TEST_F(CheckpointResumeTest, ShortPrimaryIdListIsRejectedAndRecomputed) {
+  std::string dir = FreshDir("short_ids_resume");
+  auto first = MultiQuarterPipeline(CheckpointedOptions(dir, 1))
+                   .RunAnalyzed(*quarters_, HarnessAnalyzer(1));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+
+  // A well-framed quarter checkpoint whose result holds one primary id
+  // fewer than it has transactions.
+  auto quarter = ReadQuarterCheckpoint(dir, "2052Q2");
+  ASSERT_TRUE(quarter.ok()) << quarter.status().ToString();
+  ASSERT_TRUE(quarter->result.has_value());
+  quarter->result->primary_ids.pop_back();
+  ASSERT_TRUE(WriteCheckpoint(dir, "quarter-2052Q2",
+                              EncodeQuarterCheckpoint(*quarter))
+                  .ok());
+
+  MultiQuarterOptions retry = CheckpointedOptions(dir, 1);
+  retry.resume = true;
+  auto resumed = MultiQuarterPipeline(retry).RunAnalyzed(*quarters_,
+                                                         HarnessAnalyzer(1));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  bool noted = false;
+  for (const std::string& note : resumed->notes) {
+    if (note.find("rejected") != std::string::npos &&
+        note.find("quarter-2052Q2") != std::string::npos) {
+      noted = true;
+      EXPECT_NE(note.find("recomputing"), std::string::npos) << note;
+      EXPECT_NE(note.find("primary ids"), std::string::npos) << note;
+    }
+  }
+  EXPECT_TRUE(noted) << "no note names the rejected quarter";
+  ExpectIdentical(Encode(*resumed), *reference_);
+  // The recomputed quarter republishes a checkpoint that decodes.
+  EXPECT_TRUE(ReadQuarterCheckpoint(dir, "2052Q2").ok());
 }
 
 TEST_F(CheckpointResumeTest, ClosedFamilyPastTheCapIsRecomputedWithLaterStages) {

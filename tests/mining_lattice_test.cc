@@ -620,9 +620,9 @@ TEST_P(RulesFromLatticeDifferentialOracleTest,
 TEST_P(RulesFromLatticeDifferentialOracleTest,
        DegradedMineEscalatesAlikeAtEveryThreadCount) {
   // The mine charges its conditional-tree arenas by the largest tree per
-  // depth, not by what each concurrently leased scratch grew to, so where
-  // the budget trips depends on the input alone. Repeats give overlapping
-  // tasks room to differ.
+  // depth, not by what each worker's scratch grew to, so where the budget
+  // trips depends on the input alone. Repeats give differing schedules
+  // room to differ.
   maras::test::MiniCorpus corpus = RandomCorpus(GetParam() + 2);
   for (size_t cap : {0, 3}) {
     size_t serial_support = 0;

@@ -202,23 +202,21 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, SupportSweepTest,
                          ::testing::Values(4, 6, 9, 14));
 
 // The concurrency robustness cases below are the ones the MARAS_TSAN build
-// exists for: they hammer the pool's queue, the shared read-only mining
-// structures, and the parallel pipeline layers, so ThreadSanitizer gets to
-// observe every lock-ordering and publication pattern the library uses.
+// exists for: they hammer the worker loop's start-up and join, the shared
+// read-only mining structures, and the parallel pipeline layers, so
+// ThreadSanitizer gets to observe every lock-ordering and publication
+// pattern the library uses.
 
 TEST(ConcurrencyRobustnessTest, PoolSurvivesChurnAndMixedWorkloads) {
+  // Every parallel region starts and joins its own workers, so back-to-back
+  // regions of varying width churn thread start-up and teardown.
   for (int round = 0; round < 20; ++round) {
-    ThreadPool pool(1 + round % 4);
+    const size_t threads = 1 + static_cast<size_t>(round) % 4;
     std::atomic<uint64_t> sum{0};
-    for (int t = 0; t < 50; ++t) {
-      pool.Submit([&sum, t] { sum.fetch_add(static_cast<uint64_t>(t)); });
-    }
-    pool.Wait();
+    ParallelFor(threads, 50, [&sum](size_t t) { sum.fetch_add(t); });
     EXPECT_EQ(sum.load(), 1225u);  // 0 + 1 + ... + 49
-    // Resubmit after Wait, then let the destructor drain the tail.
-    for (int t = 0; t < 10; ++t) {
-      pool.Submit([&sum] { sum.fetch_add(1); });
-    }
+    ParallelFor(threads, 10, [&sum](size_t) { sum.fetch_add(1); });
+    EXPECT_EQ(sum.load(), 1235u);
   }
 }
 
@@ -244,8 +242,8 @@ TEST(ConcurrencyRobustnessTest, ParallelMiningMatchesSerialUnderStress) {
 }
 
 TEST(ConcurrencyRobustnessTest, ParallelForWritesEverySlotOnce) {
-  // Large fan-out with tiny tasks: maximizes queue contention relative to
-  // work, the worst case for the dispatch path.
+  // Large fan-out with tiny tasks: maximizes index-counter contention
+  // relative to work, the worst case for the dispatch path.
   const size_t n = 20000;
   std::vector<uint8_t> hits(n, 0);
   ParallelFor(8, n, [&hits](size_t i) { ++hits[i]; });

@@ -3,8 +3,8 @@
 // thread-safety compile-fail pair (tests/compile_fail/) and the
 // clang-thread-safety CI leg; these tests pin the runtime half — the
 // wrappers must forward to the std primitives faithfully: mutual
-// exclusion, try-lock semantics, reader concurrency, writer exclusivity,
-// and CondVar wakeups.
+// exclusion, try-lock semantics, reader concurrency and writer
+// exclusivity.
 #include "util/mutex.h"
 
 #include <atomic>
@@ -97,57 +97,6 @@ TEST(SharedMutexTest, TryLockRespectsSharedHolders) {
   mu.UnlockShared();
   EXPECT_TRUE(mu.TryLock());       // quiescent: exclusive succeeds
   mu.Unlock();
-}
-
-TEST(CondVarTest, WaitWakesOnNotifyAndReacquires) {
-  Mutex mu;
-  CondVar cv;
-  bool ready = false;
-  int handoff = 0;
-
-  std::thread waiter([&] {
-    MutexLock lock(&mu);
-    while (!ready) cv.Wait(&mu);
-    // The mutex is held again after Wait returns; mutate guarded state to
-    // prove the reacquire (TSan would flag this if Wait leaked the lock).
-    handoff = 42;
-  });
-
-  {
-    MutexLock lock(&mu);
-    ready = true;
-  }
-  cv.NotifyOne();
-  waiter.join();
-
-  MutexLock lock(&mu);
-  EXPECT_EQ(handoff, 42);
-}
-
-TEST(CondVarTest, NotifyAllWakesEveryWaiter) {
-  Mutex mu;
-  CondVar cv;
-  bool go = false;
-  int woken = 0;
-  constexpr int kWaiters = 3;
-
-  std::vector<std::thread> waiters;
-  for (int i = 0; i < kWaiters; ++i) {
-    waiters.emplace_back([&] {
-      MutexLock lock(&mu);
-      while (!go) cv.Wait(&mu);
-      ++woken;
-    });
-  }
-  {
-    MutexLock lock(&mu);
-    go = true;
-  }
-  cv.NotifyAll();
-  for (auto& th : waiters) th.join();
-
-  MutexLock lock(&mu);
-  EXPECT_EQ(woken, kWaiters);
 }
 
 }  // namespace

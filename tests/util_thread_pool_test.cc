@@ -14,133 +14,6 @@
 namespace maras {
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&ran] { ran.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsRunsInlineInSubmissionOrder) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 0u);
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&order, i] { order.push_back(i); });
-    // Inline execution: the task has already run when Submit returns.
-    ASSERT_EQ(order.size(), static_cast<size_t>(i + 1));
-  }
-  pool.Wait();
-  std::vector<int> expected(10);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPoolTest, SingleWorkerPreservesSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;  // only the one worker touches it
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&order, i] { order.push_back(i); });
-  }
-  pool.Wait();
-  std::vector<int> expected(50);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPoolTest, TaskExceptionDoesNotDeadlockPool) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.Submit([] { throw std::runtime_error("boom"); });
-  for (int i = 0; i < 20; ++i) {
-    pool.Submit([&ran] { ran.fetch_add(1); });
-  }
-  // Wait() returns (no deadlock), rethrows the stored exception once, and
-  // the pool keeps serving tasks afterwards.
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 20);
-  pool.Submit([&ran] { ran.fetch_add(1); });
-  pool.Wait();  // error was cleared by the previous Wait
-  EXPECT_EQ(ran.load(), 21);
-}
-
-TEST(ThreadPoolTest, ExceptionOnSerialPoolSurfacesInWait) {
-  ThreadPool pool(0);
-  std::atomic<int> ran{0};
-  pool.Submit([] { throw std::runtime_error("inline boom"); });
-  pool.Submit([&ran] { ran.fetch_add(1); });  // later tasks still run
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, DestructionDrainsPendingTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        ran.fetch_add(1);
-      });
-    }
-    // No Wait(): the destructor must finish the whole queue, not drop it.
-  }
-  EXPECT_EQ(ran.load(), 64);
-}
-
-// Shutdown-path stress for the tsan preset: hammer the construct /
-// multi-producer submit / destroy cycle so TSan gets to watch the stopping_
-// flag, the queue drain, and the worker joins race real contention. The
-// drain guarantee (nothing submitted is dropped) must hold on every cycle.
-TEST(ThreadPoolShutdownStressTest, RepeatedTeardownUnderProducerContention) {
-  constexpr int kCycles = 25;
-  constexpr int kProducers = 3;
-  constexpr int kTasksPerProducer = 40;
-  for (int cycle = 0; cycle < kCycles; ++cycle) {
-    std::atomic<int> ran{0};
-    {
-      ThreadPool pool(2);
-      std::vector<std::thread> producers;
-      for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&pool, &ran] {
-          for (int i = 0; i < kTasksPerProducer; ++i) {
-            pool.Submit([&ran] { ran.fetch_add(1); });
-          }
-        });
-      }
-      for (auto& t : producers) t.join();
-      // No Wait(): destruction races the workers against a full queue.
-    }
-    ASSERT_EQ(ran.load(), kProducers * kTasksPerProducer) << "cycle " << cycle;
-  }
-}
-
-// Wait() is idle-CondVar driven; several threads blocking in Wait() at once
-// must all wake when the queue drains, every round, without lost wakeups.
-TEST(ThreadPoolShutdownStressTest, ConcurrentWaitersAllObserveDrain) {
-  ThreadPool pool(2);
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 32; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1); });
-    }
-    std::vector<std::thread> waiters;
-    std::atomic<int> woke{0};
-    for (int w = 0; w < 3; ++w) {
-      waiters.emplace_back([&pool, &woke] {
-        pool.Wait();
-        woke.fetch_add(1);
-      });
-    }
-    for (auto& t : waiters) t.join();
-    EXPECT_EQ(woke.load(), 3);
-    EXPECT_EQ(ran.load(), 32);
-  }
-}
-
 TEST(EffectiveThreadsTest, SerialAndClampedCases) {
   EXPECT_EQ(EffectiveThreads(0, 100), 1u);
   EXPECT_EQ(EffectiveThreads(1, 100), 1u);
@@ -162,10 +35,10 @@ TEST_P(ParallelForThreadSweep, TouchesEveryIndexExactlyOnce) {
 }
 
 TEST_P(ParallelForThreadSweep, OrderedResultCollection) {
+  // Index-addressed writes come back in index order whatever the schedule.
   const size_t n = 200;
-  std::vector<size_t> squares = ParallelMap<size_t>(
-      GetParam(), n, [](size_t i) { return i * i; });
-  ASSERT_EQ(squares.size(), n);
+  std::vector<size_t> squares(n);
+  ParallelFor(GetParam(), n, [&squares](size_t i) { squares[i] = i * i; });
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(squares[i], i * i);
   }
@@ -234,8 +107,105 @@ TEST_P(TryParallelForThreadSweep, LowestObservedIndexPreferred) {
       << status.ToString();
 }
 
+TEST_P(TryParallelForThreadSweep, ExceptionSurfacesAfterEveryWorkerJoined) {
+  // Index 5 throws. A call that starts after the throw sleeps long enough
+  // for the stop flag to land, so each other worker can start at most the
+  // one index it had already claimed; the exception must reach the caller
+  // only once every running call has returned.
+  const size_t n = 10'000;
+  const size_t workers = EffectiveThreads(GetParam(), n);
+  std::atomic<bool> thrown{false};
+  std::atomic<size_t> running{0};
+  std::atomic<size_t> started_after_throw{0};
+  std::atomic<size_t> finished{0};
+  RunContext ctx;
+  EXPECT_THROW(
+      {
+        Status status = TryParallelFor(
+            GetParam(), n, ctx, [&](size_t i) -> Status {
+              running.fetch_add(1);
+              if (i == 5) {
+                thrown.store(true);
+                running.fetch_sub(1);
+                throw std::runtime_error("index 5");
+              }
+              if (thrown.load()) {
+                started_after_throw.fetch_add(1);
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+              }
+              finished.fetch_add(1);
+              running.fetch_sub(1);
+              return Status::OK();
+            });
+        ADD_FAILURE() << "returned " << status.ToString();
+      },
+      std::runtime_error);
+  EXPECT_EQ(running.load(), 0u) << "exception surfaced before a join";
+  EXPECT_LE(started_after_throw.load(), workers - 1);
+  if (workers == 1) {
+    EXPECT_EQ(finished.load(), 5u);  // indices 0..4
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, TryParallelForThreadSweep,
                          ::testing::Values(1, 2, 4, 8));
+
+class WorkerSlotSweep : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(WorkerSlotSweep, SlotsStayInRangeAndNeverOverlap) {
+  const size_t n = 2'000;
+  const size_t workers = EffectiveThreads(GetParam(), n);
+  std::vector<std::atomic<int>> busy(workers);
+  std::atomic<size_t> out_of_range{0};
+  std::atomic<size_t> overlaps{0};
+  std::vector<size_t> slot_of(n, workers);
+  RunContext ctx;
+  Status status =
+      TryParallelFor(GetParam(), n, ctx, [&](size_t slot, size_t i) {
+        slot_of[i] = slot;
+        if (slot >= workers) {
+          out_of_range.fetch_add(1);
+          return Status::OK();
+        }
+        if (busy[slot].exchange(1) != 0) overlaps.fetch_add(1);
+        std::this_thread::yield();
+        busy[slot].store(0);
+        return Status::OK();
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(out_of_range.load(), 0u);
+  EXPECT_EQ(overlaps.load(), 0u);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_LT(slot_of[i], workers) << "index " << i << " never ran";
+    if (workers == 1) {
+      ASSERT_EQ(slot_of[i], 0u) << "serial path uses slot 0";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, WorkerSlotSweep,
+                         ::testing::Values(1, 2, 8));
+
+TEST(TryParallelForTest, SerialRunsEveryCallOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (size_t threads : {0u, 1u}) {
+    SCOPED_TRACE(threads);
+    std::vector<size_t> order;
+    size_t elsewhere = 0;
+    RunContext ctx;
+    Status status =
+        TryParallelFor(threads, 50, ctx, [&](size_t slot, size_t i) {
+          if (std::this_thread::get_id() != caller || slot != 0) ++elsewhere;
+          order.push_back(i);
+          return Status::OK();
+        });
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(elsewhere, 0u);
+    std::vector<size_t> expected(50);
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(order, expected);
+  }
+}
 
 TEST(TryParallelForTest, FailureStopsSchedulingRemainingIndices) {
   std::atomic<size_t> executed{0};
