@@ -2,10 +2,11 @@
 #define MARAS_BENCH_BENCH_JSON_H_
 
 // Machine-readable output for the mining micro-benchmarks. Each bench binary
-// runs google-benchmark as usual for the console, collects every run through
-// the reporter below, and writes one JSON document (wall-clock per run,
-// per-iteration allocation counters, thread counts, peak RSS) so successive
-// PRs have a perf trajectory to diff — see bench/baselines/.
+// runs google-benchmark as usual for display (honouring --benchmark_format
+// and --benchmark_color), collects every run through the reporter below,
+// and writes one JSON document (wall-clock per run, per-iteration allocation
+// counters, thread counts, peak RSS) so successive PRs have a perf
+// trajectory to diff — see bench/baselines/.
 //
 // Also home of the tiny-fixture "smoke" helpers: `--smoke` runs the miners
 // on a fixed small database and fails on any result-hash disagreement, which
@@ -37,13 +38,23 @@ struct BenchRunRecord {
   std::map<std::string, double> counters;
 };
 
-// Collects every run while delegating display to the stock console
-// reporter (google-benchmark only accepts a separate file reporter when
-// --benchmark_out is set, so we wrap instead of running two reporters).
-class JsonCollector : public benchmark::ConsoleReporter {
+// Collects every run while the display reporter google-benchmark would
+// have used itself prints it, so --benchmark_format=console|csv|json and
+// --benchmark_color keep working (google-benchmark only accepts a separate
+// file reporter when --benchmark_out is set, so we wrap instead of running
+// two reporters).
+class JsonCollector : public benchmark::BenchmarkReporter {
  public:
+  // The display reporter is process-lifetime: CreateDefaultDisplayReporter
+  // hands out one instance and keeps ownership.
+  JsonCollector() : display_(benchmark::CreateDefaultDisplayReporter()) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
   void ReportRuns(const std::vector<Run>& report) override {
-    benchmark::ConsoleReporter::ReportRuns(report);
+    display_->ReportRuns(report);
     for (const Run& run : report) {
       BenchRunRecord record;
       record.name = run.benchmark_name();
@@ -57,9 +68,12 @@ class JsonCollector : public benchmark::ConsoleReporter {
     }
   }
 
+  void Finalize() override { display_->Finalize(); }
+
   const std::vector<BenchRunRecord>& runs() const { return runs_; }
 
  private:
+  benchmark::BenchmarkReporter* display_;
   std::vector<BenchRunRecord> runs_;
 };
 
@@ -151,17 +165,19 @@ inline int RunBenchmarksToJson(BenchMainOptions options,
   JsonCollector collector;
   benchmark::RunSpecifiedBenchmarks(&collector);
   benchmark::Shutdown();
+  // Status lines go to stderr: stdout carries only what the display
+  // reporter printed, so --benchmark_format=csv|json output stays parseable.
   if (options.json_path.empty()) {
-    std::printf("no JSON written (pass --bench_json=PATH or set "
-                "MARAS_BENCH_JSON)\n");
+    std::fprintf(stderr, "no JSON written (pass --bench_json=PATH or set "
+                         "MARAS_BENCH_JSON)\n");
     return 0;
   }
   if (!WriteBenchJson(options.json_path, bench_name, collector.runs())) {
     std::fprintf(stderr, "failed to write %s\n", options.json_path.c_str());
     return 1;
   }
-  std::printf("wrote %s (%zu runs)\n", options.json_path.c_str(),
-              collector.runs().size());
+  std::fprintf(stderr, "wrote %s (%zu runs)\n", options.json_path.c_str(),
+               collector.runs().size());
   return 0;
 }
 

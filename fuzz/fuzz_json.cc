@@ -1,23 +1,34 @@
-// Fuzz harness for util/json — the parser sits on the openFDA ingest path,
-// so it consumes bytes straight off the network. The parser must return
-// Corruption (with position info) on anything malformed; a successful parse
-// must serialize deterministically and re-parse to success.
+// Fuzz harness for util/json's serializer. Analysis exports carry drug and
+// reaction names straight from FAERS extracts, so any byte string can reach
+// a JSON string value or object key. Every input is serialized as both; the
+// output must decode, with the reference decoder in tests/oracles, back to
+// exactly the input bytes.
 
+#include <string>
 #include <string_view>
 
 #include "fuzz/fuzz_target.h"
+#include "tests/oracles/json_string.h"
 #include "util/json.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  const std::string_view text(reinterpret_cast<const char*>(data), size);
-  auto parsed = maras::json::Parse(text);
-  if (!parsed.ok()) return 0;
-  // Serialize/re-parse: the serializer's output is a JSON document by
-  // contract, so it must survive its own parser.
-  const std::string out = maras::json::Serialize(*parsed, (size % 2) != 0);
-  auto reparsed = maras::json::Parse(out);
-  if (!reparsed.ok()) {
-    __builtin_trap();  // serializer emitted a document Parse rejects
+  using maras::json::Value;
+  const std::string input(reinterpret_cast<const char*>(data), size);
+
+  const std::string value = maras::json::Serialize(Value(input));
+  std::string_view rest = value;
+  if (maras::json::DecodeStringLiteral(&rest) != input || !rest.empty()) {
+    __builtin_trap();
+  }
+
+  // The same bytes as an object key, compact: {"<key>":null}.
+  const std::string object =
+      maras::json::Serialize(Value(Value::Object{{input, nullptr}}));
+  rest = object;
+  if (rest.empty() || rest.front() != '{') __builtin_trap();
+  rest.remove_prefix(1);
+  if (maras::json::DecodeStringLiteral(&rest) != input || rest != ":null}") {
+    __builtin_trap();
   }
   return 0;
 }

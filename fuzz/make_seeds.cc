@@ -1,8 +1,8 @@
 // Generates the seed corpus for the fuzz harnesses. Seeds come from the
 // same machinery the corruption study (faers/corruptor) trusts: a real
 // synthetic FAERS quarter for the ASCII parser, real codec output for the
-// checkpoint decoders, and representative openFDA-shaped documents for the
-// JSON parser. Starting from valid inputs puts mutations on the boundary
+// checkpoint decoders, and names with bytes that need escaping for the JSON
+// serializer. Starting from valid inputs puts mutations on the boundary
 // between accept and reject, where parser bugs live.
 //
 // Usage: make_seeds <output-dir>
@@ -163,22 +163,13 @@ maras::Status Generate(const std::filesystem::path& root) {
       root / "checkpoint" / "ranked.bin",
       WithSelector(5, maras::core::EncodeRankedMcacs({ranked}))));
 
-  // --- json: openFDA-shaped plus syntax-corner documents --------------------
+  // --- json: names as exports carry them, plus bytes that need escaping ---
+  MARAS_RETURN_IF_ERROR(WriteFile(root / "json" / "name.txt",
+                                  "ACETAMINOPHEN 500 MG \"EXTRA\" STRENGTH"));
   MARAS_RETURN_IF_ERROR(WriteFile(
-      root / "json" / "openfda.json",
-      R"({"meta":{"results":{"skip":0,"limit":2,"total":2}},"results":[)"
-      R"({"safetyreportid":"10003301","serious":"1","patient":{)"
-      R"("drug":[{"medicinalproduct":"WARFARIN","drugcharacterization":"1"},)"
-      R"({"medicinalproduct":"ASPIRIN"}],)"
-      R"("reaction":[{"reactionmeddrapt":"Gastrointestinal haemorrhage"}]}},)"
-      R"({"safetyreportid":"10003302","patient":{)"
-      R"("drug":[{"medicinalproduct":"METFORMIN"}],)"
-      R"("reaction":[{"reactionmeddrapt":"Nausea"}]}}]})"));
-  MARAS_RETURN_IF_ERROR(WriteFile(
-      root / "json" / "corners.json",
-      R"({"escape":"a\"b\\c\/dé\n","empty":{},"arr":[[],[null]],)"
-      R"("nums":[0,-1,3.5,1e10,2.2250738585072014e-308,17179869184]})"));
-  MARAS_RETURN_IF_ERROR(WriteFile(root / "json" / "scalar.json", "true"));
+      root / "json" / "escapes.txt",
+      "a\"b\\c/d\xC3\xA9\n\t\r\b\f\x01" "\x1f\x7f"));
+  MARAS_RETURN_IF_ERROR(WriteFile(root / "json" / "empty.txt", ""));
 
   // --- snapshot: a real signal snapshot plus boundary forgeries ------------
   // Valid image first: mutations start on the accept/reject boundary. The

@@ -1,6 +1,8 @@
 #include "core/analysis_stages.h"
 
+#include <cstdio>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "mining/closed_itemsets.h"
@@ -50,6 +52,80 @@ maras::Status PublishStage(const MultiQuarterOptions& checkpoints,
   return FireStageHook(checkpoints, stage);
 }
 
+// ---------------------------------------------------------------------------
+// Options records. A stage checkpoint carries, ahead of its payload, one
+// text line naming every option the stage's compute read, e.g.
+//   "maras-stage-options v1: min_support=10 max_itemset_size=8 ...\n"
+// A replay requires the line to equal this run's, so a checkpoint made
+// under other options (or one without the line) is recomputed.
+// ---------------------------------------------------------------------------
+
+constexpr std::string_view kOptionsTag = "maras-stage-options v1:";
+
+std::string Field(const char* name, size_t value) {
+  return std::string(" ") + name + "=" + std::to_string(value);
+}
+
+// Doubles in hexadecimal, so the record is exact.
+std::string Field(const char* name, double value) {
+  char buf[80];
+  std::snprintf(buf, sizeof(buf), " %s=%a", name, value);
+  return buf;
+}
+
+// "closed" reads the mining support and cap, the degradation ladder, and
+// min_confidence (its rule-space count).
+std::string ClosedOptions(const AnalyzerOptions& analyzer) {
+  const DegradationOptions& degradation = analyzer.degradation;
+  return std::string(kOptionsTag) +
+         Field("min_support", analyzer.mining.min_support) +
+         Field("max_itemset_size", analyzer.mining.max_itemset_size) +
+         Field("min_confidence", analyzer.min_confidence) +
+         Field("degradation", static_cast<size_t>(degradation.enabled)) +
+         Field("max_retries", degradation.max_retries) +
+         Field("support_factor", degradation.support_factor) + "\n";
+}
+
+// "rules" reads the cap (its database closedness check), min_confidence
+// and max_drugs_per_rule.
+std::string RulesOptions(const AnalyzerOptions& analyzer) {
+  return std::string(kOptionsTag) +
+         Field("max_itemset_size", analyzer.mining.max_itemset_size) +
+         Field("min_confidence", analyzer.min_confidence) +
+         Field("max_drugs_per_rule", analyzer.max_drugs_per_rule) + "\n";
+}
+
+// "ranked" reads the ranking method and the exclusiveness options.
+std::string RankedOptions(const AnalyzerOptions& analyzer,
+                          RankingMethod method) {
+  const ExclusivenessOptions& scoring = analyzer.exclusiveness;
+  return std::string(kOptionsTag) +
+         Field("method", static_cast<size_t>(method)) +
+         Field("theta", scoring.theta) +
+         Field("use_decay", static_cast<size_t>(scoring.use_decay)) +
+         Field("measure", static_cast<size_t>(scoring.measure)) + "\n";
+}
+
+// The payload of a framed stage checkpoint whose options record equals
+// `record`; FailedPrecondition otherwise.
+maras::StatusOr<std::string_view> PayloadUnder(std::string_view framed,
+                                               std::string_view record) {
+  if (framed.substr(0, kOptionsTag.size()) != kOptionsTag) {
+    return maras::Status::FailedPrecondition(
+        "checkpoint has no options record");
+  }
+  const size_t end = framed.find('\n');
+  const std::string_view recorded =
+      framed.substr(0, end == std::string_view::npos ? framed.size() : end + 1);
+  if (recorded != record) {
+    std::string_view fields = recorded.substr(kOptionsTag.size());
+    if (!fields.empty() && fields.back() == '\n') fields.remove_suffix(1);
+    return maras::Status::FailedPrecondition("made under other options:" +
+                                             std::string(fields));
+  }
+  return framed.substr(recorded.size());
+}
+
 // Attempts to replay `stage` when resuming; load() reads and decodes its
 // checkpoint. NotFound is silent (nothing written yet); any other failure
 // adds a recompute note so a degraded resume is visible.
@@ -70,21 +146,25 @@ bool TryResumeStage(const MultiQuarterOptions& checkpoints,
   return false;
 }
 
-// One checkpointed stage: replays *value from its snapshot, or computes it
-// and publishes it. A computed stage ends replay for the rest of the
+// One checkpointed stage: replays *value from its snapshot when the
+// snapshot's options record equals `options`, or computes it and publishes
+// it under that record. A computed stage ends replay for the rest of the
 // sequence (it clears checkpoints->resume): the later snapshots were
 // derived from an input this run did not replay, so they are recomputed.
 template <typename T, typename DecodeFn, typename ComputeFn>
 maras::Status RunStage(MultiQuarterOptions* checkpoints,
-                       const std::string& stage, DecodeFn&& decode,
-                       std::string (*encode)(const T&), ComputeFn&& compute,
-                       T* value, SurveillanceAnalysis* out) {
+                       const std::string& stage, const std::string& options,
+                       DecodeFn&& decode, std::string (*encode)(const T&),
+                       ComputeFn&& compute, T* value,
+                       SurveillanceAnalysis* out) {
   const bool resumed = TryResumeStage(
       *checkpoints, stage,
       [&]() -> maras::Status {
         MARAS_ASSIGN_OR_RETURN(
-            std::string payload,
+            std::string framed,
             ReadCheckpoint(checkpoints->checkpoint_dir, stage));
+        MARAS_ASSIGN_OR_RETURN(std::string_view payload,
+                               PayloadUnder(framed, options));
         MARAS_ASSIGN_OR_RETURN(*value, decode(payload));
         return maras::Status::OK();
       },
@@ -92,7 +172,7 @@ maras::Status RunStage(MultiQuarterOptions* checkpoints,
   if (resumed) return maras::Status::OK();
   checkpoints->resume = false;
   MARAS_ASSIGN_OR_RETURN(*value, compute());
-  return PublishStage(*checkpoints, stage, encode(*value));
+  return PublishStage(*checkpoints, stage, options + encode(*value));
 }
 
 // MCAC construction for the target rules, in rule order, every context
@@ -130,27 +210,10 @@ maras::Status RunAnalysisStages(const MineStep& mine,
                                 std::vector<Mcac>* unranked) {
   MARAS_RETURN_IF_ERROR(ctx.Check());
   MultiQuarterOptions stages = checkpoints;
-  // A replayed closed family must come from this run's mining options: the
-  // rules stage trusts that max_itemset_size is the cap it was mined at. A
-  // family holding an itemset past a non-zero cap betrays another cap and
-  // is recomputed; one mined under a smaller cap cannot be told apart.
-  auto decode_closed =
-      [&](std::string_view payload) -> maras::StatusOr<ClosedCheckpoint> {
-    MARAS_ASSIGN_OR_RETURN(ClosedCheckpoint replayed,
-                           DecodeClosedCheckpoint(payload));
-    const size_t cap = analyzer.mining.max_itemset_size;
-    for (const mining::FrequentItemset& fi : replayed.closed.itemsets()) {
-      if (cap != 0 && fi.items.size() > cap) {
-        return maras::Status::FailedPrecondition(
-            "closed family holds a " + std::to_string(fi.items.size()) +
-            "-itemset past max_itemset_size " + std::to_string(cap));
-      }
-    }
-    return replayed;
-  };
   ClosedCheckpoint closed;
   MARAS_RETURN_IF_ERROR(RunStage(
-      &stages, "closed", decode_closed, EncodeClosedCheckpoint,
+      &stages, "closed", ClosedOptions(analyzer), DecodeClosedCheckpoint,
+      EncodeClosedCheckpoint,
       [&]() -> maras::StatusOr<ClosedCheckpoint> {
         MARAS_ASSIGN_OR_RETURN(GovernedMineResult mined, mine());
         return BuildClosedStage(std::move(mined), items, analyzer, ctx);
@@ -172,7 +235,7 @@ maras::Status RunAnalysisStages(const MineStep& mine,
 
   MARAS_RETURN_IF_ERROR(ctx.Check());
   MARAS_RETURN_IF_ERROR(RunStage(
-      &stages, "rules", DecodeRules, EncodeRules,
+      &stages, "rules", RulesOptions(analyzer), DecodeRules, EncodeRules,
       [&]() -> maras::StatusOr<std::vector<DrugAdrRule>> {
         MARAS_ASSIGN_OR_RETURN(const mining::ConceptLattice* oracle,
                                closed_lattice());
@@ -193,7 +256,8 @@ maras::Status RunAnalysisStages(const MineStep& mine,
   out->stats = closed.stats;
   if (method.has_value()) {
     MARAS_RETURN_IF_ERROR(RunStage(
-        &stages, "ranked", DecodeRankedMcacs, EncodeRankedMcacs,
+        &stages, "ranked", RankedOptions(analyzer, *method), DecodeRankedMcacs,
+        EncodeRankedMcacs,
         [&]() -> maras::StatusOr<std::vector<RankedMcac>> {
           MARAS_ASSIGN_OR_RETURN(std::vector<Mcac> mcacs, build_mcacs());
           return RankMcacs(mcacs, *method, analyzer.exclusiveness);

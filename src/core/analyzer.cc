@@ -50,20 +50,6 @@ maras::StatusOr<AnalysisResult> MarasAnalyzer::Analyze(
 }
 
 maras::StatusOr<AnalysisResult> MarasAnalyzer::Analyze(
-    const faers::PreprocessResult& input,
-    const faers::IngestReport& ingest) const {
-  MARAS_ASSIGN_OR_RETURN(AnalysisResult result,
-                         Analyze(input.items, input.transactions));
-  if (ingest.rows_rejected > 0) {
-    result.ingest_warnings.push_back("ingestion: " + ingest.Summary());
-  }
-  result.ingest_warnings.insert(result.ingest_warnings.end(),
-                                ingest.warnings.begin(),
-                                ingest.warnings.end());
-  return result;
-}
-
-maras::StatusOr<AnalysisResult> MarasAnalyzer::Analyze(
     const mining::ItemDictionary& items,
     const mining::TransactionDatabase& db) const {
   if (db.empty()) {

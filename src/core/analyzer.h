@@ -55,10 +55,6 @@ struct AnalysisResult {
   RuleSpaceStats stats;
   // All MCACs (unranked). Use RankMcacs or Analyzer helpers to order them.
   std::vector<Mcac> mcacs;
-  // Ingestion warnings carried through from a degraded (permissive or
-  // quarantine) ingest so downstream consumers see what the mined corpus is
-  // missing. Empty for clean strict runs — the exported JSON is unchanged.
-  std::vector<std::string> ingest_warnings;
   // True when the mine completed only after degradation raised min_support —
   // the result is sound for the support it reports but omits rarer patterns.
   bool truncated = false;
@@ -98,13 +94,6 @@ class MarasAnalyzer {
   // quarter, without checkpointing, up to unranked MCACs.
   maras::StatusOr<AnalysisResult> Analyze(
       const faers::PreprocessResult& input) const;
-
-  // As above, attaching the ingestion accounting of the corpus: the
-  // IngestReport's warnings (plus a summary line when rows were rejected)
-  // land in AnalysisResult::ingest_warnings.
-  maras::StatusOr<AnalysisResult> Analyze(
-      const faers::PreprocessResult& input,
-      const faers::IngestReport& ingest) const;
 
   // Lower-level entry point when transactions were built elsewhere.
   maras::StatusOr<AnalysisResult> Analyze(

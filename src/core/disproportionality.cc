@@ -107,16 +107,6 @@ RatioInterval PrrInterval(const ContingencyTable& t, double z) {
   return IntervalAround(Prr(t), se, z);
 }
 
-RatioInterval RorInterval(const ContingencyTable& t, double z) {
-  if (t.a == 0 || t.b == 0 || t.c == 0 || t.d == 0) {
-    return RatioInterval{0.0, kDisproportionalityCap};
-  }
-  double se = std::sqrt(
-      1.0 / static_cast<double>(t.a) + 1.0 / static_cast<double>(t.b) +
-      1.0 / static_cast<double>(t.c) + 1.0 / static_cast<double>(t.d));
-  return IntervalAround(Ror(t), se, z);
-}
-
 DisproportionalityResult EvaluateDisproportionality(
     const mining::TransactionDatabase& db, const DrugAdrRule& rule) {
   DisproportionalityResult result;

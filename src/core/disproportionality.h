@@ -56,10 +56,9 @@ double InformationComponent(const ContingencyTable& t);
 
 inline constexpr double kDisproportionalityCap = 1e9;
 
-// 95%-style confidence intervals for the ratio estimates, on the usual
-// log-normal approximation:
+// 95%-style confidence interval for the PRR, on the usual log-normal
+// approximation:
 //   ln PRR ± z·sqrt(1/a − 1/(a+b) + 1/c − 1/(c+d))
-//   ln ROR ± z·sqrt(1/a + 1/b + 1/c + 1/d)
 // Degenerate cells (a zero that makes the SE undefined) yield the vacuous
 // interval [0, cap]. Surveillance practice treats a signal as credible only
 // when the interval's lower bound clears 1.
@@ -68,7 +67,6 @@ struct RatioInterval {
   double upper = 0.0;
 };
 RatioInterval PrrInterval(const ContingencyTable& t, double z = 1.96);
-RatioInterval RorInterval(const ContingencyTable& t, double z = 1.96);
 
 // One rule's full disproportionality panel.
 struct DisproportionalityResult {

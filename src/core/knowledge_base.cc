@@ -72,18 +72,6 @@ std::vector<std::string> KnowledgeBase::MatchingSources(
   return sources;
 }
 
-std::vector<Mcac> KnowledgeBase::FilterNovel(
-    const std::vector<Mcac>& mcacs,
-    const mining::ItemDictionary& items) const {
-  std::vector<Mcac> novel;
-  for (const Mcac& mcac : mcacs) {
-    if (Classify(mcac.target, items) != NoveltyClass::kKnownInteraction) {
-      novel.push_back(mcac);
-    }
-  }
-  return novel;
-}
-
 KnowledgeBase CuratedKnowledgeBase() {
   KnowledgeBase kb;
   for (const faers::KnownInteraction& known : faers::KnownInteractions()) {

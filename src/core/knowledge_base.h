@@ -52,11 +52,6 @@ class KnowledgeBase {
   std::vector<std::string> MatchingSources(
       const DrugAdrRule& rule, const mining::ItemDictionary& items) const;
 
-  // Convenience filter: the clusters the evaluator has NOT seen before
-  // (novel combination or novel ADR).
-  std::vector<Mcac> FilterNovel(const std::vector<Mcac>& mcacs,
-                                const mining::ItemDictionary& items) const;
-
  private:
   struct Entry {
     std::vector<std::string> drugs;  // canonical, sorted

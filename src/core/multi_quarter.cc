@@ -1,7 +1,6 @@
 #include "core/multi_quarter.h"
 
 #include "core/analysis_stages.h"
-#include "faers/ascii_format.h"
 #include "mining/measures.h"
 #include "util/run_context.h"
 
@@ -145,29 +144,6 @@ std::vector<std::string> QuarterLabels(
 }
 
 }  // namespace
-
-maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::RunFromDirs(
-    const std::vector<QuarterSource>& sources) const {
-  if (sources.empty()) {
-    return maras::Status::InvalidArgument("no quarters to ingest");
-  }
-  std::vector<std::string> labels;
-  for (const QuarterSource& source : sources) labels.push_back(source.Label());
-  SurveillanceAnalysis out;
-  MARAS_RETURN_IF_ERROR(RunQuarterStage(
-      options_, labels,
-      [&](size_t i, QuarterOutcome* outcome)
-          -> maras::StatusOr<faers::PreprocessResult> {
-        MARAS_ASSIGN_OR_RETURN(
-            faers::QuarterDataset dataset,
-            faers::ReadAsciiQuarterFromDir(
-                sources[i].directory, sources[i].year, sources[i].quarter,
-                options_.ingest, &outcome->ingest));
-        return ProcessQuarter(dataset, outcome);
-      },
-      MultiQuarterOptions{}, &out));
-  return std::move(out.run);
-}
 
 maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::Run(
     const std::vector<faers::QuarterDataset>& quarters) const {

@@ -63,14 +63,15 @@ TrendVerdict ClassifyTrend(const std::vector<QuarterlySignalTrend>& trend,
 
 // ---------------------------------------------------------------------------
 // Fault-tolerant multi-quarter ingestion. A surveillance run spans many
-// quarterly extracts of varying quality; under a permissive policy one
-// unreadable quarter must degrade the run (with a recorded warning), not
+// quarterly extracts of varying quality; under the quarantine policy one
+// unusable quarter must degrade the run (with a recorded warning), not
 // abort it. The pipeline reads each quarter under the configured
 // IngestPolicy, validates it, preprocesses it, and pools the survivors
 // with MergeQuarters.
 // ---------------------------------------------------------------------------
 
-// One quarterly extract on disk, in FAERS ASCII naming (DEMO14Q1.txt ...).
+// One quarterly extract on disk, in FAERS ASCII naming (DEMO14Q1.txt ...),
+// for drivers that read quarters from a directory.
 struct QuarterSource {
   std::string directory;
   int year = 0;
@@ -159,14 +160,11 @@ class MultiQuarterPipeline {
   explicit MultiQuarterPipeline(MultiQuarterOptions options)
       : options_(std::move(options)) {}
 
-  // Ingests quarterly extracts from disk. Under kStrict the first failing
-  // quarter fails the run (with the quarter's label as context); under
-  // kPermissive/kQuarantine failing quarters are skipped with warnings and
-  // the run fails only when *no* quarter survives.
-  maras::StatusOr<MultiQuarterRun> RunFromDirs(
-      const std::vector<QuarterSource>& sources) const;
-
-  // Same recovery semantics for quarters already parsed into memory.
+  // Validates, preprocesses and pools quarters already parsed into memory.
+  // Under kStrict the first failing quarter fails the run (with the
+  // quarter's label as context); under kQuarantine failing quarters are
+  // skipped with warnings and the run fails only when *no* quarter
+  // survives.
   maras::StatusOr<MultiQuarterRun> Run(
       const std::vector<faers::QuarterDataset>& quarters) const;
 

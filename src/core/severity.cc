@@ -1,10 +1,7 @@
 #include "core/severity.h"
 
-#include <algorithm>
 #include <string>
 #include <unordered_map>
-
-#include "core/exclusiveness.h"
 
 namespace maras::core {
 
@@ -98,63 +95,6 @@ Severity MaxSeverity(const DrugAdrRule& rule,
     if (static_cast<int>(s) > static_cast<int>(highest)) highest = s;
   }
   return highest;
-}
-
-std::vector<Mcac> FilterBySeverity(const std::vector<Mcac>& mcacs,
-                                   const mining::ItemDictionary& items,
-                                   Severity minimum) {
-  std::vector<Mcac> kept;
-  for (const Mcac& mcac : mcacs) {
-    if (static_cast<int>(MaxSeverity(mcac.target, items)) >=
-        static_cast<int>(minimum)) {
-      kept.push_back(mcac);
-    }
-  }
-  return kept;
-}
-
-double SeverityWeight(Severity severity) {
-  switch (severity) {
-    case Severity::kMild:
-      return 1.0;
-    case Severity::kModerate:
-      return 1.25;
-    case Severity::kSevere:
-      return 1.6;
-    case Severity::kFatal:
-      return 2.0;
-  }
-  return 1.0;
-}
-
-double SeverityBoostedScore(const Mcac& mcac,
-                            const mining::ItemDictionary& items,
-                            const ExclusivenessOptions& options) {
-  return Exclusiveness(mcac, options) *
-         SeverityWeight(MaxSeverity(mcac.target, items));
-}
-
-std::vector<RankedMcac> RankBySeverityBoostedScore(
-    const std::vector<Mcac>& mcacs, const mining::ItemDictionary& items,
-    const ExclusivenessOptions& options) {
-  std::vector<RankedMcac> ranked;
-  ranked.reserve(mcacs.size());
-  for (const Mcac& mcac : mcacs) {
-    ranked.push_back(
-        RankedMcac{mcac, SeverityBoostedScore(mcac, items, options)});
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const RankedMcac& a, const RankedMcac& b) {
-              if (a.score != b.score) return a.score > b.score;
-              if (a.mcac.target.support != b.mcac.target.support) {
-                return a.mcac.target.support > b.mcac.target.support;
-              }
-              if (a.mcac.target.drugs != b.mcac.target.drugs) {
-                return a.mcac.target.drugs < b.mcac.target.drugs;
-              }
-              return a.mcac.target.adrs < b.mcac.target.adrs;
-            });
-  return ranked;
 }
 
 }  // namespace maras::core

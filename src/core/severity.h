@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/mcac.h"
-#include "core/ranking.h"
 #include "mining/item_dictionary.h"
 
 namespace maras::core {
@@ -16,7 +15,7 @@ namespace maras::core {
 // interestingness such as drug interactions that may lead to severe ADRs
 // which might need immediate action" (Section 4.1). This module provides
 // that criterion: a curated severity lexicon over MedDRA-style preferred
-// terms, plus filters and a severity-boosted ranking.
+// terms.
 // ---------------------------------------------------------------------------
 
 enum class Severity : int {
@@ -36,25 +35,6 @@ Severity SeverityOfTerm(std::string_view preferred_term);
 // The highest severity among a rule's consequent ADRs.
 Severity MaxSeverity(const DrugAdrRule& rule,
                      const mining::ItemDictionary& items);
-
-// Keeps only clusters whose target reaches `minimum` severity — the
-// "severe interactions needing immediate action" view.
-std::vector<Mcac> FilterBySeverity(const std::vector<Mcac>& mcacs,
-                                   const mining::ItemDictionary& items,
-                                   Severity minimum);
-
-// Severity-boosted interestingness: the exclusiveness score scaled by a
-// severity weight (1.0 / 1.25 / 1.6 / 2.0 for mild..fatal), so equally
-// exclusive clusters triage by clinical stake.
-double SeverityWeight(Severity severity);
-double SeverityBoostedScore(const Mcac& mcac,
-                            const mining::ItemDictionary& items,
-                            const ExclusivenessOptions& options);
-
-// Ranks with the severity-boosted score (same tie-breaking as RankMcacs).
-std::vector<RankedMcac> RankBySeverityBoostedScore(
-    const std::vector<Mcac>& mcacs, const mining::ItemDictionary& items,
-    const ExclusivenessOptions& options);
 
 }  // namespace maras::core
 

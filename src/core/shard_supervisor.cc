@@ -81,7 +81,7 @@ maras::Status RunQuarterShard(const ShardWorkerConfig& config) {
   }
   // A quarter that fails ingestion is a *recorded* outcome, not a worker
   // failure: the supervisor's reduce applies the ingest policy (strict
-  // aborts, permissive warns), mirroring the single-process run.
+  // aborts, quarantine warns), mirroring the single-process run.
   QuarterCheckpoint quarter;
   MultiQuarterPipeline pipeline(config.pipeline);
   MARAS_IGNORE_STATUS(FillQuarterSlot(

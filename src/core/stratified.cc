@@ -14,27 +14,16 @@ AgeBand AgeBandOf(double age_years) {
   return AgeBand::kElderly;
 }
 
-const char* AgeBandName(AgeBand band) {
-  switch (band) {
-    case AgeBand::kUnknown:
-      return "unknown-age";
-    case AgeBand::kChild:
-      return "<18";
-    case AgeBand::kAdult:
-      return "18-64";
-    case AgeBand::kElderly:
-      return "65+";
-  }
-  return "?";
-}
+namespace {
 
-std::string StratumTable::Label() const {
-  return faers::SexCode(sex) + "/" + AgeBandName(age_band);
-}
+// Dense stratum index: sex (3) × age band (4).
+constexpr size_t kStrata = 12;
 
-size_t StratifiedAnalyzer::StratumIndex(faers::Sex sex, AgeBand band) {
+size_t StratumIndex(faers::Sex sex, AgeBand band) {
   return static_cast<size_t>(sex) * 4 + static_cast<size_t>(band);
 }
+
+}  // namespace
 
 StratifiedAnalyzer::StratifiedAnalyzer(
     const mining::TransactionDatabase* db,
@@ -168,18 +157,6 @@ std::vector<double> StratifiedAnalyzer::MantelHaenszelRors(
   maras::ParallelFor(num_threads, rules.size(),
                      [&](size_t i) { rors[i] = MantelHaenszelRor(rules[i]); });
   return rors;
-}
-
-std::vector<bool> StratifiedAnalyzer::Confounded(
-    const std::vector<DrugAdrRule>& rules, size_t num_threads,
-    double threshold) const {
-  // std::vector<bool> is bit-packed, so parallel writes into it would race;
-  // collect into bytes and convert.
-  std::vector<char> flags(rules.size());
-  maras::ParallelFor(num_threads, rules.size(), [&](size_t i) {
-    flags[i] = IsConfounded(rules[i], threshold) ? 1 : 0;
-  });
-  return std::vector<bool>(flags.begin(), flags.end());
 }
 
 bool StratifiedAnalyzer::IsConfounded(const DrugAdrRule& rule,

@@ -1,7 +1,6 @@
 #ifndef MARAS_CORE_STRATIFIED_H_
 #define MARAS_CORE_STRATIFIED_H_
 
-#include <string>
 #include <vector>
 
 #include "core/disproportionality.h"
@@ -30,15 +29,12 @@ enum class AgeBand : int {
 };
 
 AgeBand AgeBandOf(double age_years);
-const char* AgeBandName(AgeBand band);
 
 // One demographic stratum and its 2×2 table for some rule.
 struct StratumTable {
   faers::Sex sex = faers::Sex::kUnknown;
   AgeBand age_band = AgeBand::kUnknown;
   ContingencyTable table;
-
-  std::string Label() const;
 };
 
 class StratifiedAnalyzer {
@@ -81,16 +77,7 @@ class StratifiedAnalyzer {
   std::vector<double> MantelHaenszelRors(const std::vector<DrugAdrRule>& rules,
                                          size_t num_threads) const;
 
-  // Same fan-out for the confounding diagnostic over a batch of rules.
-  std::vector<bool> Confounded(const std::vector<DrugAdrRule>& rules,
-                               size_t num_threads,
-                               double threshold = 1.2) const;
-
  private:
-  // Dense stratum index: sex (3) × age band (4).
-  static constexpr size_t kStrata = 12;
-  static size_t StratumIndex(faers::Sex sex, AgeBand band);
-
   const mining::TransactionDatabase* db_;
   const std::vector<faers::CaseDemographics>* demographics_;
   // Sorted transaction ids per stratum, built once.

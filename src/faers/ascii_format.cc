@@ -78,7 +78,7 @@ bool ParseAgeField(std::string_view field, double* out) {
 }
 
 // Best-effort primaryid of a malformed line: its first '$'-field, when that
-// still parses. Lets permissive mode classify the row's DRUG/REAC children
+// still parses. Lets quarantine mode classify the row's DRUG/REAC children
 // as collateral of the rejected DEMO row rather than as orphans.
 bool PrimaryIdPrefix(std::string_view line, uint64_t* out) {
   return ParseUint64Field(line.substr(0, line.find(kDelim)), out);
@@ -134,9 +134,7 @@ struct TableIngest {
     }
     ++report->rows_rejected;
     if (row.fault == RowFault::kCollateral) ++report->collateral_rows;
-    if (options->policy == IngestPolicy::kQuarantine) {
-      report->Quarantine(*options, std::move(row));
-    }
+    report->Quarantine(*options, std::move(row));
     return maras::Status::OK();
   }
 

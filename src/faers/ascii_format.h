@@ -42,13 +42,12 @@ maras::StatusOr<QuarterDataset> ReadAsciiQuarter(
     const AsciiQuarterFiles& files, int year, int quarter);
 
 // Policy-aware parse. Under kStrict the first malformed row fails the whole
-// quarter (historical behavior). Under kPermissive malformed rows — wrong
+// quarter (historical behavior). Under kQuarantine malformed rows — wrong
 // field counts, garbage numerics, unknown codes, duplicate primaryids,
-// orphan DRUG/REAC rows — are skipped, and the read fails only when the
-// rejected fraction exceeds `options.max_bad_row_fraction`. kQuarantine
-// additionally captures each rejected row with file/line/column/reason
-// diagnostics. `report`, when non-null, accumulates the accounting under
-// every policy.
+// orphan DRUG/REAC rows — are skipped and captured with file/line/column/
+// reason diagnostics, and the read fails only when the rejected fraction
+// exceeds `options.max_bad_row_fraction`. `report`, when non-null,
+// accumulates the accounting under either policy.
 maras::StatusOr<QuarterDataset> ReadAsciiQuarter(
     const AsciiQuarterFiles& files, int year, int quarter,
     const IngestOptions& options, IngestReport* report = nullptr);

@@ -23,10 +23,10 @@ namespace maras::faers {
 //     primaryid), and never the row's leading primaryid field, so the
 //     resilient reader can attribute each rejected row to its root cause;
 //   - each injected row fault therefore produces exactly one root-cause
-//     quarantined row (IngestReport::FaultCount), with DRUG/REAC rows of a
-//     rejected DEMO row classified as collateral, not as new faults;
+//     rejected row (rows_rejected - collateral_rows), with DRUG/REAC rows of
+//     a rejected DEMO row classified as collateral, not as new faults;
 //   - reports whose primaryid is NOT in `faulted_primary_ids` survive
-//     permissive re-ingestion byte-identically.
+//     quarantine re-ingestion byte-identically.
 // ---------------------------------------------------------------------------
 
 enum class FaultKind {
@@ -68,12 +68,8 @@ struct CorruptionResult {
   // File prefixes ("DEMO"/"DRUG"/"REAC") removed by kMissingFile.
   std::vector<std::string> missing;
   // Reports whose own rows were damaged; everything else must survive
-  // permissive re-ingestion untouched.
+  // quarantine re-ingestion untouched.
   std::set<uint64_t> faulted_primary_ids;
-
-  // Row faults only (kMissingFile excluded) — the expected
-  // IngestReport::FaultCount after re-ingesting `files`.
-  size_t RowFaultCount() const;
 };
 
 // A mix exercising every row-level fault kind `per_kind` times (the
@@ -95,41 +91,6 @@ class Corruptor {
  private:
   CorruptorConfig config_;
 };
-
-// Writes the corrupted quarter into `directory` with FAERS naming, omitting
-// (and deleting any stale copy of) every file listed in `result.missing`.
-maras::Status WriteCorruptedQuarterToDir(const CorruptionResult& result,
-                                         const std::string& directory,
-                                         int year, int quarter);
-
-// ---------------------------------------------------------------------------
-// Torn-file primitives. A crash mid-write leaves a file cut at an arbitrary
-// byte — inside a record, not at a tidy line boundary. These are shared by
-// the ingestion robustness tests and the checkpoint crash harness (which
-// tears snapshot files with TruncateFileAt to prove resume rejects them).
-// Deliberately NOT FaultKinds: a torn tail can damage several trailing
-// reports at once, which would break the Corruptor's one-fault-per-report
-// accounting contract.
-// ---------------------------------------------------------------------------
-
-// Truncates the file at `path` to exactly `offset` bytes, simulating a torn
-// write. `offset` must not exceed the current file size.
-maras::Status TruncateFileAt(const std::string& path, size_t offset);
-
-// A deterministically torn table: `content` cut at a seeded byte offset
-// strictly inside a data row, so the surviving tail row is malformed.
-struct TornFile {
-  std::string content;              // the bytes that survive the tear
-  size_t offset = 0;                // cut position within the original
-  size_t first_lost_line = 0;       // 1-based line the cut lands in
-  uint64_t damaged_primary_id = 0;  // leading primaryid of that line
-};
-
-// Picks a data row (never the header) and a cut point inside it from
-// `seed`; same seed, same tear. Fails with InvalidArgument when `content`
-// has no data row wide enough to cut mid-record.
-maras::StatusOr<TornFile> TearFileMidRecord(const std::string& content,
-                                            uint64_t seed);
 
 }  // namespace maras::faers
 

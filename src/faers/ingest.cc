@@ -2,62 +2,6 @@
 
 namespace maras::faers {
 
-const char* IngestPolicyName(IngestPolicy policy) {
-  switch (policy) {
-    case IngestPolicy::kStrict:
-      return "strict";
-    case IngestPolicy::kPermissive:
-      return "permissive";
-    case IngestPolicy::kQuarantine:
-      return "quarantine";
-  }
-  return "?";
-}
-
-const char* RowFaultName(RowFault fault) {
-  switch (fault) {
-    case RowFault::kMalformedRow:
-      return "malformed-row";
-    case RowFault::kBadNumeric:
-      return "bad-numeric";
-    case RowFault::kBadCode:
-      return "bad-code";
-    case RowFault::kDuplicatePrimaryId:
-      return "duplicate-primaryid";
-    case RowFault::kOrphanRow:
-      return "orphan-row";
-    case RowFault::kCollateral:
-      return "collateral";
-  }
-  return "?";
-}
-
-std::string QuarantinedRow::ToString() const {
-  std::string out = file + ":" + std::to_string(line) + " [" +
-                    RowFaultName(fault) + "]";
-  if (!column.empty()) {
-    out += " ";
-    out += column;
-  }
-  if (!reason.empty()) {
-    out += ": ";
-    out += reason;
-  }
-  return out;
-}
-
-size_t IngestReport::FaultCount() const {
-  return rows_rejected - collateral_rows;
-}
-
-size_t IngestReport::CountFault(RowFault fault) const {
-  size_t count = 0;
-  for (const QuarantinedRow& row : quarantined) {
-    count += row.fault == fault;
-  }
-  return count;
-}
-
 void IngestReport::Quarantine(const IngestOptions& options,
                               QuarantinedRow row) {
   if (options.max_quarantined_rows != 0 &&
@@ -83,17 +27,6 @@ void IngestReport::Merge(const IngestReport& other) {
   quarantine_overflow = quarantine_overflow || other.quarantine_overflow;
   warnings.insert(warnings.end(), other.warnings.begin(),
                   other.warnings.end());
-}
-
-std::string IngestReport::Summary() const {
-  std::string out = std::to_string(rows_seen) + " rows, " +
-                    std::to_string(rows_rejected) + " rejected";
-  if (collateral_rows > 0) {
-    out += " (" + std::to_string(collateral_rows) + " collateral)";
-  }
-  out += ", " + std::to_string(warnings.size()) + " warning";
-  if (warnings.size() != 1) out += "s";
-  return out;
 }
 
 }  // namespace maras::faers

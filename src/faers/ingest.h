@@ -17,14 +17,12 @@ namespace maras::faers {
 //   kStrict      fail fast on the first malformed row (the reproduction
 //                default: benches and recorded experiments need input to be
 //                exactly what the generator wrote).
-//   kPermissive  skip malformed rows and keep going, aborting only when the
-//                bad-row fraction exceeds IngestOptions::max_bad_row_fraction.
-//   kQuarantine  permissive, plus capture every rejected row with per-row
-//                diagnostics (file, line, column, reason) for audit.
+//   kQuarantine  skip malformed rows and keep going, aborting only when the
+//                bad-row fraction exceeds IngestOptions::max_bad_row_fraction,
+//                and capture every rejected row with per-row diagnostics
+//                (file, line, column, reason) for audit.
 // ---------------------------------------------------------------------------
-enum class IngestPolicy { kStrict, kPermissive, kQuarantine };
-
-const char* IngestPolicyName(IngestPolicy policy);
+enum class IngestPolicy { kStrict, kQuarantine };
 
 // Root-cause classification of a rejected row. kCollateral marks rows that
 // were themselves well-formed but referenced a rejected parent (DRUG/REAC
@@ -39,8 +37,6 @@ enum class RowFault {
   kCollateral,          // child row of a rejected DEMO row
 };
 
-const char* RowFaultName(RowFault fault);
-
 // One rejected row, with enough context to audit or replay it.
 struct QuarantinedRow {
   RowFault fault = RowFault::kMalformedRow;
@@ -49,14 +45,11 @@ struct QuarantinedRow {
   std::string column;  // offending column name, empty for whole-row faults
   std::string reason;  // human-readable diagnosis
   std::string content; // verbatim row ('$'-joined), for forensics
-
-  // "DEMO14Q1.txt:47 [bad-numeric] caseid: ..." — stable, grep-friendly.
-  std::string ToString() const;
 };
 
 struct IngestOptions {
   IngestPolicy policy = IngestPolicy::kStrict;
-  // Permissive/quarantine abort threshold: if more than this fraction of
+  // Quarantine abort threshold: if more than this fraction of
   // data rows is rejected, the extract is declared unusable (Corruption)
   // rather than silently mined from a sliver of data.
   double max_bad_row_fraction = 0.05;
@@ -72,7 +65,7 @@ struct IngestReport {
   size_t rows_rejected = 0;   // rows dropped for any reason (incl. collateral)
   size_t collateral_rows = 0; // subset of rows_rejected: parent was rejected
   size_t reports_ingested = 0;
-  // Populated under kQuarantine only (subject to max_quarantined_rows).
+  // Populated under kQuarantine (subject to max_quarantined_rows).
   std::vector<QuarantinedRow> quarantined;
   // Set once the capture cap was hit (counters above remain exact).
   bool quarantine_overflow = false;
@@ -80,10 +73,6 @@ struct IngestReport {
   // validation downgrades. Never fatal on their own.
   std::vector<std::string> warnings;
 
-  // Rejected rows whose fault is a root cause (not collateral damage).
-  size_t FaultCount() const;
-  // Quarantined rows with the given fault classification.
-  size_t CountFault(RowFault fault) const;
   double rejected_fraction() const {
     return rows_seen == 0 ? 0.0
                           : static_cast<double>(rows_rejected) /
@@ -96,9 +85,6 @@ struct IngestReport {
 
   // Folds `other` into this report (multi-quarter aggregation).
   void Merge(const IngestReport& other);
-
-  // One-line summary, e.g. "1203 rows, 7 rejected (2 collateral), 3 warnings".
-  std::string Summary() const;
 };
 
 }  // namespace maras::faers

@@ -17,10 +17,6 @@ size_t ValidationReport::error_count() const {
   return count;
 }
 
-size_t ValidationReport::warning_count() const {
-  return findings.size() - error_count();
-}
-
 namespace {
 
 // Reports older than this are flagged as a likely data-entry artifact.

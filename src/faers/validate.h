@@ -31,7 +31,6 @@ struct ValidationReport {
 
   bool ok() const { return error_count() == 0; }
   size_t error_count() const;
-  size_t warning_count() const;
 };
 
 struct ValidationOptions {
@@ -46,7 +45,7 @@ ValidationReport ValidateDataset(const QuarterDataset& dataset,
 
 // Applies the ingestion recovery policy to a validation outcome: under
 // kStrict any error finding fails the extract (FailedPrecondition naming the
-// first offender); under kPermissive/kQuarantine error findings are recorded
+// first offender); under kQuarantine error findings are recorded
 // as warnings in `report` (when non-null) and the extract passes unless the
 // error fraction — errors / reports_checked — exceeds
 // `options.max_bad_row_fraction`. Warning-grade findings never fail any

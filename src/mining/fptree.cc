@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
 
 namespace maras::mining {
 
@@ -94,10 +93,6 @@ FpTree::NodeIndex FpTree::ChildFor(NodeIndex node, ItemId item) {
   return fresh;
 }
 
-void FpTree::Insert(const std::vector<ItemId>& path, size_t count) {
-  Insert(path.data(), path.size(), count);
-}
-
 void FpTree::Insert(const ItemId* path, size_t len, size_t count) {
   NodeIndex node = 0;
   const uint32_t delta = static_cast<uint32_t>(count);
@@ -141,7 +136,7 @@ FpTree FpTree::Build(const TransactionDatabase& db, size_t min_support) {
     }
     if (path.empty()) continue;
     std::sort(path.begin(), path.end(), order);
-    tree.Insert(path, 1);
+    tree.Insert(path.data(), path.size(), 1);
   }
   return tree;
 }
@@ -173,26 +168,6 @@ FpTree::NodeIndex FpTree::HeaderChain(ItemId item) const {
   return item < header_first_.size() ? header_first_[item] : kNoNode;
 }
 
-bool FpTree::IsSinglePath() const {
-  NodeIndex node = 0;
-  while (first_child_[node] != kNoNode) {
-    node = first_child_[node];
-    if (next_sibling_[node] != kNoNode) return false;
-  }
-  return true;
-}
-
-std::vector<std::pair<ItemId, size_t>> FpTree::SinglePathItems() const {
-  MARAS_CHECK(IsSinglePath()) << "tree is not a single path";
-  std::vector<std::pair<ItemId, size_t>> items;
-  NodeIndex node = 0;
-  while (first_child_[node] != kNoNode) {
-    node = first_child_[node];
-    items.emplace_back(item_[node], count_[node]);
-  }
-  return items;
-}
-
 size_t FpTree::MemoryFootprint() const {
   return item_.capacity() * sizeof(ItemId) +
          count_.capacity() * sizeof(uint32_t) +
@@ -211,22 +186,6 @@ size_t FpTree::UsedBytes() const {
                          4 * sizeof(NodeIndex)) +
          header_first_.size() * (2 * sizeof(NodeIndex) + sizeof(uint32_t)) +
          touched_items_.size() * sizeof(ItemId);
-}
-
-std::vector<FpTree::PrefixPath> FpTree::ConditionalPatternBase(
-    ItemId item) const {
-  std::vector<PrefixPath> base;
-  for (NodeIndex node = HeaderChain(item); node != kNoNode;
-       node = next_same_item_[node]) {
-    PrefixPath path;
-    path.count = count_[node];
-    for (NodeIndex up = parent_[node]; up != 0; up = parent_[up]) {
-      path.items.push_back(item_[up]);
-    }
-    std::reverse(path.items.begin(), path.items.end());
-    if (!path.items.empty()) base.push_back(std::move(path));
-  }
-  return base;
 }
 
 }  // namespace maras::mining

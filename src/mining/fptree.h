@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "mining/itemset.h"
@@ -56,7 +55,6 @@ class FpTree {
   void ReserveItems(size_t item_bound);  // ids in [0, item_bound)
 
   // Inserts a (frequency-ordered) item path with multiplicity `count`.
-  void Insert(const std::vector<ItemId>& path, size_t count);
   void Insert(const ItemId* path, size_t len, size_t count);
 
   // Items present in the header table, ordered by ascending support
@@ -79,14 +77,6 @@ class FpTree {
   NodeIndex first_child(NodeIndex n) const { return first_child_[n]; }
   NodeIndex next_sibling(NodeIndex n) const { return next_sibling_[n]; }
 
-  // True when the tree consists of a single chain from the root (the
-  // FP-Growth single-path shortcut applies).
-  bool IsSinglePath() const;
-
-  // The items (with counts) along the single path, root-side first.
-  // Only valid when IsSinglePath().
-  std::vector<std::pair<ItemId, size_t>> SinglePathItems() const;
-
   NodeIndex root() const { return 0; }
   size_t node_count() const { return item_.size(); }
 
@@ -99,15 +89,6 @@ class FpTree {
   // Bytes the arena and tables need for this tree alone (sizes, not
   // capacities), so the figure does not depend on what an arena held before.
   size_t UsedBytes() const;
-
-  // Conditional pattern base of `item`: for every node of `item`, the prefix
-  // path to the root with the node's count. Allocating convenience used by
-  // tests and tooling; the miner walks parent chains directly instead.
-  struct PrefixPath {
-    std::vector<ItemId> items;  // ordered root-side first
-    size_t count = 0;
-  };
-  std::vector<PrefixPath> ConditionalPatternBase(ItemId item) const;
 
  private:
   NodeIndex NewNode(ItemId item, NodeIndex parent);

@@ -15,10 +15,6 @@ size_t FrequentItemsetResult::SupportOf(const Itemset& s) const {
   return i == FlatItemsetIndex::kNotFound ? 0 : itemsets_[i].support;
 }
 
-bool FrequentItemsetResult::ContainsItemset(const Itemset& s) const {
-  return index_.Find(s, KeyAt{this}) != FlatItemsetIndex::kNotFound;
-}
-
 void FrequentItemsetResult::SortCanonically() {
   std::sort(itemsets_.begin(), itemsets_.end(),
             [](const FrequentItemset& a, const FrequentItemset& b) {

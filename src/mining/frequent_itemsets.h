@@ -35,7 +35,6 @@ class FrequentItemsetResult {
 
   // Support of `s` when it was mined; 0 otherwise.
   size_t SupportOf(const Itemset& s) const;
-  bool ContainsItemset(const Itemset& s) const;
 
   // Sorts into the canonical result order every miner in the suite emits:
   // itemset lexicographic (by ascending ItemId sequence), ties broken by

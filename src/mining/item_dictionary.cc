@@ -29,10 +29,6 @@ maras::StatusOr<ItemId> ItemDictionary::Lookup(std::string_view name) const {
   return it->second;
 }
 
-bool ItemDictionary::Contains(std::string_view name) const {
-  return index_.find(name) != index_.end();
-}
-
 const std::string& ItemDictionary::Name(ItemId id) const {
   MARAS_CHECK(id < names_.size()) << "invalid item id " << id;
   return names_[id];

@@ -34,8 +34,6 @@ class ItemDictionary {
   // Id of `name`, or NotFound.
   maras::StatusOr<ItemId> Lookup(std::string_view name) const;
 
-  bool Contains(std::string_view name) const;
-
   // Name / domain of `id`; id must be valid.
   const std::string& Name(ItemId id) const;
   ItemDomain Domain(ItemId id) const;

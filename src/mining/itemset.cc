@@ -31,13 +31,6 @@ Itemset Intersect(const Itemset& a, const Itemset& b) {
   return out;
 }
 
-Itemset Difference(const Itemset& a, const Itemset& b) {
-  Itemset out;
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(out));
-  return out;
-}
-
 bool Contains(const Itemset& a, ItemId item) {
   return std::binary_search(a.begin(), a.end(), item);
 }

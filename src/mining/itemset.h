@@ -22,10 +22,9 @@ Itemset MakeItemset(std::vector<ItemId> ids);
 // True when `a` ⊆ `b`. Both must be sorted.
 bool IsSubset(const Itemset& a, const Itemset& b);
 
-// Set union / intersection / difference of sorted itemsets.
+// Set union / intersection of sorted itemsets.
 Itemset Union(const Itemset& a, const Itemset& b);
 Itemset Intersect(const Itemset& a, const Itemset& b);
-Itemset Difference(const Itemset& a, const Itemset& b);
 
 // True when sorted `a` contains `item`.
 bool Contains(const Itemset& a, ItemId item);

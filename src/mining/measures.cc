@@ -13,28 +13,4 @@ double Lift(size_t support_ab, size_t support_a, size_t support_b, size_t n) {
          (static_cast<double>(support_a) * static_cast<double>(support_b));
 }
 
-double RelativeSupport(size_t support_ab, size_t n) {
-  if (n == 0) return 0.0;
-  return static_cast<double>(support_ab) / static_cast<double>(n);
-}
-
-double Leverage(size_t support_ab, size_t support_a, size_t support_b,
-                size_t n) {
-  if (n == 0) return 0.0;
-  double nd = static_cast<double>(n);
-  return static_cast<double>(support_ab) / nd -
-         (static_cast<double>(support_a) / nd) *
-             (static_cast<double>(support_b) / nd);
-}
-
-double Conviction(size_t support_ab, size_t support_a, size_t support_b,
-                  size_t n) {
-  if (n == 0 || support_a == 0) return 0.0;
-  double conf = Confidence(support_ab, support_a);
-  double pb = static_cast<double>(support_b) / static_cast<double>(n);
-  if (conf >= 1.0) return kConvictionCap;
-  double value = (1.0 - pb) / (1.0 - conf);
-  return value > kConvictionCap ? kConvictionCap : value;
-}
-
 }  // namespace maras::mining

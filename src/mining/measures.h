@@ -17,19 +17,6 @@ double Confidence(size_t support_ab, size_t support_a);
 // Lift(A ⇒ B) = supp(A ∪ B) · N / (supp(A) · supp(B)); 0 when degenerate.
 double Lift(size_t support_ab, size_t support_a, size_t support_b, size_t n);
 
-// Relative support supp(A ∪ B) / N in [0, 1]; 0 when N == 0.
-double RelativeSupport(size_t support_ab, size_t n);
-
-// Leverage(A ⇒ B) = P(A∪B) − P(A)·P(B): additive independence gap.
-double Leverage(size_t support_ab, size_t support_a, size_t support_b,
-                size_t n);
-
-// Conviction(A ⇒ B) = (1 − P(B)) / (1 − conf); +inf-like cap for conf == 1.
-// Returned capped at kConvictionCap so values stay comparable.
-double Conviction(size_t support_ab, size_t support_a, size_t support_b,
-                  size_t n);
-inline constexpr double kConvictionCap = 1e9;
-
 }  // namespace maras::mining
 
 #endif  // MARAS_MINING_MEASURES_H_

@@ -1,7 +1,6 @@
 #include "mining/profile.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
 namespace maras::mining {
@@ -47,24 +46,6 @@ DatabaseProfile ProfileDatabase(const TransactionDatabase& db) {
       static_cast<double>(head_occurrences) /
       static_cast<double>(profile.total_item_occurrences);
   return profile;
-}
-
-std::string RenderProfile(const DatabaseProfile& profile) {
-  char buffer[512];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "transactions: %zu\n"
-      "distinct items: %zu\n"
-      "occurrences: %zu (mean length %.2f, max %zu)\n"
-      "density: %.5f\n"
-      "top-item frequency: %.3f\n"
-      "top-1%% items carry %.1f%% of occurrences\n",
-      profile.transactions, profile.distinct_items,
-      profile.total_item_occurrences, profile.mean_transaction_length,
-      profile.max_transaction_length, profile.density,
-      profile.top_item_frequency,
-      profile.top_percentile_occurrence_share * 100.0);
-  return buffer;
 }
 
 }  // namespace maras::mining

@@ -2,7 +2,6 @@
 #define MARAS_MINING_PROFILE_H_
 
 #include <cstddef>
-#include <string>
 
 #include "mining/transaction_db.h"
 
@@ -27,9 +26,6 @@ struct DatabaseProfile {
 };
 
 DatabaseProfile ProfileDatabase(const TransactionDatabase& db);
-
-// Multi-line human-readable rendering.
-std::string RenderProfile(const DatabaseProfile& profile);
 
 }  // namespace maras::mining
 

@@ -1,46 +1,9 @@
 #include "mining/rules.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "mining/measures.h"
 #include "util/run_context.h"
 
 namespace maras::mining {
-
-namespace {
-
-// Invokes fn(antecedent, consequent) for every non-trivial bipartition of s.
-template <typename Fn>
-void ForEachBipartition(const Itemset& s, Fn&& fn) {
-  const uint32_t k = static_cast<uint32_t>(s.size());
-  if (k < 2 || k > 20) return;
-  const uint32_t full = (1u << k) - 1;
-  Itemset antecedent, consequent;
-  for (uint32_t mask = 1; mask < full; ++mask) {
-    antecedent.clear();
-    consequent.clear();
-    for (uint32_t i = 0; i < k; ++i) {
-      if (mask & (1u << i)) {
-        antecedent.push_back(s[i]);
-      } else {
-        consequent.push_back(s[i]);
-      }
-    }
-    fn(antecedent, consequent);
-  }
-}
-
-}  // namespace
-
-RuleSpaceCount CountAllPartitionRules(const FrequentItemsetResult& result,
-                                      double min_confidence) {
-  // An empty context can never trip, so the governed path's status is OK by
-  // construction and the ungoverned API stays exception- and error-free.
-  RunContext ungoverned;
-  return std::move(CountAllPartitionRules(result, min_confidence, ungoverned))
-      .value();
-}
 
 maras::StatusOr<RuleSpaceCount> CountAllPartitionRules(
     const FrequentItemsetResult& result, double min_confidence,
@@ -55,8 +18,9 @@ maras::StatusOr<RuleSpaceCount> CountAllPartitionRules(
       count.total_rules += (1ull << fi.items.size()) - 2;
       continue;
     }
-    ForEachBipartition(fi.items, [&](const Itemset& a, const Itemset& b) {
-      (void)b;
+    if (fi.items.size() > 20) continue;  // beyond the enumeration cap
+    // Each proper, non-empty subset is the antecedent of one bipartition.
+    ForEachProperSubset(fi.items, [&](const Itemset& a) {
       size_t supp_a = result.SupportOf(a);
       if (Confidence(fi.support, supp_a) >= min_confidence) {
         ++count.total_rules;
@@ -64,57 +28,6 @@ maras::StatusOr<RuleSpaceCount> CountAllPartitionRules(
     });
   }
   return count;
-}
-
-std::vector<AssociationRule> GenerateAllPartitionRules(
-    const FrequentItemsetResult& result, double min_confidence, size_t n,
-    size_t max_rules) {
-  RunContext ungoverned;
-  return std::move(GenerateAllPartitionRules(result, min_confidence, n,
-                                             max_rules, ungoverned))
-      .value();
-}
-
-maras::StatusOr<std::vector<AssociationRule>> GenerateAllPartitionRules(
-    const FrequentItemsetResult& result, double min_confidence, size_t n,
-    size_t max_rules, const RunContext& ctx) {
-  std::vector<AssociationRule> rules;
-  for (const FrequentItemset& fi : result.itemsets()) {
-    if (fi.items.size() < 2) continue;
-    if (rules.size() >= max_rules) break;
-    MARAS_RETURN_IF_ERROR_CTX(ctx.Check(), "rule-gen");
-    ForEachBipartition(fi.items, [&](const Itemset& a, const Itemset& b) {
-      if (rules.size() >= max_rules) return;
-      size_t supp_a = result.SupportOf(a);
-      size_t supp_b = result.SupportOf(b);
-      double conf = Confidence(fi.support, supp_a);
-      if (conf < min_confidence) return;
-      AssociationRule rule;
-      rule.antecedent = a;
-      rule.consequent = b;
-      rule.support = fi.support;
-      rule.antecedent_support = supp_a;
-      rule.consequent_support = supp_b;
-      rule.confidence = conf;
-      rule.lift = Lift(fi.support, supp_a, supp_b, n);
-      rules.push_back(std::move(rule));
-    });
-  }
-  SortRulesCanonically(&rules);
-  return rules;
-}
-
-void SortRulesCanonically(std::vector<AssociationRule>* rules) {
-  std::sort(rules->begin(), rules->end(),
-            [](const AssociationRule& a, const AssociationRule& b) {
-              if (a.antecedent != b.antecedent) {
-                return a.antecedent < b.antecedent;
-              }
-              if (a.consequent != b.consequent) {
-                return a.consequent < b.consequent;
-              }
-              return a.support < b.support;
-            });
 }
 
 }  // namespace maras::mining

@@ -2,7 +2,6 @@
 #define MARAS_MINING_RULES_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "mining/frequent_itemsets.h"
@@ -10,18 +9,6 @@
 #include "util/statusor.h"
 
 namespace maras::mining {
-
-// A generic association rule R ≡ A ⇒ B (Definition 2.1.1) with its
-// evaluation counts. Support follows the paper's absolute-count convention.
-struct AssociationRule {
-  Itemset antecedent;
-  Itemset consequent;
-  size_t support = 0;             // supp(A ∪ B)
-  size_t antecedent_support = 0;  // supp(A)
-  size_t consequent_support = 0;  // supp(B)
-  double confidence = 0.0;
-  double lift = 0.0;
-};
 
 // Statistics over the traditional (unconstrained) rule space. "Total rules"
 // in the paper's Fig. 5.1 is the number of rules A ⇒ B with A ∪ B ranging
@@ -34,41 +21,13 @@ struct RuleSpaceCount {
   uint64_t itemsets_considered = 0;  // itemsets of size >= 2
 };
 
-RuleSpaceCount CountAllPartitionRules(const FrequentItemsetResult& result,
-                                      double min_confidence);
-
-// Governed variant: polls `ctx` once per itemset considered (each itemset's
-// bipartition scan is bounded by the k <= 20 cap), so counting over a
-// pathologically large rule space stops with the context's status, wrapped
-// "rule-count", instead of running away. Identical counts when nothing
-// trips.
+// Polls `ctx` once per itemset considered (each itemset's bipartition scan is
+// bounded by the k <= 20 cap), so counting over a pathologically large rule
+// space stops with the context's status, wrapped "rule-count", instead of
+// running away.
 maras::StatusOr<RuleSpaceCount> CountAllPartitionRules(
     const FrequentItemsetResult& result, double min_confidence,
     const RunContext& ctx);
-
-// Materializes every bipartition rule passing `min_confidence`, up to
-// `max_rules` (guards against the exponential blow-up the paper warns
-// about). `n` is the transaction count, used for lift. Which rules make it
-// under the cap follows the canonical itemset order of `result`; the
-// returned vector is in canonical rule order (below).
-std::vector<AssociationRule> GenerateAllPartitionRules(
-    const FrequentItemsetResult& result, double min_confidence, size_t n,
-    size_t max_rules);
-
-// Governed variant: polls `ctx` once per itemset; a trip returns the
-// context's status wrapped "rule-gen". Identical rules when nothing trips
-// (memory stays bounded by `max_rules`, so only cancellation and deadline
-// are live concerns here).
-maras::StatusOr<std::vector<AssociationRule>> GenerateAllPartitionRules(
-    const FrequentItemsetResult& result, double min_confidence, size_t n,
-    size_t max_rules, const RunContext& ctx);
-
-// Sorts rules into the documented canonical order: antecedent lexicographic,
-// then consequent lexicographic, then ascending support. (A, B) determines
-// every derived measure, so the order — like the canonical itemset order —
-// is a pure function of the rule family, making serialized rule lists
-// directly comparable across algorithms and thread counts.
-void SortRulesCanonically(std::vector<AssociationRule>* rules);
 
 }  // namespace maras::mining
 

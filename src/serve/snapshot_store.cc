@@ -37,6 +37,12 @@ bool ParseGeneration(std::string_view name, uint64_t* generation) {
   return true;
 }
 
+// False when the test hook asks to abort at `stage`.
+bool RunHook(const std::function<bool(std::string_view)>& hook,
+             std::string_view stage) {
+  return !hook || hook(stage);
+}
+
 }  // namespace
 
 std::string SnapshotStore::GenerationFileName(uint64_t generation) {
@@ -66,10 +72,6 @@ maras::StatusOr<std::vector<uint64_t>> SnapshotStore::ListGenerations() const {
   }
   std::sort(generations.begin(), generations.end());
   return generations;
-}
-
-bool SnapshotStore::RunHook(std::string_view stage) const {
-  return !options_.stage_hook || options_.stage_hook(stage);
 }
 
 void SnapshotStore::AddDiagnostic(std::string message) {
@@ -189,18 +191,18 @@ maras::Status SnapshotStore::Publish(const SnapshotInputs& inputs) {
   // Each hook site is a crash point a test can trigger; a false return
   // stops Publish with whatever the directory holds at that instant — no
   // cleanup, exactly like a kill.
-  if (!RunHook("publish.pre-snapshot-write")) {
+  if (!RunHook(options_.stage_hook, "publish.pre-snapshot-write")) {
     return maras::Status::Cancelled(
         "simulated crash at publish.pre-snapshot-write");
   }
   MARAS_RETURN_IF_ERROR_CTX(
       maras::AtomicWriteStringToFile(options_.dir + "/" + name, bytes),
       "writing generation " + std::to_string(next));
-  if (!RunHook("publish.post-snapshot-write")) {
+  if (!RunHook(options_.stage_hook, "publish.post-snapshot-write")) {
     return maras::Status::Cancelled(
         "simulated crash at publish.post-snapshot-write");
   }
-  if (!RunHook("publish.pre-current-write")) {
+  if (!RunHook(options_.stage_hook, "publish.pre-current-write")) {
     return maras::Status::Cancelled(
         "simulated crash at publish.pre-current-write");
   }
@@ -208,7 +210,7 @@ maras::Status SnapshotStore::Publish(const SnapshotInputs& inputs) {
       maras::AtomicWriteStringToFile(
           options_.dir + "/" + std::string(kCurrentFile), name),
       "committing generation " + std::to_string(next));
-  if (!RunHook("publish.post-current-write")) {
+  if (!RunHook(options_.stage_hook, "publish.post-current-write")) {
     return maras::Status::Cancelled(
         "simulated crash at publish.post-current-write");
   }

@@ -91,7 +91,6 @@ class SnapshotStore {
   // quarantines every invalid candidate it passes over.
   maras::StatusOr<Resolved> Resolve();
 
-  bool RunHook(std::string_view stage) const;
   void AddDiagnostic(std::string message);
   void Quarantine(const std::string& file_name);
 

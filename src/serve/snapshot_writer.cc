@@ -8,7 +8,6 @@
 #include "serve/snapshot_format.h"
 #include "serve/snapshot_index.h"
 #include "util/binary_io.h"
-#include "util/delimited.h"
 #include "util/status.h"
 
 namespace maras::serve {
@@ -294,14 +293,6 @@ maras::StatusOr<std::string> EncodeSignalSnapshot(
   out += table_w.bytes();
   for (std::string& payload : payloads) out += payload;
   return out;
-}
-
-maras::Status WriteSnapshotFile(const std::string& path,
-                                const SnapshotInputs& inputs) {
-  MARAS_ASSIGN_OR_RETURN(std::string bytes, EncodeSignalSnapshot(inputs));
-  MARAS_RETURN_IF_ERROR_CTX(maras::AtomicWriteStringToFile(path, bytes),
-                            "publishing snapshot " + path);
-  return maras::Status::OK();
 }
 
 }  // namespace maras::serve

@@ -41,11 +41,6 @@ struct SnapshotInputs {
 // the reader would reject.
 maras::StatusOr<std::string> EncodeSignalSnapshot(const SnapshotInputs& inputs);
 
-// Encodes and publishes to `path` via the checksummed tmp+fsync+rename
-// helper, so a crash mid-write can tear at most a temp file, never `path`.
-maras::Status WriteSnapshotFile(const std::string& path,
-                                const SnapshotInputs& inputs);
-
 }  // namespace maras::serve
 
 #endif  // MARAS_SERVE_SNAPSHOT_WRITER_H_

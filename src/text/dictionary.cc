@@ -42,10 +42,6 @@ maras::Status Dictionary::AddAlias(std::string_view alias,
   return maras::Status::OK();
 }
 
-bool Dictionary::Contains(std::string_view term) const {
-  return index_.find(term) != index_.end();
-}
-
 Dictionary::Match Dictionary::Resolve(std::string_view term,
                                       size_t max_edit_distance) const {
   Match match;

@@ -36,7 +36,6 @@ class Dictionary {
   maras::Status AddAlias(std::string_view alias, std::string_view canonical);
 
   size_t size() const { return canonical_.size(); }
-  bool Contains(std::string_view term) const;
 
   const std::vector<std::string>& canonical_terms() const {
     return canonical_;

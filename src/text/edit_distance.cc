@@ -5,23 +5,6 @@
 
 namespace maras::text {
 
-size_t LevenshteinDistance(std::string_view a, std::string_view b) {
-  if (a.size() > b.size()) std::swap(a, b);
-  const size_t n = a.size();
-  const size_t m = b.size();
-  std::vector<size_t> prev(n + 1), cur(n + 1);
-  for (size_t i = 0; i <= n; ++i) prev[i] = i;
-  for (size_t j = 1; j <= m; ++j) {
-    cur[0] = j;
-    for (size_t i = 1; i <= n; ++i) {
-      size_t sub = prev[i - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      cur[i] = std::min({prev[i] + 1, cur[i - 1] + 1, sub});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[n];
-}
-
 size_t DamerauLevenshteinDistance(std::string_view a, std::string_view b) {
   const size_t n = a.size();
   const size_t m = b.size();
@@ -72,13 +55,6 @@ size_t BoundedDamerauLevenshtein(std::string_view a, std::string_view b,
     std::swap(prev, cur);
   }
   return prev[m];
-}
-
-double Similarity(std::string_view a, std::string_view b) {
-  size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) return 1.0;
-  size_t dist = DamerauLevenshteinDistance(a, b);
-  return 1.0 - static_cast<double>(dist) / static_cast<double>(longest);
 }
 
 }  // namespace maras::text

@@ -6,11 +6,9 @@
 
 namespace maras::text {
 
-// Levenshtein distance (insert/delete/substitute, unit costs).
-size_t LevenshteinDistance(std::string_view a, std::string_view b);
-
-// Damerau–Levenshtein distance (adds adjacent transposition), the classic
-// model for typing errors in drug-name data entry.
+// Damerau–Levenshtein distance (insert/delete/substitute plus adjacent
+// transposition, unit costs), the classic model for typing errors in
+// drug-name data entry.
 size_t DamerauLevenshteinDistance(std::string_view a, std::string_view b);
 
 // Damerau–Levenshtein with early exit: returns any value > max_distance as
@@ -18,10 +16,6 @@ size_t DamerauLevenshteinDistance(std::string_view a, std::string_view b);
 // corrector, where most candidates are far away.
 size_t BoundedDamerauLevenshtein(std::string_view a, std::string_view b,
                                  size_t max_distance);
-
-// Normalized similarity in [0, 1]: 1 − dist / max(|a|, |b|); 1.0 for two
-// empty strings.
-double Similarity(std::string_view a, std::string_view b);
 
 }  // namespace maras::text
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 namespace maras {
 
@@ -22,16 +21,6 @@ std::chrono::milliseconds Backoff::Delay(size_t attempt) {
   double jittered = raw * (1.0 - jitter * u);
   jittered = std::clamp(jittered, 0.0, cap);
   return std::chrono::milliseconds(static_cast<int64_t>(jittered));
-}
-
-std::chrono::milliseconds Backoff::SleepFor(size_t attempt,
-                                            const Deadline& deadline) {
-  std::chrono::milliseconds delay = Delay(attempt);
-  if (!deadline.infinite()) {
-    delay = std::min(delay, deadline.Remaining());
-  }
-  if (delay.count() > 0) std::this_thread::sleep_for(delay);
-  return delay;
 }
 
 }  // namespace maras

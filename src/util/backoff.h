@@ -6,7 +6,6 @@
 #include <cstdint>
 
 #include "util/random.h"
-#include "util/run_context.h"
 
 namespace maras {
 
@@ -40,10 +39,6 @@ class Backoff {
   // failure is Delay(0)). Each call consumes one jitter draw, so the
   // sequence Delay(0), Delay(1), ... is a pure function of the seed.
   std::chrono::milliseconds Delay(size_t attempt);
-
-  // Sleeps for Delay(attempt) clamped to the deadline: never sleeps past
-  // an expiring Deadline. Returns the duration actually requested.
-  std::chrono::milliseconds SleepFor(size_t attempt, const Deadline& deadline);
 
   const BackoffPolicy& policy() const { return policy_; }
 

@@ -6,23 +6,10 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <fstream>
 
 #include "util/string_util.h"
 
 namespace maras {
-
-int DelimitedTable::ColumnIndex(const std::string& column) const {
-  for (size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == column) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-StatusOr<DelimitedTable> DelimitedReader::ParseString(
-    const std::string& content) const {
-  return ParseString(content, nullptr);
-}
 
 Status DelimitedReader::Parse(std::string_view content,
                               std::vector<DelimitedRowIssue>* issues,
@@ -73,28 +60,6 @@ Status DelimitedReader::Parse(std::string_view content,
   return Status::OK();
 }
 
-StatusOr<DelimitedTable> DelimitedReader::ParseString(
-    const std::string& content, std::vector<DelimitedRowIssue>* issues) const {
-  DelimitedTable table;
-  auto strings = [](const DelimitedRow& row) {
-    return std::vector<std::string>(row.fields.begin(), row.fields.end());
-  };
-  MARAS_RETURN_IF_ERROR(Parse(
-      content, issues,
-      [&](const DelimitedRow& row) { table.header = strings(row); },
-      [&](const DelimitedRow& row) {
-        table.rows.push_back(strings(row));
-        table.row_lines.push_back(row.line);
-      }));
-  return table;
-}
-
-StatusOr<DelimitedTable> DelimitedReader::ReadFile(
-    const std::string& path) const {
-  MARAS_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-  return ParseString(content);
-}
-
 StatusOr<std::string> DelimitedWriter::ToString(
     const DelimitedTable& table) const {
   if (table.header.empty()) {
@@ -111,12 +76,6 @@ StatusOr<std::string> DelimitedWriter::ToString(
     out += '\n';
   }
   return out;
-}
-
-Status DelimitedWriter::WriteFile(const std::string& path,
-                                  const DelimitedTable& table) const {
-  MARAS_ASSIGN_OR_RETURN(std::string content, ToString(table));
-  return AtomicWriteStringToFile(path, content);
 }
 
 StatusOr<std::string> ReadFileToString(const std::string& path) {
@@ -149,15 +108,6 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
   ::close(fd);
   content.resize(filled);
   return content;
-}
-
-Status WriteStringToFile(const std::string& path,
-                         const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
 }
 
 Status AtomicWriteStringToFile(const std::string& path,

@@ -12,21 +12,14 @@
 
 namespace maras {
 
-// A parsed delimited-text table: a header row plus data rows. FAERS quarterly
-// extracts are '$'-delimited ASCII files with one header line; this reader is
-// also used (with ',') for the small vocabulary files shipped with examples.
+// A delimited-text table to write: a header row plus data rows. FAERS
+// quarterly extracts are '$'-delimited ASCII files with one header line.
 struct DelimitedTable {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
-  // 1-based source line of rows[i] — lets a consumer cite the original file
-  // location in diagnostics even after blank lines or rejected rows.
-  std::vector<size_t> row_lines;
-
-  // Index of `column` in the header, or -1 when absent.
-  int ColumnIndex(const std::string& column) const;
 };
 
-// One row the permissive parser rejected, with enough context to quarantine
+// One row the parser skipped for its width, with enough context to quarantine
 // or log it: where it was, why it was dropped, and its verbatim bytes.
 struct DelimitedRowIssue {
   size_t line = 0;      // 1-based line number in the source buffer
@@ -60,19 +53,6 @@ class DelimitedReader {
                const DelimitedVisitor& on_header,
                const DelimitedVisitor& on_row) const;
 
-  // Collects Parse() into a table. Every row must have the same number of
-  // fields as the header; a short/long row yields Corruption.
-  StatusOr<DelimitedTable> ParseString(const std::string& content) const;
-
-  // Permissive variant: a row whose field count disagrees with the header is
-  // recorded in `issues` and skipped instead of failing the parse. A missing
-  // header is still Corruption (nothing can be interpreted without one).
-  StatusOr<DelimitedTable> ParseString(
-      const std::string& content, std::vector<DelimitedRowIssue>* issues) const;
-
-  // Reads and parses a file from disk.
-  StatusOr<DelimitedTable> ReadFile(const std::string& path) const;
-
  private:
   char delim_;
 };
@@ -84,18 +64,12 @@ class DelimitedWriter {
   // Serializes the table; rows must match the header width.
   StatusOr<std::string> ToString(const DelimitedTable& table) const;
 
-  Status WriteFile(const std::string& path,
-                   const DelimitedTable& table) const;
-
  private:
   char delim_;
 };
 
 // Reads an entire file into memory.
 StatusOr<std::string> ReadFileToString(const std::string& path);
-
-// Writes `content` to `path`, replacing any existing file.
-Status WriteStringToFile(const std::string& path, const std::string& content);
 
 // Crash-safe replacement of `path`: writes to `path`.tmp in the same
 // directory, fsyncs the data, then renames over `path`. A crash at any point

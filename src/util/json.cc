@@ -1,9 +1,7 @@
 #include "util/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/logging.h"
 
@@ -29,246 +27,8 @@ const Value::Object& Value::as_object() const {
   MARAS_CHECK(is_object()) << "not an object";
   return object_;
 }
-Value::Array& Value::mutable_array() {
-  MARAS_CHECK(is_array()) << "not an array";
-  return array_;
-}
-Value::Object& Value::mutable_object() {
-  MARAS_CHECK(is_object()) << "not an object";
-  return object_;
-}
-
-const Value* Value::Find(std::string_view key) const {
-  if (!is_object()) return nullptr;
-  auto it = object_.find(std::string(key));
-  return it == object_.end() ? nullptr : &it->second;
-}
-
-const Value* Value::FindPath(
-    std::initializer_list<std::string_view> keys) const {
-  const Value* current = this;
-  for (std::string_view key : keys) {
-    if (current == nullptr) return nullptr;
-    current = current->Find(key);
-  }
-  return current;
-}
 
 namespace {
-
-constexpr int kMaxDepth = 128;
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  maras::StatusOr<Value> Run() {
-    SkipWhitespace();
-    MARAS_ASSIGN_OR_RETURN(Value value, ParseValue(0));
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing content after document");
-    }
-    return value;
-  }
-
- private:
-  maras::Status Error(const std::string& message) const {
-    return maras::Status::Corruption("JSON at offset " +
-                                     std::to_string(pos_) + ": " + message);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeLiteral(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) == literal) {
-      pos_ += literal.size();
-      return true;
-    }
-    return false;
-  }
-
-  maras::StatusOr<Value> ParseValue(int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    switch (text_[pos_]) {
-      case 'n':
-        if (ConsumeLiteral("null")) return Value(nullptr);
-        return Error("bad literal");
-      case 't':
-        if (ConsumeLiteral("true")) return Value(true);
-        return Error("bad literal");
-      case 'f':
-        if (ConsumeLiteral("false")) return Value(false);
-        return Error("bad literal");
-      case '"':
-        return ParseString();
-      case '[':
-        return ParseArray(depth);
-      case '{':
-        return ParseObject(depth);
-      default:
-        return ParseNumber();
-    }
-  }
-
-  maras::StatusOr<Value> ParseNumber() {
-    size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Error("expected a value");
-    std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(value)) {
-      pos_ = start;
-      return Error("malformed number '" + token + "'");
-    }
-    return Value(value);
-  }
-
-  maras::StatusOr<Value> ParseString() {
-    MARAS_ASSIGN_OR_RETURN(std::string s, ParseRawString());
-    return Value(std::move(s));
-  }
-
-  maras::StatusOr<std::string> ParseRawString() {
-    if (!Consume('"')) return Error("expected '\"'");
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) return Error("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') break;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("raw control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return Error("dangling escape");
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Error("bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Error("bad hex digit in \\u escape");
-            }
-          }
-          // UTF-8 encode (BMP only; surrogate pairs are passed through as
-          // two 3-byte sequences, sufficient for FAERS ASCII content).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          return Error("unknown escape");
-      }
-    }
-    return out;
-  }
-
-  maras::StatusOr<Value> ParseArray(int depth) {
-    Consume('[');
-    Value::Array array;
-    SkipWhitespace();
-    if (Consume(']')) return Value(std::move(array));
-    while (true) {
-      SkipWhitespace();
-      MARAS_ASSIGN_OR_RETURN(Value element, ParseValue(depth + 1));
-      array.push_back(std::move(element));
-      SkipWhitespace();
-      if (Consume(']')) break;
-      if (!Consume(',')) return Error("expected ',' or ']'");
-    }
-    return Value(std::move(array));
-  }
-
-  maras::StatusOr<Value> ParseObject(int depth) {
-    Consume('{');
-    Value::Object object;
-    SkipWhitespace();
-    if (Consume('}')) return Value(std::move(object));
-    while (true) {
-      SkipWhitespace();
-      MARAS_ASSIGN_OR_RETURN(std::string key, ParseRawString());
-      SkipWhitespace();
-      if (!Consume(':')) return Error("expected ':'");
-      SkipWhitespace();
-      MARAS_ASSIGN_OR_RETURN(Value value, ParseValue(depth + 1));
-      object[std::move(key)] = std::move(value);
-      SkipWhitespace();
-      if (Consume('}')) break;
-      if (!Consume(',')) return Error("expected ',' or '}'");
-    }
-    return Value(std::move(object));
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
 
 void AppendEscaped(const std::string& s, std::string* out) {
   *out += '"';
@@ -382,10 +142,6 @@ void SerializeTo(const Value& value, bool pretty, int indent,
 }
 
 }  // namespace
-
-maras::StatusOr<Value> Parse(std::string_view text) {
-  return Parser(text).Run();
-}
 
 std::string Serialize(const Value& value, bool pretty) {
   std::string out;

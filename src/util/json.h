@@ -4,17 +4,13 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
-
-#include "util/statusor.h"
 
 namespace maras::json {
 
-// A small, dependency-free JSON value model with a strict recursive-descent
-// parser and a deterministic serializer (object keys kept in sorted order).
-// Used for the openFDA drug-event ingest (the paper's cited data source
-// serves JSON) and for exporting analysis results to downstream tools.
+// A small, dependency-free JSON value model with a deterministic serializer
+// (object keys kept in sorted order). Used for exporting analysis results to
+// downstream tools and for the bench binaries' result files.
 class Value {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -49,14 +45,6 @@ class Value {
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;
-  Array& mutable_array();
-  Object& mutable_object();
-
-  // Object field lookup; nullptr when absent or not an object.
-  const Value* Find(std::string_view key) const;
-
-  // Path convenience: Find("a")->Find("b")... with nullptr propagation.
-  const Value* FindPath(std::initializer_list<std::string_view> keys) const;
 
  private:
   Type type_;
@@ -66,11 +54,6 @@ class Value {
   Array array_;
   Object object_;
 };
-
-// Parses a complete JSON document. Trailing garbage, unterminated
-// containers, bad escapes and bad numbers yield Corruption with position
-// info. Depth is limited to 128 to bound recursion.
-maras::StatusOr<Value> Parse(std::string_view text);
 
 // Serializes; `pretty` adds two-space indentation.
 std::string Serialize(const Value& value, bool pretty = false);

@@ -1,50 +1,24 @@
 #include "util/logging.h"
 
-namespace maras {
+#include <cstdlib>
+#include <iostream>
 
-namespace {
-LogLevel g_log_level = LogLevel::kInfo;
+namespace maras::internal_logging {
 
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kFatal:
-      return "FATAL";
-  }
-  return "?";
-}
-}  // namespace
-
-LogLevel GetLogLevel() { return g_log_level; }
-void SetLogLevel(LogLevel level) { g_log_level = level; }
-
-namespace internal_logging {
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+FatalMessage::FatalMessage(const char* file, int line) {
   // Strip directories from the path for compact output.
   const char* base = file;
   for (const char* p = file; *p != '\0'; ++p) {
     if (*p == '/') base = p + 1;
   }
-  stream_ << "[" << LevelName(level) << " " << base << ":" << line << "] ";
+  stream_ << "[FATAL " << base << ":" << line << "] ";
 }
 
-LogMessage::~LogMessage() {
+FatalMessage::~FatalMessage() {
   stream_ << "\n";
   std::cerr << stream_.str();
-  if (level_ == LogLevel::kFatal) {
-    std::cerr.flush();
-    std::abort();
-  }
+  std::cerr.flush();
+  std::abort();
 }
 
-}  // namespace internal_logging
-}  // namespace maras
+}  // namespace maras::internal_logging

@@ -1,69 +1,33 @@
 #ifndef MARAS_UTIL_LOGGING_H_
 #define MARAS_UTIL_LOGGING_H_
 
-#include <cstdlib>
-#include <iostream>
 #include <sstream>
-#include <string>
 
 namespace maras {
-
-enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kFatal = 4,
-};
-
-// Process-wide minimum level; messages below it are discarded.
-// Not thread-synchronized by design: set it once at startup.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-
 namespace internal_logging {
 
-// Accumulates one log line and emits it (to stderr) on destruction.
-// kFatal aborts the process after emitting.
-class LogMessage {
+// Accumulates one fatal message; on destruction it writes the message to
+// stderr and aborts the process.
+class FatalMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
+  FatalMessage(const char* file, int line);
+  ~FatalMessage();
 
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
+  FatalMessage(const FatalMessage&) = delete;
+  FatalMessage& operator=(const FatalMessage&) = delete;
 
   std::ostream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
-};
-
-// Swallows the streamed expression when the level is disabled.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
 };
 
 }  // namespace internal_logging
 
-#define MARAS_LOG(level)                                                  \
-  (::maras::LogLevel::k##level < ::maras::GetLogLevel())                  \
-      ? (void)0                                                           \
-      : (void)::maras::internal_logging::LogMessage(                      \
-            ::maras::LogLevel::k##level, __FILE__, __LINE__)              \
-            .stream()
-
 // Unconditional invariant check (enabled in all build types).
 #define MARAS_CHECK(cond)                                                   \
   while (!(cond))                                                           \
-  ::maras::internal_logging::LogMessage(::maras::LogLevel::kFatal,          \
-                                        __FILE__, __LINE__)                 \
-      .stream()                                                             \
+  ::maras::internal_logging::FatalMessage(__FILE__, __LINE__).stream()      \
       << "Check failed: " #cond " "
 
 }  // namespace maras

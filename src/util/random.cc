@@ -50,12 +50,6 @@ uint64_t Rng::Uniform(uint64_t bound) {
   }
 }
 
-int64_t Rng::UniformRange(int64_t lo, int64_t hi) {
-  MARAS_CHECK(lo <= hi) << "UniformRange requires lo <= hi";
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(Uniform(span));
-}
-
 double Rng::NextDouble() {
   // 53 high bits → uniform double in [0, 1).
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
@@ -110,12 +104,6 @@ size_t ZipfTable::Sample(Rng* rng) const {
   auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
   if (it == cdf_.end()) return cdf_.size() - 1;
   return static_cast<size_t>(it - cdf_.begin());
-}
-
-double ZipfTable::Pmf(size_t k) const {
-  MARAS_CHECK(k < cdf_.size());
-  if (k == 0) return cdf_[0];
-  return cdf_[k] - cdf_[k - 1];
 }
 
 }  // namespace maras

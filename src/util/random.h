@@ -24,9 +24,6 @@ class Rng {
   // Uniform integer in [0, bound). bound must be > 0.
   uint64_t Uniform(uint64_t bound);
 
-  // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t UniformRange(int64_t lo, int64_t hi);
-
   // Uniform double in [0, 1).
   double NextDouble();
 
@@ -68,9 +65,6 @@ class ZipfTable {
   size_t Sample(Rng* rng) const;
 
   size_t size() const { return cdf_.size(); }
-
-  // Probability mass of rank k.
-  double Pmf(size_t k) const;
 
  private:
   std::vector<double> cdf_;

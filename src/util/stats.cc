@@ -5,72 +5,6 @@
 
 namespace maras::stats {
 
-double Mean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
-
-double Variance(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double mean = Mean(values);
-  double sq = 0.0;
-  for (double v : values) sq += (v - mean) * (v - mean);
-  return sq / static_cast<double>(values.size());
-}
-
-double StdDev(const std::vector<double>& values) {
-  return std::sqrt(Variance(values));
-}
-
-double SampleStdDev(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  double mean = Mean(values);
-  double sq = 0.0;
-  for (double v : values) sq += (v - mean) * (v - mean);
-  return std::sqrt(sq / static_cast<double>(values.size() - 1));
-}
-
-double Min(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  return *std::min_element(values.begin(), values.end());
-}
-
-double Max(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  return *std::max_element(values.begin(), values.end());
-}
-
-double Quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  std::sort(values.begin(), values.end());
-  double position = q * static_cast<double>(values.size() - 1);
-  size_t lower = static_cast<size_t>(position);
-  size_t upper = std::min(lower + 1, values.size() - 1);
-  double fraction = position - static_cast<double>(lower);
-  return values[lower] * (1.0 - fraction) + values[upper] * fraction;
-}
-
-double Median(std::vector<double> values) {
-  return Quantile(std::move(values), 0.5);
-}
-
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y) {
-  if (x.size() != y.size() || x.size() < 2) return 0.0;
-  double mx = Mean(x), my = Mean(y);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    sxy += (x[i] - mx) * (y[i] - my);
-    sxx += (x[i] - mx) * (x[i] - mx);
-    syy += (y[i] - my) * (y[i] - my);
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 Interval WilsonInterval(size_t successes, size_t trials, double z) {
   if (trials == 0) return {0.0, 1.0};
   const double n = static_cast<double>(trials);

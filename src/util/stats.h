@@ -2,34 +2,8 @@
 #define MARAS_UTIL_STATS_H_
 
 #include <cstddef>
-#include <vector>
 
 namespace maras::stats {
-
-// Descriptive statistics and interval estimates used across the benchmark
-// harnesses and the user-study simulator. All functions are pure and
-// tolerate empty input (returning 0-valued results) so callers can feed
-// filtered series without pre-checks.
-
-double Mean(const std::vector<double>& values);
-
-// Population variance / standard deviation (divide by n).
-double Variance(const std::vector<double>& values);
-double StdDev(const std::vector<double>& values);
-
-// Sample standard deviation (divide by n − 1); 0 when n < 2.
-double SampleStdDev(const std::vector<double>& values);
-
-double Min(const std::vector<double>& values);
-double Max(const std::vector<double>& values);
-
-// Linear-interpolated quantile, q ∈ [0, 1]; input need not be sorted.
-double Quantile(std::vector<double> values, double q);
-double Median(std::vector<double> values);
-
-// Pearson correlation of two equal-length series; 0 when degenerate.
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y);
 
 // Wilson score interval for a binomial proportion — the right interval for
 // user-study accuracies at n = 50 where the normal approximation is poor.

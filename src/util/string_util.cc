@@ -51,21 +51,6 @@ std::string ToUpperAscii(std::string_view s) {
   return out;
 }
 
-std::string ToLowerAscii(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::string CollapseWhitespace(std::string_view s) {
   std::string out;
   out.reserve(s.size());

@@ -22,12 +22,8 @@ std::string Join(const std::vector<std::string>& parts,
 // Returns `s` without leading/trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view s);
 
-// ASCII-only case conversions (FAERS content is ASCII).
+// ASCII-only upper-casing (FAERS content is ASCII).
 std::string ToUpperAscii(std::string_view s);
-std::string ToLowerAscii(std::string_view s);
-
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 // Collapses runs of whitespace to a single space character.
 std::string CollapseWhitespace(std::string_view s);

@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <thread>
+#include <utility>
 
 namespace maras {
 
@@ -32,6 +33,28 @@ void SetNonBlockingCloexec(int fd) {
   if (fdflags != -1) fcntl(fd, F_SETFD, fdflags | FD_CLOEXEC);
 }
 
+// waitpid(pid, ...) retrying on EINTR. Returns the reaped pid, 0 (WNOHANG,
+// still running), or -1.
+pid_t RetryWaitpid(pid_t pid, int* status, int options) {
+  for (;;) {
+    pid_t got = waitpid(pid, status, options);
+    if (got >= 0 || errno != EINTR) return got;
+  }
+}
+
+// Converts a raw waitpid status word into an ExitStatus.
+ExitStatus FromWaitStatus(int wait_status) {
+  ExitStatus exit;
+  if (WIFEXITED(wait_status)) {
+    exit.exited = true;
+    exit.exit_code = WEXITSTATUS(wait_status);
+  } else if (WIFSIGNALED(wait_status)) {
+    exit.signaled = true;
+    exit.term_signal = WTERMSIG(wait_status);
+  }
+  return exit;
+}
+
 }  // namespace
 
 void IgnoreSigpipeProcessWide() {
@@ -46,41 +69,6 @@ ssize_t RetryRead(int fd, void* buf, size_t count) {
   for (;;) {
     ssize_t n = read(fd, buf, count);
     if (n >= 0 || errno != EINTR) return n;
-  }
-}
-
-ssize_t RetryWrite(int fd, const void* buf, size_t count) {
-  for (;;) {
-    ssize_t n = write(fd, buf, count);
-    if (n >= 0 || errno != EINTR) return n;
-  }
-}
-
-pid_t RetryWaitpid(pid_t pid, int* status, int options) {
-  for (;;) {
-    pid_t got = waitpid(pid, status, options);
-    if (got >= 0 || errno != EINTR) return got;
-  }
-}
-
-Status WriteAllToFd(int fd, std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    ssize_t n = RetryWrite(fd, data.data() + written, data.size() - written);
-    if (n < 0) return ErrnoStatus("write", errno);
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-StatusOr<std::string> ReadAllFromFd(int fd) {
-  std::string out;
-  char buf[4096];
-  for (;;) {
-    ssize_t n = RetryRead(fd, buf, sizeof(buf));
-    if (n < 0) return ErrnoStatus("read", errno);
-    if (n == 0) return out;
-    out.append(buf, static_cast<size_t>(n));
   }
 }
 
@@ -125,33 +113,24 @@ ChildProcess::~ChildProcess() {
     StatusOr<ExitStatus> reaped = KillAndReap();
     (void)reaped;
   }
-  CloseStdout();
+  if (stdout_fd_ >= 0) CloseQuietly(stdout_fd_);
 }
 
-ChildProcess::ChildProcess(ChildProcess&& other) noexcept {
-  MoveFrom(std::move(other));
-}
+ChildProcess::ChildProcess(ChildProcess&& other) noexcept
+    : pid_(std::exchange(other.pid_, -1)),
+      stdout_fd_(std::exchange(other.stdout_fd_, -1)),
+      reaped_(std::exchange(other.reaped_, false)),
+      exit_(other.exit_) {}
 
 ChildProcess& ChildProcess::operator=(ChildProcess&& other) noexcept {
-  if (this != &other) {
-    if (running()) {
-      StatusOr<ExitStatus> reaped = KillAndReap();
-      (void)reaped;
-    }
-    CloseStdout();
-    MoveFrom(std::move(other));
-  }
+  // The old child ends up in `previous`, whose destructor kills and reaps
+  // it and closes its pipe.
+  ChildProcess previous(std::move(other));
+  std::swap(pid_, previous.pid_);
+  std::swap(stdout_fd_, previous.stdout_fd_);
+  std::swap(reaped_, previous.reaped_);
+  std::swap(exit_, previous.exit_);
   return *this;
-}
-
-void ChildProcess::MoveFrom(ChildProcess&& other) noexcept {
-  pid_ = other.pid_;
-  stdout_fd_ = other.stdout_fd_;
-  reaped_ = other.reaped_;
-  exit_ = other.exit_;
-  other.pid_ = -1;
-  other.stdout_fd_ = -1;
-  other.reaped_ = false;
 }
 
 StatusOr<ChildProcess> ChildProcess::Spawn(
@@ -204,24 +183,14 @@ StatusOr<ChildProcess> ChildProcess::Spawn(
   return child;
 }
 
-void ChildProcess::Record(int wait_status) {
-  reaped_ = true;
-  if (WIFEXITED(wait_status)) {
-    exit_.exited = true;
-    exit_.exit_code = WEXITSTATUS(wait_status);
-  } else if (WIFSIGNALED(wait_status)) {
-    exit_.signaled = true;
-    exit_.term_signal = WTERMSIG(wait_status);
-  }
-}
-
 StatusOr<bool> ChildProcess::Poll() {
   if (!running()) return true;
   int wait_status = 0;
   pid_t got = RetryWaitpid(pid_, &wait_status, WNOHANG);
   if (got == -1) return ErrnoStatus("waitpid", errno);
   if (got == 0) return false;
-  Record(wait_status);
+  exit_ = FromWaitStatus(wait_status);
+  reaped_ = true;
   return true;
 }
 
@@ -271,15 +240,9 @@ StatusOr<ExitStatus> ChildProcess::KillAndReap() {
   int wait_status = 0;
   pid_t got = RetryWaitpid(pid_, &wait_status, 0);
   if (got == -1) return ErrnoStatus("waitpid", errno);
-  Record(wait_status);
+  exit_ = FromWaitStatus(wait_status);
+  reaped_ = true;
   return exit_;
-}
-
-void ChildProcess::CloseStdout() {
-  if (stdout_fd_ >= 0) {
-    CloseQuietly(stdout_fd_);
-    stdout_fd_ = -1;
-  }
 }
 
 }  // namespace maras

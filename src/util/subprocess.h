@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstddef>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/run_context.h"
@@ -34,31 +33,12 @@ namespace maras {
 // disposition. Idempotent; drivers call it first thing in main().
 void IgnoreSigpipeProcessWide();
 
-// ---------------------------------------------------------------------------
-// EINTR-safe syscall wrappers. Any signal delivery (a SIGCHLD from another
-// worker, a profiler tick) can interrupt a blocking read/write/waitpid with
-// EINTR; these retry until the call completes or fails for a real reason.
-// All raw read/write/waitpid call sites in the tree go through them.
-// ---------------------------------------------------------------------------
-
-// read(fd, ...) retrying on EINTR. Returns bytes read (0 = EOF) or -1 with
-// errno set to the non-EINTR failure.
+// read(fd, ...) retrying on EINTR. Any signal delivery (a SIGCHLD from
+// another worker, a profiler tick) can interrupt a blocking read with EINTR;
+// this retries until the call completes or fails for a real reason. Returns
+// bytes read (0 = EOF) or -1 with errno set to the non-EINTR failure.
+// Reaping (waitpid) retries on EINTR the same way inside ChildProcess.
 ssize_t RetryRead(int fd, void* buf, size_t count);
-
-// write(fd, ...) retrying on EINTR. Returns bytes written or -1.
-ssize_t RetryWrite(int fd, const void* buf, size_t count);
-
-// waitpid(pid, ...) retrying on EINTR. Returns the reaped pid, 0 (WNOHANG,
-// still running), or -1.
-pid_t RetryWaitpid(pid_t pid, int* status, int options);
-
-// Writes all of `data`, looping over partial writes and EINTR. IOError
-// carries errno text on failure (EPIPE when the reader is gone — which is
-// survivable only because of IgnoreSigpipeProcessWide).
-Status WriteAllToFd(int fd, std::string_view data);
-
-// Reads until EOF, looping over EINTR.
-StatusOr<std::string> ReadAllFromFd(int fd);
 
 // Non-blocking drain: appends whatever is currently readable to `out` and
 // returns true while the stream is still open, false once EOF was seen.
@@ -134,14 +114,7 @@ class ChildProcess {
   // first-error-wins cancellation.
   StatusOr<ExitStatus> KillAndReap();
 
-  // Closes the parent's read end of the stdout pipe (idempotent).
-  void CloseStdout();
-
  private:
-  void MoveFrom(ChildProcess&& other) noexcept;
-  // Converts a raw waitpid status word into exit_.
-  void Record(int wait_status);
-
   pid_t pid_ = -1;
   int stdout_fd_ = -1;
   bool reaped_ = false;

@@ -11,17 +11,18 @@ std::string Color::ToHex() const {
   return buf;
 }
 
-Color Color::Mix(const Color& other, double t) const {
+namespace {
+
+// Linear interpolation from `from` toward `to`, t ∈ [0, 1].
+Color Mix(const Color& from, const Color& to, double t) {
   t = std::clamp(t, 0.0, 1.0);
-  auto lerp = [t](uint8_t from, uint8_t to) {
-    return static_cast<uint8_t>(from + (to - from) * t + 0.5);
+  auto lerp = [t](uint8_t a, uint8_t b) {
+    return static_cast<uint8_t>(a + (b - a) * t + 0.5);
   };
-  return Color{lerp(r, other.r), lerp(g, other.g), lerp(b, other.b)};
+  return Color{lerp(from.r, to.r), lerp(from.g, to.g), lerp(from.b, to.b)};
 }
 
-bool operator==(const Color& a, const Color& b) {
-  return a.r == b.r && a.g == b.g && a.b == b.b;
-}
+}  // namespace
 
 Color LevelColor(size_t level, size_t max_level) {
   // Light steel blue -> dark navy as cardinality grows.
@@ -30,11 +31,10 @@ Color LevelColor(size_t level, size_t max_level) {
   if (max_level <= 1) return dark;
   double t = static_cast<double>(level - 1) /
              static_cast<double>(max_level - 1);
-  return light.Mix(dark, t);
+  return Mix(light, dark, t);
 }
 
 Color TargetRuleColor() { return Color{214, 96, 77}; }   // warm red
 Color AxisColor() { return Color{102, 102, 102}; }
-Color BackgroundColor() { return Color{255, 255, 255}; }
 
 }  // namespace maras::viz

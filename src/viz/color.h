@@ -12,12 +12,7 @@ struct Color {
   uint8_t b = 0;
 
   std::string ToHex() const;
-
-  // Linear interpolation toward `other`, t ∈ [0, 1].
-  Color Mix(const Color& other, double t) const;
 };
-
-bool operator==(const Color& a, const Color& b);
 
 // Sequential palette for contextual-rule cardinality levels: "the darker
 // the larger" the antecedent (Section 4). level is 1-based; max_level the
@@ -27,7 +22,6 @@ Color LevelColor(size_t level, size_t max_level);
 // Fixed roles used across the MARAS views.
 Color TargetRuleColor();   // inner circle
 Color AxisColor();
-Color BackgroundColor();
 
 }  // namespace maras::viz
 

@@ -89,19 +89,6 @@ void SvgDocument::Text(double x, double y, const std::string& content,
   elements_.push_back("<text" + attrs + ">" + Escape(content) + "</text>");
 }
 
-void SvgDocument::BeginGroup(double tx, double ty) {
-  elements_.push_back("<g transform=\"translate(" + Num(tx) + "," + Num(ty) +
-                      ")\">");
-  ++open_groups_;
-}
-
-void SvgDocument::EndGroup() {
-  if (open_groups_ > 0) {
-    elements_.push_back("</g>");
-    --open_groups_;
-  }
-}
-
 void SvgDocument::Embed(const SvgDocument& other, double tx, double ty,
                         double scale) {
   elements_.push_back("<g transform=\"translate(" + Num(tx) + "," + Num(ty) +
@@ -109,8 +96,6 @@ void SvgDocument::Embed(const SvgDocument& other, double tx, double ty,
   for (const std::string& element : other.elements_) {
     elements_.push_back("  " + element);
   }
-  // Balance any groups the other document left open.
-  for (int i = 0; i < other.open_groups_; ++i) elements_.push_back("</g>");
   elements_.push_back("</g>");
 }
 
@@ -122,7 +107,6 @@ std::string SvgDocument::Render() const {
   for (const std::string& element : elements_) {
     out << "  " << element << "\n";
   }
-  for (int i = 0; i < open_groups_; ++i) out << "  </g>\n";
   out << "</svg>\n";
   return out.str();
 }

@@ -39,13 +39,9 @@ class SvgDocument {
   void Text(double x, double y, const std::string& content,
             const TextStyle& style);
 
-  // Groups subsequent elements under a translate transform until EndGroup.
-  void BeginGroup(double tx, double ty);
-  void EndGroup();
-
   // Embeds another document's content at (tx, ty), scaled — the compositor
   // used to lay out multi-panel figures (e.g. the user-study question
-  // sheets). The embedded document's own open groups are balanced first.
+  // sheets).
   void Embed(const SvgDocument& other, double tx, double ty,
              double scale = 1.0);
 
@@ -62,7 +58,6 @@ class SvgDocument {
   double width_;
   double height_;
   std::vector<std::string> elements_;
-  int open_groups_ = 0;
 };
 
 }  // namespace maras::viz

@@ -11,6 +11,7 @@
 #include "core/multi_quarter.h"
 #include "core/ranking.h"
 #include "faers/corruptor.h"
+#include "tests/oracles/crash_harness.h"
 #include "faers/generator.h"
 #include "faers/preprocess.h"
 
@@ -593,6 +594,111 @@ TEST_F(CheckpointResumeTest, ClosedFamilyPastTheCapIsRecomputedWithLaterStages) 
   EXPECT_TRUE(noted) << "no note names the rejected closed family";
   EXPECT_EQ(resumed->stages_resumed, 3u);  // the three quarters only
   ExpectIdentical(Encode(*resumed), Encode(*want));
+}
+
+// ---------------------------------------------------------------------------
+// Options records: a stage checkpoint replays only under the options it was
+// made under. Each case checkpoints a full run under `made`, resumes under
+// `now`, and expects the stages from `rejected` on to be recomputed (with a
+// note) and the product to equal a fresh run under `now`.
+// ---------------------------------------------------------------------------
+
+struct OptionsCase {
+  AnalyzerOptions analyzer = HarnessAnalyzer(1);
+  RankingMethod method = RankingMethod::kExclusivenessConfidence;
+};
+
+void ExpectRecomputedUnderNewOptions(
+    const std::vector<faers::QuarterDataset>& quarters, const std::string& tag,
+    const OptionsCase& made, const OptionsCase& now,
+    const std::string& rejected, size_t stages_resumed) {
+  std::string dir = FreshDir(tag);
+  auto first = MultiQuarterPipeline(CheckpointedOptions(dir, 1))
+                   .RunAnalyzed(quarters, made.analyzer, made.method);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto want = MultiQuarterPipeline(MultiQuarterOptions{})
+                  .RunAnalyzed(quarters, now.analyzer, now.method);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_NE(Encode(*first).ranked, Encode(*want).ranked)
+      << "the options change must change the ranking or the case is vacuous";
+
+  MultiQuarterOptions retry = CheckpointedOptions(dir, 1);
+  retry.resume = true;
+  auto resumed = MultiQuarterPipeline(retry).RunAnalyzed(quarters, now.analyzer,
+                                                         now.method);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->stages_resumed, stages_resumed);
+  bool noted = false;
+  for (const std::string& note : resumed->notes) {
+    noted = noted ||
+            (note.find("checkpoint for stage '" + rejected + "' rejected") !=
+                 std::string::npos &&
+             note.find("other options") != std::string::npos &&
+             note.find("recomputing") != std::string::npos);
+  }
+  EXPECT_TRUE(noted) << "no note rejects stage " << rejected;
+  ExpectIdentical(Encode(*resumed), Encode(*want));
+}
+
+TEST_F(CheckpointResumeTest, SmallerCapCheckpointIsRecomputedUnderLargerCap) {
+  // Every itemset of a family mined under cap 3 fits under cap 8, so only
+  // the options record tells the two apart.
+  OptionsCase made;
+  made.analyzer.mining.max_itemset_size = 3;
+  ExpectRecomputedUnderNewOptions(*quarters_, "options_cap", made,
+                                  OptionsCase{}, "closed", 3);
+}
+
+TEST_F(CheckpointResumeTest, ChangedSupportRecomputesEveryStage) {
+  OptionsCase now;
+  now.analyzer.mining.min_support = 9;
+  ExpectRecomputedUnderNewOptions(*quarters_, "options_support",
+                                  OptionsCase{}, now, "closed", 3);
+}
+
+TEST_F(CheckpointResumeTest, ChangedMinConfidenceRecomputesEveryStage) {
+  // The closed stage counts the rule space at min_confidence, so even it
+  // cannot replay.
+  OptionsCase now;
+  now.analyzer.min_confidence = 0.3;
+  ExpectRecomputedUnderNewOptions(*quarters_, "options_confidence",
+                                  OptionsCase{}, now, "closed", 3);
+}
+
+TEST_F(CheckpointResumeTest, ChangedMethodRecomputesOnlyTheRanking) {
+  OptionsCase now;
+  now.method = RankingMethod::kLift;
+  // 3 quarters + closed + rules replay.
+  ExpectRecomputedUnderNewOptions(*quarters_, "options_method",
+                                  OptionsCase{}, now, "ranked", 5);
+}
+
+TEST_F(CheckpointResumeTest, CheckpointWithoutOptionsRecordIsRecomputed) {
+  std::string dir = FreshDir("options_missing");
+  auto first = MultiQuarterPipeline(CheckpointedOptions(dir, 1))
+                   .RunAnalyzed(*quarters_, HarnessAnalyzer(1));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  // Rewrite "closed" as a checkpoint made before stages carried a record:
+  // the bare payload, still correctly framed and checksummed.
+  auto framed = ReadCheckpoint(dir, "closed");
+  ASSERT_TRUE(framed.ok()) << framed.status().ToString();
+  const size_t record_end = framed->find('\n');
+  ASSERT_NE(record_end, std::string::npos);
+  ASSERT_TRUE(
+      WriteCheckpoint(dir, "closed", framed->substr(record_end + 1)).ok());
+
+  MultiQuarterOptions retry = CheckpointedOptions(dir, 1);
+  retry.resume = true;
+  auto resumed = MultiQuarterPipeline(retry).RunAnalyzed(*quarters_,
+                                                         HarnessAnalyzer(1));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->stages_resumed, 3u);  // the three quarters only
+  bool noted = false;
+  for (const std::string& note : resumed->notes) {
+    noted = noted || note.find("no options record") != std::string::npos;
+  }
+  EXPECT_TRUE(noted);
+  ExpectIdentical(Encode(*resumed), *reference_);
 }
 
 // A second corpus seed: the identity guarantee is a property of the

@@ -152,27 +152,18 @@ TEST(IntervalTest, PrrIntervalCoversEstimate) {
   EXPECT_GT(ci.upper, prr);
 }
 
-TEST(IntervalTest, RorIntervalCoversEstimate) {
-  ContingencyTable t{20, 30, 40, 400};
-  RatioInterval ci = RorInterval(t);
-  double ror = Ror(t);
-  EXPECT_GT(ci.lower, 0.0);
-  EXPECT_LT(ci.lower, ror);
-  EXPECT_GT(ci.upper, ror);
-}
-
 TEST(IntervalTest, WidthShrinksWithCounts) {
-  RatioInterval small = RorInterval({5, 5, 5, 50});
-  RatioInterval large = RorInterval({500, 500, 500, 5000});
+  RatioInterval small = PrrInterval({5, 5, 5, 50});
+  RatioInterval large = PrrInterval({500, 500, 500, 5000});
   EXPECT_GT(std::log(small.upper) - std::log(small.lower),
             std::log(large.upper) - std::log(large.lower));
 }
 
 TEST(IntervalTest, DegenerateCellsGiveVacuousInterval) {
+  // PRR needs exposed and unexposed cases: a == 0 or c == 0 is degenerate.
   for (const ContingencyTable& t :
-       {ContingencyTable{0, 5, 5, 5}, ContingencyTable{5, 0, 5, 5},
-        ContingencyTable{5, 5, 0, 5}}) {
-    RatioInterval ci = RorInterval(t);
+       {ContingencyTable{0, 5, 5, 5}, ContingencyTable{5, 5, 0, 5}}) {
+    RatioInterval ci = PrrInterval(t);
     EXPECT_DOUBLE_EQ(ci.lower, 0.0);
     EXPECT_DOUBLE_EQ(ci.upper, kDisproportionalityCap);
   }
@@ -181,7 +172,6 @@ TEST(IntervalTest, DegenerateCellsGiveVacuousInterval) {
 TEST(IntervalTest, StrongSignalLowerBoundClearsOne) {
   // The surveillance decision rule: signal when the CI's lower bound > 1.
   ContingencyTable strong{50, 5, 5, 500};
-  EXPECT_GT(RorInterval(strong).lower, 1.0);
   EXPECT_GT(PrrInterval(strong).lower, 1.0);
   ContingencyTable null_assoc{10, 10, 100, 100};
   EXPECT_LE(PrrInterval(null_assoc).lower, 1.0);

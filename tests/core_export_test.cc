@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/analyzer.h"
 #include "test_util.h"
 
@@ -10,6 +12,13 @@ namespace {
 
 using maras::test::AsthmaCorpus;
 using maras::test::MiniCorpus;
+
+// The member `key` of object `value`, or nullptr when absent.
+const json::Value* Field(const json::Value& value, const std::string& key) {
+  const json::Value::Object& object = value.as_object();
+  auto it = object.find(key);
+  return it == object.end() ? nullptr : &it->second;
+}
 
 struct Fixture {
   MiniCorpus corpus = AsthmaCorpus();
@@ -34,26 +43,26 @@ TEST(ExportTest, SchemaFields) {
   json::Value doc = ExportRankedMcacs(f.ranked, f.corpus.items,
                                       f.analysis.stats, kb);
   ASSERT_TRUE(doc.is_object());
-  const json::Value* stats = doc.Find("stats");
+  const json::Value* stats = Field(doc, "stats");
   ASSERT_NE(stats, nullptr);
-  EXPECT_NE(stats->Find("total_rules"), nullptr);
-  EXPECT_NE(stats->Find("mcac_count"), nullptr);
-  const json::Value* clusters = doc.Find("clusters");
+  EXPECT_NE(Field(*stats, "total_rules"), nullptr);
+  EXPECT_NE(Field(*stats, "mcac_count"), nullptr);
+  const json::Value* clusters = Field(doc, "clusters");
   ASSERT_NE(clusters, nullptr);
   ASSERT_TRUE(clusters->is_array());
   ASSERT_FALSE(clusters->as_array().empty());
 
   const json::Value& first = clusters->as_array()[0];
-  EXPECT_DOUBLE_EQ(first.Find("rank")->as_number(), 1.0);
-  EXPECT_NE(first.Find("score"), nullptr);
-  const json::Value* target = first.Find("target");
+  EXPECT_DOUBLE_EQ(Field(first, "rank")->as_number(), 1.0);
+  EXPECT_NE(Field(first, "score"), nullptr);
+  const json::Value* target = Field(first, "target");
   ASSERT_NE(target, nullptr);
-  EXPECT_TRUE(target->Find("drugs")->is_array());
-  EXPECT_TRUE(target->Find("adrs")->is_array());
-  EXPECT_GE(target->Find("support")->as_number(), 2.0);
-  EXPECT_NE(first.Find("severity"), nullptr);
-  EXPECT_NE(first.Find("novelty"), nullptr);
-  EXPECT_TRUE(first.Find("context")->is_array());
+  EXPECT_TRUE(Field(*target, "drugs")->is_array());
+  EXPECT_TRUE(Field(*target, "adrs")->is_array());
+  EXPECT_GE(Field(*target, "support")->as_number(), 2.0);
+  EXPECT_NE(Field(first, "severity"), nullptr);
+  EXPECT_NE(Field(first, "novelty"), nullptr);
+  EXPECT_TRUE(Field(first, "context")->is_array());
 }
 
 TEST(ExportTest, RankOrderPreserved) {
@@ -61,11 +70,11 @@ TEST(ExportTest, RankOrderPreserved) {
   KnowledgeBase kb;
   json::Value doc = ExportRankedMcacs(f.ranked, f.corpus.items,
                                       f.analysis.stats, kb);
-  const auto& clusters = doc.Find("clusters")->as_array();
+  const auto& clusters = Field(doc, "clusters")->as_array();
   for (size_t i = 0; i < clusters.size(); ++i) {
-    EXPECT_DOUBLE_EQ(clusters[i].Find("rank")->as_number(),
+    EXPECT_DOUBLE_EQ(Field(clusters[i], "rank")->as_number(),
                      static_cast<double>(i + 1));
-    EXPECT_DOUBLE_EQ(clusters[i].Find("score")->as_number(),
+    EXPECT_DOUBLE_EQ(Field(clusters[i], "score")->as_number(),
                      f.ranked[i].score);
   }
 }
@@ -77,7 +86,7 @@ TEST(ExportTest, MaxClustersCap) {
   options.max_clusters = 1;
   json::Value doc = ExportRankedMcacs(f.ranked, f.corpus.items,
                                       f.analysis.stats, kb, options);
-  EXPECT_EQ(doc.Find("clusters")->as_array().size(), 1u);
+  EXPECT_EQ(Field(doc, "clusters")->as_array().size(), 1u);
 }
 
 TEST(ExportTest, OptionalSectionsToggle) {
@@ -89,10 +98,10 @@ TEST(ExportTest, OptionalSectionsToggle) {
   options.include_context = false;
   json::Value doc = ExportRankedMcacs(f.ranked, f.corpus.items,
                                       f.analysis.stats, kb, options);
-  const json::Value& first = doc.Find("clusters")->as_array()[0];
-  EXPECT_EQ(first.Find("severity"), nullptr);
-  EXPECT_EQ(first.Find("novelty"), nullptr);
-  EXPECT_EQ(first.Find("context"), nullptr);
+  const json::Value& first = Field(doc, "clusters")->as_array()[0];
+  EXPECT_EQ(Field(first, "severity"), nullptr);
+  EXPECT_EQ(Field(first, "novelty"), nullptr);
+  EXPECT_EQ(Field(first, "context"), nullptr);
 }
 
 TEST(ExportTest, ContextSizeMatchesMcac) {
@@ -100,9 +109,9 @@ TEST(ExportTest, ContextSizeMatchesMcac) {
   KnowledgeBase kb;
   json::Value doc = ExportRankedMcacs(f.ranked, f.corpus.items,
                                       f.analysis.stats, kb);
-  const auto& clusters = doc.Find("clusters")->as_array();
+  const auto& clusters = Field(doc, "clusters")->as_array();
   for (size_t i = 0; i < clusters.size(); ++i) {
-    EXPECT_EQ(clusters[i].Find("context")->as_array().size(),
+    EXPECT_EQ(Field(clusters[i], "context")->as_array().size(),
               f.ranked[i].mcac.ContextSize());
   }
 }
@@ -112,14 +121,18 @@ TEST(ExportTest, JsonStringRoundTrips) {
   std::string text = ExportAnalysisToJson(
       f.analysis, f.corpus.items,
       RankingMethod::kExclusivenessConfidence, {});
-  auto reparsed = json::Parse(text);
-  ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(reparsed->Find("clusters")->as_array().size(), f.ranked.size());
+  const json::Value doc = ExportRankedMcacs(
+      f.ranked, f.corpus.items, f.analysis.stats, CuratedKnowledgeBase());
+  EXPECT_EQ(text, json::Serialize(doc, /*pretty=*/true));
+  ASSERT_EQ(Field(doc, "clusters")->as_array().size(), f.ranked.size());
   // Drug names survive as strings.
-  const json::Value* drugs =
-      reparsed->Find("clusters")->as_array()[0].FindPath({"target"});
-  ASSERT_NE(drugs, nullptr);
-  EXPECT_FALSE(drugs->Find("drugs")->as_array().empty());
+  const json::Value* target =
+      Field(Field(doc, "clusters")->as_array()[0], "target");
+  ASSERT_NE(target, nullptr);
+  const auto& drugs = Field(*target, "drugs")->as_array();
+  ASSERT_FALSE(drugs.empty());
+  EXPECT_NE(text.find("\"" + drugs[0].as_string() + "\""),
+            std::string::npos);
 }
 
 TEST(ExportTest, EmptyRankingExportsEmptyArray) {
@@ -128,7 +141,7 @@ TEST(ExportTest, EmptyRankingExportsEmptyArray) {
   KnowledgeBase kb;
   RuleSpaceStats stats;
   json::Value doc = ExportRankedMcacs({}, corpus.items, stats, kb);
-  EXPECT_TRUE(doc.Find("clusters")->as_array().empty());
+  EXPECT_TRUE(Field(doc, "clusters")->as_array().empty());
 }
 
 }  // namespace

@@ -80,19 +80,6 @@ TEST(KnowledgeBaseTest, MatchingSources) {
   EXPECT_TRUE(kb.MatchingSources(unrelated, corpus.items).empty());
 }
 
-TEST(KnowledgeBaseTest, FilterNovelDropsKnownOnly) {
-  MiniCorpus corpus;
-  KnowledgeBase kb = SmallKb();
-  Mcac known;
-  known.target = MakeRule(&corpus, {"ASPIRIN", "WARFARIN"}, {"HAEMORRHAGE"});
-  Mcac novel_adr;
-  novel_adr.target = MakeRule(&corpus, {"ASPIRIN", "WARFARIN"}, {"NAUSEA"});
-  Mcac novel;
-  novel.target = MakeRule(&corpus, {"ZOMETA", "PRILOSEC"}, {"PAIN"});
-  auto filtered = kb.FilterNovel({known, novel_adr, novel}, corpus.items);
-  EXPECT_EQ(filtered.size(), 2u);
-}
-
 TEST(KnowledgeBaseTest, CuratedBaseCoversPaperCases) {
   KnowledgeBase kb = CuratedKnowledgeBase();
   EXPECT_GE(kb.size(), 7u);

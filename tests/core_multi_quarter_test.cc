@@ -6,7 +6,6 @@
 
 #include "core/analyzer.h"
 #include "faers/ascii_format.h"
-#include "faers/corruptor.h"
 #include "faers/generator.h"
 #include "faers/preprocess.h"
 
@@ -174,6 +173,24 @@ class MultiQuarterPipelineTest : public ::testing::Test {
     return dir;
   }
 
+  // A generated quarter with one report repeated: it parses, but the
+  // repeated primary id is an error-grade validation finding.
+  static faers::QuarterDataset BrokenQuarter(int year, int quarter,
+                                             uint64_t seed) {
+    faers::QuarterDataset dataset = GenerateRaw(year, quarter, seed);
+    dataset.reports.push_back(dataset.reports.front());
+    return dataset;
+  }
+
+  // Quarantine with no validation error budget: a broken quarter is
+  // skipped rather than pooled with a warning.
+  static MultiQuarterOptions NoErrorBudget() {
+    MultiQuarterOptions options;
+    options.ingest.policy = faers::IngestPolicy::kQuarantine;
+    options.ingest.max_bad_row_fraction = 0.0;
+    return options;
+  }
+
   static MultiQuarterOptions Lenient(faers::IngestPolicy policy) {
     MultiQuarterOptions options;
     options.ingest.policy = policy;
@@ -184,8 +201,14 @@ class MultiQuarterPipelineTest : public ::testing::Test {
 
 TEST_F(MultiQuarterPipelineTest, StrictRunLoadsAllCleanQuarters) {
   std::string dir = WriteCleanQuarters("strict_loads");
+  std::vector<faers::QuarterDataset> quarters;
+  for (int quarter : {1, 2}) {
+    auto dataset = faers::ReadAsciiQuarterFromDir(dir, 2041, quarter);
+    ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+    quarters.push_back(*std::move(dataset));
+  }
   MultiQuarterPipeline pipeline{MultiQuarterOptions{}};
-  auto run = pipeline.RunFromDirs({{dir, 2041, 1}, {dir, 2041, 2}});
+  auto run = pipeline.Run(quarters);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->quarters_loaded, 2u);
   ASSERT_EQ(run->outcomes.size(), 2u);
@@ -197,10 +220,9 @@ TEST_F(MultiQuarterPipelineTest, StrictRunLoadsAllCleanQuarters) {
 }
 
 TEST_F(MultiQuarterPipelineTest, StrictRunFailsNamingTheBrokenQuarter) {
-  std::string dir = WriteCleanQuarters("strict_fails");
-  MultiQuarterPipeline pipeline{MultiQuarterOptions{}};
-  auto run =
-      pipeline.RunFromDirs({{dir, 2041, 1}, {dir, 2041, 3}});  // no 2041Q3
+  std::vector<faers::QuarterDataset> quarters = {
+      GenerateRaw(2041, 1, 101), BrokenQuarter(2041, 3, 303)};
+  auto run = MultiQuarterPipeline{MultiQuarterOptions{}}.Run(quarters);
   ASSERT_FALSE(run.ok());
   EXPECT_NE(run.status().message().find("quarter 2041Q3"),
             std::string::npos)
@@ -208,10 +230,10 @@ TEST_F(MultiQuarterPipelineTest, StrictRunFailsNamingTheBrokenQuarter) {
 }
 
 TEST_F(MultiQuarterPipelineTest, PermissiveRunSkipsUnreadableQuarter) {
-  std::string dir = WriteCleanQuarters("permissive_skips");
-  MultiQuarterPipeline pipeline{Lenient(faers::IngestPolicy::kPermissive)};
-  auto run = pipeline.RunFromDirs(
-      {{dir, 2041, 1}, {dir, 2041, 3}, {dir, 2041, 2}});
+  std::vector<faers::QuarterDataset> quarters = {
+      GenerateRaw(2041, 1, 101), BrokenQuarter(2041, 3, 303),
+      GenerateRaw(2041, 2, 202)};
+  auto run = MultiQuarterPipeline{NoErrorBudget()}.Run(quarters);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->quarters_loaded, 2u);
   ASSERT_EQ(run->outcomes.size(), 3u);
@@ -223,18 +245,12 @@ TEST_F(MultiQuarterPipelineTest, PermissiveRunSkipsUnreadableQuarter) {
                    warning.find("skipping quarter 2041Q3") != std::string::npos;
   }
   EXPECT_TRUE(skip_warning);
-  // The degraded corpus still analyzes, and the analyzer surfaces the skip.
-  AnalyzerOptions options;
-  options.mining.min_support = 6;
-  auto analysis = MarasAnalyzer(options).Analyze(run->merged, run->ingest);
-  ASSERT_TRUE(analysis.ok());
-  EXPECT_FALSE(analysis->ingest_warnings.empty());
 }
 
 TEST_F(MultiQuarterPipelineTest, AllQuartersFailingIsAnError) {
-  MultiQuarterPipeline pipeline{Lenient(faers::IngestPolicy::kPermissive)};
-  auto run = pipeline.RunFromDirs(
-      {{"/nonexistent/faers", 2019, 1}, {"/nonexistent/faers", 2019, 2}});
+  std::vector<faers::QuarterDataset> quarters = {
+      BrokenQuarter(2041, 1, 101), BrokenQuarter(2041, 2, 202)};
+  auto run = MultiQuarterPipeline{NoErrorBudget()}.Run(quarters);
   ASSERT_FALSE(run.ok());
   EXPECT_TRUE(run.status().IsCorruption());
   EXPECT_NE(run.status().message().find("all 2 quarters"), std::string::npos);
@@ -242,7 +258,6 @@ TEST_F(MultiQuarterPipelineTest, AllQuartersFailingIsAnError) {
 
 TEST_F(MultiQuarterPipelineTest, EmptySourceListRejected) {
   MultiQuarterPipeline pipeline{MultiQuarterOptions{}};
-  EXPECT_TRUE(pipeline.RunFromDirs({}).status().IsInvalidArgument());
   EXPECT_TRUE(pipeline.Run({}).status().IsInvalidArgument());
 }
 
@@ -255,31 +270,6 @@ TEST_F(MultiQuarterPipelineTest, InMemoryRunMergesQuarters) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->quarters_loaded, 2u);
   EXPECT_GT(run->merged.stats.reports_kept, 0u);
-}
-
-TEST_F(MultiQuarterPipelineTest, QuarantineRunAccountsForInjectedFaults) {
-  std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(
-      faers::WriteAsciiQuarterToDir(GenerateRaw(2045, 3, 303), dir).ok());
-  faers::QuarterDataset damaged_src = GenerateRaw(2045, 4, 404);
-  auto clean = faers::WriteAsciiQuarter(damaged_src);
-  ASSERT_TRUE(clean.ok());
-  faers::CorruptorConfig corruption;
-  corruption.seed = 9;
-  corruption.faults = faers::AllRowFaults(1);
-  auto corrupted = faers::Corruptor(corruption).Corrupt(*clean, 2045, 4);
-  ASSERT_TRUE(corrupted.ok());
-  ASSERT_TRUE(
-      faers::WriteCorruptedQuarterToDir(*corrupted, dir, 2045, 4).ok());
-
-  MultiQuarterPipeline pipeline{Lenient(faers::IngestPolicy::kQuarantine)};
-  auto run = pipeline.RunFromDirs({{dir, 2045, 3}, {dir, 2045, 4}});
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run->quarters_loaded, 2u);
-  EXPECT_EQ(run->ingest.FaultCount(), corrupted->RowFaultCount());
-  EXPECT_EQ(run->outcomes[0].ingest.rows_rejected, 0u);
-  EXPECT_EQ(run->outcomes[1].ingest.FaultCount(), corrupted->RowFaultCount());
-  EXPECT_FALSE(run->ingest.quarantined.empty());
 }
 
 TEST_F(MultiQuarterPipelineTest,

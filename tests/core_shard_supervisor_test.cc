@@ -12,6 +12,7 @@
 
 #include "core/multi_quarter.h"
 #include "faers/corruptor.h"
+#include "tests/oracles/crash_harness.h"
 #include "faers/generator.h"
 #include "util/subprocess.h"
 

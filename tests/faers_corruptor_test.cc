@@ -1,10 +1,11 @@
 // Deterministic corruption-injection harness and its recovery invariants:
 // the same seed always yields the same damage; strict ingestion fails fast
-// on every fault kind; permissive ingestion recovers every untouched report
-// byte-identically; quarantine accounting matches the injected faults
+// on every fault kind; quarantine ingestion recovers every untouched report
+// byte-identically, and its accounting matches the injected faults
 // one-to-one.
 
 #include "faers/corruptor.h"
+#include "tests/oracles/crash_harness.h"
 
 #include <gtest/gtest.h>
 
@@ -97,7 +98,7 @@ TEST(CorruptorTest, FaultsNeverShareAReport) {
   config.faults = AllRowFaults(3);
   auto corrupted = Corruptor(config).Corrupt(clean, 2014, 1);
   ASSERT_TRUE(corrupted.ok());
-  EXPECT_EQ(corrupted->RowFaultCount(), 24u);
+  EXPECT_EQ(RowFaultCount(*corrupted), 24u);
   // One fault per victim report: the damaged-report set is as large as the
   // number of faults that damage existing rows (orphans damage nobody).
   size_t victim_faults = 0;
@@ -138,7 +139,7 @@ TEST_P(FaultKindTest, SingleFaultRoundTrip) {
                                  PolicyOptions(IngestPolicy::kQuarantine),
                                  &report);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(report.FaultCount(), 1u);
+  EXPECT_EQ(RootFaultCount(report), 1u);
   const QuarantinedRow* root = nullptr;
   for (const QuarantinedRow& row : report.quarantined) {
     if (row.fault != RowFault::kCollateral) {
@@ -147,7 +148,7 @@ TEST_P(FaultKindTest, SingleFaultRoundTrip) {
     }
   }
   ASSERT_NE(root, nullptr);
-  EXPECT_EQ(root->fault, param.expected) << RowFaultName(root->fault);
+  EXPECT_EQ(root->fault, param.expected) << static_cast<int>(root->fault);
   EXPECT_EQ(root->file, corrupted->faults[0].file);
   EXPECT_EQ(root->line, corrupted->faults[0].line);
   EXPECT_FALSE(root->reason.empty());
@@ -167,7 +168,7 @@ INSTANTIATE_TEST_SUITE_P(
         KindCase{FaultKind::kOrphanReacRow, RowFault::kOrphanRow}));
 
 // The satellite round-trip invariant: generate, corrupt with N seeded
-// faults, re-ingest under each policy, and assert the recovery rate and
+// faults, re-ingest under both policies, and assert the recovery rate and
 // quarantine accounting across seeds.
 class RecoverySweepTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -180,7 +181,7 @@ TEST_P(RecoverySweepTest, InvariantsHoldAtEverySeed) {
   config.faults = AllRowFaults(2);
   auto corrupted = Corruptor(config).Corrupt(clean, 2014, 1);
   ASSERT_TRUE(corrupted.ok());
-  const size_t injected = corrupted->RowFaultCount();
+  const size_t injected = RowFaultCount(*corrupted);
   ASSERT_EQ(injected, 16u);
 
   // Strict: fail fast, nothing recovered.
@@ -188,14 +189,14 @@ TEST_P(RecoverySweepTest, InvariantsHoldAtEverySeed) {
                   .status()
                   .IsCorruption());
 
-  // Permissive: every untouched report is recovered byte-identically.
-  IngestReport permissive_report;
-  auto permissive = ReadAsciiQuarter(corrupted->files, 2014, 1,
-                                     PolicyOptions(IngestPolicy::kPermissive),
-                                     &permissive_report);
-  ASSERT_TRUE(permissive.ok()) << permissive.status().ToString();
+  // Quarantine: every untouched report is recovered byte-identically.
+  IngestReport report;
+  auto quarantined = ReadAsciiQuarter(
+      corrupted->files, 2014, 1, PolicyOptions(IngestPolicy::kQuarantine),
+      &report);
+  ASSERT_TRUE(quarantined.ok()) << quarantined.status().ToString();
   std::map<uint64_t, const Report*> recovered;
-  for (const Report& r : permissive->reports) {
+  for (const Report& r : quarantined->reports) {
     recovered[r.primary_id()] = &r;
   }
   size_t untouched = 0;
@@ -207,25 +208,19 @@ TEST_P(RecoverySweepTest, InvariantsHoldAtEverySeed) {
     auto it = recovered.find(original.primary_id());
     ASSERT_NE(it, recovered.end())
         << "untouched report " << original.primary_id() << " lost";
-    EXPECT_TRUE(SameReport(dataset, original, *permissive, *it->second))
+    EXPECT_TRUE(SameReport(dataset, original, *quarantined, *it->second))
         << "untouched report " << original.primary_id() << " altered";
   }
   EXPECT_EQ(untouched, dataset.reports.size() -
                            corrupted->faulted_primary_ids.size());
-  EXPECT_EQ(permissive_report.FaultCount(), injected);
-  EXPECT_TRUE(permissive_report.quarantined.empty());
+  EXPECT_EQ(RootFaultCount(report), injected);
+  EXPECT_EQ(report.quarantined.size(), report.rows_rejected);
 
-  // Quarantine: diagnostics enumerate every injected fault with
-  // file/line/reason, and collateral rows are classified apart.
-  IngestReport quarantine_report;
-  auto quarantined = ReadAsciiQuarter(
-      corrupted->files, 2014, 1, PolicyOptions(IngestPolicy::kQuarantine),
-      &quarantine_report);
-  ASSERT_TRUE(quarantined.ok());
-  EXPECT_EQ(quarantine_report.FaultCount(), injected);
+  // Its diagnostics enumerate every injected fault with file/line/reason,
+  // and collateral rows are classified apart.
   std::map<std::pair<std::string, size_t>, size_t> quarantined_at;
   size_t roots = 0;
-  for (const QuarantinedRow& row : quarantine_report.quarantined) {
+  for (const QuarantinedRow& row : report.quarantined) {
     EXPECT_FALSE(row.file.empty());
     EXPECT_GT(row.line, 0u);
     EXPECT_FALSE(row.reason.empty());
@@ -242,11 +237,6 @@ TEST_P(RecoverySweepTest, InvariantsHoldAtEverySeed) {
         << fault.line << " not quarantined";
     EXPECT_EQ(it->second, 1u);
   }
-
-  // Both lenient policies agree on the recovered dataset.
-  ASSERT_EQ(quarantined->reports.size(), permissive->reports.size());
-  EXPECT_EQ(quarantine_report.rows_rejected,
-            permissive_report.rows_rejected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoverySweepTest,
@@ -338,9 +328,9 @@ TEST(TornFileTest, TornQuarterStillIngestsPermissively) {
   EXPECT_FALSE(ReadAsciiQuarter(damaged, 2014, 1).ok())
       << "a torn table must fail strict ingestion";
   IngestReport report;
-  auto permissive = ReadAsciiQuarter(
-      damaged, 2014, 1, PolicyOptions(IngestPolicy::kPermissive), &report);
-  ASSERT_TRUE(permissive.ok()) << permissive.status().ToString();
+  auto quarantined = ReadAsciiQuarter(
+      damaged, 2014, 1, PolicyOptions(IngestPolicy::kQuarantine), &report);
+  ASSERT_TRUE(quarantined.ok()) << quarantined.status().ToString();
   EXPECT_GT(report.rows_rejected, 0u);
 }
 

@@ -62,13 +62,13 @@ TEST(AggregateTest, RewritesDrugsToClasses) {
   PreprocessResult input = SmallCorpus();
   auto output = AggregateToClasses(input, ClassMap::Curated());
   ASSERT_TRUE(output.ok());
-  EXPECT_TRUE(output->items.Contains("CLASS:NSAID"));
-  EXPECT_TRUE(output->items.Contains("CLASS:ANTICOAGULANT"));
-  EXPECT_FALSE(output->items.Contains("ASPIRIN"));
+  EXPECT_TRUE(output->items.Lookup("CLASS:NSAID").ok());
+  EXPECT_TRUE(output->items.Lookup("CLASS:ANTICOAGULANT").ok());
+  EXPECT_FALSE(output->items.Lookup("ASPIRIN").ok());
   // Unclassified drugs keep their own names.
-  EXPECT_TRUE(output->items.Contains("DRUG00042"));
+  EXPECT_TRUE(output->items.Lookup("DRUG00042").ok());
   // ADRs pass through untouched.
-  EXPECT_TRUE(output->items.Contains("HAEMORRHAGE"));
+  EXPECT_TRUE(output->items.Lookup("HAEMORRHAGE").ok());
   EXPECT_EQ(output->transactions.size(), input.transactions.size());
   EXPECT_EQ(output->primary_ids, input.primary_ids);
 }

@@ -1,17 +1,19 @@
 // Recovery-policy behavior of the resilient FAERS reader: strict fails
-// fast, permissive skips within an error budget, quarantine captures
-// per-row diagnostics — plus the policy gates threaded through validation
-// and preprocessing.
+// fast, quarantine skips within an error budget and captures per-row
+// diagnostics — plus the policy gates threaded through validation and
+// preprocessing.
 
 #include "faers/ingest.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "faers/ascii_format.h"
 #include "faers/preprocess.h"
 #include "faers/validate.h"
+#include "tests/oracles/crash_harness.h"
 #include "util/delimited.h"
 
 namespace maras::faers {
@@ -42,18 +44,18 @@ AsciiQuarterFiles CleanFiles() {
   return *files;
 }
 
-IngestOptions Permissive() {
-  IngestOptions options;
-  options.policy = IngestPolicy::kPermissive;
-  options.max_bad_row_fraction = 0.5;
-  return options;
-}
-
 IngestOptions Quarantine() {
   IngestOptions options;
   options.policy = IngestPolicy::kQuarantine;
   options.max_bad_row_fraction = 0.5;
   return options;
+}
+
+// Quarantined rows with the given fault classification.
+size_t CountFault(const IngestReport& report, RowFault fault) {
+  return static_cast<size_t>(std::count_if(
+      report.quarantined.begin(), report.quarantined.end(),
+      [fault](const QuarantinedRow& row) { return row.fault == fault; }));
 }
 
 // Replaces the first occurrence of `from` in `content`.
@@ -134,7 +136,7 @@ TEST_P(NonDecimalAgeTest, RejectedAsBadNumericAge) {
   auto parsed = ReadAsciiQuarter(files, 2014, 1, Quarantine(), &report);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->reports.size(), 3u);
-  ASSERT_EQ(report.FaultCount(), 1u);
+  ASSERT_EQ(RootFaultCount(report), 1u);
   ASSERT_FALSE(report.quarantined.empty());
   const QuarantinedRow& row = report.quarantined.front();
   EXPECT_EQ(row.fault, RowFault::kBadNumeric);
@@ -170,7 +172,7 @@ TEST(IngestPolicyTest, PermissiveSkipsBadRowAndKeepsTheRest) {
   AsciiQuarterFiles files = CleanFiles();
   Replace(&files.demo, "$10000002$", "$10OOOOO2$");
   IngestReport report;
-  auto parsed = ReadAsciiQuarter(files, 2014, 1, Permissive(), &report);
+  auto parsed = ReadAsciiQuarter(files, 2014, 1, Quarantine(), &report);
   ASSERT_TRUE(parsed.ok());
   // Report 2 is dropped; its DRUG/REAC rows are collateral, not faults.
   ASSERT_EQ(parsed->reports.size(), 3u);
@@ -181,9 +183,8 @@ TEST(IngestPolicyTest, PermissiveSkipsBadRowAndKeepsTheRest) {
   }
   EXPECT_EQ(report.rows_rejected, 1u + 2u + 2u);
   EXPECT_EQ(report.collateral_rows, 2u + 2u);
-  EXPECT_EQ(report.FaultCount(), 1u);
-  // Permissive counts but does not capture.
-  EXPECT_TRUE(report.quarantined.empty());
+  EXPECT_EQ(RootFaultCount(report), 1u);
+  EXPECT_EQ(report.quarantined.size(), report.rows_rejected);
 }
 
 TEST(IngestPolicyTest, QuarantineCapturesRowDiagnostics) {
@@ -200,10 +201,7 @@ TEST(IngestPolicyTest, QuarantineCapturesRowDiagnostics) {
   EXPECT_EQ(root.column, "caseid");
   EXPECT_NE(root.reason.find("10OOOOO2"), std::string::npos);
   EXPECT_NE(root.content.find("10OOOOO2"), std::string::npos);
-  EXPECT_EQ(report.CountFault(RowFault::kCollateral), 4u);
-  // ToString is the grep-friendly "file:line [fault] column: reason" form.
-  EXPECT_NE(root.ToString().find("DEMO14Q1.txt:3 [bad-numeric] caseid"),
-            std::string::npos);
+  EXPECT_EQ(CountFault(report, RowFault::kCollateral), 4u);
 }
 
 TEST(IngestPolicyTest, MalformedRowIsSkippedPermissively) {
@@ -213,7 +211,7 @@ TEST(IngestPolicyTest, MalformedRowIsSkippedPermissively) {
   auto parsed = ReadAsciiQuarter(files, 2014, 1, Quarantine(), &report);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->reports.size(), 4u);
-  EXPECT_EQ(report.FaultCount(), 1u);
+  EXPECT_EQ(RootFaultCount(report), 1u);
   ASSERT_EQ(report.quarantined.size(), 1u);
   EXPECT_EQ(report.quarantined[0].fault, RowFault::kMalformedRow);
   EXPECT_EQ(report.quarantined[0].line, 6u);
@@ -234,7 +232,7 @@ TEST(IngestPolicyTest, DuplicatePrimaryIdKeepsFirstOccurrence) {
   // The first occurrence wins and even absorbs the duplicate's DRUG row
   // (same primaryid, so the join cannot tell them apart).
   EXPECT_EQ(parsed->reports[0].case_id, 10000001u);
-  EXPECT_EQ(report.CountFault(RowFault::kDuplicatePrimaryId), 1u);
+  EXPECT_EQ(CountFault(report, RowFault::kDuplicatePrimaryId), 1u);
 }
 
 TEST(IngestPolicyTest, OrphanRowsAreQuarantined) {
@@ -245,7 +243,7 @@ TEST(IngestPolicyTest, OrphanRowsAreQuarantined) {
   auto parsed = ReadAsciiQuarter(files, 2014, 1, Quarantine(), &report);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->reports.size(), 4u);
-  EXPECT_EQ(report.CountFault(RowFault::kOrphanRow), 2u);
+  EXPECT_EQ(CountFault(report, RowFault::kOrphanRow), 2u);
   EXPECT_EQ(report.quarantined[0].file, "DRUG14Q1.txt");
   EXPECT_EQ(report.quarantined[1].file, "REAC14Q1.txt");
 }
@@ -253,7 +251,7 @@ TEST(IngestPolicyTest, OrphanRowsAreQuarantined) {
 TEST(IngestPolicyTest, ErrorBudgetAbortsTheQuarter) {
   AsciiQuarterFiles files = CleanFiles();
   Replace(&files.demo, "$10000002$", "$10OOOOO2$");
-  IngestOptions tight = Permissive();
+  IngestOptions tight = Quarantine();
   tight.max_bad_row_fraction = 0.01;  // 5 rejects of 20 rows >> 1%
   IngestReport report;
   auto parsed = ReadAsciiQuarter(files, 2014, 1, tight, &report);
@@ -320,7 +318,7 @@ TEST(EnforceValidationTest, PermissiveDowngradesErrorsWithinBudget) {
   dataset.reports.push_back(dataset.reports[0]);
   ValidationReport validation = ValidateDataset(dataset);
   IngestReport report;
-  EXPECT_TRUE(EnforceValidation(validation, Permissive(), &report).ok());
+  EXPECT_TRUE(EnforceValidation(validation, Quarantine(), &report).ok());
   ASSERT_FALSE(report.warnings.empty());
   EXPECT_NE(report.warnings[0].find("duplicate-primaryid"),
             std::string::npos);
@@ -330,7 +328,7 @@ TEST(EnforceValidationTest, PermissiveStillFailsPastBudget) {
   QuarterDataset dataset = SampleDataset();
   for (int i = 0; i < 4; ++i) dataset.reports.push_back(dataset.reports[0]);
   ValidationReport validation = ValidateDataset(dataset);
-  IngestOptions tight = Permissive();
+  IngestOptions tight = Quarantine();
   tight.max_bad_row_fraction = 0.1;
   Status status = EnforceValidation(validation, tight);
   ASSERT_FALSE(status.ok());
@@ -341,10 +339,10 @@ TEST(EnforceValidationTest, WarningsNeverFailAnyPolicy) {
   QuarterDataset dataset = SampleDataset();
   dataset.reports[0].drugs.clear();  // warning-grade finding
   ValidationReport validation = ValidateDataset(dataset);
-  EXPECT_GT(validation.warning_count(), 0u);
+  EXPECT_FALSE(validation.findings.empty());
   EXPECT_EQ(validation.error_count(), 0u);
   EXPECT_TRUE(EnforceValidation(validation, IngestOptions{}).ok());
-  EXPECT_TRUE(EnforceValidation(validation, Permissive()).ok());
+  EXPECT_TRUE(EnforceValidation(validation, Quarantine()).ok());
 }
 
 TEST(IngestThreadingTest, PreprocessorRecordsDropAccounting) {
@@ -375,20 +373,11 @@ TEST(IngestReportTest, MergeAndSummary) {
   a.Merge(b);
   EXPECT_EQ(a.rows_seen, 15u);
   EXPECT_EQ(a.rows_rejected, 3u);
-  EXPECT_EQ(a.FaultCount(), 2u);
+  EXPECT_EQ(RootFaultCount(a), 2u);
   EXPECT_EQ(a.quarantined.size(), 1u);
-  EXPECT_EQ(a.Summary(), "15 rows, 3 rejected (1 collateral), 1 warning");
+  EXPECT_EQ(a.warnings, (std::vector<std::string>{"w1"}));
   EXPECT_DOUBLE_EQ(a.rejected_fraction(), 0.2);
 }
-
-TEST(IngestReportTest, PolicyAndFaultNames) {
-  EXPECT_STREQ(IngestPolicyName(IngestPolicy::kStrict), "strict");
-  EXPECT_STREQ(IngestPolicyName(IngestPolicy::kPermissive), "permissive");
-  EXPECT_STREQ(IngestPolicyName(IngestPolicy::kQuarantine), "quarantine");
-  EXPECT_STREQ(RowFaultName(RowFault::kMalformedRow), "malformed-row");
-  EXPECT_STREQ(RowFaultName(RowFault::kCollateral), "collateral");
-}
-
 
 // ---------------------------------------------------------------------------
 // The name arena: raw DRUG/REAC payloads become ids as their rows join.
@@ -479,8 +468,8 @@ TEST(NameArenaIngestTest, OrphanAndCollateralRowsNeverEnterTheArena) {
   IngestReport report;
   auto parsed = ReadAsciiQuarter(files, 2014, 1, options, &report);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(report.CountFault(RowFault::kCollateral), 2u);
-  EXPECT_EQ(report.CountFault(RowFault::kOrphanRow), 2u);
+  EXPECT_EQ(CountFault(report, RowFault::kCollateral), 2u);
+  EXPECT_EQ(CountFault(report, RowFault::kOrphanRow), 2u);
   ASSERT_EQ(parsed->names.size(), 2u);
   EXPECT_EQ(parsed->Name(0), "ASPIRIN");
   EXPECT_EQ(parsed->Name(1), "NAUSEA");

@@ -52,7 +52,7 @@ TEST(PreprocessTest, ExpeditedFilterDropsPeriodic) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.reports_kept, 1u);
   EXPECT_EQ(result->stats.dropped_not_expedited, 1u);
-  EXPECT_FALSE(result->items.Contains("NEXIUM"));
+  EXPECT_FALSE(result->items.Lookup("NEXIUM").ok());
 }
 
 TEST(PreprocessTest, ExpeditedFilterCanBeDisabled) {
@@ -81,7 +81,7 @@ TEST(PreprocessTest, KeepsOnlyLatestCaseVersion) {
   EXPECT_EQ(result->stats.reports_kept, 2u);
   EXPECT_EQ(result->stats.dropped_stale_version, 1u);
   // The kept version of case 7 is the 3-item one.
-  bool found_rash = result->items.Contains("RASH");
+  bool found_rash = result->items.Lookup("RASH").ok();
   EXPECT_TRUE(found_rash);
 }
 
@@ -97,7 +97,7 @@ TEST(PreprocessTest, CorrectsMisspellingsAndAliases) {
   EXPECT_EQ(result->stats.alias_resolutions, 1u);
   // Both names resolve to WARFARIN; the transaction holds one drug item.
   EXPECT_EQ(result->stats.distinct_drugs, 1u);
-  EXPECT_TRUE(result->items.Contains("WARFARIN"));
+  EXPECT_TRUE(result->items.Lookup("WARFARIN").ok());
   EXPECT_EQ(result->transactions.transaction(0).size(), 2u);  // drug + ADR
 }
 
@@ -110,7 +110,7 @@ TEST(PreprocessTest, NormalizesDoseDecorations) {
   auto result = pre.Process(dataset);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.distinct_drugs, 1u);
-  EXPECT_TRUE(result->items.Contains("ASPIRIN"));
+  EXPECT_TRUE(result->items.Lookup("ASPIRIN").ok());
 }
 
 TEST(PreprocessTest, UnknownNamesKeptAsNewVocabulary) {
@@ -121,8 +121,8 @@ TEST(PreprocessTest, UnknownNamesKeptAsNewVocabulary) {
   Preprocessor pre(PreprocessOptions{});
   auto result = pre.Process(dataset);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->items.Contains("DRUG01234"));
-  EXPECT_TRUE(result->items.Contains("REACTION00042"));
+  EXPECT_TRUE(result->items.Lookup("DRUG01234").ok());
+  EXPECT_TRUE(result->items.Lookup("REACTION00042").ok());
 }
 
 TEST(PreprocessTest, DropsReportsWithoutDrugsOrReactions) {
@@ -160,7 +160,7 @@ TEST(PreprocessTest, FuzzyCorrectionDisabledKeepsMisspelling) {
   options.max_edit_distance = 0;
   auto result = Preprocessor(options).Process(dataset);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->items.Contains("WARFRIN"));
+  EXPECT_TRUE(result->items.Lookup("WARFRIN").ok());
   EXPECT_EQ(result->stats.fuzzy_corrections, 0u);
 }
 
@@ -209,9 +209,9 @@ TEST(PreprocessTest, ItemsFollowFirstMentionInReportsThatPassTheFilters) {
   };
   auto result = Preprocessor(PreprocessOptions{}).Process(dataset);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result->items.Contains("DRUG07001"));
-  EXPECT_FALSE(result->items.Contains("REACTION07001"));
-  EXPECT_FALSE(result->items.Contains("DRUG07002"));
+  EXPECT_FALSE(result->items.Lookup("DRUG07001").ok());
+  EXPECT_FALSE(result->items.Lookup("REACTION07001").ok());
+  EXPECT_FALSE(result->items.Lookup("DRUG07002").ok());
   ASSERT_EQ(result->items.size(), 4u);
   EXPECT_EQ(result->items.Name(0), "WARFARIN");
   EXPECT_EQ(result->items.Name(1), "HAEMORRHAGE");

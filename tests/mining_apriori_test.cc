@@ -35,7 +35,7 @@ TEST(AprioriTest, TextbookExample) {
   EXPECT_EQ(result->SupportOf({3}), 2u);
   EXPECT_EQ(result->SupportOf({1, 3}), 2u);  // rows {1,3} and {0,1,3}
   // Items 2 and 3 never co-occur.
-  EXPECT_FALSE(result->ContainsItemset({2, 3}));
+  EXPECT_EQ(result->SupportOf({2, 3}), 0u);
   EXPECT_EQ(result->SupportOf({2, 3}), 0u);
 }
 

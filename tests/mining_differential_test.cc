@@ -29,6 +29,7 @@
 #include "mining/rules.h"
 #include "tests/oracles/apriori.h"
 #include "tests/oracles/brute_force.h"
+#include "tests/oracles/partition_rules.h"
 #include "util/random.h"
 
 namespace maras::mining {

@@ -50,7 +50,6 @@ TEST(FpTreeTest, PrefixSharingCompressesNodes) {
   auto tree = FpTree::Build(db, 1);
   // Root + one node per item: identical transactions share one path.
   EXPECT_EQ(tree.node_count(), 4u);
-  EXPECT_TRUE(tree.IsSinglePath());
 }
 
 TEST(FpTreeTest, SinglePathDetection) {
@@ -58,7 +57,14 @@ TEST(FpTreeTest, SinglePathDetection) {
   db.Add({1, 2});
   db.Add({1, 3});
   auto tree = FpTree::Build(db, 1);
-  EXPECT_FALSE(tree.IsSinglePath());
+  // The shared item 1 is one node, and the path forks below it.
+  const FpTree::NodeIndex shared = tree.first_child(tree.root());
+  ASSERT_NE(shared, FpTree::kNoNode);
+  EXPECT_EQ(tree.next_sibling(shared), FpTree::kNoNode);
+  EXPECT_EQ(tree.item(shared), 1u);
+  const FpTree::NodeIndex fork = tree.first_child(shared);
+  ASSERT_NE(fork, FpTree::kNoNode);
+  EXPECT_NE(tree.next_sibling(fork), FpTree::kNoNode);
 }
 
 TEST(FpTreeTest, SinglePathItemsInOrder) {
@@ -67,8 +73,13 @@ TEST(FpTreeTest, SinglePathItemsInOrder) {
   db.Add({1, 2});
   db.Add({1});
   auto tree = FpTree::Build(db, 1);
-  ASSERT_TRUE(tree.IsSinglePath());
-  auto items = tree.SinglePathItems();
+  // A single chain from the root: every node has at most one child.
+  std::vector<std::pair<ItemId, size_t>> items;
+  for (FpTree::NodeIndex node = tree.first_child(tree.root());
+       node != FpTree::kNoNode; node = tree.first_child(node)) {
+    EXPECT_EQ(tree.next_sibling(node), FpTree::kNoNode);
+    items.emplace_back(tree.item(node), tree.count(node));
+  }
   ASSERT_EQ(items.size(), 3u);
   EXPECT_EQ(items[0], (std::pair<ItemId, size_t>{1, 3}));
   EXPECT_EQ(items[1], (std::pair<ItemId, size_t>{2, 2}));
@@ -82,15 +93,24 @@ TEST(FpTreeTest, ConditionalPatternBase) {
   db.Add({2, 3});
   auto tree = FpTree::Build(db, 1);
   // Paths are frequency-ordered: item 3 (support 3) sits at the top, so its
-  // pattern base is empty; item 2 (support 2, highest id) is deepest.
-  EXPECT_TRUE(tree.ConditionalPatternBase(3).empty());
-  auto base = tree.ConditionalPatternBase(2);
-  ASSERT_EQ(base.size(), 2u);
-  size_t total = 0;
-  for (const auto& path : base) {
-    total += path.count;
-    EXPECT_EQ(path.items.front(), 3u);  // every prefix starts at the root
+  // pattern base is empty; item 2 (support 2, highest id) is deepest. The
+  // miner reads a base by walking parent links up from each chain node.
+  for (FpTree::NodeIndex node = tree.HeaderChain(3); node != FpTree::kNoNode;
+       node = tree.next_same_item(node)) {
+    EXPECT_EQ(tree.parent(node), tree.root());
   }
+  size_t paths = 0;
+  size_t total = 0;
+  for (FpTree::NodeIndex node = tree.HeaderChain(2); node != FpTree::kNoNode;
+       node = tree.next_same_item(node)) {
+    ASSERT_NE(tree.parent(node), tree.root());
+    FpTree::NodeIndex top = tree.parent(node);
+    while (tree.parent(top) != tree.root()) top = tree.parent(top);
+    EXPECT_EQ(tree.item(top), 3u);  // every prefix starts at the root
+    ++paths;
+    total += tree.count(node);
+  }
+  EXPECT_EQ(paths, 2u);
   EXPECT_EQ(total, 2u);
 }
 

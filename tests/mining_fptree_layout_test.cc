@@ -1,11 +1,12 @@
 // Invariant tests for the flat structure-of-arrays FP-tree: arena
 // compactness (every node reachable, exactly once, through the
 // child/sibling links), agreement between the dense header tables and the
-// conditional pattern bases, and equivalence of IsSinglePath /
-// SinglePathItems / per-item counts against an independent pointer-based
+// tree structure, and equivalence of node counts, per-item counts, header
+// chains and single-path shape against an independent pointer-based
 // reference tree that reimplements the classic layout the arena replaced.
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,7 +116,29 @@ struct RefTree {
     }
     return items;
   }
+
 };
+
+// The flat tree's single-path view, read through the child/sibling links
+// FP-Growth walks: true when no node has a second child.
+bool IsSinglePath(const FpTree& tree) {
+  for (FpTree::NodeIndex node = tree.first_child(tree.root());
+       node != FpTree::kNoNode; node = tree.first_child(node)) {
+    if (tree.next_sibling(node) != FpTree::kNoNode) return false;
+  }
+  return true;
+}
+
+// The (item, count) chain from the root's first child down, root-side
+// first; the whole tree when IsSinglePath(tree).
+std::vector<std::pair<ItemId, size_t>> SinglePathItems(const FpTree& tree) {
+  std::vector<std::pair<ItemId, size_t>> items;
+  for (FpTree::NodeIndex node = tree.first_child(tree.root());
+       node != FpTree::kNoNode; node = tree.first_child(node)) {
+    items.emplace_back(tree.item(node), tree.count(node));
+  }
+  return items;
+}
 
 // Walks the child/sibling links from the root and asserts the arena is
 // compact: every index in [0, node_count) is reached exactly once, no link
@@ -146,8 +169,7 @@ void CheckArenaCompact(const FpTree& tree) {
 // The dense header tables must agree with the structural tree: per item,
 // the header chain visits exactly the nodes carrying that item, in
 // ascending arena order (chains append at creation, creation indices grow),
-// and their counts sum to the dense ItemCount. The conditional pattern base
-// derived from the chain must account for every non-root occurrence.
+// and their counts sum to the dense ItemCount.
 void CheckHeadersAgree(const FpTree& tree) {
   std::map<ItemId, size_t> chain_counts;
   std::map<ItemId, size_t> chain_lengths;
@@ -165,24 +187,6 @@ void CheckHeadersAgree(const FpTree& tree) {
       ++chain_lengths[item];
     }
     EXPECT_EQ(chain_counts[item], tree.ItemCount(item));
-    // Every chain node with a non-root parent contributes one prefix path.
-    size_t nonroot = 0;
-    size_t base_support = 0;
-    for (FpTree::NodeIndex node = tree.HeaderChain(item);
-         node != FpTree::kNoNode; node = tree.next_same_item(node)) {
-      if (tree.parent(node) != tree.root()) {
-        ++nonroot;
-        base_support += tree.count(node);
-      }
-    }
-    const auto base = tree.ConditionalPatternBase(item);
-    EXPECT_EQ(base.size(), nonroot);
-    size_t base_total = 0;
-    for (const auto& path : base) {
-      EXPECT_FALSE(path.items.empty());
-      base_total += path.count;
-    }
-    EXPECT_EQ(base_total, base_support);
   }
   // Chains jointly cover the whole arena: Σ chain lengths == non-root nodes.
   size_t total_chain_nodes = 0;
@@ -213,7 +217,7 @@ TEST(FpTreeLayoutTest, ArenaCompactAfterClearAndReuse) {
   // Rebuild a smaller tree into the recycled arena: stale header entries
   // and item counts from the first build must be gone.
   const std::vector<ItemId> path = {7, 8};
-  tree.Insert(path, 3);
+  tree.Insert(path.data(), path.size(), 3);
   EXPECT_EQ(tree.node_count(), 3u);
   EXPECT_EQ(tree.ItemCount(7), 3u);
   EXPECT_EQ(tree.ItemCount(8), 3u);
@@ -265,9 +269,9 @@ TEST(FpTreeLayoutTest, MatchesPointerReferenceMultiSeed) {
         }
         EXPECT_EQ(i, ref_len);
       }
-      EXPECT_EQ(tree.IsSinglePath(), ref.IsSinglePath());
-      if (tree.IsSinglePath()) {
-        EXPECT_EQ(tree.SinglePathItems(), ref.SinglePathItems());
+      EXPECT_EQ(IsSinglePath(tree), ref.IsSinglePath());
+      if (IsSinglePath(tree)) {
+        EXPECT_EQ(SinglePathItems(tree), ref.SinglePathItems());
       }
     }
   }
@@ -283,9 +287,9 @@ TEST(FpTreeLayoutTest, SinglePathEquivalenceOnChains) {
     db.Add({1});
     const FpTree tree = FpTree::Build(db, 1);
     const RefTree ref = RefTree::Build(db, 1);
-    ASSERT_TRUE(tree.IsSinglePath());
+    ASSERT_TRUE(IsSinglePath(tree));
     ASSERT_TRUE(ref.IsSinglePath());
-    EXPECT_EQ(tree.SinglePathItems(), ref.SinglePathItems());
+    EXPECT_EQ(SinglePathItems(tree), ref.SinglePathItems());
   }
   {
     // One diverging leaf breaks the path on both implementations.
@@ -294,15 +298,15 @@ TEST(FpTreeLayoutTest, SinglePathEquivalenceOnChains) {
     db.Add({1, 2, 4});
     const FpTree tree = FpTree::Build(db, 1);
     const RefTree ref = RefTree::Build(db, 1);
-    EXPECT_FALSE(tree.IsSinglePath());
+    EXPECT_FALSE(IsSinglePath(tree));
     EXPECT_FALSE(ref.IsSinglePath());
   }
   {
     // Empty database: the bare root is a single (empty) path.
     TransactionDatabase db;
     const FpTree tree = FpTree::Build(db, 1);
-    EXPECT_TRUE(tree.IsSinglePath());
-    EXPECT_TRUE(tree.SinglePathItems().empty());
+    EXPECT_TRUE(IsSinglePath(tree));
+    EXPECT_TRUE(SinglePathItems(tree).empty());
     EXPECT_EQ(tree.node_count(), 1u);
   }
 }

@@ -23,7 +23,6 @@ TEST(ItemsetTest, SubsetChecks) {
 TEST(ItemsetTest, SetAlgebra) {
   EXPECT_EQ(Union({1, 3}, {2, 3, 4}), (Itemset{1, 2, 3, 4}));
   EXPECT_EQ(Intersect({1, 2, 3}, {2, 3, 4}), (Itemset{2, 3}));
-  EXPECT_EQ(Difference({1, 2, 3}, {2}), (Itemset{1, 3}));
   EXPECT_EQ(Union({}, {}), Itemset{});
   EXPECT_EQ(Intersect({1}, {2}), Itemset{});
 }

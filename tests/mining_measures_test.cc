@@ -32,30 +32,6 @@ TEST(MeasuresTest, LiftSymmetricInAAndB) {
   EXPECT_DOUBLE_EQ(Lift(12, 30, 45, 200), Lift(12, 45, 30, 200));
 }
 
-TEST(MeasuresTest, RelativeSupport) {
-  EXPECT_DOUBLE_EQ(RelativeSupport(25, 100), 0.25);
-  EXPECT_DOUBLE_EQ(RelativeSupport(5, 0), 0.0);
-}
-
-TEST(MeasuresTest, LeverageZeroAtIndependence) {
-  EXPECT_DOUBLE_EQ(Leverage(20, 50, 40, 100), 0.0);
-  EXPECT_GT(Leverage(30, 50, 40, 100), 0.0);
-  EXPECT_LT(Leverage(10, 50, 40, 100), 0.0);
-}
-
-TEST(MeasuresTest, ConvictionOneAtIndependence) {
-  EXPECT_DOUBLE_EQ(Conviction(20, 50, 40, 100), 1.0);
-}
-
-TEST(MeasuresTest, ConvictionCapsAtPerfectConfidence) {
-  EXPECT_DOUBLE_EQ(Conviction(50, 50, 40, 100), kConvictionCap);
-}
-
-TEST(MeasuresTest, ConvictionDegenerate) {
-  EXPECT_DOUBLE_EQ(Conviction(1, 0, 5, 100), 0.0);
-  EXPECT_DOUBLE_EQ(Conviction(1, 5, 5, 0), 0.0);
-}
-
 // Relationship property: lift = confidence / P(B).
 TEST(MeasuresTest, LiftEqualsConfidenceOverBaseRate) {
   const size_t ab = 18, a = 40, b = 60, n = 300;

@@ -51,15 +51,5 @@ TEST(ProfileTest, ZipfSkewShowsInHeadShare) {
             uniform_profile.top_item_frequency);
 }
 
-TEST(ProfileTest, RenderContainsAllFields) {
-  TransactionDatabase db;
-  db.Add({1, 2});
-  std::string text = RenderProfile(ProfileDatabase(db));
-  EXPECT_NE(text.find("transactions: 1"), std::string::npos);
-  EXPECT_NE(text.find("distinct items: 2"), std::string::npos);
-  EXPECT_NE(text.find("density:"), std::string::npos);
-  EXPECT_NE(text.find("top-item frequency:"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace maras::mining

@@ -5,6 +5,8 @@
 #include "mining/fpgrowth.h"
 #include "mining/measures.h"
 #include "mining/transaction_db.h"
+#include "tests/oracles/partition_rules.h"
+#include "util/run_context.h"
 
 namespace maras::mining {
 namespace {
@@ -14,6 +16,13 @@ FrequentItemsetResult MineAll(const TransactionDatabase& db,
   auto result = FpGrowth(MiningOptions{.min_support = min_support}).Mine(db);
   EXPECT_TRUE(result.ok());
   return *std::move(result);
+}
+
+RuleSpaceCount Count(const FrequentItemsetResult& frequent,
+                     double min_confidence) {
+  auto count = CountAllPartitionRules(frequent, min_confidence, RunContext{});
+  EXPECT_TRUE(count.ok());
+  return *count;
 }
 
 TransactionDatabase SmallDb() {
@@ -29,7 +38,7 @@ TransactionDatabase SmallDb() {
 TEST(RuleCountTest, NoConfidenceThresholdCountsAllBipartitions) {
   TransactionDatabase db = SmallDb();
   auto frequent = MineAll(db, 1);
-  RuleSpaceCount count = CountAllPartitionRules(frequent, 0.0);
+  RuleSpaceCount count = Count(frequent, 0.0);
   // Sum over itemsets of size k >= 2 of 2^k − 2, computed independently.
   uint64_t expected = 0;
   for (const auto& fi : frequent.itemsets()) {
@@ -47,7 +56,7 @@ TEST(RuleCountTest, SingleReportGeneratesNineDrugAdrStyleRules) {
   TransactionDatabase db;
   db.Add({0, 1, 2, 3});
   auto frequent = MineAll(db, 1);
-  RuleSpaceCount count = CountAllPartitionRules(frequent, 0.0);
+  RuleSpaceCount count = Count(frequent, 0.0);
   // All subsets of the single transaction are frequent; sum over all of them.
   uint64_t expected = 0;
   for (const auto& fi : frequent.itemsets()) {
@@ -60,8 +69,8 @@ TEST(RuleCountTest, SingleReportGeneratesNineDrugAdrStyleRules) {
 TEST(RuleCountTest, ConfidenceThresholdPrunes) {
   TransactionDatabase db = SmallDb();
   auto frequent = MineAll(db, 1);
-  uint64_t all = CountAllPartitionRules(frequent, 0.0).total_rules;
-  uint64_t strict = CountAllPartitionRules(frequent, 0.9).total_rules;
+  uint64_t all = Count(frequent, 0.0).total_rules;
+  uint64_t strict = Count(frequent, 0.9).total_rules;
   EXPECT_LT(strict, all);
 }
 
@@ -69,7 +78,7 @@ TEST(RuleGenTest, GeneratedRulesHaveCorrectMeasures) {
   TransactionDatabase db = SmallDb();
   auto frequent = MineAll(db, 1);
   auto rules = GenerateAllPartitionRules(frequent, 0.0, db.size(), 100000);
-  EXPECT_EQ(rules.size(), CountAllPartitionRules(frequent, 0.0).total_rules);
+  EXPECT_EQ(rules.size(), Count(frequent, 0.0).total_rules);
   for (const auto& rule : rules) {
     Itemset whole = Union(rule.antecedent, rule.consequent);
     EXPECT_EQ(rule.support, db.Support(whole));

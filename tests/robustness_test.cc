@@ -55,7 +55,7 @@ TEST_P(SeedSweepTest, CaseStudySignalsRecoveredAtEverySeed) {
   // The three headline case studies must always be mined.
   for (const auto* name :
        {"IBUPROFEN", "METAMIZOLE", "PREVACID", "NEXIUM"}) {
-    EXPECT_TRUE(pre.items.Contains(name)) << name;
+    EXPECT_TRUE(pre.items.Lookup(name).ok()) << name;
   }
   auto find_pair = [&](const char* d1, const char* d2, const char* adr) {
     auto id1 = pre.items.Lookup(d1);

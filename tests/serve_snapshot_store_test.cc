@@ -16,6 +16,7 @@
 
 #include "core/checkpoint.h"
 #include "faers/corruptor.h"
+#include "tests/oracles/crash_harness.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot_store.h"
 #include "serve_test_util.h"
@@ -102,8 +103,8 @@ TEST(SnapshotStoreTest, StrayTmpFilesAreNeverCandidates) {
   ASSERT_TRUE(store.Publish(InputsOf(fixture)).ok());
   // A crash inside the atomic-write helper leaves a *.tmp — precisely what
   // rename-based publication protects against. It must be invisible.
-  ASSERT_TRUE(maras::WriteStringToFile(GenPath(dir, 2) + ".tmp", "garbage")
-                  .ok());
+  ASSERT_TRUE(
+      maras::AtomicWriteStringToFile(GenPath(dir, 2) + ".tmp", "garbage").ok());
   SnapshotStore fresh(OptionsFor(dir));
   auto snapshot = fresh.Acquire();
   ASSERT_TRUE(snapshot.ok());

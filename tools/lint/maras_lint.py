@@ -19,7 +19,8 @@ excluded because its fixtures deliberately violate the rules. Only such a
 whole-tree scan runs `reachability`, which follows includes from the
 shipped programs (tools/, examples/, bench/, perfbench/) and fails on any
 src/ header they never reach; its exceptions live in
-REACHABILITY_ALLOWLIST, not in suppression comments.
+REACHABILITY_ALLOWLIST, not in suppression comments. The same question one
+level down, per function, needs the linker: see link_reachability.py.
 
 Suppression: a violating line (or the line directly above it) may carry
     // maras-lint: disable=<rule>[,<rule>...]
