@@ -234,11 +234,10 @@ maras::Status Generate(const std::filesystem::path& root) {
         WriteFile(root / "snapshot" / "tiny.bin", "MSNP\x01"));
   }
 
-  // --- bitmap: kernel-harness inputs ---------------------------------------
+  // --- bitmap: AND-harness inputs ------------------------------------------
   // Layout (see fuzz_bitmap_kernels.cc): [universe lo][universe hi][split]
-  // [delta stream A | delta stream B]. Seeds pin the shapes the kernels
-  // special-case: dense runs, skewed sparse lists, and an exact one-word
-  // universe.
+  // [delta stream A | delta stream B]. Seeds pin dense runs, skewed sparse
+  // lists, and an exact one-word universe.
   const auto bitmap_seed = [](uint16_t universe, unsigned char split,
                               std::string deltas) {
     std::string out;

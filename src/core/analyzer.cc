@@ -143,12 +143,12 @@ std::vector<std::vector<uint64_t>> SupportingReportLists(
       if (ops.empty()) continue;
       const mining::TidBitmap* extent = &bitmaps[ops[0]];
       if (ops.size() > 1) {
-        size_t count = mining::BitmapAnd(bitmaps[ops[0]], bitmaps[ops[1]],
-                                         &scratch);
-        for (size_t i = 2; i < ops.size() && count != 0; ++i) {
-          count = mining::BitmapAndInto(&scratch, bitmaps[ops[i]]);
+        bool any = mining::BitmapAnd(bitmaps[ops[0]], bitmaps[ops[1]],
+                                     &scratch);
+        for (size_t i = 2; i < ops.size() && any; ++i) {
+          any = mining::BitmapAndInto(&scratch, bitmaps[ops[i]]);
         }
-        if (count == 0) continue;
+        if (!any) continue;
         extent = &scratch;
       }
       std::vector<uint64_t>& reports = lists[r];

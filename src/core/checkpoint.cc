@@ -275,11 +275,6 @@ std::string EncodePreprocessResult(const faers::PreprocessResult& result) {
   }
   w.U64(result.primary_ids.size());
   for (uint64_t id : result.primary_ids) w.U64(id);
-  w.U64(result.demographics.size());
-  for (const faers::CaseDemographics& demo : result.demographics) {
-    w.U8(static_cast<uint8_t>(demo.sex));
-    w.F64(demo.age);
-  }
   const faers::PreprocessStats& s = result.stats;
   for (size_t counter :
        {s.reports_in, s.reports_kept, s.dropped_not_expedited,
@@ -347,20 +342,6 @@ maras::StatusOr<faers::PreprocessResult> DecodePreprocessResult(
     uint64_t id = 0;
     MARAS_RETURN_IF_ERROR(r.U64(&id));
     result.primary_ids.push_back(id);
-  }
-  uint64_t demos = 0;
-  MARAS_RETURN_IF_ERROR(r.Count(&demos, 1));  // >= 1 byte (sex) per entry
-  result.demographics.reserve(static_cast<size_t>(demos));
-  for (uint64_t i = 0; i < demos; ++i) {
-    faers::CaseDemographics demo;
-    uint8_t sex = 0;
-    MARAS_RETURN_IF_ERROR(r.U8(&sex));
-    if (sex > static_cast<uint8_t>(faers::Sex::kMale)) {
-      return maras::Status::Corruption("bad sex code " + std::to_string(sex));
-    }
-    demo.sex = static_cast<faers::Sex>(sex);
-    MARAS_RETURN_IF_ERROR(r.F64(&demo.age));
-    result.demographics.push_back(demo);
   }
   faers::PreprocessStats& s = result.stats;
   for (size_t* counter :

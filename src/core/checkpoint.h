@@ -33,7 +33,10 @@ namespace maras::core {
 //     re-encoded stage payloads.
 // ---------------------------------------------------------------------------
 
-inline constexpr uint32_t kCheckpointVersion = 1;
+// Version 2 dropped the per-report sex and age from the preprocess payload.
+// A file of another version is rejected like any corrupt one, so its stage
+// is recomputed.
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 // FNV-1a 64-bit over `data`; the snapshot integrity checksum.
 uint64_t Fnv1a64(std::string_view data);

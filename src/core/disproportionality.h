@@ -2,8 +2,6 @@
 #define MARAS_CORE_DISPROPORTIONALITY_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "core/drug_adr_rule.h"
 #include "mining/itemset.h"
@@ -86,48 +84,6 @@ struct DisproportionalityResult {
 // Evaluates a drug-ADR rule against the database.
 DisproportionalityResult EvaluateDisproportionality(
     const mining::TransactionDatabase& db, const DrugAdrRule& rule);
-
-// ---------------------------------------------------------------------------
-// Batched contingency counting. A screening pass evaluates thousands of
-// rules against the same database; doing that one MakeContingencyTable at
-// a time re-intersects tid-lists per rule. The batch path builds one dense
-// bitmap per distinct item (mining/bitmap.h), derives every rule's cells
-// with word-wise AND+popcount kernels, and stores the tables as contiguous
-// structure-of-arrays lanes so the downstream measure math runs over flat
-// uint64_t/double arrays. Counts are exact, so every lane is identical to
-// the scalar MakeContingencyTable value — core_disproportionality_test
-// asserts it element-wise.
-// ---------------------------------------------------------------------------
-
-// n 2×2 tables in SoA layout: lane i holds rule i's cells.
-struct ContingencyBatch {
-  std::vector<uint64_t> a, b, c, d;
-
-  size_t size() const { return a.size(); }
-
-  // Rehydrates lane i as the familiar struct.
-  ContingencyTable Table(size_t i) const {
-    return ContingencyTable{static_cast<size_t>(a[i]),
-                            static_cast<size_t>(b[i]),
-                            static_cast<size_t>(c[i]),
-                            static_cast<size_t>(d[i])};
-  }
-};
-
-// Builds every rule's table by bitmap AND+popcount over the shared item
-// bitmaps. Lane i equals MakeContingencyTable(db, rules[i].drugs,
-// rules[i].adrs) exactly. num_threads 0/1 run serial; any value yields
-// identical lanes (slot-per-rule fan-out).
-ContingencyBatch MakeContingencyTables(const mining::TransactionDatabase& db,
-                                       const std::vector<DrugAdrRule>& rules,
-                                       size_t num_threads = 1);
-
-// Full panels for a batch of rules: cell counts from the bitmap kernels,
-// then each measure computed in one pass over the SoA lanes. Element i
-// equals EvaluateDisproportionality(db, rules[i]) exactly.
-std::vector<DisproportionalityResult> EvaluateDisproportionalityBatch(
-    const mining::TransactionDatabase& db, const std::vector<DrugAdrRule>& rules,
-    size_t num_threads = 1);
 
 }  // namespace maras::core
 

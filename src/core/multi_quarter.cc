@@ -38,9 +38,6 @@ maras::StatusOr<faers::PreprocessResult> MergeQuarters(
       }
       transactions.push_back(std::move(transaction));
       merged.primary_ids.push_back(quarter->primary_ids[t]);
-      merged.demographics.push_back(t < quarter->demographics.size()
-                                        ? quarter->demographics[t]
-                                        : faers::CaseDemographics{});
     }
     // Aggregate statistics.
     merged.stats.reports_in += quarter->stats.reports_in;

@@ -139,7 +139,6 @@ maras::StatusOr<PreprocessResult> AggregateToClasses(
   PreprocessResult output;
   output.stats = input.stats;
   output.primary_ids = input.primary_ids;
-  output.demographics = input.demographics;
 
   // Old item id -> new item id, computed once.
   std::vector<mining::ItemId> remap(input.items.size());

@@ -50,8 +50,8 @@ class ClassMap {
 // Rewrites a cleaned corpus at class granularity: every classified drug
 // item becomes its class item (prefixed "CLASS:"), unclassified drugs keep
 // their own name, ADRs pass through, and duplicate class mentions within a
-// report collapse. primary ids and demographics carry over, so drill-down
-// from a class-level signal still reaches the raw reports.
+// report collapse. primary ids carry over, so drill-down from a class-level
+// signal still reaches the raw reports.
 maras::StatusOr<PreprocessResult> AggregateToClasses(
     const PreprocessResult& input, const ClassMap& classes);
 

@@ -152,7 +152,6 @@ maras::StatusOr<PreprocessResult> Preprocessor::Process(
     }
     transactions.push_back(std::move(transaction));
     result.primary_ids.push_back(report.primary_id());
-    result.demographics.push_back(CaseDemographics{report.sex, report.age});
     ++result.stats.reports_kept;
   }
   result.transactions =

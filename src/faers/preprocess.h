@@ -46,22 +46,13 @@ struct PreprocessStats {
   size_t alias_resolutions = 0;    // brand names mapped to canonical
 };
 
-// Demographics retained per kept report, for stratified analyses
-// (age/sex confounding control) and drill-down.
-struct CaseDemographics {
-  Sex sex = Sex::kUnknown;
-  double age = -1.0;  // years; < 0 unreported
-};
-
 // The cleaned, mineable form of a quarter: the interned item vocabulary, one
-// transaction per kept report, the report identity for drill-down
-// (transaction i came from primary_ids[i]) and its demographics
-// (demographics[i]).
+// transaction per kept report and the report identity for drill-down
+// (transaction i came from primary_ids[i]).
 struct PreprocessResult {
   mining::ItemDictionary items;
   mining::TransactionDatabase transactions;
   std::vector<uint64_t> primary_ids;
-  std::vector<CaseDemographics> demographics;
   PreprocessStats stats;
 };
 

@@ -563,6 +563,44 @@ TEST_F(CheckpointResumeTest, ShortPrimaryIdListIsRejectedAndRecomputed) {
   EXPECT_TRUE(ReadQuarterCheckpoint(dir, "2052Q2").ok());
 }
 
+TEST_F(CheckpointResumeTest, VersionOneQuarterCheckpointIsRejectedAndRecomputed) {
+  std::string dir = FreshDir("v1_quarter_resume");
+  auto first = MultiQuarterPipeline(CheckpointedOptions(dir, 1))
+                   .RunAnalyzed(*quarters_, HarnessAnalyzer(1));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+
+  // A quarter checkpoint from before version 2 (whose payload still held
+  // each report's sex and age): the same framing, with version 1 in the
+  // field after the 4-byte magic.
+  const std::string path = CheckpointPath(dir, "quarter-2052Q2");
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_EQ(bytes[4], static_cast<char>(kCheckpointVersion));
+  bytes[4] = 1;
+  WriteFileBytes(path, bytes);
+
+  MultiQuarterOptions retry = CheckpointedOptions(dir, 1);
+  retry.resume = true;
+  auto resumed = MultiQuarterPipeline(retry).RunAnalyzed(*quarters_,
+                                                         HarnessAnalyzer(1));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  bool noted = false;
+  for (const std::string& note : resumed->notes) {
+    if (note.find("rejected") != std::string::npos &&
+        note.find("quarter-2052Q2") != std::string::npos) {
+      noted = true;
+      EXPECT_NE(note.find("unsupported checkpoint version 1"),
+                std::string::npos)
+          << note;
+      EXPECT_NE(note.find("recomputing"), std::string::npos) << note;
+    }
+  }
+  EXPECT_TRUE(noted) << "no note names the rejected quarter";
+  ExpectIdentical(Encode(*resumed), *reference_);
+  // The quarter is republished at the current version.
+  EXPECT_TRUE(ReadQuarterCheckpoint(dir, "2052Q2").ok());
+  EXPECT_EQ(ReadFileBytes(path)[4], static_cast<char>(kCheckpointVersion));
+}
+
 TEST_F(CheckpointResumeTest, ClosedFamilyPastTheCapIsRecomputedWithLaterStages) {
   std::string dir = FreshDir("cap_resume");
   auto uncapped = MultiQuarterPipeline(CheckpointedOptions(dir, 1))

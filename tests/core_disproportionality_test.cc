@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <vector>
 
 #include "test_util.h"
-#include "util/random.h"
 
 namespace maras::core {
 namespace {
@@ -191,109 +189,6 @@ TEST(RelationshipTest, RorAtLeastAsExtremeAsPrr) {
       EXPECT_LE(ror, prr);
     }
   }
-}
-
-// --------------------------------------------------------------------------
-// Batched SoA counting vs the scalar one-rule path. The batch derives its
-// cells from the bitmap popcount kernels, so both counts and the doubles
-// computed from them must be identical — not close, identical.
-// --------------------------------------------------------------------------
-
-std::vector<DrugAdrRule> RandomRules(maras::Rng* rng, int items, int count) {
-  std::vector<DrugAdrRule> rules;
-  for (int r = 0; r < count; ++r) {
-    mining::Itemset drugs, adrs;
-    for (size_t i = 1 + rng->Uniform(3); i > 0; --i) {
-      drugs.push_back(static_cast<mining::ItemId>(rng->Uniform(items)));
-    }
-    for (size_t i = 1 + rng->Uniform(2); i > 0; --i) {
-      adrs.push_back(static_cast<mining::ItemId>(rng->Uniform(items)));
-    }
-    DrugAdrRule rule;
-    rule.drugs = mining::MakeItemset(std::move(drugs));
-    rule.adrs = mining::MakeItemset(std::move(adrs));
-    rules.push_back(std::move(rule));
-  }
-  // Edge rules the batch's cached bitmaps must get right: an empty side
-  // (support == n), and an item id never interned (support == 0).
-  DrugAdrRule empty_drugs;
-  empty_drugs.adrs = mining::MakeItemset({1});
-  rules.push_back(empty_drugs);
-  DrugAdrRule empty_adrs;
-  empty_adrs.drugs = mining::MakeItemset({0});
-  rules.push_back(empty_adrs);
-  DrugAdrRule unseen;
-  unseen.drugs = mining::MakeItemset({500});
-  unseen.adrs = mining::MakeItemset({2});
-  rules.push_back(unseen);
-  return rules;
-}
-
-mining::TransactionDatabase RandomDb(maras::Rng* rng, int transactions,
-                                     int items) {
-  mining::TransactionDatabase db;
-  for (int t = 0; t < transactions; ++t) {
-    mining::Itemset txn;
-    for (size_t i = 1 + rng->Uniform(8); i > 0; --i) {
-      txn.push_back(static_cast<mining::ItemId>(rng->Uniform(items)));
-    }
-    db.Add(std::move(txn));
-  }
-  return db;
-}
-
-TEST(ContingencyBatchTest, LanesEqualScalarTablesAtAnyThreadCount) {
-  maras::Rng rng(20260808);
-  mining::TransactionDatabase db = RandomDb(&rng, 400, 30);
-  std::vector<DrugAdrRule> rules = RandomRules(&rng, 30, 60);
-  for (size_t threads : {1u, 4u}) {
-    ContingencyBatch batch = MakeContingencyTables(db, rules, threads);
-    ASSERT_EQ(batch.size(), rules.size());
-    for (size_t i = 0; i < rules.size(); ++i) {
-      ContingencyTable expected =
-          MakeContingencyTable(db, rules[i].drugs, rules[i].adrs);
-      ContingencyTable lane = batch.Table(i);
-      EXPECT_EQ(lane.a, expected.a) << "rule " << i << ", " << threads;
-      EXPECT_EQ(lane.b, expected.b) << "rule " << i << ", " << threads;
-      EXPECT_EQ(lane.c, expected.c) << "rule " << i << ", " << threads;
-      EXPECT_EQ(lane.d, expected.d) << "rule " << i << ", " << threads;
-      EXPECT_EQ(lane.n(), db.size()) << "rule " << i;
-    }
-  }
-}
-
-TEST(ContingencyBatchTest, EvaluateBatchBitIdenticalToScalar) {
-  maras::Rng rng(0xD15B);
-  mining::TransactionDatabase db = RandomDb(&rng, 300, 24);
-  std::vector<DrugAdrRule> rules = RandomRules(&rng, 24, 40);
-  std::vector<DisproportionalityResult> batch =
-      EvaluateDisproportionalityBatch(db, rules, 4);
-  ASSERT_EQ(batch.size(), rules.size());
-  for (size_t i = 0; i < rules.size(); ++i) {
-    DisproportionalityResult scalar = EvaluateDisproportionality(db, rules[i]);
-    EXPECT_EQ(batch[i].table.a, scalar.table.a) << i;
-    EXPECT_EQ(batch[i].table.b, scalar.table.b) << i;
-    EXPECT_EQ(batch[i].table.c, scalar.table.c) << i;
-    EXPECT_EQ(batch[i].table.d, scalar.table.d) << i;
-    // Same cells through the same scalar measure functions: the doubles
-    // must match to the last bit.
-    EXPECT_EQ(batch[i].prr, scalar.prr) << i;
-    EXPECT_EQ(batch[i].ror, scalar.ror) << i;
-    EXPECT_EQ(batch[i].chi_squared, scalar.chi_squared) << i;
-    EXPECT_EQ(batch[i].information_component, scalar.information_component)
-        << i;
-    EXPECT_EQ(batch[i].MeetsEvansCriteria(), scalar.MeetsEvansCriteria()) << i;
-  }
-}
-
-TEST(ContingencyBatchTest, EmptyBatchAndEmptyDatabase) {
-  mining::TransactionDatabase db;
-  EXPECT_EQ(MakeContingencyTables(db, {}, 4).size(), 0u);
-  std::vector<DrugAdrRule> rules(1);
-  rules[0].drugs = mining::MakeItemset({0});
-  ContingencyBatch batch = MakeContingencyTables(db, rules, 1);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.Table(0).n(), 0u);
 }
 
 }  // namespace

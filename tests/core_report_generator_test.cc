@@ -26,7 +26,6 @@ struct Fixture {
     for (const auto& t : corpus.db.transactions()) {
       pre.transactions.Add(t);
       pre.primary_ids.push_back(pre.primary_ids.size() + 1);
-      pre.demographics.push_back(faers::CaseDemographics{});
     }
     pre.stats.reports_in = pre.transactions.size();
     pre.stats.reports_kept = pre.transactions.size();

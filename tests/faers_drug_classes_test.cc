@@ -53,7 +53,6 @@ PreprocessResult SmallCorpus() {
   for (const auto& t : corpus.db.transactions()) {
     result.transactions.Add(t);
     result.primary_ids.push_back(result.primary_ids.size() + 1000);
-    result.demographics.push_back(CaseDemographics{});
   }
   return result;
 }
@@ -130,7 +129,6 @@ TEST(AggregateTest, DuplicateClassMentionsCollapse) {
   for (const auto& t : corpus.db.transactions()) {
     input.transactions.Add(t);
     input.primary_ids.push_back(1);
-    input.demographics.push_back(CaseDemographics{});
   }
   auto output = AggregateToClasses(input, ClassMap::Curated());
   ASSERT_TRUE(output.ok());

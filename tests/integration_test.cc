@@ -9,7 +9,6 @@
 
 #include "core/analyzer.h"
 #include "core/export.h"
-#include "core/stratified.h"
 #include "faers/ascii_format.h"
 #include "faers/drug_classes.h"
 #include "faers/generator.h"
@@ -199,21 +198,6 @@ TEST_F(PipelineTest, GeneratedDatasetValidatesClean) {
   EXPECT_TRUE(report.ok());
   EXPECT_EQ((report.findings.size() - report.error_count()), 0u);
   EXPECT_EQ(report.reports_checked, dataset_->reports.size());
-}
-
-TEST_F(PipelineTest, DemographicsAlignAndStratificationRuns) {
-  ASSERT_EQ(pre_->demographics.size(), pre_->transactions.size());
-  core::StratifiedAnalyzer stratified(&pre_->transactions,
-                                      &pre_->demographics);
-  ASSERT_FALSE(analysis_->mcacs.empty());
-  const core::DrugAdrRule& target = analysis_->mcacs.front().target;
-  auto tables = stratified.Tables(target);
-  ASSERT_FALSE(tables.empty());
-  size_t total = 0;
-  for (const auto& stratum : tables) total += stratum.table.n();
-  EXPECT_EQ(total, pre_->transactions.size());
-  double pooled = stratified.MantelHaenszelRor(target);
-  EXPECT_GE(pooled, 0.0);
 }
 
 TEST_F(PipelineTest, ClassAggregatedCorpusIsAnalyzable) {

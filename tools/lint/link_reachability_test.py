@@ -3,8 +3,8 @@
 
 The real check needs a special build (function sections, --gc-sections);
 these fixtures cover its logic without one: which symbols count as library
-functions, what counts as linked, how the allowlist matches, and that the
-check can fail.
+functions, what counts as linked, how the allowlist matches, how the
+manifest of shipped programs picks the roots, and that the check can fail.
 """
 
 import os
@@ -27,12 +27,13 @@ def fixture(name):
         return fh.read()
 
 
-def run_cli(allowlist):
+def run_cli(allowlist, manifest="manifest.txt", executables=("exe.nm",)):
     return subprocess.run(
         [sys.executable, SCRIPT, "--nm-text",
+         "--manifest", os.path.join(FIXTURES, manifest),
          "--allowlist", os.path.join(FIXTURES, allowlist),
          "--library", os.path.join(FIXTURES, "lib.nm"),
-         "--executable", os.path.join(FIXTURES, "exe.nm")],
+         "--executable", *[os.path.join(FIXTURES, e) for e in executables]],
         capture_output=True, text=True)
 
 
@@ -58,8 +59,10 @@ class ParseTest(unittest.TestCase):
 
     def test_allowlist_requires_a_reason(self):
         with self.assertRaises(ValueError):
-            link_reachability.parse_allowlist(fixture("no_reason_allowlist.txt"))
-        entries = link_reachability.parse_allowlist(fixture("allowlist.txt"))
+            link_reachability.parse_entries(
+                fixture("no_reason_allowlist.txt"), "allowlist")
+        entries = link_reachability.parse_entries(
+            fixture("allowlist.txt"), "allowlist")
         self.assertEqual(entries["maras::api::Allowlisted(int)"],
                          "exact-signature entry")
 
@@ -68,7 +71,7 @@ class CheckTest(unittest.TestCase):
     def check(self, allowlist):
         return link_reachability.check(
             [fixture("lib.nm")], [fixture("exe.nm")],
-            link_reachability.parse_allowlist(fixture(allowlist)))
+            link_reachability.parse_entries(fixture(allowlist), "allowlist"))
 
     def test_reports_every_unlinked_function_not_allowlisted(self):
         unreached, stale = self.check("allowlist.txt")
@@ -98,6 +101,31 @@ class CheckTest(unittest.TestCase):
         self.assertNotIn("maras::api::Overloaded(int)", unreached)
 
 
+class ManifestTest(unittest.TestCase):
+    def test_a_row_requires_a_reason(self):
+        with self.assertRaises(ValueError):
+            link_reachability.parse_entries(
+                fixture("no_reason_manifest.txt"), "manifest")
+        rows = link_reachability.parse_entries(
+            fixture("manifest.txt"), "manifest")
+        self.assertEqual(rows, {"exe": "fixture program"})
+
+    def test_program_without_a_row_and_stale_row(self):
+        rows = link_reachability.parse_entries(
+            fixture("stale_manifest.txt"), "manifest")
+        self.assertEqual(
+            link_reachability.check_manifest(["exe", "tool"], rows),
+            (["tool"], ["gone"]))
+
+    def test_counts_the_functions_only_each_program_links(self):
+        counts = link_reachability.sole_keepers(
+            [fixture("lib.nm")],
+            {"exe": fixture("exe.nm"), "tool": fixture("tool.nm")})
+        # Used(int) is linked by both; exe alone keeps Cloned(int), tool
+        # alone Unused(int) and InlineUnused().
+        self.assertEqual(counts, {"exe": 1, "tool": 2})
+
+
 class CliTest(unittest.TestCase):
     def test_fails_naming_the_unreached_functions(self):
         proc = run_cli("allowlist.txt")
@@ -122,6 +150,49 @@ class CliTest(unittest.TestCase):
         proc = run_cli("no_reason_allowlist.txt")
         self.assertEqual(proc.returncode, 2)
         self.assertIn("expected `<name> => <reason>`", proc.stderr)
+
+    def test_fails_on_a_built_program_without_a_row(self):
+        proc = run_cli("clean_allowlist.txt",
+                       executables=("exe.nm", "tool.nm"))
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertEqual(proc.stdout,
+                         "program without a manifest row: tool\n")
+
+    def test_fails_on_a_row_naming_no_built_program(self):
+        proc = run_cli("clean_allowlist.txt", manifest="stale_manifest.txt")
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertEqual(proc.stdout, "stale manifest row: gone\n")
+
+    def test_row_without_reason_is_a_usage_error(self):
+        proc = run_cli("clean_allowlist.txt",
+                       manifest="no_reason_manifest.txt")
+        self.assertEqual(proc.returncode, 2)
+        self.assertIn("manifest line 1: expected `<name> => <reason>`",
+                      proc.stderr)
+
+    def test_only_manifest_programs_are_roots(self):
+        # tool.nm links Unused and InlineUnused, but without a row it keeps
+        # nothing alive.
+        proc = run_cli("allowlist.txt", executables=("exe.nm", "tool.nm"))
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertEqual(proc.stdout.splitlines(), [
+            "unreached: maras::api::InlineUnused()",
+            "unreached: maras::api::Unused(int)",
+            "program without a manifest row: tool",
+        ])
+
+    def test_summary_counts_what_only_each_program_links(self):
+        proc = run_cli("allowlist.txt", manifest="two_program_manifest.txt",
+                       executables=("exe.nm", "tool.nm"))
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertEqual(proc.stdout, "")
+        summary = proc.stderr.splitlines()
+        self.assertIn("2 programs", summary[0])
+        self.assertEqual(summary[1:], [
+            "link-reachability: library functions only one program links:",
+            "     2  tool",
+            "     1  exe",
+        ])
 
     def test_executable_directory_expands_to_its_elf_executables(self):
         with tempfile.TemporaryDirectory() as tmp:
