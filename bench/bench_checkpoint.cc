@@ -1,12 +1,9 @@
-// Checkpoint micro-benchmarks: codec encode/decode throughput (itemset
-// families and mine-shard snapshots), atomic write+fsync+rename publish
-// cost, and read+verify cost — the per-shard overhead every worker in the
-// sharded pipeline pays. `--bench_json` writes the perf trajectory
-// (bench/baselines/BENCH_checkpoint.json); `--smoke` runs the Release-mode
-// result-hash gate: codecs must round-trip bit-exactly through the framed
-// file format, and the union of item-range mine shards must hash identical
-// to the unsharded mine (the invariant the shard supervisor's byte-identity
-// rests on).
+// Checkpoint micro-benchmarks: codec encode/decode throughput for itemset
+// families, atomic write+fsync+rename publish cost, and read+verify cost —
+// the per-stage overhead of a checkpointed run. `--bench_json` writes the
+// perf trajectory (bench/baselines/BENCH_checkpoint.json); `--smoke` runs
+// the Release-mode result-hash gate: codecs must round-trip bit-exactly
+// through the framed file format.
 
 #include <cstdio>
 #include <filesystem>
@@ -92,38 +89,6 @@ void BM_DecodeItemsetResult(benchmark::State& state) {
 BENCHMARK(BM_DecodeItemsetResult)->Arg(500)->Arg(2000)->Unit(
     benchmark::kMillisecond);
 
-void BM_EncodeMineShardCheckpoint(benchmark::State& state) {
-  core::MineShardCheckpoint shard;
-  shard.shard_index = 1;
-  shard.shard_count = 4;
-  shard.min_support = 3;
-  shard.max_itemset_size = 5;
-  shard.frequent = MakeFamily(1000);
-  std::string encoded;
-  for (auto _ : state) {
-    encoded = core::EncodeMineShardCheckpoint(shard);
-    benchmark::DoNotOptimize(encoded);
-  }
-  state.counters["bytes"] = static_cast<double>(encoded.size());
-}
-BENCHMARK(BM_EncodeMineShardCheckpoint)->Unit(benchmark::kMillisecond);
-
-void BM_DecodeMineShardCheckpoint(benchmark::State& state) {
-  core::MineShardCheckpoint shard;
-  shard.shard_count = 4;
-  shard.min_support = 3;
-  shard.max_itemset_size = 5;
-  shard.frequent = MakeFamily(1000);
-  const std::string encoded = core::EncodeMineShardCheckpoint(shard);
-  for (auto _ : state) {
-    auto decoded = core::DecodeMineShardCheckpoint(encoded);
-    MARAS_CHECK(decoded.ok());
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.counters["bytes"] = static_cast<double>(encoded.size());
-}
-BENCHMARK(BM_DecodeMineShardCheckpoint)->Unit(benchmark::kMillisecond);
-
 void BM_WriteCheckpoint(benchmark::State& state) {
   const std::string dir = ScratchDir();
   const std::string payload = core::EncodeItemsetResult(
@@ -152,12 +117,10 @@ void BM_ReadCheckpointVerify(benchmark::State& state) {
 BENCHMARK(BM_ReadCheckpointVerify)->Arg(500)->Arg(2000)->Unit(
     benchmark::kMillisecond);
 
-// Release-mode correctness gate (the bench-smoke ctest label).
+// Release-mode correctness gate (the bench-smoke ctest label): family ->
+// encode -> file -> read+verify -> decode -> re-encode must reproduce the
+// exact bytes.
 bool RunSmoke() {
-  bool ok = true;
-
-  // 1) Codec + framing round-trip: family -> encode -> file -> read+verify
-  //    -> decode -> re-encode must reproduce the exact bytes.
   mining::FrequentItemsetResult family = MakeFamily(400);
   const std::string encoded = core::EncodeItemsetResult(family);
   const std::string dir = ScratchDir();
@@ -172,39 +135,9 @@ bool RunSmoke() {
               family.itemsets().size());
   if (reencoded != encoded) {
     std::fprintf(stderr, "smoke: codec round-trip is not bit-exact\n");
-    ok = false;
+    return false;
   }
-
-  // 2) Mine-shard partition invariant: the union of the item-range strides
-  //    must hash identical to the unsharded mine at every shard count.
-  TransactionDatabase db = MakeDb(600, 60, 3.0, 13);
-  mining::MiningOptions base;
-  base.min_support = 3;
-  base.max_itemset_size = 5;
-  auto whole = mining::FpGrowth(base).Mine(db);
-  MARAS_CHECK(whole.ok());
-  whole->SortCanonically();
-  const uint64_t whole_hash = bench::ResultHash(*whole);
-  std::printf("smoke: unsharded    result-hash %016llx\n",
-              static_cast<unsigned long long>(whole_hash));
-  for (size_t shards : {2u, 3u, 5u}) {
-    mining::FrequentItemsetResult merged;
-    for (size_t k = 0; k < shards; ++k) {
-      mining::MiningOptions options = base;
-      options.shard_index = k;
-      options.shard_count = shards;
-      auto part = mining::FpGrowth(options).Mine(db);
-      MARAS_CHECK(part.ok()) << part.status().ToString();
-      merged.Absorb(std::move(part).value());
-    }
-    merged.SortCanonically();
-    const uint64_t hash = bench::ResultHash(merged);
-    std::printf("smoke: %zu-sharded    result-hash %016llx\n", shards,
-                static_cast<unsigned long long>(hash));
-    if (hash != whole_hash) ok = false;
-  }
-  if (!ok) std::fprintf(stderr, "smoke: RESULT HASH MISMATCH\n");
-  return ok;
+  return true;
 }
 
 }  // namespace

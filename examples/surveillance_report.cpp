@@ -16,12 +16,13 @@
 // --checkpoint-dir snapshots each completed stage atomically, and --resume
 // replays validated snapshots so an interrupted run picks up where it died.
 //
-// --workers=N (requires --checkpoint-dir) runs the crash-tolerant
-// multi-process path instead: the shard supervisor spawns this same binary
-// as worker processes (one per quarter, then N item-range mine shards; the
-// --shard= flag marks a worker invocation), retries crashed or hung
-// workers with deterministic backoff, and merges the checkpointed partials
-// into the byte-identical single-process result.
+// --workers=N gives the analysis N threads. With N > 1 (requires
+// --checkpoint-dir) it also runs the crash-tolerant multi-process path: the
+// shard supervisor spawns this same binary as one worker process per
+// quarter, at most N at a time (the --shard= flag marks a worker
+// invocation), retries crashed or hung workers with deterministic backoff,
+// then mines and analyses the pooled quarters in-process, governed like
+// the single-process run, into the byte-identical result.
 
 #include <cstdio>
 #include <cstdlib>
@@ -136,18 +137,6 @@ std::vector<faers::QuarterDataset> BuildYear(size_t reports, uint64_t seed) {
   return quarters;
 }
 
-// Analyzer knobs shared by the single-process, supervisor, and worker
-// paths; any drift here would break cross-mode byte-identity.
-core::AnalyzerOptions MakeAnalyzerOptions(size_t reports, bool budgeted) {
-  core::AnalyzerOptions analyzer;
-  analyzer.mining.min_support = std::max<size_t>(6, reports / 4000);
-  analyzer.mining.max_itemset_size = 7;
-  // Under a budget, degrade (raise min_support, tag truncated) rather
-  // than fail: a coarser report beats no report for a safety evaluator.
-  analyzer.degradation.enabled = budgeted;
-  return analyzer;
-}
-
 // A --shard= worker invocation: execute one shard, publish its checkpoint,
 // exit. Spawned by the supervisor with this binary's own path.
 int RunWorker(size_t reports, uint64_t seed, const CliFlags& flags) {
@@ -163,7 +152,6 @@ int RunWorker(size_t reports, uint64_t seed, const CliFlags& flags) {
   config.spec = *std::move(spec);
   config.checkpoint_dir = flags.checkpoint_dir;
   config.quarters = &quarters;
-  config.analyzer = MakeAnalyzerOptions(reports, /*budgeted=*/false);
   config.chaos.exit_at = flags.chaos_exit;
   config.chaos.hang_at = flags.chaos_hang;
   maras::Status status = core::RunShardWorker(config);
@@ -197,8 +185,13 @@ int RunGoverned(const std::string& argv0, const std::string& out_dir,
   pipeline_options.checkpoint_dir = flags.checkpoint_dir;
   pipeline_options.resume = flags.resume;
 
-  core::AnalyzerOptions analyzer =
-      MakeAnalyzerOptions(reports, ctx.budget != nullptr);
+  core::AnalyzerOptions analyzer;
+  analyzer.mining.min_support = std::max<size_t>(6, reports / 4000);
+  analyzer.mining.max_itemset_size = 7;
+  analyzer.mining.num_threads = flags.workers;
+  // Under a budget, degrade (raise min_support, tag truncated) rather
+  // than fail: a coarser report beats no report for a safety evaluator.
+  analyzer.degradation.enabled = ctx.budget != nullptr;
 
   core::ShardRunReport shard_report;
   auto analysis = [&]() -> maras::StatusOr<core::SurveillanceAnalysis> {

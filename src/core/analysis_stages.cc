@@ -199,15 +199,16 @@ maras::StatusOr<std::vector<Mcac>> BuildMcacs(
 
 }  // namespace
 
-maras::Status RunAnalysisStages(const MineStep& mine,
-                                const mining::ItemDictionary& items,
+maras::Status RunAnalysisStages(const mining::ItemDictionary& items,
                                 const mining::TransactionDatabase& db,
                                 const AnalyzerOptions& analyzer,
                                 const MultiQuarterOptions& checkpoints,
-                                const RunContext& ctx,
+                                const RunContext* context,
                                 std::optional<RankingMethod> method,
                                 SurveillanceAnalysis* out,
                                 std::vector<Mcac>* unranked) {
+  const RunContext ungoverned;
+  const RunContext& ctx = context != nullptr ? *context : ungoverned;
   MARAS_RETURN_IF_ERROR(ctx.Check());
   MultiQuarterOptions stages = checkpoints;
   ClosedCheckpoint closed;
@@ -215,7 +216,11 @@ maras::Status RunAnalysisStages(const MineStep& mine,
       &stages, "closed", ClosedOptions(analyzer), DecodeClosedCheckpoint,
       EncodeClosedCheckpoint,
       [&]() -> maras::StatusOr<ClosedCheckpoint> {
-        MARAS_ASSIGN_OR_RETURN(GovernedMineResult mined, mine());
+        mining::MiningOptions mining = analyzer.mining;
+        mining.context = context;
+        MARAS_ASSIGN_OR_RETURN(
+            GovernedMineResult mined,
+            MineWithDegradation(db, mining, analyzer.degradation));
         return BuildClosedStage(std::move(mined), items, analyzer, ctx);
       },
       &closed, out));

@@ -15,23 +15,22 @@ namespace maras::core {
 //
 //   mine -> closed -> lattice -> rules -> MCACs -> rank
 //
-// RunAnalysisStages is the only place the sequence is written down, and it
-// has three callers that differ only in the data they pass:
+// RunAnalysisStages is the only place the sequence is written down, and the
+// only place the mine runs: MineWithDegradation under the caller's run
+// context. It has three callers that differ only in the data they pass:
 //
-//   * MarasAnalyzer::Analyze mines with MineWithDegradation, passes no
-//     checkpoint dir, and stops before ranking: its callers rank
-//     AnalysisResult::mcacs themselves.
-//   * MultiQuarterPipeline::RunAnalyzed mines with MineWithDegradation and
-//     checkpoints, resumes and fires stage hooks per its MultiQuarterOptions.
-//   * ShardSupervisor::RunAnalyzed hands over the family merged from its mine
-//     shards (cut at the escalated support when a shard degraded, so it is
-//     complete at one support like the others), and checkpoints and fires
-//     hooks but never resumes (it passes resume = false), so a rerun
-//     recomputes closed, rules and ranked from the reused shard checkpoints.
+//   * MarasAnalyzer::Analyze passes analyzer.mining.context, no checkpoint
+//     dir, and stops before ranking: its callers rank AnalysisResult::mcacs
+//     themselves.
+//   * MultiQuarterPipeline::RunAnalyzed passes its MultiQuarterOptions'
+//     context and checkpoints, resumes and fires stage hooks per those
+//     options.
+//   * ShardSupervisor::RunAnalyzed does the same as RunAnalyzed on the corpus
+//     reduced from its quarter shards.
 //
 // Checkpointed stages are "closed", "rules" and "ranked" (plus the
 // per-quarter "quarter-<label>" stage of RunQuarterStage). The mine is not
-// checkpointed: the mine step runs only when "closed" is not replayed. The
+// checkpointed: it runs only when "closed" is not replayed. The
 // concept lattice is not checkpointed either: it is a pure function of the
 // closed family, built at most once, on first use by "rules" or "ranked",
 // and not at all when both are replayed. It is the one support oracle of
@@ -56,21 +55,20 @@ namespace maras::core {
 // polls `ctx` cooperatively like the rest of the pipeline.
 // ---------------------------------------------------------------------------
 
-// Produces the (possibly degraded) frequent family entering the closed stage.
-using MineStep = std::function<maras::StatusOr<GovernedMineResult>()>;
-
 // Runs the sequence over `items`/`db` and fills every field of `out` except
-// `run`. Checkpointing reads only checkpoint_dir, resume and stage_hook from
-// `checkpoints`; a default MultiQuarterOptions runs without it. With `method`
-// set the sequence ranks into out->ranked; with nullopt it stops after MCAC
-// construction and moves the unranked MCACs, in rule order, to *unranked.
-// Resume notes go to out->notes first, then the mine's degradation notes.
-maras::Status RunAnalysisStages(const MineStep& mine,
-                                const mining::ItemDictionary& items,
+// `run`. Every stage runs under `context` (nullptr = ungoverned); the mine is
+// MineWithDegradation over analyzer.mining, with its context replaced by
+// `context`, and analyzer.degradation. Checkpointing reads only
+// checkpoint_dir, resume and stage_hook from `checkpoints`; a default
+// MultiQuarterOptions runs without it. With `method` set the sequence ranks
+// into out->ranked; with nullopt it stops after MCAC construction and moves
+// the unranked MCACs, in rule order, to *unranked. Resume notes go to
+// out->notes first, then the mine's degradation notes.
+maras::Status RunAnalysisStages(const mining::ItemDictionary& items,
                                 const mining::TransactionDatabase& db,
                                 const AnalyzerOptions& analyzer,
                                 const MultiQuarterOptions& checkpoints,
-                                const RunContext& ctx,
+                                const RunContext* context,
                                 std::optional<RankingMethod> method,
                                 SurveillanceAnalysis* out,
                                 std::vector<Mcac>* unranked = nullptr);

@@ -7,7 +7,6 @@
 #include "core/analysis_stages.h"
 #include "mining/bitmap.h"
 #include "mining/fpgrowth.h"
-#include "util/run_context.h"
 
 namespace maras::core {
 
@@ -55,19 +54,12 @@ maras::StatusOr<AnalysisResult> MarasAnalyzer::Analyze(
   if (db.empty()) {
     return maras::Status::FailedPrecondition("empty transaction database");
   }
-  const RunContext ungoverned;
-  const RunContext& ctx = options_.mining.context != nullptr
-                              ? *options_.mining.context
-                              : ungoverned;
   // No checkpointing, and no ranking: callers rank result.mcacs.
   SurveillanceAnalysis staged;
   AnalysisResult result;
   MARAS_RETURN_IF_ERROR(RunAnalysisStages(
-      [&] {
-        return MineWithDegradation(db, options_.mining, options_.degradation);
-      },
-      items, db, options_, MultiQuarterOptions{}, ctx, std::nullopt, &staged,
-      &result.mcacs));
+      items, db, options_, MultiQuarterOptions{}, options_.mining.context,
+      std::nullopt, &staged, &result.mcacs));
   result.stats = staged.stats;
   result.truncated = staged.truncated;
   result.degradation_notes = std::move(staged.notes);

@@ -12,14 +12,6 @@ namespace {
 // "MRCK" read as a little-endian u32.
 constexpr uint32_t kCheckpointMagic = 0x4b43524d;
 
-// Trailing tag of a mine-shard payload: which shard stride produced the
-// slice. 2 indexes the stride over every item with support >= 1 (see
-// MiningOptions::shard_index); untagged payloads indexed it over the items
-// frequent at the shard's min_support, which partitions the items
-// differently, so they fail to decode and the shard is mined again. The tag
-// comes last so an untagged payload is always short by it.
-constexpr uint8_t kMineShardStride = 2;
-
 maras::Status Corrupt(const std::string& path, const std::string& stage,
                       const std::string& why) {
   return maras::WithContext(maras::Status::Corruption(why),
@@ -462,44 +454,6 @@ maras::StatusOr<ClosedCheckpoint> DecodeClosedCheckpoint(
   MARAS_ASSIGN_OR_RETURN(closed.closed, DecodeItemsetResult(nested));
   MARAS_RETURN_IF_ERROR(RequireExhausted(r));
   return closed;
-}
-
-std::string EncodeMineShardCheckpoint(const MineShardCheckpoint& shard) {
-  BinaryWriter w;
-  w.U64(shard.shard_index);
-  w.U64(shard.shard_count);
-  w.U64(shard.min_support);
-  w.U64(shard.max_itemset_size);
-  w.Str(EncodeItemsetResult(shard.frequent));
-  w.U8(kMineShardStride);
-  return std::move(w.Take());
-}
-
-maras::StatusOr<MineShardCheckpoint> DecodeMineShardCheckpoint(
-    std::string_view payload) {
-  BinaryReader r(payload);
-  MineShardCheckpoint shard;
-  MARAS_RETURN_IF_ERROR(r.U64(&shard.shard_index));
-  MARAS_RETURN_IF_ERROR(r.U64(&shard.shard_count));
-  MARAS_RETURN_IF_ERROR(r.U64(&shard.min_support));
-  MARAS_RETURN_IF_ERROR(r.U64(&shard.max_itemset_size));
-  if (shard.shard_count == 0 || shard.shard_index >= shard.shard_count) {
-    return maras::Status::Corruption(
-        "bad shard coordinates " + std::to_string(shard.shard_index) + "/" +
-        std::to_string(shard.shard_count));
-  }
-  std::string nested;
-  MARAS_RETURN_IF_ERROR(r.Str(&nested));
-  MARAS_ASSIGN_OR_RETURN(shard.frequent, DecodeItemsetResult(nested));
-  uint8_t stride = 0;
-  MARAS_RETURN_IF_ERROR(r.U8(&stride));
-  if (stride != kMineShardStride) {
-    return maras::Status::Corruption("mine shard stride " +
-                                     std::to_string(stride) + " is not " +
-                                     std::to_string(kMineShardStride));
-  }
-  MARAS_RETURN_IF_ERROR(RequireExhausted(r));
-  return shard;
 }
 
 std::string EncodeRules(const std::vector<DrugAdrRule>& rules) {

@@ -101,26 +101,6 @@ std::string EncodeClosedCheckpoint(const ClosedCheckpoint& closed);
 maras::StatusOr<ClosedCheckpoint> DecodeClosedCheckpoint(
     std::string_view payload);
 
-// One worker's slice of the sharded frequent-itemset mine: which slice of
-// the top-level fan-out it covered and under which parameters, plus the
-// partial family it produced. The supervisor rejects a decoded shard whose
-// parameters disagree with the plan (a stale file from an earlier run with
-// different settings must not be merged), so the parameters travel inside
-// the checksummed payload rather than only in the file name. The payload
-// also ends in a tag naming the shard stride that cut the slice; a payload
-// of another stride does not decode.
-struct MineShardCheckpoint {
-  uint64_t shard_index = 0;
-  uint64_t shard_count = 1;
-  uint64_t min_support = 0;
-  uint64_t max_itemset_size = 0;
-  mining::FrequentItemsetResult frequent;
-};
-
-std::string EncodeMineShardCheckpoint(const MineShardCheckpoint& shard);
-maras::StatusOr<MineShardCheckpoint> DecodeMineShardCheckpoint(
-    std::string_view payload);
-
 std::string EncodeRules(const std::vector<DrugAdrRule>& rules);
 maras::StatusOr<std::vector<DrugAdrRule>> DecodeRules(
     std::string_view payload);

@@ -2,7 +2,6 @@
 
 #include "core/analysis_stages.h"
 #include "mining/measures.h"
-#include "util/run_context.h"
 
 namespace maras::core {
 
@@ -163,9 +162,6 @@ maras::StatusOr<SurveillanceAnalysis> MultiQuarterPipeline::RunAnalyzed(
   if (quarters.empty()) {
     return maras::Status::InvalidArgument("no quarters to ingest");
   }
-  const maras::RunContext ungoverned;
-  const maras::RunContext& ctx =
-      options_.context != nullptr ? *options_.context : ungoverned;
   SurveillanceAnalysis out;
   MARAS_RETURN_IF_ERROR(RunQuarterStage(
       options_, QuarterLabels(quarters),
@@ -173,14 +169,9 @@ maras::StatusOr<SurveillanceAnalysis> MultiQuarterPipeline::RunAnalyzed(
         return ProcessQuarter(quarters[i], outcome);
       },
       options_, &out));
-  const mining::TransactionDatabase& db = out.run.merged.transactions;
-  mining::MiningOptions mining_options = analyzer.mining;
-  mining_options.context = options_.context;
   MARAS_RETURN_IF_ERROR(RunAnalysisStages(
-      [&] {
-        return MineWithDegradation(db, mining_options, analyzer.degradation);
-      },
-      out.run.merged.items, db, analyzer, options_, ctx, method, &out));
+      out.run.merged.items, out.run.merged.transactions, analyzer, options_,
+      options_.context, method, &out));
   return out;
 }
 

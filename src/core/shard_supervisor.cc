@@ -3,7 +3,6 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
@@ -15,7 +14,6 @@
 #include <utility>
 
 #include "core/analysis_stages.h"
-#include "mining/fpgrowth.h"
 #include "util/subprocess.h"
 
 namespace maras::core {
@@ -25,7 +23,6 @@ namespace {
 using SteadyClock = std::chrono::steady_clock;
 
 constexpr char kQuarterPrefix[] = "quarter:";
-constexpr char kMinePrefix[] = "mine:";
 
 maras::StatusOr<size_t> ParseSize(std::string_view text) {
   size_t value = 0;
@@ -62,7 +59,32 @@ void MaybeChaos(const ShardWorkerChaos& chaos, const char* point) {
   }
 }
 
-maras::Status RunQuarterShard(const ShardWorkerConfig& config) {
+}  // namespace
+
+std::string ShardSpec::Stage() const { return "quarter-" + label; }
+
+std::string ShardSpec::Serialize() const {
+  return kQuarterPrefix + std::to_string(index);
+}
+
+maras::StatusOr<ShardSpec> ParseShardArg(std::string_view arg) {
+  if (arg.rfind(kQuarterPrefix, 0) != 0) {
+    return maras::Status::InvalidArgument("unknown shard spec '" +
+                                          std::string(arg) + "'");
+  }
+  ShardSpec spec;
+  MARAS_ASSIGN_OR_RETURN(spec.index,
+                         ParseSize(arg.substr(sizeof(kQuarterPrefix) - 1)));
+  return spec;
+}
+
+maras::Status RunShardWorker(const ShardWorkerConfig& config) {
+  if (config.quarters == nullptr) {
+    return maras::Status::InvalidArgument("worker has no quarter corpus");
+  }
+  if (config.checkpoint_dir.empty()) {
+    return maras::Status::InvalidArgument("worker needs a checkpoint dir");
+  }
   if (config.spec.index >= config.quarters->size()) {
     return maras::Status::InvalidArgument(
         "quarter shard index " + std::to_string(config.spec.index) +
@@ -95,116 +117,6 @@ maras::Status RunQuarterShard(const ShardWorkerConfig& config) {
   return maras::Status::OK();
 }
 
-maras::Status RunMineShard(const ShardWorkerConfig& config) {
-  const size_t k = config.spec.index;
-  const size_t n = config.spec.count;
-  const std::string stage = config.spec.Stage();
-  const mining::MiningOptions& base = config.analyzer.mining;
-  MaybeChaos(config.chaos, "start");
-  maras::StatusOr<std::string> existing =
-      ReadCheckpoint(config.checkpoint_dir, stage);
-  if (existing.ok()) {
-    maras::StatusOr<MineShardCheckpoint> decoded =
-        DecodeMineShardCheckpoint(*existing);
-    if (decoded.ok() && decoded->shard_index == k &&
-        decoded->shard_count == n &&
-        decoded->min_support == base.min_support &&
-        decoded->max_itemset_size == base.max_itemset_size) {
-      WorkerSay("reused " + stage);
-      return maras::Status::OK();
-    }
-  }
-  // Reconstruct the merged corpus from the quarter checkpoints, in input
-  // order — the decode is bit-exact and the supervisor runs the same
-  // reduce, so every mine worker (and the supervisor) sees the same
-  // database. The supervisor has already applied the ingest policy.
-  std::vector<QuarterCheckpoint> slots;
-  for (const faers::QuarterDataset& dataset : *config.quarters) {
-    MARAS_ASSIGN_OR_RETURN(
-        QuarterCheckpoint quarter,
-        ReadQuarterCheckpoint(config.checkpoint_dir, dataset.Label()));
-    slots.push_back(std::move(quarter));
-  }
-  MARAS_ASSIGN_OR_RETURN(MultiQuarterRun run,
-                         ReduceQuarterSlots(slots, {}, /*strict=*/false));
-  const faers::PreprocessResult& merged = run.merged;
-  WorkerSay("merged " + std::to_string(run.quarters_loaded) + " quarters");
-  mining::MiningOptions mining_options = base;
-  mining_options.shard_index = k;
-  mining_options.shard_count = n;
-  mining_options.context = nullptr;  // workers are ungoverned; the
-                                     // supervisor owns run governance
-  mining::FpGrowth miner(mining_options);
-  MARAS_ASSIGN_OR_RETURN(mining::FrequentItemsetResult frequent,
-                         miner.Mine(merged.transactions));
-  WorkerSay("mined " + std::to_string(frequent.size()) + " itemsets");
-  MaybeChaos(config.chaos, "work");
-  MineShardCheckpoint shard;
-  shard.shard_index = k;
-  shard.shard_count = n;
-  shard.min_support = base.min_support;
-  shard.max_itemset_size = base.max_itemset_size;
-  shard.frequent = std::move(frequent);
-  MARAS_RETURN_IF_ERROR(WriteCheckpoint(config.checkpoint_dir, stage,
-                                        EncodeMineShardCheckpoint(shard)));
-  MaybeChaos(config.chaos, "publish");
-  WorkerSay("published " + stage);
-  return maras::Status::OK();
-}
-
-}  // namespace
-
-std::string ShardSpec::Stage() const {
-  if (kind == Kind::kQuarter) return "quarter-" + label;
-  return "mine-" + std::to_string(index) + "-of-" + std::to_string(count);
-}
-
-std::string ShardSpec::Serialize() const {
-  if (kind == Kind::kQuarter) return "quarter:" + std::to_string(index);
-  return "mine:" + std::to_string(index) + ":" + std::to_string(count);
-}
-
-maras::StatusOr<ShardSpec> ParseShardArg(std::string_view arg) {
-  ShardSpec spec;
-  if (arg.rfind(kQuarterPrefix, 0) == 0) {
-    spec.kind = ShardSpec::Kind::kQuarter;
-    MARAS_ASSIGN_OR_RETURN(
-        spec.index, ParseSize(arg.substr(sizeof(kQuarterPrefix) - 1)));
-    return spec;
-  }
-  if (arg.rfind(kMinePrefix, 0) == 0) {
-    spec.kind = ShardSpec::Kind::kMine;
-    std::string_view rest = arg.substr(sizeof(kMinePrefix) - 1);
-    const size_t colon = rest.find(':');
-    if (colon == std::string_view::npos) {
-      return maras::Status::InvalidArgument("bad mine shard spec '" +
-                                            std::string(arg) + "'");
-    }
-    MARAS_ASSIGN_OR_RETURN(spec.index, ParseSize(rest.substr(0, colon)));
-    MARAS_ASSIGN_OR_RETURN(spec.count, ParseSize(rest.substr(colon + 1)));
-    if (spec.count == 0 || spec.index >= spec.count) {
-      return maras::Status::InvalidArgument("bad shard coordinates '" +
-                                            std::string(arg) + "'");
-    }
-    return spec;
-  }
-  return maras::Status::InvalidArgument("unknown shard spec '" +
-                                        std::string(arg) + "'");
-}
-
-maras::Status RunShardWorker(const ShardWorkerConfig& config) {
-  if (config.quarters == nullptr) {
-    return maras::Status::InvalidArgument("worker has no quarter corpus");
-  }
-  if (config.checkpoint_dir.empty()) {
-    return maras::Status::InvalidArgument("worker needs a checkpoint dir");
-  }
-  if (config.spec.kind == ShardSpec::Kind::kQuarter) {
-    return RunQuarterShard(config);
-  }
-  return RunMineShard(config);
-}
-
 // Per-shard supervision state. The event loop below is single-threaded:
 // children run concurrently, but all bookkeeping happens in one poll()
 // cycle, so no locks are needed and scheduling is easy to reason about.
@@ -219,7 +131,7 @@ struct ShardSupervisor::ShardState {
   std::unique_ptr<Backoff> backoff;
 };
 
-maras::Status ShardSupervisor::RunPhase(
+maras::Status ShardSupervisor::RunShards(
     const std::vector<ShardSpec>& specs,
     const std::function<maras::Status(const ShardSpec&)>& validate,
     const std::function<maras::Status(const ShardSpec&)>& fallback,
@@ -415,13 +327,12 @@ maras::StatusOr<SurveillanceAnalysis> ShardSupervisor::RunAnalyzed(
   if (report == nullptr) report = &local_report;
   SurveillanceAnalysis out;
 
-  // --- Phase A: one worker per quarter ------------------------------------
+  // --- One worker per quarter ---------------------------------------------
   const size_t n = quarters.size();
   std::vector<QuarterCheckpoint> slots(n);
   std::vector<ShardSpec> quarter_specs(n);
   for (size_t i = 0; i < n; ++i) {
-    quarter_specs[i] = ShardSpec{ShardSpec::Kind::kQuarter, i, 1,
-                                 quarters[i].Label()};
+    quarter_specs[i] = ShardSpec{i, quarters[i].Label()};
   }
   MultiQuarterPipeline in_process(pipeline);
   auto validate_quarter = [&](const ShardSpec& spec) -> maras::Status {
@@ -441,112 +352,16 @@ maras::StatusOr<SurveillanceAnalysis> ShardSupervisor::RunAnalyzed(
     slots[spec.index] = std::move(quarter);
     return maras::Status::OK();
   };
-  MARAS_RETURN_IF_ERROR(RunPhase(quarter_specs, validate_quarter,
-                                 fallback_quarter, ctx, report));
+  MARAS_RETURN_IF_ERROR(RunShards(quarter_specs, validate_quarter,
+                                  fallback_quarter, ctx, report));
   // Serial in-order reduce, shared with the single-process RunAnalyzed.
   MARAS_ASSIGN_OR_RETURN(out.run, ReduceQuarterSlots(slots, {}, strict));
-  const mining::TransactionDatabase& db = out.run.merged.transactions;
 
-  // --- Phase B: item-range mine shards ------------------------------------
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  const size_t shard_count = options_.workers;
-  std::vector<MineShardCheckpoint> mine_slots(shard_count);
-  std::vector<char> mine_degraded(shard_count, 0);
-  std::vector<ShardSpec> mine_specs(shard_count);
-  for (size_t k = 0; k < shard_count; ++k) {
-    mine_specs[k] = ShardSpec{ShardSpec::Kind::kMine, k, shard_count, ""};
-  }
-  auto validate_mine = [&](const ShardSpec& spec) -> maras::Status {
-    if (mine_degraded[spec.index]) {
-      // A quarantined shard's degraded artifact is already in its slot;
-      // it must not be re-validated against the base parameters.
-      return maras::Status::OK();
-    }
-    MARAS_ASSIGN_OR_RETURN(std::string payload,
-                           ReadCheckpoint(dir, spec.Stage()));
-    MARAS_ASSIGN_OR_RETURN(MineShardCheckpoint decoded,
-                           DecodeMineShardCheckpoint(payload));
-    if (decoded.shard_index != spec.index ||
-        decoded.shard_count != spec.count ||
-        decoded.min_support != analyzer.mining.min_support ||
-        decoded.max_itemset_size != analyzer.mining.max_itemset_size) {
-      return maras::Status::Corruption(
-          "mine shard snapshot parameters do not match the plan");
-    }
-    mine_slots[spec.index] = std::move(decoded);
-    return maras::Status::OK();
-  };
-  auto fallback_mine = [&](const ShardSpec& spec) -> maras::Status {
-    // Graceful degradation: mine this slice in-process one degradation
-    // notch up — cheaper, bounded — and tag the run truncated rather than
-    // failing it.
-    mining::MiningOptions mining_options = analyzer.mining;
-    mining_options.shard_index = spec.index;
-    mining_options.shard_count = spec.count;
-    mining_options.context = pipeline.context;
-    mining_options.min_support = EscalateSupport(
-        analyzer.mining.min_support, analyzer.degradation.support_factor);
-    mining::FpGrowth miner(mining_options);
-    MARAS_ASSIGN_OR_RETURN(mining::FrequentItemsetResult frequent,
-                           miner.Mine(db));
-    MineShardCheckpoint shard;
-    shard.shard_index = spec.index;
-    shard.shard_count = spec.count;
-    shard.min_support = mining_options.min_support;
-    shard.max_itemset_size = mining_options.max_itemset_size;
-    shard.frequent = std::move(frequent);
-    MARAS_RETURN_IF_ERROR(WriteCheckpoint(dir, spec.Stage(),
-                                          EncodeMineShardCheckpoint(shard)));
-    mine_slots[spec.index] = std::move(shard);
-    mine_degraded[spec.index] = 1;
-    return maras::Status::OK();
-  };
-  MARAS_RETURN_IF_ERROR(
-      RunPhase(mine_specs, validate_mine, fallback_mine, ctx, report));
-
-  // Merge the partial families; the canonical sort makes the union
-  // independent of shard count and arrival order.
-  GovernedMineResult mined;
-  mined.min_support_used = analyzer.mining.min_support;
-  for (size_t k = 0; k < shard_count; ++k) {
-    mined.min_support_used = std::max(
-        mined.min_support_used,
-        static_cast<size_t>(mine_slots[k].min_support));
-    if (mine_degraded[k]) {
-      mined.truncated = true;
-      mined.notes.push_back(
-          "mine shard " + std::to_string(k) + "-of-" +
-          std::to_string(shard_count) +
-          " quarantined; its slice was mined at min_support=" +
-          std::to_string(mine_slots[k].min_support) +
-          " (result will be truncated)");
-    }
-    mined.frequent.Absorb(std::move(mine_slots[k].frequent));
-  }
-  if (mined.truncated) {
-    // A degraded slice is complete only down to its escalated support, so
-    // the merged family is complete only at the largest one: drop what the
-    // other slices found below it. The rules stage and the lattice descent
-    // both need a family complete at one support.
-    mining::FrequentItemsetResult complete;
-    for (const mining::FrequentItemset& fi : mined.frequent.itemsets()) {
-      if (fi.support >= mined.min_support_used) {
-        complete.Add(fi.items, fi.support);
-      }
-    }
-    mined.frequent = std::move(complete);
-  }
-  mined.frequent.SortCanonically();
-
-  // --- Analysis tail: the shared stage sequence on the merged family. It
-  // checkpoints and fires hooks like the single-process pipeline but never
-  // resumes: a rerun recomputes closed, rules and ranked from the reused
-  // shard checkpoints.
-  MultiQuarterOptions tail = pipeline;
-  tail.resume = false;
+  // --- The analysis: the governed in-process stage sequence of
+  // MultiQuarterPipeline::RunAnalyzed, resuming per `pipeline`.
   MARAS_RETURN_IF_ERROR(RunAnalysisStages(
-      [&]() -> maras::StatusOr<GovernedMineResult> { return std::move(mined); },
-      out.run.merged.items, db, analyzer, tail, ctx, method, &out));
+      out.run.merged.items, out.run.merged.transactions, analyzer, pipeline,
+      pipeline.context, method, &out));
   return out;
 }
 

@@ -15,13 +15,13 @@
 namespace maras::core {
 
 // ---------------------------------------------------------------------------
-// Crash-tolerant multi-process surveillance. The supervisor partitions the
-// run into shards — one per quarter (ingest + preprocess), then one per
-// item-range slice of the FP-Growth fan-out — and hands each shard to a
-// worker process. Workers communicate results exclusively through the
-// checksummed atomic-rename checkpoints of core/checkpoint.h: a worker
-// either publishes a validated snapshot or leaves nothing usable, so the
-// supervisor can kill, retry, and merge without ever reading a torn file.
+// Crash-tolerant multi-process surveillance. The supervisor runs each
+// quarter's ingest + preprocess in its own worker process, then reduces the
+// quarters and runs the analysis in-process. Workers communicate results
+// exclusively through the checksummed atomic-rename checkpoints of
+// core/checkpoint.h: a worker either publishes a validated snapshot or
+// leaves nothing usable, so the supervisor can kill and retry without ever
+// reading a torn file.
 //
 // Failure model:
 //   * A worker that exits nonzero, dies on a signal, or goes silent past
@@ -31,44 +31,33 @@ namespace maras::core {
 //   * A worker that dies *after* publishing a valid checkpoint still
 //     counts as success: validation inspects the artifact, not the exit.
 //   * After max_attempts failed attempts a shard is quarantined: the
-//     supervisor computes it in-process — mine shards at an escalated
-//     min_support via the PR-3 degradation notch, tagged truncated — so an
-//     exhausted retry budget degrades the run instead of failing it. The
-//     shard stride does not depend on the support, so the re-mined slice
-//     keeps its top-level items; the merged family is cut at the escalated
-//     support, so a degraded run equals a single-process run at its
-//     min_support_used.
+//     supervisor processes that quarter in-process, so an exhausted retry
+//     budget costs time, never the run or its bytes.
 //   * Any hard supervisor-side error (checkpoint I/O, cancellation,
 //     deadline) wins immediately: every live worker is killed and the
 //     first error is returned (first-error-wins, threaded through the
 //     RunContext in MultiQuarterOptions).
 //
 // Byte-identity: quarter workers run MultiQuarterPipeline::ProcessQuarter,
-// mine workers run FP-Growth restricted to their item-range slice
-// (MiningOptions::shard_index/shard_count), and the supervisor merges the
-// partial families under the canonical sort before running the shared
-// analysis stage functions (core/analysis_stages.h). A clean sharded run
-// therefore produces byte-for-byte the SurveillanceAnalysis of the
-// single-process RunAnalyzed, at any worker count.
+// the supervisor reduces their slots with ReduceQuarterSlots, and the mine
+// and every later stage run through RunAnalysisStages
+// (core/analysis_stages.h) exactly as in MultiQuarterPipeline::RunAnalyzed,
+// under the run's context and degradation ladder. A sharded run therefore
+// produces byte-for-byte the SurveillanceAnalysis of the single-process
+// RunAnalyzed, at any worker count.
 // ---------------------------------------------------------------------------
 
-// One unit of work handed to a worker process.
+// One unit of work handed to a worker process: one quarter.
 struct ShardSpec {
-  enum class Kind { kQuarter, kMine };
-
-  Kind kind = Kind::kQuarter;
-  // kQuarter: index into the run's quarter vector. kMine: shard index.
+  // Index into the run's quarter vector.
   size_t index = 0;
-  // Total mine shards (kMine only; 1 for quarter shards).
-  size_t count = 1;
-  // Quarter label (kQuarter only). Filled by whoever owns the corpus; a
-  // parsed spec leaves it empty and the worker derives it from its own
-  // quarter vector.
+  // Quarter label. Filled by whoever owns the corpus; a parsed spec leaves
+  // it empty and the worker derives it from its own quarter vector.
   std::string label;
 
-  // Checkpoint stage name: "quarter-<label>" or "mine-<k>-of-<n>".
+  // Checkpoint stage name: "quarter-<label>".
   std::string Stage() const;
-  // Wire form for the --shard= worker flag: "quarter:<i>" or "mine:<k>:<n>".
+  // Wire form for the --shard= worker flag: "quarter:<i>".
   std::string Serialize() const;
 };
 
@@ -92,7 +81,6 @@ struct ShardWorkerConfig {
   std::string checkpoint_dir;
   const std::vector<faers::QuarterDataset>* quarters = nullptr;
   MultiQuarterOptions pipeline;
-  AnalyzerOptions analyzer;
   ShardWorkerChaos chaos;
 };
 
@@ -103,7 +91,7 @@ struct ShardWorkerConfig {
 maras::Status RunShardWorker(const ShardWorkerConfig& config);
 
 struct ShardSupervisorOptions {
-  // Mine shard count and the cap on concurrently running workers.
+  // Cap on concurrently running quarter workers.
   size_t workers = 2;
   // argv prefix for spawning a worker; the supervisor appends any chaos
   // args and then "--shard=<spec>". The prefix must carry everything the
@@ -128,7 +116,7 @@ struct ShardSupervisorOptions {
 
 // Supervisor-side accounting of one sharded run.
 struct ShardRunReport {
-  size_t shards = 0;       // shard specs executed (both phases)
+  size_t shards = 0;       // shard specs executed (one per quarter)
   size_t attempts = 0;     // worker attempts started
   size_t retries = 0;      // attempts beyond each shard's first
   size_t quarantined = 0;  // shards that fell back to in-process execution
@@ -140,13 +128,13 @@ class ShardSupervisor {
   explicit ShardSupervisor(ShardSupervisorOptions options)
       : options_(std::move(options)) {}
 
-  // The sharded counterpart of MultiQuarterPipeline::RunAnalyzed: phase A
-  // runs one worker per quarter, phase B runs `workers` item-range mine
-  // workers over the merged corpus, then the analysis tail (closed sets,
-  // rules, ranked MCACs) runs in-process on the merged family. Requires
+  // The sharded counterpart of MultiQuarterPipeline::RunAnalyzed: one
+  // worker per quarter (at most `workers` at a time), then the reduce and
+  // the analysis stages in-process, governed, checkpointed and resumed per
+  // `pipeline` like the single-process run. Requires
   // `pipeline.checkpoint_dir` — checkpoints are the only worker/supervisor
-  // channel. Shards with valid existing checkpoints are reused, so a
-  // killed supervisor run resumes where it stopped.
+  // channel. Quarters with valid existing checkpoints are always reused, so
+  // a killed supervisor run resumes where it stopped.
   maras::StatusOr<SurveillanceAnalysis> RunAnalyzed(
       const std::vector<faers::QuarterDataset>& quarters,
       const MultiQuarterOptions& pipeline, const AnalyzerOptions& analyzer,
@@ -158,10 +146,10 @@ class ShardSupervisor {
  private:
   struct ShardState;
 
-  // Runs one phase's shard set to completion (worker attempts, retries,
+  // Runs the shard set to completion (worker attempts, retries,
   // quarantine fallbacks). `validate` decodes + stores a shard's artifact;
   // `fallback` computes it in-process after the retry budget is exhausted.
-  maras::Status RunPhase(
+  maras::Status RunShards(
       const std::vector<ShardSpec>& specs,
       const std::function<maras::Status(const ShardSpec&)>& validate,
       const std::function<maras::Status(const ShardSpec&)>& fallback,

@@ -117,11 +117,6 @@ maras::StatusOr<FrequentItemsetResult> FpGrowth::Mine(
   if (options_.min_support == 0) {
     return maras::Status::InvalidArgument("min_support must be >= 1");
   }
-  if (options_.shard_count == 0 ||
-      options_.shard_index >= options_.shard_count) {
-    return maras::Status::InvalidArgument(
-        "shard_index must be < shard_count (>= 1)");
-  }
   const RunContext* ctx = options_.context;
   FrequentItemsetResult result;
   const FpTree tree = FpTree::Build(db, options_.min_support);
@@ -138,35 +133,14 @@ maras::StatusOr<FrequentItemsetResult> FpGrowth::Mine(
     if (!status.ok()) return maras::WithContext(status, "fp-growth");
     arena_charged += bytes;
   }
-  // The shard stride indexes the database's support-ascending order of
-  // every item with support >= 1, so every shard agrees on which index each
-  // item holds regardless of the support it mines at or how many items its
-  // own slice keeps. That order starts with the items frequent at support 1
-  // but not at min_support, which shifts every index of this tree's order
-  // by their count.
-  std::vector<ItemId> items = tree.ItemsBySupportAscending();
-  if (options_.shard_count > 1) {
-    size_t shift = 0;
-    for (ItemId item = 0; item < db.item_bound(); ++item) {
-      const size_t support = db.ItemSupport(item);
-      if (support >= 1 && support < options_.min_support) ++shift;
-    }
-    std::vector<ItemId> mine_items;
-    mine_items.reserve(items.size() / options_.shard_count + 1);
-    for (size_t i = 0; i < items.size(); ++i) {
-      if ((i + shift) % options_.shard_count == options_.shard_index) {
-        mine_items.push_back(items[i]);
-      }
-    }
-    items = std::move(mine_items);
-  }
+  const std::vector<ItemId> items = tree.ItemsBySupportAscending();
   const size_t workers = EffectiveThreads(options_.num_threads, items.size());
   ArenaLedger ledger(ctx);
   ArenaLedger* governed = ctx != nullptr ? &ledger : nullptr;
   size_t charged = 0;
   if (workers <= 1) {
-    // Loop the (possibly shard-filtered) top-level items directly; each
-    // MineItem call recurses through MineTree for its conditional trees.
+    // Loop the top-level items directly; each MineItem call recurses
+    // through MineTree for its conditional trees.
     MineScratch scratch(tree, governed);
     status = maras::Status::OK();
     for (ItemId item : items) {

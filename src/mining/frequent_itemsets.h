@@ -76,22 +76,6 @@ struct MiningOptions {
   // serial. Results are byte-identical for every value — the determinism
   // suite asserts it — so this is purely a speed knob.
   size_t num_threads = 1;
-  // Multi-process item-range sharding of FP-Growth's top-level fan-out:
-  // mine only the top-level items whose index i — in the database's
-  // support-ascending order of every item with support >= 1 — satisfies
-  // i % shard_count == shard_index. FP-Growth emits every frequent itemset
-  // exactly once, in the task of its least frequent item, so the shards
-  // partition the full family: concatenating all shard_count results and
-  // sorting canonically reconstructs the unsharded mine byte for byte.
-  // Indexing the stride over that order rather than over the frequent items
-  // alone makes an item's owner independent of min_support, so slices
-  // mined at different supports and cut at the largest still partition the
-  // family mined there. The stride (rather than a contiguous range)
-  // balances load — neighbors in support order have similar
-  // conditional-tree sizes. shard_count == 1 (with shard_index 0) means
-  // unsharded.
-  size_t shard_index = 0;
-  size_t shard_count = 1;
   // Optional resource governance (util/run_context.h). When set, FP-Growth
   // polls it once per conditional-tree step and charges its memory budget
   // for every itemset recorded, so a runaway low-support mine stops with

@@ -16,6 +16,11 @@ namespace fs = std::filesystem;
 
 constexpr std::string_view kCurrentFile = "CURRENT";
 
+// Generation files a publish leaves behind: the served one and one
+// last-good fallback. Older ones are deleted, so a long-running publisher
+// holds a bounded directory.
+constexpr size_t kKeptGenerations = 2;
+
 // Accepts "snapshot-<digits>.msnp" and nothing else; in particular a
 // ".quarantined" suffix disqualifies a file from ever being a candidate
 // again.
@@ -214,7 +219,26 @@ maras::Status SnapshotStore::Publish(const SnapshotInputs& inputs) {
     return maras::Status::Cancelled(
         "simulated crash at publish.post-current-write");
   }
-  return Refresh();
+  MARAS_RETURN_IF_ERROR(Refresh());
+  DeleteSupersededGenerations();
+  return maras::Status::OK();
+}
+
+void SnapshotStore::DeleteSupersededGenerations() {
+  maras::StatusOr<std::vector<uint64_t>> generations = ListGenerations();
+  if (!generations.ok()) {
+    AddDiagnostic("cannot delete superseded generations: " +
+                  generations.status().ToString());
+    return;
+  }
+  // Refresh just served the newest listed generation: an invalid newer one
+  // would have been quarantined, which takes it off the list.
+  for (size_t i = 0; i + kKeptGenerations < generations->size(); ++i) {
+    const std::string name = GenerationFileName((*generations)[i]);
+    std::error_code ec;
+    fs::remove(fs::path(options_.dir) / name, ec);
+    if (ec) AddDiagnostic("cannot delete " + name + ": " + ec.message());
+  }
 }
 
 }  // namespace maras::serve

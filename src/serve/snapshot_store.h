@@ -28,6 +28,9 @@ namespace maras::serve {
 // possible crash point leaves the directory in one of three states — old
 // generation committed, new file present but uncommitted, or new
 // generation committed — and never a torn file under a committed name.
+// Once the new generation is served, Publish deletes every generation file
+// older than the two newest (the served one and one last-good fallback);
+// quarantined files stay.
 //
 // Resolution (Acquire/Refresh) tries the CURRENT target first, then every
 // generation newest-first. A candidate that fails validation is diagnosed,
@@ -93,6 +96,9 @@ class SnapshotStore {
 
   void AddDiagnostic(std::string message);
   void Quarantine(const std::string& file_name);
+  // Deletes the generation files older than the two newest; a failure is a
+  // diagnostic, since the publish itself has succeeded.
+  void DeleteSupersededGenerations() REQUIRES(publish_mu_);
 
   const Options options_;
 

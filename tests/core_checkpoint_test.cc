@@ -225,29 +225,6 @@ TEST(CheckpointCodecTest, ClosedCheckpointRoundTrip) {
   EXPECT_EQ(EncodeClosedCheckpoint(*decoded), encoded);
 }
 
-TEST(CheckpointCodecTest, MineShardCheckpointRejectsAnotherStride) {
-  MineShardCheckpoint shard;
-  shard.shard_index = 1;
-  shard.shard_count = 3;
-  shard.min_support = 4;
-  shard.max_itemset_size = 5;
-  shard.frequent.Add({2, 6}, 9);
-  const std::string encoded = EncodeMineShardCheckpoint(shard);
-  auto decoded = DecodeMineShardCheckpoint(encoded);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->shard_index, 1u);
-  EXPECT_EQ(decoded->shard_count, 3u);
-  EXPECT_EQ(EncodeMineShardCheckpoint(*decoded), encoded);
-  // A payload without the stride tag (the layout written before the stride
-  // was indexed over every item) and one with another tag are both stale:
-  // their slice partitions the items differently.
-  const std::string untagged = encoded.substr(0, encoded.size() - 1);
-  EXPECT_TRUE(DecodeMineShardCheckpoint(untagged).status().IsCorruption());
-  std::string retagged = encoded;
-  retagged.back() = static_cast<char>(retagged.back() + 1);
-  EXPECT_TRUE(DecodeMineShardCheckpoint(retagged).status().IsCorruption());
-}
-
 TEST(CheckpointCodecTest, PreprocessResultRoundTripsGeneratedQuarter) {
   faers::GeneratorConfig config;
   config.year = 2052;

@@ -1,10 +1,9 @@
 // The parallel mining engine's trust harness, in two halves.
 //
 // Differential oracle: FP-Growth (prefix-tree projection, serial and
-// thread-pooled, whole or split into item-range shards) must produce the
-// exact same frequent-itemset family as the two test-only oracles in
-// tests/oracles — Apriori (level-wise) and an exhaustive brute-force
-// enumerator — on seeded random databases. Any algorithmic or concurrency
+// thread-pooled) must produce the exact same frequent-itemset family as the
+// two test-only oracles in tests/oracles — Apriori (level-wise) and an
+// exhaustive brute-force enumerator — on seeded random databases. Any algorithmic or concurrency
 // bug has to corrupt all of them identically to slip through.
 //
 // Determinism suite: on generator-built FAERS corpora, the full serialized
@@ -15,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -142,101 +140,6 @@ TEST_P(DifferentialOracleTest, AgreementHoldsUnderSizeCap) {
   auto fp8 = FpGrowth(options).Mine(db);
   ASSERT_TRUE(fp8.ok());
   ExpectIdentical(*fp8, brute, "fpgrowth(8 threads) vs brute (capped)");
-}
-
-TEST_P(DifferentialOracleTest, ItemRangeShardsReassembleToBrute) {
-  // The shard supervisor's contract at the miner level: every shard of one
-  // shard_count, absorbed and sorted canonically, is the unsharded family.
-  maras::Rng rng(GetParam() * 31 + 5);
-  for (int trial = 0; trial < 3; ++trial) {
-    const int items = 8 + static_cast<int>(rng.Uniform(4));  // 8..11
-    TransactionDatabase db = RandomDb(&rng, 60 + trial * 30, items, 6);
-    MiningOptions options{.min_support = 1 + rng.Uniform(3)};
-    const FrequentItemsetResult brute = BruteForceMine(db, options, items);
-    // At most `items` items are frequent, so the last count leaves some
-    // shards without a top-level item.
-    const size_t empty_shards = static_cast<size_t>(items) + 3;
-    for (size_t shard_count : {size_t{2}, size_t{3}, size_t{7}, empty_shards}) {
-      for (size_t threads : {1u, 4u}) {
-        FrequentItemsetResult merged;
-        for (size_t shard = 0; shard < shard_count; ++shard) {
-          MiningOptions opt = options;
-          opt.num_threads = threads;
-          opt.shard_index = shard;
-          opt.shard_count = shard_count;
-          auto part = FpGrowth(opt).Mine(db);
-          ASSERT_TRUE(part.ok()) << part.status().ToString();
-          merged.Absorb(std::move(part).value());
-        }
-        merged.SortCanonically();
-        ExpectIdentical(merged, brute,
-                        ("shards " + std::to_string(shard_count) + ", " +
-                         std::to_string(threads) + " threads")
-                            .c_str());
-      }
-    }
-  }
-  TransactionDatabase db = RandomDb(&rng, 40, 8, 5);
-  for (size_t shard_index : {3u, 4u}) {
-    MiningOptions bad{.min_support = 1};
-    bad.shard_index = shard_index;
-    bad.shard_count = 3;
-    EXPECT_TRUE(FpGrowth(bad).Mine(db).status().IsInvalidArgument())
-        << "shard_index " << shard_index;
-  }
-  MiningOptions zero{.min_support = 1};
-  zero.shard_count = 0;
-  EXPECT_TRUE(FpGrowth(zero).Mine(db).status().IsInvalidArgument());
-}
-
-TEST_P(DifferentialOracleTest, EscalatedShardKeepsItsBaseSlice) {
-  // The shard supervisor's degraded merge at the miner level: one shard
-  // re-mined at an escalated support, plus every other shard mined at the
-  // base support, cut at the escalated support, is the family mined
-  // unsharded there. The stride's item order does not depend on the
-  // support, so the re-mined shard keeps the top-level items it owned.
-  maras::Rng rng(GetParam() * 17 + 3);
-  for (int trial = 0; trial < 3; ++trial) {
-    const int items = 8 + static_cast<int>(rng.Uniform(4));  // 8..11
-    TransactionDatabase db = RandomDb(&rng, 80 + trial * 30, items, 6);
-    const size_t base = 1 + rng.Uniform(2);
-    // Escalate past the rarest third of the items, so the escalated order
-    // drops items the base order has and every later index shifts.
-    std::vector<size_t> supports;
-    for (int item = 0; item < items; ++item) {
-      supports.push_back(db.ItemSupport(static_cast<ItemId>(item)));
-    }
-    std::sort(supports.begin(), supports.end());
-    const size_t escalated =
-        std::max(base + 1, supports[static_cast<size_t>(items) / 3] + 1);
-    ASSERT_TRUE(std::any_of(supports.begin(), supports.end(),
-                            [&](size_t support) {
-                              return support >= base && support < escalated;
-                            }));
-    const FrequentItemsetResult brute =
-        BruteForceMine(db, MiningOptions{.min_support = escalated}, items);
-    for (size_t shard_count : {size_t{2}, size_t{3}, size_t{5}}) {
-      for (size_t degraded = 0; degraded < shard_count; ++degraded) {
-        FrequentItemsetResult merged;
-        for (size_t shard = 0; shard < shard_count; ++shard) {
-          MiningOptions opt{.min_support = base};
-          opt.shard_index = shard;
-          opt.shard_count = shard_count;
-          if (shard == degraded) opt.min_support = escalated;
-          auto part = FpGrowth(opt).Mine(db);
-          ASSERT_TRUE(part.ok()) << part.status().ToString();
-          for (const FrequentItemset& fi : part->itemsets()) {
-            if (fi.support >= escalated) merged.Add(fi.items, fi.support);
-          }
-        }
-        merged.SortCanonically();
-        ExpectIdentical(merged, brute,
-                        ("shards " + std::to_string(shard_count) +
-                         ", degraded " + std::to_string(degraded))
-                            .c_str());
-      }
-    }
-  }
 }
 
 TEST_P(DifferentialOracleTest, ClosedFamilyAgreesAcrossMiners) {

@@ -49,11 +49,6 @@ maras::StatusOr<FrequentItemsetResult> Apriori::Mine(
   if (options_.min_support == 0) {
     return maras::Status::InvalidArgument("min_support must be >= 1");
   }
-  if (options_.shard_count != 1 || options_.shard_index != 0) {
-    return maras::Status::InvalidArgument(
-        "apriori is a serial test oracle; sharding is FP-Growth"
-        " only");
-  }
   FrequentItemsetResult result;
 
   // Level 1: frequent single items.

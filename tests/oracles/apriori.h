@@ -13,7 +13,7 @@ namespace maras::mining {
 // generation is the standard F_{k-1} × F_{k-1} self-join with prefix
 // sharing, followed by the all-subsets-frequent prune; support counting
 // intersects tid lists. Serial and ungoverned: num_threads and context are
-// ignored, and sharding is rejected.
+// ignored.
 class Apriori {
  public:
   explicit Apriori(MiningOptions options) : options_(options) {}

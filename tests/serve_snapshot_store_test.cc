@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -94,6 +95,33 @@ TEST(SnapshotStoreTest, SecondPublishSwapsWhileOldReadersKeepTheirs) {
   EXPECT_EQ((*old_reader)->counts().signals, small.ranked.size());
   auto ranked = (*old_reader)->Materialize(0);
   EXPECT_TRUE(ranked.ok());
+}
+
+TEST(SnapshotStoreTest, PublishKeepsOnlyTheTwoNewestGenerations) {
+  const std::string dir = FreshDir("prune");
+  const ServeFixture fixture = MakeServeFixture();
+  SnapshotStore store(OptionsFor(dir));
+  ASSERT_TRUE(store.Publish(InputsOf(fixture)).ok());
+  auto first = store.Acquire();
+  ASSERT_TRUE(first.ok());
+  for (int p = 0; p < 4; ++p) {
+    ASSERT_TRUE(store.Publish(InputsOf(fixture)).ok());
+  }
+  EXPECT_EQ(store.current_generation(), 5u);
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".msnp") {
+      files.push_back(entry.path().filename().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{
+                       SnapshotStore::GenerationFileName(4),
+                       SnapshotStore::GenerationFileName(5)}));
+  EXPECT_TRUE(store.diagnostics().empty());
+  // A reader still holding generation 1, whose file is gone, keeps working.
+  EXPECT_EQ((*first)->counts().signals, fixture.ranked.size());
+  EXPECT_TRUE((*first)->Materialize(0).ok());
 }
 
 TEST(SnapshotStoreTest, StrayTmpFilesAreNeverCandidates) {
@@ -306,8 +334,8 @@ TEST(SnapshotStoreConcurrencyTest, ReadersRacePublishes) {
 // publishers entering Publish at once could both list the same highest
 // generation, both write snapshot-N+1, and one publish silently vanished
 // under the other's overwrite. With the whole-publish lock, N concurrent
-// publishers must all succeed, produce N distinct generation files, and
-// leave the store serving generation N.
+// publishers must all succeed, produce N distinct generations, and leave
+// the store serving generation N.
 TEST(SnapshotStoreConcurrencyTest, ConcurrentPublishersGetDistinctGenerations) {
   const std::string dir = FreshDir("pubrace");
   const ServeFixture fixture = MakeServeFixture();
@@ -329,12 +357,13 @@ TEST(SnapshotStoreConcurrencyTest, ConcurrentPublishersGetDistinctGenerations) {
 
   constexpr uint64_t kTotal = uint64_t{kPublishers} * kPerThread;
   EXPECT_EQ(failures.load(), 0);
+  // Every publish must have landed in its own generation — a lost publish
+  // leaves the newest generation short of kTotal. Older files are deleted,
+  // so only the two newest remain.
   EXPECT_EQ(store.current_generation(), kTotal);
-  // Every publish must have landed in its own generation file — a lost
-  // publish shows up here as a gap.
-  for (uint64_t g = 1; g <= kTotal; ++g) {
-    EXPECT_TRUE(std::filesystem::exists(GenPath(dir, g))) << "generation " << g;
-  }
+  EXPECT_TRUE(std::filesystem::exists(GenPath(dir, kTotal)));
+  EXPECT_TRUE(std::filesystem::exists(GenPath(dir, kTotal - 1)));
+  EXPECT_FALSE(std::filesystem::exists(GenPath(dir, kTotal - 2)));
 }
 
 // The status accessors (current_generation, diagnostics) read state that
