@@ -17,6 +17,7 @@
 
 #include "bench/alloc_counter.h"
 #include "bench/bench_json.h"
+#include "bench/bench_util.h"
 #include "faers/ascii_format.h"
 #include "faers/corruptor.h"
 #include "faers/generator.h"
@@ -112,13 +113,7 @@ BENCHMARK(BM_CorruptQuarter)->Arg(4)->Arg(32)->Unit(benchmark::kMillisecond);
 // One quarter of `reports` background reports with perfbench's `quarter`
 // scaling (seed 7), written to a fresh directory under the system temp dir.
 std::filesystem::path WritePaperQuarter(size_t reports) {
-  faers::GeneratorConfig config;
-  config.seed = 7;
-  config.year = 2014;
-  config.quarter = 1;
-  config.n_reports = reports;
-  config.n_drugs = reports / 10 + 500;
-  config.n_adrs = reports * 36 / 1000 + 200;
+  const faers::GeneratorConfig config = bench::PaperQuarterConfig(reports);
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("maras_bench_ingest_" + std::to_string(::getpid()));

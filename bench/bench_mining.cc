@@ -1,6 +1,7 @@
 // Micro-benchmarks for the mining substrate: FP-Growth across database
 // sizes and support thresholds, closed-itemset filtering cost, FP-tree
-// build, and tid-list support counting. `--bench_json=PATH` writes the runs
+// build (synthetic and on a paper-scale cleaned quarter), and tid-list
+// support counting. `--bench_json=PATH` writes the runs
 // (wall-clock, allocations per iteration, peak RSS; baseline
 // bench/baselines/BENCH_mining.json) so the perf trajectory is diffable; `--smoke` runs a tiny fixture and
 // fails on any result-hash disagreement between FP-Growth at 1/2/8 threads
@@ -10,6 +11,9 @@
 
 #include "bench/alloc_counter.h"
 #include "bench/bench_json.h"
+#include "bench/bench_util.h"
+#include "faers/generator.h"
+#include "faers/preprocess.h"
 #include "mining/closed_itemsets.h"
 #include "mining/fpgrowth.h"
 #include "tests/oracles/apriori.h"
@@ -88,6 +92,47 @@ void BM_FpTreeBuild(benchmark::State& state) {
   bench::SetAllocCounters(state, alloc0);
 }
 BENCHMARK(BM_FpTreeBuild)->Arg(1000)->Arg(8000)->Unit(benchmark::kMillisecond);
+
+// The global tree of a perfbench `quarter` mine: the paper-scale quarter,
+// cleaned by the Preprocessor, built at that workload's min_support of 30.
+// Counters: tree nodes and kept item occurrences (the occurrences of items
+// at or above the support, each of which the build places on one path).
+void BM_FpTreeBuildPaperQuarter(benchmark::State& state) {
+  auto dataset = faers::SyntheticGenerator(
+                     bench::PaperQuarterConfig(
+                         static_cast<size_t>(state.range(0))))
+                     .Generate();
+  if (!dataset.ok()) {
+    state.SkipWithError("generate failed");
+    return;
+  }
+  auto prepared =
+      faers::Preprocessor(faers::PreprocessOptions{}).Process(*dataset);
+  if (!prepared.ok()) {
+    state.SkipWithError("prep failed");
+    return;
+  }
+  const TransactionDatabase& db = prepared->transactions;
+  constexpr size_t kMinSupport = 30;
+  size_t kept = 0;
+  for (size_t item = 0; item < db.item_bound(); ++item) {
+    const size_t support = db.ItemSupport(static_cast<ItemId>(item));
+    if (support >= kMinSupport) kept += support;
+  }
+  size_t nodes = 0;
+  const auto alloc0 = bench::CurrentAllocCounts();
+  for (auto _ : state) {
+    auto tree = FpTree::Build(db, kMinSupport);
+    benchmark::DoNotOptimize(nodes = tree.node_count());
+  }
+  bench::SetAllocCounters(state, alloc0);
+  state.counters["nodes"] = static_cast<double>(nodes);
+  state.counters["kept_occurrences"] = static_cast<double>(kept);
+}
+BENCHMARK(BM_FpTreeBuildPaperQuarter)
+    ->Arg(125000)
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(2.0);
 
 void BM_TidListSupport(benchmark::State& state) {
   TransactionDatabase db = MakeDb(20000, 400, 4.0, 7);

@@ -64,6 +64,20 @@ inline faers::GeneratorConfig QuarterConfig(int quarter, double scale) {
   return config;
 }
 
+// One 2014 Q1 quarter of `reports` background reports with perfbench's
+// `quarter` vocabulary scaling and seed 7: the paper-scale corpus the
+// microbenches time a `quarter` batch's layers on.
+inline faers::GeneratorConfig PaperQuarterConfig(size_t reports) {
+  faers::GeneratorConfig config;
+  config.seed = 7;
+  config.year = 2014;
+  config.quarter = 1;
+  config.n_reports = reports;
+  config.n_drugs = reports / 10 + 500;
+  config.n_adrs = reports * 36 / 1000 + 200;
+  return config;
+}
+
 // Generates and preprocesses one quarter; fatal on error (bench context).
 struct PreparedQuarter {
   faers::QuarterDataset dataset;

@@ -123,35 +123,44 @@ bool ParseFlag(const std::string& arg, CliFlags* flags) {
   return false;
 }
 
-// The year's four synthetic quarters — workers rebuild exactly this corpus
-// from the same (reports, seed) coordinates, so parent and child agree on
-// every input byte without shipping data over a pipe.
+constexpr int kYearQuarters = 4;
+
+faers::QuarterDataset GenerateQuarter(int quarter, size_t reports,
+                                      uint64_t seed) {
+  faers::SyntheticGenerator generator(QuarterConfig(quarter, reports, seed));
+  auto dataset = generator.Generate();
+  MARAS_CHECK(dataset.ok()) << dataset.status().ToString();
+  return *std::move(dataset);
+}
+
+// The year's four synthetic quarters — a worker rebuilds its one quarter
+// from the same (quarter, reports, seed) coordinates, so parent and child
+// agree on every input byte without shipping data over a pipe.
 std::vector<faers::QuarterDataset> BuildYear(size_t reports, uint64_t seed) {
   std::vector<faers::QuarterDataset> quarters;
-  for (int q = 1; q <= 4; ++q) {
-    faers::SyntheticGenerator generator(QuarterConfig(q, reports, seed));
-    auto dataset = generator.Generate();
-    MARAS_CHECK(dataset.ok()) << dataset.status().ToString();
-    quarters.push_back(*std::move(dataset));
+  for (int q = 1; q <= kYearQuarters; ++q) {
+    quarters.push_back(GenerateQuarter(q, reports, seed));
   }
   return quarters;
 }
 
-// A --shard= worker invocation: execute one shard, publish its checkpoint,
-// exit. Spawned by the supervisor with this binary's own path.
+// A --shard= worker invocation: generate the shard's quarter, process it,
+// publish its checkpoint, exit. Spawned by the supervisor with this
+// binary's own path.
 int RunWorker(size_t reports, uint64_t seed, const CliFlags& flags) {
-  auto spec = core::ParseShardArg(flags.shard);
+  auto spec = core::ParseShardArg(flags.shard, kYearQuarters);
   if (!spec.ok() || flags.checkpoint_dir.empty()) {
     std::fprintf(stderr, "bad worker invocation: %s\n",
                  spec.ok() ? "--checkpoint-dir is required"
                            : spec.status().ToString().c_str());
     return 2;
   }
-  std::vector<faers::QuarterDataset> quarters = BuildYear(reports, seed);
+  const faers::QuarterDataset quarter =
+      GenerateQuarter(static_cast<int>(spec->index) + 1, reports, seed);
   core::ShardWorkerConfig config;
   config.spec = *std::move(spec);
   config.checkpoint_dir = flags.checkpoint_dir;
-  config.quarters = &quarters;
+  config.quarter = &quarter;
   config.chaos.exit_at = flags.chaos_exit;
   config.chaos.hang_at = flags.chaos_hang;
   maras::Status status = core::RunShardWorker(config);

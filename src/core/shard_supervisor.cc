@@ -67,7 +67,8 @@ std::string ShardSpec::Serialize() const {
   return kQuarterPrefix + std::to_string(index);
 }
 
-maras::StatusOr<ShardSpec> ParseShardArg(std::string_view arg) {
+maras::StatusOr<ShardSpec> ParseShardArg(std::string_view arg,
+                                         size_t quarter_count) {
   if (arg.rfind(kQuarterPrefix, 0) != 0) {
     return maras::Status::InvalidArgument("unknown shard spec '" +
                                           std::string(arg) + "'");
@@ -75,23 +76,23 @@ maras::StatusOr<ShardSpec> ParseShardArg(std::string_view arg) {
   ShardSpec spec;
   MARAS_ASSIGN_OR_RETURN(spec.index,
                          ParseSize(arg.substr(sizeof(kQuarterPrefix) - 1)));
+  if (spec.index >= quarter_count) {
+    return maras::Status::InvalidArgument(
+        "quarter shard index " + std::to_string(spec.index) +
+        " out of range (have " + std::to_string(quarter_count) +
+        " quarters)");
+  }
   return spec;
 }
 
 maras::Status RunShardWorker(const ShardWorkerConfig& config) {
-  if (config.quarters == nullptr) {
+  if (config.quarter == nullptr) {
     return maras::Status::InvalidArgument("worker has no quarter corpus");
   }
   if (config.checkpoint_dir.empty()) {
     return maras::Status::InvalidArgument("worker needs a checkpoint dir");
   }
-  if (config.spec.index >= config.quarters->size()) {
-    return maras::Status::InvalidArgument(
-        "quarter shard index " + std::to_string(config.spec.index) +
-        " out of range (have " + std::to_string(config.quarters->size()) +
-        " quarters)");
-  }
-  const faers::QuarterDataset& dataset = (*config.quarters)[config.spec.index];
+  const faers::QuarterDataset& dataset = *config.quarter;
   const std::string label = dataset.Label();
   const std::string stage = "quarter-" + label;
   MaybeChaos(config.chaos, "start");
@@ -152,6 +153,7 @@ maras::Status ShardSupervisor::RunShards(
     // Resume: a shard whose artifact already validates never spawns.
     if (validate(state.spec).ok()) {
       state.done = true;
+      ++report->reused;
       report->notes.push_back("shard " + state.spec.Stage() +
                               ": reused existing checkpoint");
     } else {
@@ -352,8 +354,10 @@ maras::StatusOr<SurveillanceAnalysis> ShardSupervisor::RunAnalyzed(
     slots[spec.index] = std::move(quarter);
     return maras::Status::OK();
   };
+  const size_t reused_before = report->reused;
   MARAS_RETURN_IF_ERROR(RunShards(quarter_specs, validate_quarter,
                                   fallback_quarter, ctx, report));
+  out.stages_resumed = report->reused - reused_before;
   // Serial in-order reduce, shared with the single-process RunAnalyzed.
   MARAS_ASSIGN_OR_RETURN(out.run, ReduceQuarterSlots(slots, {}, strict));
 

@@ -52,7 +52,7 @@ struct ShardSpec {
   // Index into the run's quarter vector.
   size_t index = 0;
   // Quarter label. Filled by whoever owns the corpus; a parsed spec leaves
-  // it empty and the worker derives it from its own quarter vector.
+  // it empty and the worker derives it from its quarter.
   std::string label;
 
   // Checkpoint stage name: "quarter-<label>".
@@ -61,8 +61,10 @@ struct ShardSpec {
   std::string Serialize() const;
 };
 
-// Parses Serialize() output (the worker side of the --shard= flag).
-maras::StatusOr<ShardSpec> ParseShardArg(std::string_view arg);
+// Parses Serialize() output (the worker side of the --shard= flag) for a
+// run of `quarter_count` quarters; an index past them is InvalidArgument.
+maras::StatusOr<ShardSpec> ParseShardArg(std::string_view arg,
+                                         size_t quarter_count);
 
 // Deterministic fault injection inside a worker, at the named points of its
 // shard ("start" before any work, "work" after computing, "publish" after
@@ -73,13 +75,15 @@ struct ShardWorkerChaos {
 };
 
 // Everything a worker process needs to execute one shard. The host binary
-// reconstructs the quarter vector and options exactly as the supervisor's
-// parent did (same flags, same seeds) — workers never receive corpora over
-// a pipe, only coordinates into a deterministically re-derivable input.
+// reconstructs the shard's quarter and the options exactly as the
+// supervisor's parent did (same flags, same seeds) — workers never receive
+// corpora over a pipe, only coordinates into a deterministically
+// re-derivable input — and rebuilds that one quarter, not the whole run.
 struct ShardWorkerConfig {
   ShardSpec spec;
   std::string checkpoint_dir;
-  const std::vector<faers::QuarterDataset>* quarters = nullptr;
+  // The quarter spec.index names.
+  const faers::QuarterDataset* quarter = nullptr;
   MultiQuarterOptions pipeline;
   ShardWorkerChaos chaos;
 };
@@ -120,6 +124,8 @@ struct ShardRunReport {
   size_t attempts = 0;     // worker attempts started
   size_t retries = 0;      // attempts beyond each shard's first
   size_t quarantined = 0;  // shards that fell back to in-process execution
+  size_t reused = 0;       // shards whose existing checkpoint validated
+                           // before any worker was spawned
   std::vector<std::string> notes;
 };
 
@@ -134,7 +140,9 @@ class ShardSupervisor {
   // `pipeline` like the single-process run. Requires
   // `pipeline.checkpoint_dir` — checkpoints are the only worker/supervisor
   // channel. Quarters with valid existing checkpoints are always reused, so
-  // a killed supervisor run resumes where it stopped.
+  // a killed supervisor run resumes where it stopped; the result's
+  // stages_resumed counts them, as the single-process run counts the
+  // quarter checkpoints it replays.
   maras::StatusOr<SurveillanceAnalysis> RunAnalyzed(
       const std::vector<faers::QuarterDataset>& quarters,
       const MultiQuarterOptions& pipeline, const AnalyzerOptions& analyzer,

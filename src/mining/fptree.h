@@ -40,9 +40,16 @@ class FpTree {
 
   // Builds a tree from a transaction database, keeping only items with
   // support >= min_support and ordering each transaction by descending
-  // support (ties by ascending id). Bulk-reserves the node arena and the
-  // dense item tables from the database's retained occurrence count, so the
-  // build performs O(1) arena allocations.
+  // support (ties by ascending id). The filtered, ordered transactions are
+  // sorted lexicographically and walked in that order, so each one shares
+  // its longest common prefix with the one before and every node below
+  // that prefix is appended as its parent's last child: no child is
+  // searched for, nodes are numbered depth-first, and each header chain
+  // runs in that numbering. Bulk-reserves the node arena and the dense
+  // item tables from the database's retained occurrence count, so the build
+  // performs O(1) arena allocations; the sort's path buffers (4 bytes per
+  // kept occurrence and per transaction, 32 per non-empty filtered
+  // transaction) are temporaries.
   static FpTree Build(const TransactionDatabase& db, size_t min_support);
 
   // Resets to a lone root while keeping every vector's capacity — the arena
@@ -91,7 +98,9 @@ class FpTree {
   size_t UsedBytes() const;
 
  private:
-  NodeIndex NewNode(ItemId item, NodeIndex parent);
+  // Appends a node for `item` below `parent`, after `last_child` (kNoNode:
+  // as the first child), and at the end of the item's header chain.
+  NodeIndex NewChild(NodeIndex parent, NodeIndex last_child, ItemId item);
   NodeIndex ChildFor(NodeIndex node, ItemId item);
   // Grows the dense tables to cover `item` and records first touches so
   // Clear() can reset only what was used.

@@ -33,23 +33,29 @@ std::string g_self_path;  // set by main() before any test runs
 // Small three-quarter corpus: big enough that the reference run produces
 // ranked MCACs (asserted, so identity checks cannot go vacuous), small
 // enough that a chaos test can afford dozens of worker attempts.
+constexpr size_t kCorpusQuarters = 3;
+
+faers::QuarterDataset MakeQuarter(uint64_t seed, int quarter) {
+  faers::GeneratorConfig config;
+  config.year = 2061;
+  config.quarter = quarter;
+  config.n_reports = 500;
+  config.n_drugs = 150;
+  config.n_adrs = 80;
+  config.seed = seed + static_cast<uint64_t>(quarter);
+  auto dataset = faers::SyntheticGenerator(config).Generate();
+  if (!dataset.ok()) {
+    std::fprintf(stderr, "corpus generation failed: %s\n",
+                 dataset.status().ToString().c_str());
+    std::abort();
+  }
+  return *std::move(dataset);
+}
+
 std::vector<faers::QuarterDataset> MakeQuarters(uint64_t seed) {
   std::vector<faers::QuarterDataset> quarters;
-  for (int q = 1; q <= 3; ++q) {
-    faers::GeneratorConfig config;
-    config.year = 2061;
-    config.quarter = q;
-    config.n_reports = 500;
-    config.n_drugs = 150;
-    config.n_adrs = 80;
-    config.seed = seed + static_cast<uint64_t>(q);
-    auto dataset = faers::SyntheticGenerator(config).Generate();
-    if (!dataset.ok()) {
-      std::fprintf(stderr, "corpus generation failed: %s\n",
-                   dataset.status().ToString().c_str());
-      std::abort();
-    }
-    quarters.push_back(*std::move(dataset));
+  for (size_t q = 1; q <= kCorpusQuarters; ++q) {
+    quarters.push_back(MakeQuarter(seed, static_cast<int>(q)));
   }
   return quarters;
 }
@@ -83,18 +89,19 @@ int RunWorkerMain(int argc, char** argv) {
       chaos.hang_at = std::string(arg.substr(13));
     }
   }
-  auto spec = ParseShardArg(shard);
+  auto spec = ParseShardArg(shard, kCorpusQuarters);
   if (!spec.ok() || dir.empty()) {
     std::fprintf(stderr, "bad worker invocation: %s\n",
                  spec.ok() ? "missing --worker-dir"
                            : spec.status().ToString().c_str());
     return 2;
   }
-  std::vector<faers::QuarterDataset> quarters = MakeQuarters(seed);
+  const faers::QuarterDataset quarter =
+      MakeQuarter(seed, static_cast<int>(spec->index) + 1);
   ShardWorkerConfig config;
   config.spec = *spec;
   config.checkpoint_dir = dir;
-  config.quarters = &quarters;
+  config.quarter = &quarter;
   config.pipeline.checkpoint_dir = dir;
   config.chaos = chaos;
   maras::Status status = RunShardWorker(config);
@@ -221,15 +228,31 @@ TEST(ShardSpecTest, QuarterSpecRoundTrips) {
   ShardSpec spec;
   spec.index = 2;
   EXPECT_EQ(spec.Serialize(), "quarter:2");
-  auto parsed = ParseShardArg("quarter:2");
+  auto parsed = ParseShardArg("quarter:2", 3);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->index, 2u);
 }
 
 TEST(ShardSpecTest, MalformedSpecsAreRejected) {
   for (const char* bad : {"", "bogus", "quarter:", "quarter:x"}) {
-    EXPECT_TRUE(ParseShardArg(bad).status().IsInvalidArgument()) << bad;
+    EXPECT_TRUE(ParseShardArg(bad, 3).status().IsInvalidArgument()) << bad;
   }
+}
+
+TEST(ShardSpecTest, IndexPastTheQuartersIsRejected) {
+  EXPECT_TRUE(ParseShardArg("quarter:3", 4).ok());
+  const auto past = ParseShardArg("quarter:4", 4);
+  EXPECT_TRUE(past.status().IsInvalidArgument());
+  EXPECT_NE(past.status().ToString().find("out of range (have 4 quarters)"),
+            std::string::npos)
+      << past.status().ToString();
+  EXPECT_TRUE(ParseShardArg("quarter:0", 0).status().IsInvalidArgument());
+}
+
+TEST(ShardSpecTest, WorkerWithoutAQuarterIsRejected) {
+  ShardWorkerConfig config;
+  config.checkpoint_dir = FreshDir("no_quarter");
+  EXPECT_TRUE(RunShardWorker(config).IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------------------
@@ -279,6 +302,8 @@ TEST(ShardIdentityTest, RestartedSupervisorReusesEveryCheckpoint) {
   ASSERT_TRUE(run2.ok()) << run2.status().ToString();
   ExpectIdentical(Encode(*run2), ref.enc);
   EXPECT_EQ(second.attempts, 0u);
+  EXPECT_EQ(second.reused, SharedQuarters().size());
+  EXPECT_EQ(run2->stages_resumed, SharedQuarters().size());
   EXPECT_TRUE(AnyNoteContains(second.notes, "reused existing checkpoint"));
 }
 
@@ -289,14 +314,15 @@ TEST(ShardIdentityTest, ResumedSupervisorReplaysAnalysisStages) {
   ShardRunReport first;
   auto run1 = RunSharded(dir, FastOptions(2), &first);
   ASSERT_TRUE(run1.ok()) << run1.status().ToString();
-  // With resume, the second run replays closed, rules and ranked from the
-  // first run's checkpoints, as the single-process RunAnalyzed does.
+  // With resume, the second run reuses the quarter checkpoints and replays
+  // closed, rules and ranked from the first run's checkpoints, and counts
+  // them as the single-process RunAnalyzed does.
   ShardRunReport second;
   auto run2 = RunSharded(dir, FastOptions(2), &second, kCorpusSeed, nullptr,
                          /*resume=*/true);
   ASSERT_TRUE(run2.ok()) << run2.status().ToString();
   EXPECT_EQ(second.attempts, 0u);
-  EXPECT_EQ(run2->stages_resumed, 3u);
+  EXPECT_EQ(run2->stages_resumed, SharedQuarters().size() + 3);
   ExpectIdentical(Encode(*run2), ref.enc);
 }
 

@@ -1,9 +1,11 @@
 // Invariant tests for the flat structure-of-arrays FP-tree: arena
 // compactness (every node reachable, exactly once, through the
 // child/sibling links), agreement between the dense header tables and the
-// tree structure, and equivalence of node counts, per-item counts, header
-// chains and single-path shape against an independent pointer-based
-// reference tree that reimplements the classic layout the arena replaced.
+// tree structure, depth-first numbering of the sorted-path build, and
+// structural equality (every root path's count, per-item counts, header
+// chain counts, single-path shape) with an independent pointer-based
+// reference tree that inserts one transaction at a time.
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <utility>
@@ -32,10 +34,12 @@ TransactionDatabase RandomDb(maras::Rng* rng, int transactions, int items,
   return db;
 }
 
-// Pointer-per-node reference FP-tree with the semantics the arena version
-// replaced: heap node per tree position, child list in insertion order,
-// header chains in node-creation order. Deliberately naive — it exists to
-// disagree loudly if the flat layout ever drifts.
+// Pointer-per-node reference FP-tree built the classic way: one insert per
+// transaction in database order, a heap node per tree position, a child
+// list searched item by item. Deliberately naive — it exists to disagree
+// loudly if the flat layout or the sorted-path build ever drifts. Its node
+// and header-chain order is insertion order, which FpTree::Build does not
+// keep, so comparisons are structural.
 struct RefNode {
   ItemId item = 0;
   size_t count = 0;
@@ -117,7 +121,64 @@ struct RefTree {
     return items;
   }
 
+  // Count of every node, keyed by the item path from the root to it.
+  std::map<std::vector<ItemId>, size_t> PathCounts() const {
+    std::map<std::vector<ItemId>, size_t> counts;
+    std::vector<ItemId> path;
+    AddPathCounts(root, &path, &counts);
+    return counts;
+  }
+
+  // Per item, the sorted counts of the nodes on its header chain.
+  std::map<ItemId, std::vector<size_t>> ChainCounts() const {
+    std::map<ItemId, std::vector<size_t>> chains;
+    for (const auto& [item, nodes] : headers) {
+      for (const RefNode* node : nodes) chains[item].push_back(node->count);
+      std::sort(chains[item].begin(), chains[item].end());
+    }
+    return chains;
+  }
+
+ private:
+  static void AddPathCounts(const RefNode& node, std::vector<ItemId>* path,
+                            std::map<std::vector<ItemId>, size_t>* counts) {
+    for (const auto& child : node.children) {
+      path->push_back(child->item);
+      (*counts)[*path] = child->count;
+      AddPathCounts(*child, path, counts);
+      path->pop_back();
+    }
+  }
 };
+
+// The flat tree's counterparts of RefTree::PathCounts and ChainCounts.
+std::map<std::vector<ItemId>, size_t> PathCounts(const FpTree& tree) {
+  std::map<std::vector<ItemId>, size_t> counts;
+  for (FpTree::NodeIndex n = 1; n < tree.node_count(); ++n) {
+    std::vector<ItemId> path;
+    for (FpTree::NodeIndex up = n; up != tree.root(); up = tree.parent(up)) {
+      path.push_back(tree.item(up));
+    }
+    std::reverse(path.begin(), path.end());
+    counts[path] = tree.count(n);
+  }
+  return counts;
+}
+
+std::map<ItemId, std::vector<size_t>> ChainCounts(const FpTree& tree) {
+  std::map<ItemId, std::vector<size_t>> chains;
+  for (size_t raw = 0; raw < tree.item_table_size(); ++raw) {
+    const ItemId item = static_cast<ItemId>(raw);
+    for (FpTree::NodeIndex node = tree.HeaderChain(item);
+         node != FpTree::kNoNode; node = tree.next_same_item(node)) {
+      chains[item].push_back(tree.count(node));
+    }
+    if (chains.count(item) != 0) {
+      std::sort(chains[item].begin(), chains[item].end());
+    }
+  }
+  return chains;
+}
 
 // The flat tree's single-path view, read through the child/sibling links
 // FP-Growth walks: true when no node has a second child.
@@ -194,6 +255,58 @@ void CheckHeadersAgree(const FpTree& tree) {
   EXPECT_EQ(total_chain_nodes, tree.node_count() - 1);
 }
 
+// FpTree::Build numbers nodes depth-first: a parent precedes its children,
+// a first child directly follows its parent, and a node's next sibling
+// directly follows its subtree, so indices ascend along every sibling list.
+void CheckDepthFirst(const FpTree& tree) {
+  const auto n = static_cast<FpTree::NodeIndex>(tree.node_count());
+  std::vector<size_t> subtree(n, 1);
+  for (FpTree::NodeIndex i = n; i-- > 1;) {
+    ASSERT_LT(tree.parent(i), i) << "parent numbered after its child";
+    subtree[tree.parent(i)] += subtree[i];
+  }
+  for (FpTree::NodeIndex node = 0; node < n; ++node) {
+    const FpTree::NodeIndex child = tree.first_child(node);
+    if (child != FpTree::kNoNode) {
+      EXPECT_EQ(child, node + 1);
+    }
+    const FpTree::NodeIndex sibling = tree.next_sibling(node);
+    if (sibling != FpTree::kNoNode) {
+      EXPECT_GT(sibling, node) << "sibling list out of index order";
+      EXPECT_EQ(sibling, node + subtree[node]);
+    }
+  }
+}
+
+// Builds `db` both ways and checks the flat tree's invariants and its
+// structural equality with the reference: the same node set (every root
+// path with the same count), the same per-item counts, the same multiset of
+// counts along every header chain, and the same single-path view.
+void ExpectMatchesReference(const TransactionDatabase& db,
+                            size_t min_support) {
+  const FpTree tree = FpTree::Build(db, min_support);
+  const RefTree ref = RefTree::Build(db, min_support);
+  CheckArenaCompact(tree);
+  CheckHeadersAgree(tree);
+  CheckDepthFirst(tree);
+  EXPECT_EQ(tree.node_count(), ref.node_count);
+  const auto path_counts = PathCounts(tree);
+  EXPECT_EQ(path_counts.size(), tree.node_count() - 1)
+      << "two nodes share a root path";
+  EXPECT_EQ(path_counts, ref.PathCounts());
+  for (size_t raw = 0; raw < tree.item_table_size(); ++raw) {
+    const ItemId item = static_cast<ItemId>(raw);
+    const auto it = ref.item_counts.find(item);
+    const size_t want = it == ref.item_counts.end() ? 0 : it->second;
+    EXPECT_EQ(tree.ItemCount(item), want) << "item " << item;
+  }
+  EXPECT_EQ(ChainCounts(tree), ref.ChainCounts());
+  EXPECT_EQ(IsSinglePath(tree), ref.IsSinglePath());
+  if (IsSinglePath(tree)) {
+    EXPECT_EQ(SinglePathItems(tree), ref.SinglePathItems());
+  }
+}
+
 TEST(FpTreeLayoutTest, ArenaCompactOnHandBuiltTree) {
   TransactionDatabase db;
   db.Add({1, 2, 3});
@@ -250,29 +363,107 @@ TEST(FpTreeLayoutTest, MatchesPointerReferenceMultiSeed) {
     for (size_t min_support : {1u, 3u}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " min_support=" + std::to_string(min_support));
-      const FpTree tree = FpTree::Build(db, min_support);
-      const RefTree ref = RefTree::Build(db, min_support);
-      EXPECT_EQ(tree.node_count(), ref.node_count);
-      for (size_t raw = 0; raw < tree.item_table_size(); ++raw) {
-        const ItemId item = static_cast<ItemId>(raw);
-        const auto it = ref.item_counts.find(item);
-        const size_t want = it == ref.item_counts.end() ? 0 : it->second;
-        EXPECT_EQ(tree.ItemCount(item), want) << "item " << item;
-        // Header chains line up node for node, creation order on both sides.
-        const auto hit = ref.headers.find(item);
-        size_t ref_len = hit == ref.headers.end() ? 0 : hit->second.size();
-        size_t i = 0;
-        for (FpTree::NodeIndex node = tree.HeaderChain(item);
-             node != FpTree::kNoNode; node = tree.next_same_item(node), ++i) {
-          ASSERT_LT(i, ref_len);
-          EXPECT_EQ(tree.count(node), hit->second[i]->count);
-        }
-        EXPECT_EQ(i, ref_len);
-      }
-      EXPECT_EQ(IsSinglePath(tree), ref.IsSinglePath());
-      if (IsSinglePath(tree)) {
-        EXPECT_EQ(SinglePathItems(tree), ref.SinglePathItems());
-      }
+      ExpectMatchesReference(db, min_support);
+    }
+  }
+}
+
+TEST(FpTreeLayoutTest, DuplicateTransactionsShareOnePath) {
+  TransactionDatabase db;
+  for (int i = 0; i < 3; ++i) db.Add({4, 1, 2});
+  db.Add({1, 2});
+  db.Add({4, 1, 2});
+  ExpectMatchesReference(db, 1);
+  const FpTree tree = FpTree::Build(db, 1);
+  EXPECT_EQ(tree.node_count(), 4u);  // root + one node per item
+}
+
+TEST(FpTreeLayoutTest, PathThatIsAPrefixOfAnother) {
+  TransactionDatabase db;
+  // Supports 1:4, 2:3, 3:2, 5:1, so [1 2 3] is a prefix of [1 2 3 5] and
+  // [1] of both; the longer paths come first in the database.
+  db.Add({1, 2, 3, 5});
+  db.Add({1, 2, 3});
+  db.Add({1, 2});
+  db.Add({1});
+  ExpectMatchesReference(db, 1);
+  ExpectMatchesReference(db, 2);
+}
+
+TEST(FpTreeLayoutTest, TransactionsThatMinSupportEmpties) {
+  TransactionDatabase db;
+  db.Add({1, 2});
+  db.Add({7});     // 7 and 8 are below support 2: this path is empty
+  db.Add({8, 9});  // and this one keeps only 9
+  db.Add({1, 2, 9});
+  db.Add({1});
+  ExpectMatchesReference(db, 2);
+  const FpTree tree = FpTree::Build(db, 2);
+  EXPECT_EQ(tree.ItemCount(7), 0u);
+  EXPECT_EQ(tree.HeaderChain(8), FpTree::kNoNode);
+  EXPECT_EQ(tree.ItemCount(9), 2u);
+  // Every item falls below a support no item reaches: a bare root.
+  const FpTree bare = FpTree::Build(db, 10);
+  EXPECT_EQ(bare.node_count(), 1u);
+  EXPECT_EQ(bare.first_child(bare.root()), FpTree::kNoNode);
+  EXPECT_TRUE(bare.ItemsBySupportAscending().empty());
+}
+
+TEST(FpTreeLayoutTest, TiedSupportsOrderByAscendingId) {
+  TransactionDatabase db;
+  // 3, 5 and 9 all have support 2; a path orders them 3, 5, 9.
+  db.Add({9, 5});
+  db.Add({5, 3});
+  db.Add({3, 9});
+  ExpectMatchesReference(db, 1);
+  const FpTree tree = FpTree::Build(db, 1);
+  const FpTree::NodeIndex first = tree.first_child(tree.root());
+  ASSERT_NE(first, FpTree::kNoNode);
+  EXPECT_EQ(tree.item(first), 3u);
+  EXPECT_EQ(tree.count(first), 2u);
+  const FpTree::NodeIndex second = tree.next_sibling(first);
+  ASSERT_NE(second, FpTree::kNoNode);
+  EXPECT_EQ(tree.item(second), 5u);
+  EXPECT_EQ(tree.next_sibling(second), FpTree::kNoNode);
+}
+
+TEST(FpTreeLayoutTest, PathsThatTieOnALongCommonPrefix) {
+  // Items 0..23 are in every transaction, so every path starts with the
+  // same 24 items, more than fit in one 64-bit sort key at any rank width;
+  // the paths differ only in random tails drawn from items 24..79.
+  maras::Rng rng(8);
+  TransactionDatabase db;
+  for (int t = 0; t < 150; ++t) {
+    Itemset txn;
+    for (ItemId core = 0; core < 24; ++core) txn.push_back(core);
+    for (size_t i = rng.Uniform(12); i > 0; --i) {
+      txn.push_back(static_cast<ItemId>(24 + rng.Uniform(56)));
+    }
+    db.Add(std::move(txn));
+  }
+  for (size_t min_support : {1u, 3u}) {
+    SCOPED_TRACE("min_support=" + std::to_string(min_support));
+    ExpectMatchesReference(db, min_support);
+  }
+}
+
+TEST(FpTreeLayoutTest, EmptyDatabaseIsABareRoot) {
+  TransactionDatabase db;
+  ExpectMatchesReference(db, 1);
+  const FpTree tree = FpTree::Build(db, 1);
+  EXPECT_EQ(tree.node_count(), 1u);
+  EXPECT_EQ(tree.item_table_size(), 0u);
+  EXPECT_TRUE(tree.ItemsBySupportAscending().empty());
+}
+
+TEST(FpTreeLayoutTest, BuildNumbersNodesDepthFirst) {
+  for (uint64_t seed : {5u, 31u, 404u}) {
+    maras::Rng rng(seed);
+    TransactionDatabase db = RandomDb(&rng, 300, 20, 8);
+    for (size_t min_support : {1u, 4u}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " min_support=" + std::to_string(min_support));
+      CheckDepthFirst(FpTree::Build(db, min_support));
     }
   }
 }

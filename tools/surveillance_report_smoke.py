@@ -8,8 +8,10 @@ runs under a memory budget small enough that the mine degrades. Requires:
 
   * every run to exit 0 and analysis.json to be byte-identical across
     worker counts, with and without --resume;
-  * each --resume rerun to replay the closed, rules and ranked stages,
-    the supervisor's without spawning a worker;
+  * each --resume rerun to replay the four quarter stages and the
+    closed, rules and ranked stages (7), the supervisor's without spawning
+    a worker;
+  * a worker invocation for a fifth quarter to exit 2 as out of range;
   * the budgeted runs to print the "memory budget exhausted" degradation
     note and to agree with each other.
 
@@ -55,18 +57,26 @@ def smoke(binary, tmp):
         _, got = run(binary, tmp, "w" + workers, f"--workers={workers}")
         if got != reference:
             return f"--workers={workers} differs from --workers=1"
-    # The in-process run also replays its 4 quarter stages; the supervisor
-    # reuses its quarter checkpoints without spawning a worker.
-    for workers, stages in (("1", 7), ("3", 3)):
+    # Both paths replay the 4 quarter stages and closed, rules and ranked;
+    # the supervisor reuses its quarter checkpoints without spawning a
+    # worker.
+    for workers in ("1", "3"):
         stdout, got = run(binary, tmp, f"w{workers}.resumed",
                           f"--workers={workers}", "--resume")
-        if f"resumed {stages} stage(s)" not in stdout:
-            return (f"--workers={workers} --resume did not replay "
-                    f"{stages} stages")
+        if "resumed 7 stage(s)" not in stdout:
+            return f"--workers={workers} --resume did not replay 7 stages"
         if workers != "1" and " 0 attempts" not in stdout:
             return f"--workers={workers} --resume spawned a worker"
         if got != reference:
             return f"--workers={workers} --resume differs from --workers=1"
+    # A worker asked for a quarter past the year's four is a bad invocation.
+    cmd = [str(binary), str(tmp), REPORTS, SEED,
+           f"--checkpoint-dir={tmp / 'ckpt-bad-shard'}", "--shard=quarter:4"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    print(f"$ {' '.join(cmd)}  (exit {proc.returncode})")
+    sys.stdout.write(proc.stderr)
+    if proc.returncode != 2 or "out of range" not in proc.stderr:
+        return "--shard=quarter:4 was not rejected as out of range"
     budget = f"--memory-budget-mb={BUDGET_MB}"
     stdout, degraded = run(binary, tmp, "b1", budget)
     if "memory budget exhausted" not in stdout:
