@@ -16,13 +16,14 @@
 // --checkpoint-dir snapshots each completed stage atomically, and --resume
 // replays validated snapshots so an interrupted run picks up where it died.
 //
-// --workers=N gives the analysis N threads. With N > 1 (requires
-// --checkpoint-dir) it also runs the crash-tolerant multi-process path: the
-// shard supervisor spawns this same binary as one worker process per
-// quarter, at most N at a time (the --shard= flag marks a worker
-// invocation), retries crashed or hung workers with deterministic backoff,
-// then mines and analyses the pooled quarters in-process, governed like
-// the single-process run, into the byte-identical result.
+// --workers=N gives the quarter fan-out and the analysis N threads. With
+// N > 1 (requires --checkpoint-dir) it also runs the crash-tolerant
+// multi-process path: the shard supervisor loads each quarter by spawning
+// this same binary as its worker process, at most N at a time (the --shard=
+// flag marks a worker invocation), retries crashed or hung workers with
+// deterministic backoff, then mines and analyses the pooled quarters
+// in-process, governed like the single-process run, into the byte-identical
+// result. Quarter checkpoints are reused only under --resume.
 
 #include <cstdio>
 #include <cstdlib>
@@ -193,6 +194,7 @@ int RunGoverned(const std::string& argv0, const std::string& out_dir,
   pipeline_options.context = &ctx;
   pipeline_options.checkpoint_dir = flags.checkpoint_dir;
   pipeline_options.resume = flags.resume;
+  pipeline_options.num_threads = flags.workers;
 
   core::AnalyzerOptions analyzer;
   analyzer.mining.min_support = std::max<size_t>(6, reports / 4000);
@@ -214,7 +216,6 @@ int RunGoverned(const std::string& argv0, const std::string& out_dir,
           "worker/supervisor channel)");
     }
     core::ShardSupervisorOptions supervisor_options;
-    supervisor_options.workers = flags.workers;
     supervisor_options.worker_command = {
         CurrentExecutablePath(argv0), out_dir, std::to_string(reports),
         std::to_string(seed), "--checkpoint-dir=" + flags.checkpoint_dir};
@@ -245,9 +246,9 @@ int RunGoverned(const std::string& argv0, const std::string& out_dir,
                 flags.checkpoint_dir.c_str());
   }
   if (flags.workers > 1) {
-    std::printf("sharded across %zu workers: %zu shards, %zu attempts, "
+    std::printf("sharded across %zu workers: %zu quarters, %zu attempts, "
                 "%zu retries, %zu quarantined\n",
-                flags.workers, shard_report.shards, shard_report.attempts,
+                flags.workers, quarters.size(), shard_report.attempts,
                 shard_report.retries, shard_report.quarantined);
     for (const std::string& note : shard_report.notes) {
       std::printf("shard note: %s\n", note.c_str());

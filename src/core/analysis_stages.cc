@@ -52,6 +52,48 @@ maras::Status PublishStage(const MultiQuarterOptions& checkpoints,
   return FireStageHook(checkpoints, stage);
 }
 
+// The serial in-order reduce of a quarter fan-out. Under kStrict the first
+// unloaded quarter fails the run with its load status from `failures` (or
+// Corruption naming its recorded error when the slot was replayed);
+// otherwise it adds a skip warning. Accounting merges in input order, no
+// loaded quarter at all is Corruption, and the loaded quarters are pooled
+// with MergeQuarters. `publish(i)` runs for each slot that passed the
+// strict check, before its accounting.
+maras::StatusOr<MultiQuarterRun> ReduceQuarterSlots(
+    const std::vector<QuarterCheckpoint>& slots,
+    const std::vector<maras::Status>& failures, bool strict,
+    const std::function<maras::Status(size_t i)>& publish) {
+  MultiQuarterRun run;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const QuarterOutcome& outcome = slots[i].outcome;
+    if (strict && !outcome.loaded) {
+      const maras::Status failure =
+          !failures[i].ok() ? failures[i]
+                            : maras::Status::Corruption(outcome.error);
+      return maras::WithContext(failure, "quarter " + outcome.label);
+    }
+    MARAS_RETURN_IF_ERROR(publish(i));
+    if (outcome.loaded) {
+      ++run.quarters_loaded;
+    } else {
+      run.ingest.warnings.push_back("skipping quarter " + outcome.label +
+                                    ": " + outcome.error);
+    }
+    run.ingest.Merge(outcome.ingest);
+    run.outcomes.push_back(outcome);
+  }
+  if (run.quarters_loaded == 0) {
+    return maras::Status::Corruption("all " + std::to_string(slots.size()) +
+                                     " quarters failed ingestion");
+  }
+  std::vector<const faers::PreprocessResult*> loaded;
+  for (const QuarterCheckpoint& quarter : slots) {
+    if (quarter.result.has_value()) loaded.push_back(&*quarter.result);
+  }
+  MARAS_ASSIGN_OR_RETURN(run.merged, MergeQuarters(loaded));
+  return run;
+}
+
 // ---------------------------------------------------------------------------
 // Options records. A stage checkpoint carries, ahead of its payload, one
 // text line naming every option the stage's compute read, e.g.
@@ -305,14 +347,14 @@ maras::Status RunQuarterStage(const MultiQuarterOptions& options,
         },
         out);
   }
-  // Fan out: each quarter is processed by one pool task into its own slot;
-  // the run context is polled before each quarter is handed out.
+  // Fan out: each quarter is loaded by one pool task into its own slot; the
+  // run context is polled before each quarter is handed out and after each
+  // load, so a trip during a load fails the stage with the context's status.
   maras::Status fan_out = maras::TryParallelFor(
       options.num_threads, n, ctx, [&](size_t i) -> maras::Status {
         if (from_disk[i]) return maras::Status::OK();
-        failures[i] =
-            FillQuarterSlot(labels[i], load(i, &slots[i].outcome), &slots[i]);
-        return maras::Status::OK();
+        failures[i] = load(i, &slots[i]);
+        return ctx.Check();
       });
   if (!fan_out.ok()) {
     return maras::WithContext(fan_out, "multi-quarter ingest");
@@ -341,42 +383,6 @@ maras::Status FillQuarterSlot(const std::string& label,
   slot->outcome.loaded = true;
   slot->result = *std::move(result);
   return maras::Status::OK();
-}
-
-maras::StatusOr<MultiQuarterRun> ReduceQuarterSlots(
-    const std::vector<QuarterCheckpoint>& slots,
-    const std::vector<maras::Status>& failures, bool strict,
-    const std::function<maras::Status(size_t i)>& publish) {
-  MultiQuarterRun run;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    const QuarterOutcome& outcome = slots[i].outcome;
-    if (strict && !outcome.loaded) {
-      const maras::Status failure =
-          i < failures.size() && !failures[i].ok()
-              ? failures[i]
-              : maras::Status::Corruption(outcome.error);
-      return maras::WithContext(failure, "quarter " + outcome.label);
-    }
-    if (publish) MARAS_RETURN_IF_ERROR(publish(i));
-    if (outcome.loaded) {
-      ++run.quarters_loaded;
-    } else {
-      run.ingest.warnings.push_back("skipping quarter " + outcome.label +
-                                    ": " + outcome.error);
-    }
-    run.ingest.Merge(outcome.ingest);
-    run.outcomes.push_back(outcome);
-  }
-  if (run.quarters_loaded == 0) {
-    return maras::Status::Corruption("all " + std::to_string(slots.size()) +
-                                     " quarters failed ingestion");
-  }
-  std::vector<const faers::PreprocessResult*> loaded;
-  for (const QuarterCheckpoint& quarter : slots) {
-    if (quarter.result.has_value()) loaded.push_back(&*quarter.result);
-  }
-  MARAS_ASSIGN_OR_RETURN(run.merged, MergeQuarters(loaded));
-  return run;
 }
 
 maras::StatusOr<ClosedCheckpoint> BuildClosedStage(

@@ -28,6 +28,11 @@ namespace maras::core {
 //   * ShardSupervisor::RunAnalyzed does the same as RunAnalyzed on the corpus
 //     reduced from its quarter shards.
 //
+// The quarter stage before it, RunQuarterStage, is written down once too.
+// MultiQuarterPipeline::Run, MultiQuarterPipeline::RunAnalyzed and
+// ShardSupervisor::RunAnalyzed call it; they differ only in the QuarterLoad
+// (ProcessQuarter in-process, or worker processes under the supervisor).
+//
 // Checkpointed stages are "closed", "rules" and "ranked" (plus the
 // per-quarter "quarter-<label>" stage of RunQuarterStage). The mine is not
 // checkpointed: it runs only when "closed" is not replayed. The
@@ -73,15 +78,21 @@ maras::Status RunAnalysisStages(const mining::ItemDictionary& items,
                                 SurveillanceAnalysis* out,
                                 std::vector<Mcac>* unranked = nullptr);
 
-// Loads quarter `i` (ingest + preprocess), writing its row-level accounting
-// into `outcome`.
-using QuarterLoad = std::function<maras::StatusOr<faers::PreprocessResult>(
-    size_t i, QuarterOutcome* outcome)>;
+// Loads quarter `i` (ingest + preprocess) into `slot`: its label, its
+// row-level accounting and either the corpus or the recorded error. Returns
+// the load's status. Runs on a fan-out thread, one call per quarter.
+using QuarterLoad =
+    std::function<maras::Status(size_t i, QuarterCheckpoint* slot)>;
 
 // Stage 1: one QuarterCheckpoint slot per quarter, replayed from its
 // "quarter-<label>" checkpoint when resuming and otherwise loaded on the
-// options.num_threads quarter fan-out, then ReduceQuarterSlots into
-// out->run. Each computed slot is published (checkpoint + stage hook per
+// options.num_threads quarter fan-out. A run-context trip fails the stage
+// with the context's status; a failed load is a recorded outcome. The
+// serial in-order reduce then applies the ingest policy (under kStrict the
+// first unloaded quarter fails the run with its load status, otherwise it
+// adds a skip warning), merges accounting in input order and pools the
+// loaded quarters into out->run; no loaded quarter at all is Corruption.
+// Each computed slot is published (checkpoint + stage hook per
 // `checkpoints`) in input order during the reduce.
 maras::Status RunQuarterStage(const MultiQuarterOptions& options,
                               const std::vector<std::string>& labels,
@@ -95,18 +106,6 @@ maras::Status RunQuarterStage(const MultiQuarterOptions& options,
 maras::Status FillQuarterSlot(const std::string& label,
                               maras::StatusOr<faers::PreprocessResult> result,
                               QuarterCheckpoint* slot);
-
-// The serial in-order reduce of a quarter fan-out. Under kStrict the first
-// unloaded quarter fails the run with its load status from `failures` (or
-// Corruption naming its recorded error when `failures` has none); otherwise
-// it adds a skip warning. Accounting merges in input order, no loaded
-// quarter at all is Corruption, and the loaded quarters are pooled with
-// MergeQuarters. `publish(i)`, when set, runs for each slot that passed the
-// strict check, before its accounting.
-maras::StatusOr<MultiQuarterRun> ReduceQuarterSlots(
-    const std::vector<QuarterCheckpoint>& slots,
-    const std::vector<maras::Status>& failures, bool strict,
-    const std::function<maras::Status(size_t i)>& publish = nullptr);
 
 // Closed stage: rule-space statistics over the pre-filter family, then the
 // closed-set filter. Consumes `mined`, so the frequent family is freed once

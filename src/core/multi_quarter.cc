@@ -139,6 +139,16 @@ std::vector<std::string> QuarterLabels(
   return labels;
 }
 
+// The in-process QuarterLoad: ProcessQuarter on the fan-out thread.
+QuarterLoad InProcessLoad(const MultiQuarterPipeline& pipeline,
+                          const std::vector<faers::QuarterDataset>& quarters) {
+  return [&pipeline, &quarters](size_t i, QuarterCheckpoint* slot) {
+    return FillQuarterSlot(
+        quarters[i].Label(),
+        pipeline.ProcessQuarter(quarters[i], &slot->outcome), slot);
+  };
+}
+
 }  // namespace
 
 maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::Run(
@@ -147,12 +157,9 @@ maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::Run(
     return maras::Status::InvalidArgument("no quarters to ingest");
   }
   SurveillanceAnalysis out;
-  MARAS_RETURN_IF_ERROR(RunQuarterStage(
-      options_, QuarterLabels(quarters),
-      [&](size_t i, QuarterOutcome* outcome) {
-        return ProcessQuarter(quarters[i], outcome);
-      },
-      MultiQuarterOptions{}, &out));
+  MARAS_RETURN_IF_ERROR(RunQuarterStage(options_, QuarterLabels(quarters),
+                                        InProcessLoad(*this, quarters),
+                                        MultiQuarterOptions{}, &out));
   return std::move(out.run);
 }
 
@@ -163,12 +170,9 @@ maras::StatusOr<SurveillanceAnalysis> MultiQuarterPipeline::RunAnalyzed(
     return maras::Status::InvalidArgument("no quarters to ingest");
   }
   SurveillanceAnalysis out;
-  MARAS_RETURN_IF_ERROR(RunQuarterStage(
-      options_, QuarterLabels(quarters),
-      [&](size_t i, QuarterOutcome* outcome) {
-        return ProcessQuarter(quarters[i], outcome);
-      },
-      options_, &out));
+  MARAS_RETURN_IF_ERROR(RunQuarterStage(options_, QuarterLabels(quarters),
+                                        InProcessLoad(*this, quarters),
+                                        options_, &out));
   MARAS_RETURN_IF_ERROR(RunAnalysisStages(
       out.run.merged.items, out.run.merged.transactions, analyzer, options_,
       options_.context, method, &out));

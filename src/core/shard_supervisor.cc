@@ -3,13 +3,14 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
-#include <optional>
+#include <filesystem>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -36,7 +37,7 @@ maras::StatusOr<size_t> ParseSize(std::string_view text) {
 }
 
 // Worker heartbeat: one line per progress point, flushed immediately so the
-// supervisor's poll() loop sees bytes (the pipe is the liveness signal).
+// supervisor's poll() sees bytes (the pipe is the liveness signal).
 void WorkerSay(const std::string& line) {
   std::fputs((line + "\n").c_str(), stdout);
   std::fflush(stdout);
@@ -57,6 +58,119 @@ void MaybeChaos(const ShardWorkerChaos& chaos, const char* point) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   }
+}
+
+// How often a waiting supervisor thread polls the run context.
+constexpr std::chrono::milliseconds kTick(20);
+
+// One worker attempt: spawns the worker, polls its one stdout pipe for
+// heartbeats and gives up on it after heartbeat_timeout of silence. Returns
+// how the worker ended, for the notes. A run-context trip returns the
+// context's status. Either way a still-running worker is killed and reaped
+// by ~ChildProcess on return.
+maras::StatusOr<std::string> RunAttempt(const ShardSupervisorOptions& options,
+                                        const ShardSpec& spec, size_t attempt,
+                                        const RunContext& ctx) {
+  std::vector<std::string> argv = options.worker_command;
+  if (options.chaos_args) {
+    std::vector<std::string> extra = options.chaos_args(spec, attempt);
+    argv.insert(argv.end(), extra.begin(), extra.end());
+  }
+  argv.push_back("--shard=" + spec.Serialize());
+  maras::StatusOr<ChildProcess> child = ChildProcess::Spawn(argv);
+  if (!child.ok()) return "spawn failed: " + child.status().ToString();
+  SteadyClock::time_point last_beat = SteadyClock::now();
+  std::string output;
+  for (;;) {
+    MARAS_RETURN_IF_ERROR(ctx.Check());
+    pollfd fd{child->stdout_fd(), POLLIN, 0};
+    if (poll(&fd, 1, static_cast<int>(kTick.count())) == -1 &&
+        errno != EINTR) {
+      return "poll failed: " + std::string(std::strerror(errno));
+    }
+    // Bytes are heartbeats.
+    output.clear();
+    maras::StatusOr<bool> open = DrainAvailable(fd.fd, &output);
+    if (!output.empty()) last_beat = SteadyClock::now();
+    if (!open.ok() || !*open) {
+      // EOF (or a broken pipe): the worker is finishing — reap it, with a
+      // hard bound in case it lingers after closing stdout.
+      maras::StatusOr<ExitStatus> reaped =
+          child->WaitWithDeadline(Deadline::AfterMillis(5000));
+      if (!reaped.ok()) return "waitpid failed: " + reaped.status().ToString();
+      return reaped->Describe();
+    }
+    if (SteadyClock::now() - last_beat > options.heartbeat_timeout) {
+      return "hung (no heartbeat for " +
+             std::to_string(options.heartbeat_timeout.count()) + "ms)";
+    }
+  }
+}
+
+// The supervisor's QuarterLoad for one quarter: up to max_attempts worker
+// attempts, each judged by reading back its checkpoint, then the in-process
+// fallback (quarantine). Attempts, retries, quarantines and notes go to
+// `report`, this quarter's own.
+maras::Status LoadQuarter(const ShardSupervisorOptions& options,
+                          const MultiQuarterPipeline& in_process,
+                          const faers::QuarterDataset& quarter,
+                          const ShardSpec& spec, const std::string& dir,
+                          const RunContext& ctx, QuarterCheckpoint* slot,
+                          ShardRunReport* report) {
+  // Resume has already declined this quarter's checkpoint, or was not asked
+  // for: a file under its name is another run's and must never validate.
+  std::error_code removed;
+  std::filesystem::remove(CheckpointPath(dir, spec.Stage()), removed);
+  if (removed) {
+    return FillQuarterSlot(
+        spec.label,
+        maras::Status::IOError("cannot remove stale checkpoint: " +
+                               removed.message()),
+        slot);
+  }
+  // The jitter stream is a pure function of (policy seed, stage name):
+  // reproducible per run, desynchronized across quarters.
+  BackoffPolicy policy = options.backoff;
+  policy.seed ^= Fnv1a64(spec.Stage());
+  Backoff backoff(policy);
+  const std::string shard = "shard " + spec.Stage();
+  for (size_t attempt = 0; attempt < options.max_attempts; ++attempt) {
+    ++report->attempts;
+    MARAS_ASSIGN_OR_RETURN(std::string how,
+                           RunAttempt(options, spec, attempt, ctx));
+    if (options.post_attempt) options.post_attempt(spec, attempt);
+    // Success is judged by the artifact alone — a worker killed after its
+    // atomic rename still delivered.
+    maras::StatusOr<QuarterCheckpoint> read =
+        ReadQuarterCheckpoint(dir, spec.label);
+    if (read.ok()) {
+      *slot = *std::move(read);
+      return slot->outcome.loaded
+                 ? maras::Status::OK()
+                 : maras::Status::Corruption(slot->outcome.error);
+    }
+    if (attempt + 1 == options.max_attempts) {
+      ++report->quarantined;
+      report->notes.push_back(
+          shard + ": quarantined after " + std::to_string(attempt + 1) +
+          " attempts (last worker: " + how + "; checkpoint: " +
+          read.status().ToString() + "); running in-process");
+      break;
+    }
+    ++report->retries;
+    const Deadline retry = Deadline::After(backoff.Delay(attempt));
+    report->notes.push_back(shard + ": attempt " +
+                            std::to_string(attempt + 1) + " failed (" + how +
+                            "); retrying in " +
+                            std::to_string(retry.configured().count()) + "ms");
+    while (!retry.Expired()) {
+      MARAS_RETURN_IF_ERROR(ctx.Check());
+      std::this_thread::sleep_for(std::min(kTick, retry.Remaining()));
+    }
+  }
+  return FillQuarterSlot(spec.label,
+                         in_process.ProcessQuarter(quarter, &slot->outcome),
+                         slot);
 }
 
 }  // namespace
@@ -96,12 +210,6 @@ maras::Status RunShardWorker(const ShardWorkerConfig& config) {
   const std::string label = dataset.Label();
   const std::string stage = "quarter-" + label;
   MaybeChaos(config.chaos, "start");
-  // Idempotent reuse: a valid snapshot from an earlier attempt (possibly by
-  // a worker that died right after publishing) is the finished product.
-  if (ReadQuarterCheckpoint(config.checkpoint_dir, label).ok()) {
-    WorkerSay("reused " + stage);
-    return maras::Status::OK();
-  }
   // A quarter that fails ingestion is a *recorded* outcome, not a worker
   // failure: the supervisor's reduce applies the ingest policy (strict
   // aborts, quarantine warns), mirroring the single-process run.
@@ -115,189 +223,6 @@ maras::Status RunShardWorker(const ShardWorkerConfig& config) {
                                         EncodeQuarterCheckpoint(quarter)));
   MaybeChaos(config.chaos, "publish");
   WorkerSay("published " + stage);
-  return maras::Status::OK();
-}
-
-// Per-shard supervision state. The event loop below is single-threaded:
-// children run concurrently, but all bookkeeping happens in one poll()
-// cycle, so no locks are needed and scheduling is easy to reason about.
-struct ShardSupervisor::ShardState {
-  ShardSpec spec;
-  size_t attempts = 0;  // attempts started
-  bool done = false;
-  std::optional<ChildProcess> child;
-  SteadyClock::time_point last_beat{};
-  SteadyClock::time_point eligible{};  // earliest next spawn (backoff)
-  std::string output;                  // rolling tail of worker stdout
-  std::unique_ptr<Backoff> backoff;
-};
-
-maras::Status ShardSupervisor::RunShards(
-    const std::vector<ShardSpec>& specs,
-    const std::function<maras::Status(const ShardSpec&)>& validate,
-    const std::function<maras::Status(const ShardSpec&)>& fallback,
-    const RunContext& ctx, ShardRunReport* report) {
-  report->shards += specs.size();
-  std::vector<ShardState> states(specs.size());
-  size_t pending = 0;
-  const SteadyClock::time_point start = SteadyClock::now();
-  for (size_t i = 0; i < specs.size(); ++i) {
-    ShardState& state = states[i];
-    state.spec = specs[i];
-    state.eligible = start;
-    // Each shard's jitter stream is a pure function of (policy seed, stage
-    // name): reproducible per run, desynchronized across shards.
-    BackoffPolicy policy = options_.backoff;
-    policy.seed ^= Fnv1a64(state.spec.Stage());
-    state.backoff = std::make_unique<Backoff>(policy);
-    // Resume: a shard whose artifact already validates never spawns.
-    if (validate(state.spec).ok()) {
-      state.done = true;
-      ++report->reused;
-      report->notes.push_back("shard " + state.spec.Stage() +
-                              ": reused existing checkpoint");
-    } else {
-      ++pending;
-    }
-  }
-
-  // Ends one attempt: runs the harness hook, validates the artifact, and
-  // either completes the shard, schedules a retry, or quarantines it.
-  auto finish_attempt = [&](ShardState& state,
-                            const std::string& how) -> maras::Status {
-    if (options_.post_attempt) {
-      options_.post_attempt(state.spec, state.attempts - 1);
-    }
-    maras::Status valid = validate(state.spec);
-    if (valid.ok()) {
-      // Success is judged by the artifact alone — a worker killed after
-      // its atomic rename still delivered.
-      state.done = true;
-      --pending;
-      return maras::Status::OK();
-    }
-    if (state.attempts >= options_.max_attempts) {
-      ++report->quarantined;
-      report->notes.push_back(
-          "shard " + state.spec.Stage() + ": quarantined after " +
-          std::to_string(state.attempts) + " attempts (last worker: " + how +
-          "; checkpoint: " + valid.ToString() + "); running in-process");
-      MARAS_RETURN_IF_ERROR(fallback(state.spec));
-      state.done = true;
-      --pending;
-      return maras::Status::OK();
-    }
-    ++report->retries;
-    const std::chrono::milliseconds delay =
-        state.backoff->Delay(state.attempts - 1);
-    state.eligible = SteadyClock::now() + delay;
-    report->notes.push_back("shard " + state.spec.Stage() + ": attempt " +
-                            std::to_string(state.attempts) + " failed (" +
-                            how + "); retrying in " +
-                            std::to_string(delay.count()) + "ms");
-    return maras::Status::OK();
-  };
-
-  size_t running = 0;
-  while (pending > 0) {
-    // First-error-wins: a governance trip kills every live worker (the
-    // ChildProcess destructors SIGKILL + reap on unwind) and returns.
-    maras::Status governed = ctx.Check();
-    if (!governed.ok()) {
-      return maras::WithContext(governed, "shard supervisor");
-    }
-    // Spawn every eligible shard up to the concurrency cap.
-    const SteadyClock::time_point now = SteadyClock::now();
-    for (ShardState& state : states) {
-      if (state.done || state.child.has_value() ||
-          running >= options_.workers || now < state.eligible) {
-        continue;
-      }
-      std::vector<std::string> argv = options_.worker_command;
-      if (options_.chaos_args) {
-        std::vector<std::string> extra =
-            options_.chaos_args(state.spec, state.attempts);
-        argv.insert(argv.end(), extra.begin(), extra.end());
-      }
-      argv.push_back("--shard=" + state.spec.Serialize());
-      ++state.attempts;
-      ++report->attempts;
-      maras::StatusOr<ChildProcess> child = ChildProcess::Spawn(argv);
-      if (!child.ok()) {
-        // Spawn failure (fork/pipe exhaustion) consumes an attempt like
-        // any other worker death; quarantine eventually absorbs it.
-        MARAS_RETURN_IF_ERROR(finish_attempt(
-            state, "spawn failed: " + child.status().ToString()));
-        continue;
-      }
-      state.child = std::move(child).value();
-      state.last_beat = SteadyClock::now();
-      ++running;
-    }
-
-    // Multiplex the live workers' stdout pipes; bytes are heartbeats.
-    std::vector<pollfd> fds;
-    std::vector<ShardState*> fd_owner;
-    for (ShardState& state : states) {
-      if (state.child.has_value() && state.child->stdout_fd() >= 0) {
-        fds.push_back(pollfd{state.child->stdout_fd(), POLLIN, 0});
-        fd_owner.push_back(&state);
-      }
-    }
-    if (fds.empty()) {
-      // Nothing live (all waiting out their backoff): tick the clock.
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      continue;
-    }
-    int ready = 0;
-    do {
-      ready = poll(fds.data(), static_cast<nfds_t>(fds.size()), 20);
-    } while (ready == -1 && errno == EINTR);
-    if (ready == -1) {
-      return maras::Status::IOError("poll: " +
-                                    std::string(std::strerror(errno)));
-    }
-
-    for (size_t i = 0; i < fds.size(); ++i) {
-      ShardState& state = *fd_owner[i];
-      bool ended = false;
-      std::string how;
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        const size_t before = state.output.size();
-        maras::StatusOr<bool> open =
-            DrainAvailable(fds[i].fd, &state.output);
-        if (state.output.size() > before) {
-          state.last_beat = SteadyClock::now();
-        }
-        if (state.output.size() > 8192) {
-          state.output.erase(0, state.output.size() - 4096);
-        }
-        if (!open.ok() || !*open) {
-          // EOF (or a broken pipe): the worker is finishing — reap it,
-          // with a hard bound in case it lingers after closing stdout.
-          maras::StatusOr<ExitStatus> reaped =
-              state.child->WaitWithDeadline(Deadline::AfterMillis(5000));
-          MARAS_RETURN_IF_ERROR(reaped.status());
-          ended = true;
-          how = reaped->Describe();
-        }
-      }
-      if (!ended && SteadyClock::now() - state.last_beat >
-                        options_.heartbeat_timeout) {
-        // Silent past the heartbeat budget: presumed hung, killed.
-        maras::StatusOr<ExitStatus> reaped = state.child->KillAndReap();
-        MARAS_RETURN_IF_ERROR(reaped.status());
-        ended = true;
-        how = "hung (no heartbeat for " +
-              std::to_string(options_.heartbeat_timeout.count()) + "ms)";
-      }
-      if (ended) {
-        state.child.reset();
-        --running;
-        MARAS_RETURN_IF_ERROR(finish_attempt(state, how));
-      }
-    }
-  }
   return maras::Status::OK();
 }
 
@@ -316,53 +241,37 @@ maras::StatusOr<SurveillanceAnalysis> ShardSupervisor::RunAnalyzed(
   if (options_.worker_command.empty()) {
     return maras::Status::InvalidArgument("no worker command configured");
   }
-  if (options_.workers == 0 || options_.max_attempts == 0) {
-    return maras::Status::InvalidArgument(
-        "workers and max_attempts must be >= 1");
+  if (options_.max_attempts == 0) {
+    return maras::Status::InvalidArgument("max_attempts must be >= 1");
   }
-  const bool strict = pipeline.ingest.policy == faers::IngestPolicy::kStrict;
-  const std::string& dir = pipeline.checkpoint_dir;
   const maras::RunContext ungoverned;
   const maras::RunContext& ctx =
       pipeline.context != nullptr ? *pipeline.context : ungoverned;
-  ShardRunReport local_report;
-  if (report == nullptr) report = &local_report;
-  SurveillanceAnalysis out;
-
-  // --- One worker per quarter ---------------------------------------------
-  const size_t n = quarters.size();
-  std::vector<QuarterCheckpoint> slots(n);
-  std::vector<ShardSpec> quarter_specs(n);
-  for (size_t i = 0; i < n; ++i) {
-    quarter_specs[i] = ShardSpec{i, quarters[i].Label()};
+  std::vector<std::string> labels;
+  for (const faers::QuarterDataset& quarter : quarters) {
+    labels.push_back(quarter.Label());
   }
-  MultiQuarterPipeline in_process(pipeline);
-  auto validate_quarter = [&](const ShardSpec& spec) -> maras::Status {
-    MARAS_ASSIGN_OR_RETURN(slots[spec.index],
-                           ReadQuarterCheckpoint(dir, spec.label));
-    return maras::Status::OK();
-  };
-  auto fallback_quarter = [&](const ShardSpec& spec) -> maras::Status {
-    QuarterCheckpoint quarter;
-    // A failed load is a recorded outcome; the reduce below applies policy.
-    MARAS_IGNORE_STATUS(FillQuarterSlot(
-        spec.label,
-        in_process.ProcessQuarter(quarters[spec.index], &quarter.outcome),
-        &quarter));
-    MARAS_RETURN_IF_ERROR(WriteCheckpoint(dir, spec.Stage(),
-                                          EncodeQuarterCheckpoint(quarter)));
-    slots[spec.index] = std::move(quarter);
-    return maras::Status::OK();
-  };
-  const size_t reused_before = report->reused;
-  MARAS_RETURN_IF_ERROR(RunShards(quarter_specs, validate_quarter,
-                                  fallback_quarter, ctx, report));
-  out.stages_resumed = report->reused - reused_before;
-  // Serial in-order reduce, shared with the single-process RunAnalyzed.
-  MARAS_ASSIGN_OR_RETURN(out.run, ReduceQuarterSlots(slots, {}, strict));
-
-  // --- The analysis: the governed in-process stage sequence of
-  // MultiQuarterPipeline::RunAnalyzed, resuming per `pipeline`.
+  std::vector<ShardRunReport> per_quarter(quarters.size());
+  const MultiQuarterPipeline in_process(pipeline);
+  SurveillanceAnalysis out;
+  const maras::Status loaded = RunQuarterStage(
+      pipeline, labels,
+      [&](size_t i, QuarterCheckpoint* slot) {
+        return LoadQuarter(options_, in_process, quarters[i],
+                           ShardSpec{i, labels[i]}, pipeline.checkpoint_dir,
+                           ctx, slot, &per_quarter[i]);
+      },
+      pipeline, &out);
+  if (report != nullptr) {
+    for (const ShardRunReport& quarter : per_quarter) {
+      report->attempts += quarter.attempts;
+      report->retries += quarter.retries;
+      report->quarantined += quarter.quarantined;
+      report->notes.insert(report->notes.end(), quarter.notes.begin(),
+                           quarter.notes.end());
+    }
+  }
+  MARAS_RETURN_IF_ERROR(loaded);
   MARAS_RETURN_IF_ERROR(RunAnalysisStages(
       out.run.merged.items, out.run.merged.transactions, analyzer, pipeline,
       pipeline.context, method, &out));

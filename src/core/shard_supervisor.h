@@ -15,36 +15,40 @@
 namespace maras::core {
 
 // ---------------------------------------------------------------------------
-// Crash-tolerant multi-process surveillance. The supervisor runs each
-// quarter's ingest + preprocess in its own worker process, then reduces the
-// quarters and runs the analysis in-process. Workers communicate results
-// exclusively through the checksummed atomic-rename checkpoints of
-// core/checkpoint.h: a worker either publishes a validated snapshot or
-// leaves nothing usable, so the supervisor can kill and retry without ever
-// reading a torn file.
+// Crash-tolerant multi-process surveillance. The supervisor runs the one
+// quarter stage, RunQuarterStage (core/analysis_stages.h), and supplies
+// only its per-quarter load: each quarter's ingest + preprocess runs in its
+// own worker process, one fan-out thread per running worker. Workers
+// communicate results exclusively through the checksummed atomic-rename
+// checkpoints of core/checkpoint.h: a worker either publishes a validated
+// snapshot or leaves nothing usable, so the supervisor can kill and retry
+// without ever reading a torn file.
 //
 // Failure model:
-//   * A worker that exits nonzero, dies on a signal, or goes silent past
-//     the heartbeat timeout is killed and retried with exponential backoff
-//     and deterministic jitter (util/backoff.h — the delay sequence is a
-//     pure function of the shard's stage name and the policy seed).
+//   * A quarter's load first removes any "quarter-<label>" checkpoint:
+//     resume (only under MultiQuarterOptions::resume) has already declined
+//     it, so a stale file from another run can never validate.
+//   * A worker that exits nonzero, dies on a signal, goes silent past the
+//     heartbeat timeout (killed), fails to spawn, or leaves a torn or
+//     missing checkpoint is a failed attempt, retried with exponential
+//     backoff and deterministic jitter (util/backoff.h — the delay sequence
+//     is a pure function of the quarter's stage name and the policy seed).
 //   * A worker that dies *after* publishing a valid checkpoint still
 //     counts as success: validation inspects the artifact, not the exit.
-//   * After max_attempts failed attempts a shard is quarantined: the
-//     supervisor processes that quarter in-process, so an exhausted retry
-//     budget costs time, never the run or its bytes.
-//   * Any hard supervisor-side error (checkpoint I/O, cancellation,
-//     deadline) wins immediately: every live worker is killed and the
-//     first error is returned (first-error-wins, threaded through the
-//     RunContext in MultiQuarterOptions).
+//   * After max_attempts failed attempts a quarter is quarantined: the
+//     supervisor processes it in-process, so an exhausted retry budget
+//     costs time, never the run or its bytes.
+//   * A run-context trip (cancellation, deadline, memory budget in the
+//     RunContext of MultiQuarterOptions) fails the run with the context's
+//     status; every live worker is killed and reaped on the way out.
 //
 // Byte-identity: quarter workers run MultiQuarterPipeline::ProcessQuarter,
-// the supervisor reduces their slots with ReduceQuarterSlots, and the mine
-// and every later stage run through RunAnalysisStages
-// (core/analysis_stages.h) exactly as in MultiQuarterPipeline::RunAnalyzed,
-// under the run's context and degradation ladder. A sharded run therefore
-// produces byte-for-byte the SurveillanceAnalysis of the single-process
-// RunAnalyzed, at any worker count.
+// RunQuarterStage reduces and publishes their slots, and the mine and every
+// later stage run through RunAnalysisStages exactly as in
+// MultiQuarterPipeline::RunAnalyzed, under the run's context and
+// degradation ladder. A sharded run therefore produces byte-for-byte the
+// SurveillanceAnalysis of the single-process RunAnalyzed, at any fan-out
+// width.
 // ---------------------------------------------------------------------------
 
 // One unit of work handed to a worker process: one quarter.
@@ -88,15 +92,11 @@ struct ShardWorkerConfig {
   ShardWorkerChaos chaos;
 };
 
-// Worker entry point: executes the shard and publishes its checkpoint.
-// Idempotent — a valid existing checkpoint for the shard is reused and the
-// worker exits success without recomputing. Progress lines on stdout serve
-// as the supervisor's heartbeat.
+// Worker entry point: processes the shard's quarter and publishes its
+// checkpoint. Progress lines on stdout serve as the supervisor's heartbeat.
 maras::Status RunShardWorker(const ShardWorkerConfig& config);
 
 struct ShardSupervisorOptions {
-  // Cap on concurrently running quarter workers.
-  size_t workers = 2;
   // argv prefix for spawning a worker; the supervisor appends any chaos
   // args and then "--shard=<spec>". The prefix must carry everything the
   // worker needs to rebuild the corpus (and the checkpoint dir).
@@ -104,9 +104,9 @@ struct ShardSupervisorOptions {
   // A worker producing no stdout bytes for this long is presumed hung,
   // killed, and retried.
   std::chrono::milliseconds heartbeat_timeout{10000};
-  // Worker attempts per shard before quarantine (>= 1).
+  // Worker attempts per quarter before quarantine (>= 1).
   size_t max_attempts = 3;
-  // Base backoff policy; each shard derives its own deterministic jitter
+  // Base backoff policy; each quarter derives its own deterministic jitter
   // stream by folding its stage name into the seed.
   BackoffPolicy backoff;
   // Test hook: extra worker argv for (shard, attempt) — injects the chaos
@@ -118,14 +118,12 @@ struct ShardSupervisorOptions {
   std::function<void(const ShardSpec&, size_t attempt)> post_attempt;
 };
 
-// Supervisor-side accounting of one sharded run.
+// Supervisor-side accounting of one sharded run, merged in quarter order,
+// so it does not depend on which worker finished first.
 struct ShardRunReport {
-  size_t shards = 0;       // shard specs executed (one per quarter)
   size_t attempts = 0;     // worker attempts started
-  size_t retries = 0;      // attempts beyond each shard's first
-  size_t quarantined = 0;  // shards that fell back to in-process execution
-  size_t reused = 0;       // shards whose existing checkpoint validated
-                           // before any worker was spawned
+  size_t retries = 0;      // attempts beyond each quarter's first
+  size_t quarantined = 0;  // quarters that fell back to in-process execution
   std::vector<std::string> notes;
 };
 
@@ -134,35 +132,19 @@ class ShardSupervisor {
   explicit ShardSupervisor(ShardSupervisorOptions options)
       : options_(std::move(options)) {}
 
-  // The sharded counterpart of MultiQuarterPipeline::RunAnalyzed: one
-  // worker per quarter (at most `workers` at a time), then the reduce and
-  // the analysis stages in-process, governed, checkpointed and resumed per
-  // `pipeline` like the single-process run. Requires
-  // `pipeline.checkpoint_dir` — checkpoints are the only worker/supervisor
-  // channel. Quarters with valid existing checkpoints are always reused, so
-  // a killed supervisor run resumes where it stopped; the result's
-  // stages_resumed counts them, as the single-process run counts the
-  // quarter checkpoints it replays.
+  // The sharded counterpart of MultiQuarterPipeline::RunAnalyzed: the same
+  // quarter stage with worker processes as its load (at most
+  // `pipeline.num_threads` running at a time), then the analysis stages
+  // in-process, governed, checkpointed and resumed per `pipeline` like the
+  // single-process run. Requires `pipeline.checkpoint_dir` — checkpoints
+  // are the only worker/supervisor channel.
   maras::StatusOr<SurveillanceAnalysis> RunAnalyzed(
       const std::vector<faers::QuarterDataset>& quarters,
       const MultiQuarterOptions& pipeline, const AnalyzerOptions& analyzer,
       RankingMethod method = RankingMethod::kExclusivenessConfidence,
       ShardRunReport* report = nullptr);
 
-  const ShardSupervisorOptions& options() const { return options_; }
-
  private:
-  struct ShardState;
-
-  // Runs the shard set to completion (worker attempts, retries,
-  // quarantine fallbacks). `validate` decodes + stores a shard's artifact;
-  // `fallback` computes it in-process after the retry budget is exhausted.
-  maras::Status RunShards(
-      const std::vector<ShardSpec>& specs,
-      const std::function<maras::Status(const ShardSpec&)>& validate,
-      const std::function<maras::Status(const ShardSpec&)>& fallback,
-      const RunContext& ctx, ShardRunReport* report);
-
   ShardSupervisorOptions options_;
 };
 

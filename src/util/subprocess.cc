@@ -26,11 +26,9 @@ void CloseQuietly(int fd) {
   }
 }
 
-void SetNonBlockingCloexec(int fd) {
+void SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   if (flags != -1) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  int fdflags = fcntl(fd, F_GETFD, 0);
-  if (fdflags != -1) fcntl(fd, F_SETFD, fdflags | FD_CLOEXEC);
 }
 
 // waitpid(pid, ...) retrying on EINTR. Returns the reaped pid, 0 (WNOHANG,
@@ -103,7 +101,6 @@ std::string ExitStatus::Describe() const {
     out = "running";
   }
   if (timed_out) out += " (timed out)";
-  if (hung) out += " (hung)";
   return out;
 }
 
@@ -122,24 +119,16 @@ ChildProcess::ChildProcess(ChildProcess&& other) noexcept
       reaped_(std::exchange(other.reaped_, false)),
       exit_(other.exit_) {}
 
-ChildProcess& ChildProcess::operator=(ChildProcess&& other) noexcept {
-  // The old child ends up in `previous`, whose destructor kills and reaps
-  // it and closes its pipe.
-  ChildProcess previous(std::move(other));
-  std::swap(pid_, previous.pid_);
-  std::swap(stdout_fd_, previous.stdout_fd_);
-  std::swap(reaped_, previous.reaped_);
-  std::swap(exit_, previous.exit_);
-  return *this;
-}
-
 StatusOr<ChildProcess> ChildProcess::Spawn(
     const std::vector<std::string>& argv) {
   if (argv.empty()) {
     return Status::InvalidArgument("empty argv");
   }
+  // Both ends are close-on-exec from birth: a child that another thread
+  // forks before this parent closes its write end must not carry that end
+  // past its exec, or this child's EOF waits for that one to exit.
   int pipe_fds[2] = {-1, -1};
-  if (pipe(pipe_fds) == -1) {
+  if (pipe2(pipe_fds, O_CLOEXEC) == -1) {
     return ErrnoStatus("pipe", errno);
   }
 
@@ -178,7 +167,7 @@ StatusOr<ChildProcess> ChildProcess::Spawn(
   ChildProcess child;
   child.pid_ = pid;
   CloseQuietly(pipe_fds[1]);
-  SetNonBlockingCloexec(pipe_fds[0]);
+  SetNonBlocking(pipe_fds[0]);
   child.stdout_fd_ = pipe_fds[0];
   return child;
 }

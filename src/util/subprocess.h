@@ -61,7 +61,6 @@ struct ExitStatus {
   bool signaled = false;   // killed by a signal; term_signal is valid
   int term_signal = 0;
   bool timed_out = false;  // the deadline kill in WaitWithDeadline fired
-  bool hung = false;       // killed for missing heartbeats (supervisor)
 
   bool Success() const { return exited && exit_code == 0; }
   // "exit 3", "signal 9 (timed out)", ... for diagnostics.
@@ -76,15 +75,16 @@ class ChildProcess {
   ChildProcess(const ChildProcess&) = delete;
   ChildProcess& operator=(const ChildProcess&) = delete;
   ChildProcess(ChildProcess&& other) noexcept;
-  ChildProcess& operator=(ChildProcess&& other) noexcept;
 
   // fork + execvp. argv[0] is the executable (PATH-searched). The child's
   // stdin is /dev/null. Exec failure surfaces as exit code 127. The child's
   // stdout is captured through a pipe (read it via stdout_fd()), whose
-  // parent end is O_NONBLOCK | O_CLOEXEC: the supervisor multiplexes many
-  // workers with poll() and must never block on one. Its stderr goes into
-  // the same pipe (2>&1), keeping a worker's diagnostics attached to its
-  // transcript instead of interleaving on the supervisor's terminal.
+  // parent end is O_NONBLOCK | O_CLOEXEC: the supervisor polls it for
+  // heartbeats with a timeout and must never block on it. Both ends are
+  // created close-on-exec, so concurrent spawns from several threads never
+  // leak one child's pipe into another. Its stderr goes into the same pipe
+  // (2>&1), keeping a worker's diagnostics attached to its transcript
+  // instead of interleaving on the supervisor's terminal.
   static StatusOr<ChildProcess> Spawn(const std::vector<std::string>& argv);
 
   pid_t pid() const { return pid_; }

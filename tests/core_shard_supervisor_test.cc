@@ -1,11 +1,15 @@
 #include "core/shard_supervisor.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -95,6 +99,12 @@ int RunWorkerMain(int argc, char** argv) {
                  spec.ok() ? "missing --worker-dir"
                            : spec.status().ToString().c_str());
     return 2;
+  }
+  if (!chaos.hang_at.empty()) {
+    // A worker set to hang leaves its pid, so a test can check that the
+    // supervisor reaped it.
+    std::ofstream(dir + "/worker-" + std::to_string(spec->index) + ".pid")
+        << getpid();
   }
   const faers::QuarterDataset quarter =
       MakeQuarter(seed, static_cast<int>(spec->index) + 1);
@@ -187,23 +197,25 @@ std::vector<std::string> WorkerCommand(const std::string& dir, uint64_t seed) {
 
 // Chaos runs retry often; keep the deterministic backoff schedule tight so
 // the harness spends its time in workers, not in sleeps.
-ShardSupervisorOptions FastOptions(size_t workers) {
+ShardSupervisorOptions FastOptions() {
   ShardSupervisorOptions options;
-  options.workers = workers;
   options.backoff.base = milliseconds(5);
   options.backoff.max_delay = milliseconds(50);
   return options;
 }
 
+// A sharded run with `threads` quarter workers at a time.
 maras::StatusOr<SurveillanceAnalysis> RunSharded(
     const std::string& dir, ShardSupervisorOptions options,
-    ShardRunReport* report, uint64_t seed = kCorpusSeed,
+    ShardRunReport* report, size_t threads = 2, uint64_t seed = kCorpusSeed,
     const std::vector<faers::QuarterDataset>* quarters = nullptr,
-    bool resume = false) {
+    bool resume = false, const RunContext* context = nullptr) {
   options.worker_command = WorkerCommand(dir, seed);
   MultiQuarterOptions pipeline;
+  pipeline.num_threads = threads;
   pipeline.checkpoint_dir = dir;
   pipeline.resume = resume;
+  pipeline.context = context;
   ShardSupervisor supervisor(std::move(options));
   return supervisor.RunAnalyzed(quarters != nullptr ? *quarters
                                                     : SharedQuarters(),
@@ -257,7 +269,7 @@ TEST(ShardSpecTest, WorkerWithoutAQuarterIsRejected) {
 
 // ---------------------------------------------------------------------------
 // Clean sharded runs: byte-identical to the single-process pipeline at any
-// worker count, and idempotent across supervisor restarts.
+// fan-out width; a used checkpoint dir is replayed only under resume.
 // ---------------------------------------------------------------------------
 
 TEST(ShardIdentityTest, TwoWorkersMatchSingleProcessBytes) {
@@ -267,10 +279,10 @@ TEST(ShardIdentityTest, TwoWorkersMatchSingleProcessBytes) {
       << "corpus must produce MCACs or identity checks are vacuous";
   std::string dir = FreshDir("two_workers");
   ShardRunReport report;
-  auto got = RunSharded(dir, FastOptions(2), &report);
+  auto got = RunSharded(dir, FastOptions(), &report);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ExpectIdentical(Encode(*got), ref.enc);
-  EXPECT_EQ(report.shards, SharedQuarters().size());
+  EXPECT_EQ(report.attempts, SharedQuarters().size());
   EXPECT_EQ(report.retries, 0u);
   EXPECT_EQ(report.quarantined, 0u);
 }
@@ -280,31 +292,36 @@ TEST(ShardIdentityTest, FourWorkersMatchSingleProcessBytes) {
   ASSERT_TRUE(ref.ok) << ref.error;
   std::string dir = FreshDir("four_workers");
   ShardRunReport report;
-  auto got = RunSharded(dir, FastOptions(4), &report);
+  auto got = RunSharded(dir, FastOptions(), &report, /*threads=*/4);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ExpectIdentical(Encode(*got), ref.enc);
-  EXPECT_EQ(report.shards, SharedQuarters().size());
+  EXPECT_EQ(report.attempts, SharedQuarters().size());
   EXPECT_EQ(report.quarantined, 0u);
 }
 
-TEST(ShardIdentityTest, RestartedSupervisorReusesEveryCheckpoint) {
-  const Reference& ref = GetReference();
-  ASSERT_TRUE(ref.ok) << ref.error;
-  std::string dir = FreshDir("restart");
+TEST(ShardIdentityTest, StaleCheckpointsOfAnotherSeedAreRecomputed) {
+  std::string dir = FreshDir("stale");
   ShardRunReport first;
-  auto run1 = RunSharded(dir, FastOptions(2), &first);
+  auto run1 = RunSharded(dir, FastOptions(), &first);
   ASSERT_TRUE(run1.ok()) << run1.status().ToString();
-  ASSERT_GT(first.attempts, 0u);
-  // Same dir again: every shard's artifact already validates, so the second
-  // supervisor run must not spawn a single worker.
+  // The same dir again without resume, on another corpus whose quarters
+  // have the same labels: the first run's quarter checkpoints validate, but
+  // they are another run's, so every worker is spawned and the result is
+  // this corpus's single-process bytes.
+  constexpr uint64_t kOtherSeed = 4300;
+  const auto quarters = MakeQuarters(kOtherSeed);
+  MultiQuarterPipeline pipeline{MultiQuarterOptions{}};
+  auto reference = pipeline.RunAnalyzed(quarters, TestAnalyzer());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_NE(Encode(*reference).ranked, Encode(*run1).ranked)
+      << "the two corpora must differ or this check is vacuous";
   ShardRunReport second;
-  auto run2 = RunSharded(dir, FastOptions(2), &second);
+  auto run2 = RunSharded(dir, FastOptions(), &second, /*threads=*/2,
+                         kOtherSeed, &quarters);
   ASSERT_TRUE(run2.ok()) << run2.status().ToString();
-  ExpectIdentical(Encode(*run2), ref.enc);
-  EXPECT_EQ(second.attempts, 0u);
-  EXPECT_EQ(second.reused, SharedQuarters().size());
-  EXPECT_EQ(run2->stages_resumed, SharedQuarters().size());
-  EXPECT_TRUE(AnyNoteContains(second.notes, "reused existing checkpoint"));
+  EXPECT_EQ(second.attempts, quarters.size());
+  EXPECT_EQ(run2->stages_resumed, 0u);
+  ExpectIdentical(Encode(*run2), Encode(*reference));
 }
 
 TEST(ShardIdentityTest, ResumedSupervisorReplaysAnalysisStages) {
@@ -312,14 +329,14 @@ TEST(ShardIdentityTest, ResumedSupervisorReplaysAnalysisStages) {
   ASSERT_TRUE(ref.ok) << ref.error;
   std::string dir = FreshDir("resume");
   ShardRunReport first;
-  auto run1 = RunSharded(dir, FastOptions(2), &first);
+  auto run1 = RunSharded(dir, FastOptions(), &first);
   ASSERT_TRUE(run1.ok()) << run1.status().ToString();
   // With resume, the second run reuses the quarter checkpoints and replays
   // closed, rules and ranked from the first run's checkpoints, and counts
   // them as the single-process RunAnalyzed does.
   ShardRunReport second;
-  auto run2 = RunSharded(dir, FastOptions(2), &second, kCorpusSeed, nullptr,
-                         /*resume=*/true);
+  auto run2 = RunSharded(dir, FastOptions(), &second, /*threads=*/2,
+                         kCorpusSeed, nullptr, /*resume=*/true);
   ASSERT_TRUE(run2.ok()) << run2.status().ToString();
   EXPECT_EQ(second.attempts, 0u);
   EXPECT_EQ(run2->stages_resumed, SharedQuarters().size() + 3);
@@ -327,7 +344,7 @@ TEST(ShardIdentityTest, ResumedSupervisorReplaysAnalysisStages) {
 }
 
 TEST(ShardIdentityTest, MissingCheckpointDirIsRejected) {
-  ShardSupervisorOptions options = FastOptions(2);
+  ShardSupervisorOptions options = FastOptions();
   options.worker_command = {"unused"};
   MultiQuarterOptions pipeline;  // no checkpoint_dir: no worker channel
   ShardSupervisor supervisor(std::move(options));
@@ -337,7 +354,7 @@ TEST(ShardIdentityTest, MissingCheckpointDirIsRejected) {
 }
 
 TEST(ShardIdentityTest, EmptyWorkerCommandIsRejected) {
-  ShardSupervisorOptions options = FastOptions(2);
+  ShardSupervisorOptions options = FastOptions();
   MultiQuarterOptions pipeline;
   pipeline.checkpoint_dir = FreshDir("no_command");
   ShardSupervisor supervisor(std::move(options));
@@ -358,7 +375,7 @@ void KillEveryWorkerOnceAt(const std::string& point) {
   const Reference& ref = GetReference();
   ASSERT_TRUE(ref.ok) << ref.error;
   std::string dir = FreshDir("kill_" + point);
-  ShardSupervisorOptions options = FastOptions(2);
+  ShardSupervisorOptions options = FastOptions();
   options.chaos_args = [&point](const ShardSpec&, size_t attempt) {
     return attempt == 0 ? std::vector<std::string>{"--chaos-exit=" + point}
                         : std::vector<std::string>{};
@@ -385,7 +402,7 @@ TEST(ShardChaosTest, DeathAfterPublishStillCountsAsSuccess) {
   const Reference& ref = GetReference();
   ASSERT_TRUE(ref.ok) << ref.error;
   std::string dir = FreshDir("kill_publish");
-  ShardSupervisorOptions options = FastOptions(2);
+  ShardSupervisorOptions options = FastOptions();
   options.chaos_args = [](const ShardSpec&, size_t) {
     return std::vector<std::string>{"--chaos-exit=publish"};
   };
@@ -401,7 +418,7 @@ TEST(ShardChaosTest, TornCheckpointsAreRejectedAndRecomputed) {
   const Reference& ref = GetReference();
   ASSERT_TRUE(ref.ok) << ref.error;
   std::string dir = FreshDir("torn");
-  ShardSupervisorOptions options = FastOptions(2);
+  ShardSupervisorOptions options = FastOptions();
   // Tear every shard's published snapshot mid-file after its first attempt,
   // in the window before the supervisor validates it.
   options.post_attempt = [&dir](const ShardSpec& spec, size_t attempt) {
@@ -424,7 +441,7 @@ TEST(ShardChaosTest, HungWorkerIsKilledByHeartbeatTimeoutAndRetried) {
   const Reference& ref = GetReference();
   ASSERT_TRUE(ref.ok) << ref.error;
   std::string dir = FreshDir("hang");
-  ShardSupervisorOptions options = FastOptions(2);
+  ShardSupervisorOptions options = FastOptions();
   options.heartbeat_timeout = milliseconds(2000);
   options.chaos_args = [](const ShardSpec& spec, size_t attempt) {
     if (attempt == 0 && spec.index == 0) {
@@ -445,7 +462,7 @@ TEST(ShardChaosTest, ExhaustedRetryBudgetQuarantinesAndDegrades) {
   const Reference& ref = GetReference();
   ASSERT_TRUE(ref.ok) << ref.error;
   std::string dir = FreshDir("quarantine");
-  ShardSupervisorOptions options = FastOptions(2);
+  ShardSupervisorOptions options = FastOptions();
   options.max_attempts = 2;
   // One quarter shard fails on every attempt: its budget runs out and the
   // supervisor must process that quarter in-process — a slower run, never
@@ -465,6 +482,69 @@ TEST(ShardChaosTest, ExhaustedRetryBudgetQuarantinesAndDegrades) {
   ExpectIdentical(Encode(*got), ref.enc);
 }
 
+TEST(ShardChaosTest, RunContextTripKillsAHungWorkerAndFailsTheRun) {
+  // First error wins: a deadline that expires while a worker hangs ends the
+  // run with DeadlineExceeded long before the heartbeat timeout, and the
+  // hung worker is killed and reaped on the way out.
+  std::string dir = FreshDir("deadline");
+  ShardSupervisorOptions options = FastOptions();
+  options.heartbeat_timeout = milliseconds(60000);
+  options.chaos_args = [](const ShardSpec&, size_t) {
+    return std::vector<std::string>{"--chaos-hang=work"};
+  };
+  RunContext ctx;
+  ctx.deadline = Deadline::AfterMillis(1000);
+  ShardRunReport report;
+  const auto start = std::chrono::steady_clock::now();
+  auto got = RunSharded(dir, options, &report, /*threads=*/1, kCorpusSeed,
+                        nullptr, /*resume=*/false, &ctx);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(got.status().IsDeadlineExceeded()) << got.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+  EXPECT_EQ(report.attempts, 1u);
+  std::ifstream pid_file(dir + "/worker-0.pid");
+  pid_t pid = 0;
+  ASSERT_TRUE(pid_file >> pid) << "the hung worker left no pid";
+  EXPECT_EQ(kill(pid, 0), -1);
+  EXPECT_EQ(errno, ESRCH) << "worker " << pid << " was not reaped";
+}
+
+TEST(ShardChaosTest, ReportIsTheSameAtEveryFanOutWidth) {
+  // Each quarter keeps its own accounting, merged in quarter order, so the
+  // report does not depend on which worker finished first.
+  const Reference& ref = GetReference();
+  ASSERT_TRUE(ref.ok) << ref.error;
+  std::string dir = FreshDir("report_widths");
+  ShardSupervisorOptions options = FastOptions();
+  options.max_attempts = 2;
+  // Quarter 0's worker dies once; quarter 2's dies on every attempt and is
+  // quarantined.
+  options.chaos_args = [](const ShardSpec& spec, size_t attempt) {
+    if (spec.index == 2 || (spec.index == 0 && attempt == 0)) {
+      return std::vector<std::string>{"--chaos-exit=work"};
+    }
+    return std::vector<std::string>{};
+  };
+  ShardRunReport two;
+  ShardRunReport three;
+  auto run2 = RunSharded(dir, options, &two, /*threads=*/2);
+  ASSERT_TRUE(run2.ok()) << run2.status().ToString();
+  ExpectIdentical(Encode(*run2), ref.enc);
+  // The same dir: the second run removes the first one's checkpoints, so
+  // the notes name the same files.
+  auto run3 = RunSharded(dir, options, &three, /*threads=*/3);
+  ASSERT_TRUE(run3.ok()) << run3.status().ToString();
+  ExpectIdentical(Encode(*run3), ref.enc);
+  EXPECT_EQ(two.attempts, 5u);
+  EXPECT_EQ(two.retries, 2u);
+  EXPECT_EQ(two.quarantined, 1u);
+  EXPECT_EQ(two.notes.size(), 3u);
+  EXPECT_EQ(three.attempts, two.attempts);
+  EXPECT_EQ(three.retries, two.retries);
+  EXPECT_EQ(three.quarantined, two.quarantined);
+  EXPECT_EQ(three.notes, two.notes);
+}
+
 // ---------------------------------------------------------------------------
 // Soak: a deterministic chaos lottery over several corpora — every shard is
 // killed at a point chosen by its index, quarter 0's snapshot is torn —
@@ -480,7 +560,7 @@ TEST(ShardSoakTest, ChaosLotteryConvergesAcrossSeeds) {
     auto reference = pipeline.RunAnalyzed(quarters, TestAnalyzer());
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     std::string dir = FreshDir("soak_" + std::to_string(seed));
-    ShardSupervisorOptions options = FastOptions(3);
+    ShardSupervisorOptions options = FastOptions();
     options.max_attempts = 4;
     options.chaos_args = [&kPoints](const ShardSpec& spec, size_t attempt) {
       if (attempt != 0) return std::vector<std::string>{};
@@ -495,7 +575,8 @@ TEST(ShardSoakTest, ChaosLotteryConvergesAcrossSeeds) {
       ASSERT_TRUE(faers::TruncateFileAt(path, size - 1).ok()) << path;
     };
     ShardRunReport report;
-    auto got = RunSharded(dir, options, &report, seed, &quarters);
+    auto got = RunSharded(dir, options, &report, /*threads=*/3, seed,
+                          &quarters);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectIdentical(Encode(*got), Encode(*reference));
     EXPECT_EQ(report.quarantined, 0u);

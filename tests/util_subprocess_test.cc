@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -23,7 +24,7 @@ using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
 // Reads a child's whole transcript by draining its non-blocking pipe until
-// EOF — the pattern the shard supervisor uses, minus the poll() multiplex.
+// EOF — the pattern the shard supervisor uses, minus its poll() timeout.
 std::string DrainUntilEof(ChildProcess& child) {
   std::string out;
   for (;;) {
@@ -120,6 +121,54 @@ TEST(SubprocessTest, PollReportsRunningThenReaps) {
   auto status = child->WaitWithDeadline(Deadline::AfterMillis(10000));
   ASSERT_TRUE(status.ok());
   EXPECT_TRUE(status->Success());
+}
+
+TEST(SubprocessTest, ConcurrentSpawnsNeverDelayAnotherChildsEof) {
+  // One thread keeps spawning half-second sleepers while this one spawns
+  // /bin/true for two seconds and times each EOF. A sleeper forked inside
+  // this thread's pipe() ... close window would inherit the write end and
+  // hold it until it exits, delaying the EOF by up to half a second. With
+  // close-on-exec pipes the sleeper drops it at its exec.
+  constexpr milliseconds kRun(2000);
+  constexpr milliseconds kLate(250);
+  std::atomic<bool> done{false};
+  std::thread sleepers([&done] {
+    std::deque<ChildProcess> live;  // killed and reaped on the way out
+    while (!done.load()) {
+      auto child = ChildProcess::Spawn({"sleep", "0.5"});
+      if (child.ok()) live.push_back(std::move(child).value());
+      // Sleepers finish in spawn order; reap the finished ones, so that at
+      // most ~100 are alive.
+      while (!live.empty()) {
+        auto reaped = live.front().Poll();
+        if (!reaped.ok() || !*reaped) break;
+        live.pop_front();
+      }
+      std::this_thread::sleep_for(milliseconds(4));
+    }
+  });
+  int spawns = 0;
+  int failed = 0;
+  int late = 0;
+  const Deadline run = Deadline::After(kRun);
+  while (!run.Expired()) {
+    ++spawns;
+    const steady_clock::time_point start = steady_clock::now();
+    auto child = ChildProcess::Spawn({"/bin/true"});
+    if (!child.ok()) {
+      ++failed;
+      continue;
+    }
+    DrainUntilEof(*child);
+    if (steady_clock::now() - start > kLate) ++late;
+    auto status = child->WaitWithDeadline(Deadline::AfterMillis(10000));
+    if (!status.ok() || !status->Success()) ++failed;
+  }
+  done = true;
+  sleepers.join();
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(late, 0) << late << " of " << spawns << " EOFs came more than "
+                     << kLate.count() << " ms after the spawn";
 }
 
 TEST(SubprocessTest, CurrentExecutablePathResolvesThisBinary) {

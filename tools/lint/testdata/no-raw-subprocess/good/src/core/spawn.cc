@@ -11,7 +11,7 @@ struct ChildProcess {
 };
 
 int SpawnWorkerTheRightWay(StateMachine& machine, StateMachine* engine) {
-  int child = ChildProcess::Spawn({"worker", "--shard=mine:0:2"});
+  int child = ChildProcess::Spawn({"worker", "--shard=quarter:0"});
   int branch = machine.fork(2);
   int state = engine->system(branch);
   std::string note = "workers never call fork() or popen() directly";

@@ -3,14 +3,19 @@
 
 Runs `surveillance_report <dir> 6000 5 --checkpoint-dir=...` in-process
 (--workers=1) and through the shard supervisor (--workers=2/3/4), reruns
-the 1- and 3-worker runs with --resume, and repeats the 1- and 3-worker
-runs under a memory budget small enough that the mine degrades. Requires:
+the 1- and 3-worker runs with --resume, reruns the 1- and 2-worker runs on
+seed 6 over their seed-5 checkpoint dirs without --resume, and repeats the
+1- and 3-worker runs under a memory budget small enough that the mine
+degrades. Requires:
 
   * every run to exit 0 and analysis.json to be byte-identical across
     worker counts, with and without --resume;
   * each --resume rerun to replay the four quarter stages and the
     closed, rules and ranked stages (7), the supervisor's without spawning
     a worker;
+  * each seed-6 rerun over a seed-5 checkpoint dir to replay nothing, the
+    supervisor's to spawn all four workers, and both to write the
+    analysis.json of a fresh seed-6 run;
   * a worker invocation for a fifth quarter to exit 2 as out of range;
   * the budgeted runs to print the "memory budget exhausted" degradation
     note and to agree with each other.
@@ -33,10 +38,10 @@ SEED = "5"
 BUDGET_MB = "3"
 
 
-def run(binary, tmp, name, *flags):
+def run(binary, tmp, name, *flags, seed=SEED):
     out = tmp / name
     out.mkdir()
-    cmd = [str(binary), str(out), REPORTS, SEED,
+    cmd = [str(binary), str(out), REPORTS, seed,
            f"--checkpoint-dir={tmp / ('ckpt-' + name.split('.')[0])}",
            *flags]
     proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
@@ -69,6 +74,21 @@ def smoke(binary, tmp):
             return f"--workers={workers} --resume spawned a worker"
         if got != reference:
             return f"--workers={workers} --resume differs from --workers=1"
+    # Without --resume a used checkpoint dir is never read: a run on another
+    # seed recomputes every quarter, the supervisor's in its workers.
+    _, fresh = run(binary, tmp, "fresh6", seed="6")
+    if fresh == reference:
+        return "seeds 5 and 6 gave the same analysis.json"
+    for workers in ("1", "2"):
+        stdout, got = run(binary, tmp, f"w{workers}.seed6",
+                          f"--workers={workers}", seed="6")
+        if "resumed" in stdout:
+            return f"--workers={workers} on seed 6 replayed a seed-5 stage"
+        if workers != "1" and " 4 attempts" not in stdout:
+            return f"--workers={workers} on seed 6 did not spawn 4 workers"
+        if got != fresh:
+            return (f"--workers={workers} on seed 6 over a seed-5 "
+                    "checkpoint dir differs from a fresh seed-6 run")
     # A worker asked for a quarter past the year's four is a bad invocation.
     cmd = [str(binary), str(tmp), REPORTS, SEED,
            f"--checkpoint-dir={tmp / 'ckpt-bad-shard'}", "--shard=quarter:4"]
