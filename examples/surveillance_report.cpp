@@ -16,14 +16,9 @@
 // --checkpoint-dir snapshots each completed stage atomically, and --resume
 // replays validated snapshots so an interrupted run picks up where it died.
 //
-// --workers=N gives the quarter fan-out and the analysis N threads. With
-// N > 1 (requires --checkpoint-dir) it also runs the crash-tolerant
-// multi-process path: the shard supervisor loads each quarter by spawning
-// this same binary as its worker process, at most N at a time (the --shard=
-// flag marks a worker invocation), retries crashed or hung workers with
-// deterministic backoff, then mines and analyses the pooled quarters
-// in-process, governed like the single-process run, into the byte-identical
-// result. Quarter checkpoints are reused only under --resume.
+// --workers=N gives the quarter fan-out and the analysis N threads; the
+// result is byte-identical at every N. A crashed run is recovered by
+// rerunning it with --resume over the same --checkpoint-dir.
 
 #include <cstdio>
 #include <cstdlib>
@@ -36,14 +31,12 @@
 #include "core/multi_quarter.h"
 #include "core/report_generator.h"
 #include "core/severity.h"
-#include "core/shard_supervisor.h"
 #include "faers/generator.h"
 #include "faers/preprocess.h"
 #include "util/delimited.h"
 #include "util/logging.h"
 #include "util/run_context.h"
 #include "util/string_util.h"
-#include "util/subprocess.h"
 #include "viz/glyph.h"
 #include "viz/linechart.h"
 
@@ -76,10 +69,7 @@ struct CliFlags {
   size_t memory_budget_mb = 0;   // 0 = no budget
   std::string checkpoint_dir;
   bool resume = false;
-  size_t workers = 1;            // > 1 = multi-process shard supervisor
-  std::string shard;             // non-empty = this process is a worker
-  std::string chaos_exit;        // worker fault injection (tests)
-  std::string chaos_hang;
+  size_t workers = 1;            // quarter fan-out and mining threads
 
   bool governed() const {
     return deadline_ms > 0 || memory_budget_mb > 0 ||
@@ -109,76 +99,26 @@ bool ParseFlag(const std::string& arg, CliFlags* flags) {
     flags->workers = static_cast<size_t>(std::atoll(arg.c_str() + 10));
     return true;
   }
-  if (arg.rfind("--shard=", 0) == 0) {
-    flags->shard = arg.substr(8);
-    return true;
-  }
-  if (arg.rfind("--chaos-exit=", 0) == 0) {
-    flags->chaos_exit = arg.substr(13);
-    return true;
-  }
-  if (arg.rfind("--chaos-hang=", 0) == 0) {
-    flags->chaos_hang = arg.substr(13);
-    return true;
-  }
   return false;
 }
 
-constexpr int kYearQuarters = 4;
-
-faers::QuarterDataset GenerateQuarter(int quarter, size_t reports,
-                                      uint64_t seed) {
-  faers::SyntheticGenerator generator(QuarterConfig(quarter, reports, seed));
-  auto dataset = generator.Generate();
-  MARAS_CHECK(dataset.ok()) << dataset.status().ToString();
-  return *std::move(dataset);
-}
-
-// The year's four synthetic quarters — a worker rebuilds its one quarter
-// from the same (quarter, reports, seed) coordinates, so parent and child
-// agree on every input byte without shipping data over a pipe.
+// The year's four synthetic quarters.
 std::vector<faers::QuarterDataset> BuildYear(size_t reports, uint64_t seed) {
   std::vector<faers::QuarterDataset> quarters;
-  for (int q = 1; q <= kYearQuarters; ++q) {
-    quarters.push_back(GenerateQuarter(q, reports, seed));
+  for (int q = 1; q <= 4; ++q) {
+    faers::SyntheticGenerator generator(QuarterConfig(q, reports, seed));
+    auto dataset = generator.Generate();
+    MARAS_CHECK(dataset.ok()) << dataset.status().ToString();
+    quarters.push_back(*std::move(dataset));
   }
   return quarters;
 }
 
-// A --shard= worker invocation: generate the shard's quarter, process it,
-// publish its checkpoint, exit. Spawned by the supervisor with this
-// binary's own path.
-int RunWorker(size_t reports, uint64_t seed, const CliFlags& flags) {
-  auto spec = core::ParseShardArg(flags.shard, kYearQuarters);
-  if (!spec.ok() || flags.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "bad worker invocation: %s\n",
-                 spec.ok() ? "--checkpoint-dir is required"
-                           : spec.status().ToString().c_str());
-    return 2;
-  }
-  const faers::QuarterDataset quarter =
-      GenerateQuarter(static_cast<int>(spec->index) + 1, reports, seed);
-  core::ShardWorkerConfig config;
-  config.spec = *std::move(spec);
-  config.checkpoint_dir = flags.checkpoint_dir;
-  config.quarter = &quarter;
-  config.chaos.exit_at = flags.chaos_exit;
-  config.chaos.hang_at = flags.chaos_hang;
-  maras::Status status = core::RunShardWorker(config);
-  if (!status.ok()) {
-    std::fprintf(stderr, "shard worker failed: %s\n",
-                 status.ToString().c_str());
-    return 1;
-  }
-  return 0;
-}
-
 // The governed path: pooled multi-quarter analysis through the
-// checkpointed, resource-governed pipeline — in-process by default, via
-// the multi-process shard supervisor with --workers=N. Returns the
-// process exit code.
-int RunGoverned(const std::string& argv0, const std::string& out_dir,
-                size_t reports, uint64_t seed, const CliFlags& flags) {
+// checkpointed, resource-governed pipeline, on --workers threads. Returns
+// the process exit code.
+int RunGoverned(const std::string& out_dir, size_t reports, uint64_t seed,
+                const CliFlags& flags) {
   std::vector<faers::QuarterDataset> quarters = BuildYear(reports, seed);
 
   CancellationToken cancel;
@@ -204,26 +144,8 @@ int RunGoverned(const std::string& argv0, const std::string& out_dir,
   // than fail: a coarser report beats no report for a safety evaluator.
   analyzer.degradation.enabled = ctx.budget != nullptr;
 
-  core::ShardRunReport shard_report;
-  auto analysis = [&]() -> maras::StatusOr<core::SurveillanceAnalysis> {
-    if (flags.workers <= 1) {
-      core::MultiQuarterPipeline pipeline(pipeline_options);
-      return pipeline.RunAnalyzed(quarters, analyzer);
-    }
-    if (flags.checkpoint_dir.empty()) {
-      return maras::Status::InvalidArgument(
-          "--workers requires --checkpoint-dir (checkpoints are the "
-          "worker/supervisor channel)");
-    }
-    core::ShardSupervisorOptions supervisor_options;
-    supervisor_options.worker_command = {
-        CurrentExecutablePath(argv0), out_dir, std::to_string(reports),
-        std::to_string(seed), "--checkpoint-dir=" + flags.checkpoint_dir};
-    core::ShardSupervisor supervisor(supervisor_options);
-    return supervisor.RunAnalyzed(quarters, pipeline_options, analyzer,
-                                  core::RankingMethod::kExclusivenessConfidence,
-                                  &shard_report);
-  }();
+  core::MultiQuarterPipeline pipeline(pipeline_options);
+  auto analysis = pipeline.RunAnalyzed(quarters, analyzer);
   if (!analysis.ok()) {
     const maras::Status& status = analysis.status();
     std::fprintf(stderr, "surveillance run stopped: %s\n",
@@ -244,15 +166,6 @@ int RunGoverned(const std::string& argv0, const std::string& out_dir,
   if (analysis->stages_resumed > 0) {
     std::printf("resumed %zu stage(s) from %s\n", analysis->stages_resumed,
                 flags.checkpoint_dir.c_str());
-  }
-  if (flags.workers > 1) {
-    std::printf("sharded across %zu workers: %zu quarters, %zu attempts, "
-                "%zu retries, %zu quarantined\n",
-                flags.workers, quarters.size(), shard_report.attempts,
-                shard_report.retries, shard_report.quarantined);
-    for (const std::string& note : shard_report.notes) {
-      std::printf("shard note: %s\n", note.c_str());
-    }
   }
   for (const std::string& note : analysis->notes) {
     std::printf("note: %s\n", note.c_str());
@@ -284,9 +197,6 @@ int RunGoverned(const std::string& argv0, const std::string& out_dir,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A worker whose supervisor died mid-read must see EPIPE as a Status,
-  // not die on SIGPIPE — and vice versa for the supervisor's pipe writes.
-  IgnoreSigpipeProcessWide();
   CliFlags flags;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
@@ -311,10 +221,7 @@ int main(int argc, char** argv) {
           ? std::strtoull(positional[2].c_str(), nullptr, 10)
           : 20140101;
 
-  if (!flags.shard.empty()) return RunWorker(reports, seed, flags);
-  if (flags.governed()) {
-    return RunGoverned(argv[0], out_dir, reports, seed, flags);
-  }
+  if (flags.governed()) return RunGoverned(out_dir, reports, seed, flags);
 
   // Load the year; the report focuses on the latest quarter (Q4).
   std::vector<faers::PreprocessResult> year;

@@ -30,70 +30,6 @@ void CountItemDomains(const mining::Itemset& itemset,
   }
 }
 
-// Crash-injection point: fires after `stage` (and its checkpoint write)
-// completed. Returning false simulates a process kill at that boundary.
-maras::Status FireStageHook(const MultiQuarterOptions& checkpoints,
-                            const std::string& stage) {
-  if (checkpoints.stage_hook && !checkpoints.stage_hook(stage)) {
-    return maras::Status::Cancelled("injected crash at stage " + stage);
-  }
-  return maras::Status::OK();
-}
-
-// Publishes a computed stage: its checkpoint (when checkpointing), then the
-// crash hook.
-maras::Status PublishStage(const MultiQuarterOptions& checkpoints,
-                           const std::string& stage,
-                           const std::string& payload) {
-  if (!checkpoints.checkpoint_dir.empty()) {
-    MARAS_RETURN_IF_ERROR(
-        WriteCheckpoint(checkpoints.checkpoint_dir, stage, payload));
-  }
-  return FireStageHook(checkpoints, stage);
-}
-
-// The serial in-order reduce of a quarter fan-out. Under kStrict the first
-// unloaded quarter fails the run with its load status from `failures` (or
-// Corruption naming its recorded error when the slot was replayed);
-// otherwise it adds a skip warning. Accounting merges in input order, no
-// loaded quarter at all is Corruption, and the loaded quarters are pooled
-// with MergeQuarters. `publish(i)` runs for each slot that passed the
-// strict check, before its accounting.
-maras::StatusOr<MultiQuarterRun> ReduceQuarterSlots(
-    const std::vector<QuarterCheckpoint>& slots,
-    const std::vector<maras::Status>& failures, bool strict,
-    const std::function<maras::Status(size_t i)>& publish) {
-  MultiQuarterRun run;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    const QuarterOutcome& outcome = slots[i].outcome;
-    if (strict && !outcome.loaded) {
-      const maras::Status failure =
-          !failures[i].ok() ? failures[i]
-                            : maras::Status::Corruption(outcome.error);
-      return maras::WithContext(failure, "quarter " + outcome.label);
-    }
-    MARAS_RETURN_IF_ERROR(publish(i));
-    if (outcome.loaded) {
-      ++run.quarters_loaded;
-    } else {
-      run.ingest.warnings.push_back("skipping quarter " + outcome.label +
-                                    ": " + outcome.error);
-    }
-    run.ingest.Merge(outcome.ingest);
-    run.outcomes.push_back(outcome);
-  }
-  if (run.quarters_loaded == 0) {
-    return maras::Status::Corruption("all " + std::to_string(slots.size()) +
-                                     " quarters failed ingestion");
-  }
-  std::vector<const faers::PreprocessResult*> loaded;
-  for (const QuarterCheckpoint& quarter : slots) {
-    if (quarter.result.has_value()) loaded.push_back(&*quarter.result);
-  }
-  MARAS_ASSIGN_OR_RETURN(run.merged, MergeQuarters(loaded));
-  return run;
-}
-
 // ---------------------------------------------------------------------------
 // Options records. A stage checkpoint carries, ahead of its payload, one
 // text line naming every option the stage's compute read, e.g.
@@ -168,26 +104,6 @@ maras::StatusOr<std::string_view> PayloadUnder(std::string_view framed,
   return framed.substr(recorded.size());
 }
 
-// Attempts to replay `stage` when resuming; load() reads and decodes its
-// checkpoint. NotFound is silent (nothing written yet); any other failure
-// adds a recompute note so a degraded resume is visible.
-template <typename LoadFn>
-bool TryResumeStage(const MultiQuarterOptions& checkpoints,
-                    const std::string& stage, LoadFn&& load,
-                    SurveillanceAnalysis* out) {
-  if (checkpoints.checkpoint_dir.empty() || !checkpoints.resume) return false;
-  maras::Status loaded = load();
-  if (loaded.ok()) {
-    ++out->stages_resumed;
-    return true;
-  }
-  if (!loaded.IsNotFound()) {
-    out->notes.push_back("checkpoint for stage '" + stage + "' rejected: " +
-                         loaded.ToString() + "; recomputing");
-  }
-  return false;
-}
-
 // One checkpointed stage: replays *value from its snapshot when the
 // snapshot's options record equals `options`, or computes it and publishes
 // it under that record. A computed stage ends replay for the rest of the
@@ -240,6 +156,38 @@ maras::StatusOr<std::vector<Mcac>> BuildMcacs(
 }
 
 }  // namespace
+
+bool TryResumeStage(const MultiQuarterOptions& checkpoints,
+                    const std::string& stage,
+                    const std::function<maras::Status()>& load,
+                    SurveillanceAnalysis* out) {
+  if (checkpoints.checkpoint_dir.empty() || !checkpoints.resume) return false;
+  maras::Status loaded = load();
+  if (loaded.ok()) {
+    ++out->stages_resumed;
+    return true;
+  }
+  if (!loaded.IsNotFound()) {
+    out->notes.push_back("checkpoint for stage '" + stage + "' rejected: " +
+                         loaded.ToString() + "; recomputing");
+  }
+  return false;
+}
+
+maras::Status PublishStage(const MultiQuarterOptions& checkpoints,
+                           const std::string& stage,
+                           const std::string& payload) {
+  if (!checkpoints.checkpoint_dir.empty()) {
+    MARAS_RETURN_IF_ERROR(
+        WriteCheckpoint(checkpoints.checkpoint_dir, stage, payload));
+  }
+  // The crash-injection point: a false return simulates a process kill
+  // right after the stage's checkpoint landed.
+  if (checkpoints.stage_hook && !checkpoints.stage_hook(stage)) {
+    return maras::Status::Cancelled("injected crash at stage " + stage);
+  }
+  return maras::Status::OK();
+}
 
 maras::Status RunAnalysisStages(const mining::ItemDictionary& items,
                                 const mining::TransactionDatabase& db,
@@ -321,67 +269,6 @@ maras::Status RunAnalysisStages(const mining::ItemDictionary& items,
   out->truncated = closed.truncated;
   out->notes.insert(out->notes.end(), closed.notes.begin(),
                     closed.notes.end());
-  return maras::Status::OK();
-}
-
-maras::Status RunQuarterStage(const MultiQuarterOptions& options,
-                              const std::vector<std::string>& labels,
-                              const QuarterLoad& load,
-                              const MultiQuarterOptions& checkpoints,
-                              SurveillanceAnalysis* out) {
-  const maras::RunContext ungoverned;
-  const maras::RunContext& ctx =
-      options.context != nullptr ? *options.context : ungoverned;
-  const size_t n = labels.size();
-  std::vector<QuarterCheckpoint> slots(n);
-  std::vector<char> from_disk(n, 0);
-  std::vector<maras::Status> failures(n);
-  for (size_t i = 0; i < n; ++i) {
-    from_disk[i] = TryResumeStage(
-        checkpoints, "quarter-" + labels[i],
-        [&]() -> maras::Status {
-          MARAS_ASSIGN_OR_RETURN(
-              slots[i],
-              ReadQuarterCheckpoint(checkpoints.checkpoint_dir, labels[i]));
-          return maras::Status::OK();
-        },
-        out);
-  }
-  // Fan out: each quarter is loaded by one pool task into its own slot; the
-  // run context is polled before each quarter is handed out and after each
-  // load, so a trip during a load fails the stage with the context's status.
-  maras::Status fan_out = maras::TryParallelFor(
-      options.num_threads, n, ctx, [&](size_t i) -> maras::Status {
-        if (from_disk[i]) return maras::Status::OK();
-        failures[i] = load(i, &slots[i]);
-        return ctx.Check();
-      });
-  if (!fan_out.ok()) {
-    return maras::WithContext(fan_out, "multi-quarter ingest");
-  }
-  MARAS_ASSIGN_OR_RETURN(
-      out->run,
-      ReduceQuarterSlots(
-          slots, failures,
-          options.ingest.policy == faers::IngestPolicy::kStrict,
-          [&](size_t i) -> maras::Status {
-            if (from_disk[i]) return maras::Status::OK();
-            return PublishStage(checkpoints, "quarter-" + labels[i],
-                                EncodeQuarterCheckpoint(slots[i]));
-          }));
-  return maras::Status::OK();
-}
-
-maras::Status FillQuarterSlot(const std::string& label,
-                              maras::StatusOr<faers::PreprocessResult> result,
-                              QuarterCheckpoint* slot) {
-  slot->outcome.label = label;
-  if (!result.ok()) {
-    slot->outcome.error = result.status().ToString();
-    return result.status();
-  }
-  slot->outcome.loaded = true;
-  slot->result = *std::move(result);
   return maras::Status::OK();
 }
 

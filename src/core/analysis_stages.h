@@ -17,24 +17,23 @@ namespace maras::core {
 //
 // RunAnalysisStages is the only place the sequence is written down, and the
 // only place the mine runs: MineWithDegradation under the caller's run
-// context. It has three callers that differ only in the data they pass:
+// context. It has two callers that differ only in the data they pass:
 //
 //   * MarasAnalyzer::Analyze passes analyzer.mining.context, no checkpoint
 //     dir, and stops before ranking: its callers rank AnalysisResult::mcacs
 //     themselves.
 //   * MultiQuarterPipeline::RunAnalyzed passes its MultiQuarterOptions'
 //     context and checkpoints, resumes and fires stage hooks per those
-//     options.
-//   * ShardSupervisor::RunAnalyzed does the same as RunAnalyzed on the corpus
-//     reduced from its quarter shards.
+//     options, on the corpus pooled by its quarter stage.
 //
-// The quarter stage before it, RunQuarterStage, is written down once too.
-// MultiQuarterPipeline::Run, MultiQuarterPipeline::RunAnalyzed and
-// ShardSupervisor::RunAnalyzed call it; they differ only in the QuarterLoad
-// (ProcessQuarter in-process, or worker processes under the supervisor).
+// The quarter stage before it is written down once too, file-local to
+// core/multi_quarter.cc: MultiQuarterPipeline::Run and RunAnalyzed both
+// load each quarter with ProcessQuarter on the num_threads fan-out, and
+// replay and publish its "quarter-<label>" checkpoint through the two
+// primitives below, TryResumeStage and PublishStage.
 //
-// Checkpointed stages are "closed", "rules" and "ranked" (plus the
-// per-quarter "quarter-<label>" stage of RunQuarterStage). The mine is not
+// Checkpointed stages are "closed", "rules" and "ranked" (plus one
+// "quarter-<label>" stage per quarter). The mine is not
 // checkpointed: it runs only when "closed" is not replayed. The
 // concept lattice is not checkpointed either: it is a pure function of the
 // closed family, built at most once, on first use by "rules" or "ranked",
@@ -54,7 +53,7 @@ namespace maras::core {
 // apart and would yield wrong rule measures.
 //
 // Once the frequent family entering the closed stage is equal, every
-// downstream artifact is equal, so byte identity across the three callers
+// downstream artifact is equal, so byte identity across the two callers
 // holds by construction. Each stage is deterministic for fixed inputs at any
 // thread count (fan-outs write disjoint slots and reduce in input order) and
 // polls `ctx` cooperatively like the rest of the pipeline.
@@ -78,34 +77,22 @@ maras::Status RunAnalysisStages(const mining::ItemDictionary& items,
                                 SurveillanceAnalysis* out,
                                 std::vector<Mcac>* unranked = nullptr);
 
-// Loads quarter `i` (ingest + preprocess) into `slot`: its label, its
-// row-level accounting and either the corpus or the recorded error. Returns
-// the load's status. Runs on a fan-out thread, one call per quarter.
-using QuarterLoad =
-    std::function<maras::Status(size_t i, QuarterCheckpoint* slot)>;
+// When resuming (checkpoints.checkpoint_dir set and checkpoints.resume),
+// runs `load`, which reads and decodes `stage`'s checkpoint, and returns
+// whether the stage was replayed; a replay counts in out->stages_resumed.
+// NotFound is silent (nothing written yet); any other failure adds a
+// recompute note to out->notes, so a degraded resume is visible.
+bool TryResumeStage(const MultiQuarterOptions& checkpoints,
+                    const std::string& stage,
+                    const std::function<maras::Status()>& load,
+                    SurveillanceAnalysis* out);
 
-// Stage 1: one QuarterCheckpoint slot per quarter, replayed from its
-// "quarter-<label>" checkpoint when resuming and otherwise loaded on the
-// options.num_threads quarter fan-out. A run-context trip fails the stage
-// with the context's status; a failed load is a recorded outcome. The
-// serial in-order reduce then applies the ingest policy (under kStrict the
-// first unloaded quarter fails the run with its load status, otherwise it
-// adds a skip warning), merges accounting in input order and pools the
-// loaded quarters into out->run; no loaded quarter at all is Corruption.
-// Each computed slot is published (checkpoint + stage hook per
-// `checkpoints`) in input order during the reduce.
-maras::Status RunQuarterStage(const MultiQuarterOptions& options,
-                              const std::vector<std::string>& labels,
-                              const QuarterLoad& load,
-                              const MultiQuarterOptions& checkpoints,
-                              SurveillanceAnalysis* out);
-
-// Fills `slot` from one quarter's load, whose accounting is already in
-// slot->outcome: the slot gets `label` and either the corpus or the error.
-// Returns the load's status.
-maras::Status FillQuarterSlot(const std::string& label,
-                              maras::StatusOr<faers::PreprocessResult> result,
-                              QuarterCheckpoint* slot);
+// Publishes a computed stage: `payload` becomes its checkpoint when
+// checkpoints.checkpoint_dir is set, then checkpoints.stage_hook fires; a
+// false return from the hook is kCancelled ("injected crash at stage ...").
+maras::Status PublishStage(const MultiQuarterOptions& checkpoints,
+                           const std::string& stage,
+                           const std::string& payload);
 
 // Closed stage: rule-space statistics over the pre-filter family, then the
 // closed-set filter. Consumes `mined`, so the frequent family is freed once

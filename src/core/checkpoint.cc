@@ -207,13 +207,7 @@ maras::Status WriteCheckpoint(const std::string& dir, const std::string& stage,
   w.U64(Fnv1a64(payload));
   std::string framed = std::move(w.Take());
   framed += payload;
-  // A file that already holds exactly these bytes stays: it was published
-  // the same atomic way (a quarter worker's, republished by the reduce), and
-  // replacing it costs a write, an fsync and a rename for nothing.
-  const std::string path = CheckpointPath(dir, stage);
-  maras::StatusOr<std::string> existing = ReadFileToString(path);
-  if (existing.ok() && *existing == framed) return maras::Status::OK();
-  return AtomicWriteStringToFile(path, framed);
+  return AtomicWriteStringToFile(CheckpointPath(dir, stage), framed);
 }
 
 maras::StatusOr<std::string> ReadCheckpoint(const std::string& dir,

@@ -46,8 +46,7 @@ uint64_t Fnv1a64(std::string_view data);
 std::string CheckpointPath(const std::string& dir, const std::string& stage);
 
 // Frames `payload` for `stage` and publishes it atomically under `dir`
-// (creating the directory if needed). A file already holding exactly the
-// framed bytes is left in place.
+// (creating the directory if needed), replacing any earlier snapshot.
 maras::Status WriteCheckpoint(const std::string& dir, const std::string& stage,
                               const std::string& payload);
 

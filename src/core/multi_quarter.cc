@@ -1,7 +1,10 @@
 #include "core/multi_quarter.h"
 
 #include "core/analysis_stages.h"
+#include "core/checkpoint.h"
 #include "mining/measures.h"
+#include "util/run_context.h"
+#include "util/thread_pool.h"
 
 namespace maras::core {
 
@@ -130,23 +133,95 @@ maras::StatusOr<faers::PreprocessResult> MultiQuarterPipeline::ProcessQuarter(
 
 namespace {
 
-std::vector<std::string> QuarterLabels(
-    const std::vector<faers::QuarterDataset>& quarters) {
+// The quarter stage, one "quarter-<label>" stage per quarter. Each slot is
+// replayed from its checkpoint when resuming and otherwise loaded by
+// ProcessQuarter on the options' num_threads fan-out, one task per quarter
+// writing its own slot. The run context is polled before each quarter is
+// handed out and after each load, so a trip fails the stage with the
+// context's status; a failed load is a recorded outcome. The serial
+// in-order reduce then applies the ingest policy (under kStrict the first
+// unloaded quarter fails the run with its load status, otherwise it adds a
+// skip warning), publishes each computed slot (checkpoint + stage hook per
+// `checkpoints`), merges accounting in input order and pools the loaded
+// quarters into out->run; no loaded quarter at all is Corruption.
+maras::Status RunQuarterStage(
+    const MultiQuarterPipeline& pipeline,
+    const std::vector<faers::QuarterDataset>& quarters,
+    const MultiQuarterOptions& checkpoints, SurveillanceAnalysis* out) {
+  const MultiQuarterOptions& options = pipeline.options();
+  const maras::RunContext ungoverned;
+  const maras::RunContext& ctx =
+      options.context != nullptr ? *options.context : ungoverned;
+  const size_t n = quarters.size();
   std::vector<std::string> labels;
-  for (const faers::QuarterDataset& quarter : quarters) {
-    labels.push_back(quarter.Label());
+  std::vector<QuarterCheckpoint> slots(n);
+  std::vector<char> from_disk(n, 0);
+  std::vector<maras::Status> failures(n);
+  for (size_t i = 0; i < n; ++i) {
+    labels.push_back(quarters[i].Label());
+    from_disk[i] = TryResumeStage(
+        checkpoints, "quarter-" + labels[i],
+        [&]() -> maras::Status {
+          MARAS_ASSIGN_OR_RETURN(
+              slots[i],
+              ReadQuarterCheckpoint(checkpoints.checkpoint_dir, labels[i]));
+          return maras::Status::OK();
+        },
+        out);
   }
-  return labels;
-}
-
-// The in-process QuarterLoad: ProcessQuarter on the fan-out thread.
-QuarterLoad InProcessLoad(const MultiQuarterPipeline& pipeline,
-                          const std::vector<faers::QuarterDataset>& quarters) {
-  return [&pipeline, &quarters](size_t i, QuarterCheckpoint* slot) {
-    return FillQuarterSlot(
-        quarters[i].Label(),
-        pipeline.ProcessQuarter(quarters[i], &slot->outcome), slot);
-  };
+  maras::Status fan_out = maras::TryParallelFor(
+      options.num_threads, n, ctx, [&](size_t i) -> maras::Status {
+        if (from_disk[i]) return maras::Status::OK();
+        QuarterOutcome& outcome = slots[i].outcome;
+        outcome.label = labels[i];
+        maras::StatusOr<faers::PreprocessResult> result =
+            pipeline.ProcessQuarter(quarters[i], &outcome);
+        if (result.ok()) {
+          outcome.loaded = true;
+          slots[i].result = *std::move(result);
+        } else {
+          failures[i] = result.status();
+          outcome.error = failures[i].ToString();
+        }
+        return ctx.Check();
+      });
+  if (!fan_out.ok()) {
+    return maras::WithContext(fan_out, "multi-quarter ingest");
+  }
+  const bool strict = options.ingest.policy == faers::IngestPolicy::kStrict;
+  MultiQuarterRun run;
+  for (size_t i = 0; i < n; ++i) {
+    const QuarterOutcome& outcome = slots[i].outcome;
+    if (strict && !outcome.loaded) {
+      const maras::Status failure =
+          !failures[i].ok() ? failures[i]
+                            : maras::Status::Corruption(outcome.error);
+      return maras::WithContext(failure, "quarter " + outcome.label);
+    }
+    if (!from_disk[i]) {
+      MARAS_RETURN_IF_ERROR(PublishStage(checkpoints, "quarter-" + labels[i],
+                                         EncodeQuarterCheckpoint(slots[i])));
+    }
+    if (outcome.loaded) {
+      ++run.quarters_loaded;
+    } else {
+      run.ingest.warnings.push_back("skipping quarter " + outcome.label +
+                                    ": " + outcome.error);
+    }
+    run.ingest.Merge(outcome.ingest);
+    run.outcomes.push_back(outcome);
+  }
+  if (run.quarters_loaded == 0) {
+    return maras::Status::Corruption("all " + std::to_string(n) +
+                                     " quarters failed ingestion");
+  }
+  std::vector<const faers::PreprocessResult*> loaded;
+  for (const QuarterCheckpoint& slot : slots) {
+    if (slot.result.has_value()) loaded.push_back(&*slot.result);
+  }
+  MARAS_ASSIGN_OR_RETURN(run.merged, MergeQuarters(loaded));
+  out->run = std::move(run);
+  return maras::Status::OK();
 }
 
 }  // namespace
@@ -157,9 +232,8 @@ maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::Run(
     return maras::Status::InvalidArgument("no quarters to ingest");
   }
   SurveillanceAnalysis out;
-  MARAS_RETURN_IF_ERROR(RunQuarterStage(options_, QuarterLabels(quarters),
-                                        InProcessLoad(*this, quarters),
-                                        MultiQuarterOptions{}, &out));
+  MARAS_RETURN_IF_ERROR(
+      RunQuarterStage(*this, quarters, MultiQuarterOptions{}, &out));
   return std::move(out.run);
 }
 
@@ -170,9 +244,7 @@ maras::StatusOr<SurveillanceAnalysis> MultiQuarterPipeline::RunAnalyzed(
     return maras::Status::InvalidArgument("no quarters to ingest");
   }
   SurveillanceAnalysis out;
-  MARAS_RETURN_IF_ERROR(RunQuarterStage(options_, QuarterLabels(quarters),
-                                        InProcessLoad(*this, quarters),
-                                        options_, &out));
+  MARAS_RETURN_IF_ERROR(RunQuarterStage(*this, quarters, options_, &out));
   MARAS_RETURN_IF_ERROR(RunAnalysisStages(
       out.run.merged.items, out.run.merged.transactions, analyzer, options_,
       options_.context, method, &out));

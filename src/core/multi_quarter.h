@@ -182,10 +182,9 @@ class MultiQuarterPipeline {
 
   const MultiQuarterOptions& options() const { return options_; }
 
-  // Validation + preprocess for one readable quarter. Public so a
-  // shard worker process (core/shard_supervisor.h) can run exactly this
-  // code on its assigned quarter — byte-identity across execution modes
-  // depends on both paths sharing one implementation.
+  // Validation + preprocess for one readable quarter: the load of the
+  // quarter stage behind Run and RunAnalyzed. Public so perfbench's
+  // hand-staged trace can time exactly this code per quarter.
   maras::StatusOr<faers::PreprocessResult> ProcessQuarter(
       const faers::QuarterDataset& dataset, QuarterOutcome* outcome) const;
 

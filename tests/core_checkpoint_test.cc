@@ -448,6 +448,29 @@ TEST_F(CheckpointResumeTest, ResumeAfterFullRunReplaysEveryStage) {
   ExpectIdentical(Encode(*replay), *reference_);
 }
 
+TEST_F(CheckpointResumeTest, UsedDirOfAnotherCorpusIsRecomputedWithoutResume) {
+  std::string dir = FreshDir("other_corpus");
+  auto first = MultiQuarterPipeline(CheckpointedOptions(dir, 2))
+                   .RunAnalyzed(*quarters_, HarnessAnalyzer(2));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  // Another corpus whose quarters carry the same labels: the first run's
+  // checkpoints validate, but without resume none of them is read, so the
+  // run is that corpus's fresh bytes.
+  const std::vector<faers::QuarterDataset> other = MakeQuarters(8200);
+  ASSERT_EQ(other.front().Label(), quarters_->front().Label());
+  auto fresh = MultiQuarterPipeline{MultiQuarterOptions{}}.RunAnalyzed(
+      other, HarnessAnalyzer(1));
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_NE(Encode(*fresh).ranked, reference_->ranked)
+      << "the two corpora must differ or this check is vacuous";
+  auto rerun = MultiQuarterPipeline(CheckpointedOptions(dir, 2))
+                   .RunAnalyzed(other, HarnessAnalyzer(2));
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_EQ(rerun->stages_resumed, 0u);
+  EXPECT_TRUE(rerun->notes.empty());
+  ExpectIdentical(Encode(*rerun), Encode(*fresh));
+}
+
 TEST_F(CheckpointResumeTest, TornSnapshotIsRejectedAndRecomputed) {
   std::string dir = FreshDir("torn_resume");
   auto first = MultiQuarterPipeline(CheckpointedOptions(dir, 1))

@@ -63,9 +63,8 @@ RULES = {
         "temporary; bind the StatusOr, test ok(), then consume with "
         "std::move(x).value())",
     "no-raw-subprocess":
-        "raw fork/exec*/system/popen outside src/util/subprocess.* (spawn "
-        "through ChildProcess so EINTR/SIGPIPE/zombie hygiene is audited "
-        "in one place)",
+        "raw fork/exec*/system/popen anywhere (the pipeline runs in one "
+        "process; its parallelism is threads)",
     "serve-validated-access":
         "reinterpret_cast, memcpy/memmove or data()-pointer arithmetic in "
         "src/serve outside the accessor layer (bounded_view/mapped_file); "
@@ -91,10 +90,6 @@ MINING_NODE_CONTAINER_EXEMPT = {"item_dictionary.h", "item_dictionary.cc"}
 # Files allowed to spell raw new/delete: the counting global allocator
 # must call the real allocation primitives.
 NEW_DELETE_ALLOWED = {"bench/alloc_counter.cc", "bench/alloc_counter.h"}
-
-# The one sanctioned home of raw process-control syscalls. Everyone else
-# spawns through ChildProcess (util/subprocess.h).
-SUBPROCESS_ALLOWED = {"src/util/subprocess.cc", "src/util/subprocess.h"}
 
 # The serving path treats every snapshot byte as hostile; these are the
 # only files allowed to touch raw memory — BoundedView's checked accessors
@@ -418,18 +413,14 @@ _RAW_SUBPROCESS_RE = re.compile(
 
 
 def rule_no_raw_subprocess(relpath, text, stripped):
-    rel = relpath.replace(os.sep, "/")
-    if rel in SUBPROCESS_ALLOWED:
-        return
     for m in _RAW_SUBPROCESS_RE.finditer(stripped):
         # Member calls like `machine.fork(...)` are not the libc syscall.
         head = stripped[:m.start()].rstrip()
         if head.endswith((".", "->")):
             continue
         yield (line_of(stripped, m.start()),
-               f"raw {m.group(1)}() call; process plumbing lives in "
-               "util/subprocess.h (ChildProcess::Spawn) so EINTR, SIGPIPE "
-               "and zombie handling are audited once")
+               f"raw {m.group(1)}() call; the pipeline runs in one process "
+               "and spawns none")
 
 
 _REINTERPRET_RE = re.compile(r"\breinterpret_cast\b")

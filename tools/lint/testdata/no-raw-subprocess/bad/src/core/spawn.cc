@@ -1,4 +1,4 @@
-// Fixture: raw process-control syscalls outside util/subprocess must fire.
+// Fixture: raw process-control syscalls must fire.
 #include <cstdio>
 #include <unistd.h>
 
